@@ -4,9 +4,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .harness import parse_config, parse_snr_spec, run_sweep, write_csv
 
 EXIT_OK = 0
@@ -57,12 +55,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        result = run_sweep(spec, workers=max(1, args.workers))
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    # numerical failures come back as marked rows, never as exceptions
+    result = run_sweep(spec, workers=max(1, args.workers))
     write_csv(result, spec.out)
     for row in result.rows:
         if row.failed:

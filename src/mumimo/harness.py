@@ -7,7 +7,9 @@ byte-identically regardless of execution order or worker count.
 """
 
 import concurrent.futures
+import contextlib
 import hashlib
+import os
 import time
 from dataclasses import dataclass
 
@@ -240,10 +242,10 @@ def parse_config(text: str) -> ScenarioSpec:
     return spec.validate()
 
 
-def serialize_config(spec: ScenarioSpec) -> str:
-    """Canonical flat text for a scenario; parses back to an equal spec."""
+def _scenario_lines(spec: ScenarioSpec) -> list:
+    """Every canonical ``key = value`` line except the output path."""
     sysc = spec.system
-    lines = [
+    return [
         f"n_users = {sysc.n_users}",
         f"n_bs = {sysc.n_bs}",
         f"n_heads = {sysc.n_heads}",
@@ -273,13 +275,18 @@ def serialize_config(spec: ScenarioSpec) -> str:
         "snr_db = " + ",".join(format(s, ".10g") for s in spec.snr_db),
         f"packets = {spec.packets}",
         f"seed = {spec.seed}",
-        f"out = {spec.out}",
     ]
-    return "\n".join(lines) + "\n"
+
+
+def serialize_config(spec: ScenarioSpec) -> str:
+    """Canonical flat text for a scenario; parses back to an equal spec."""
+    return "\n".join(_scenario_lines(spec) + [f"out = {spec.out}"]) + "\n"
 
 
 def scenario_hash(spec: ScenarioSpec) -> str:
-    return hashlib.sha256(serialize_config(spec).encode()).hexdigest()[:12]
+    """Short digest of the scenario; the output path is not part of it."""
+    text = "\n".join(_scenario_lines(spec)) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 # -- trial execution ----------------------------------------------------------
@@ -434,15 +441,16 @@ def _trial_task(args):
     try:
         res = run_trial(spec, snr_db, trial_index)
         return snr_db, trial_index, res, None
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         return snr_db, trial_index, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
     """Run every (SNR, packet) trial and aggregate order-independently.
 
-    A numerical failure in any trial marks that SNR point failed and the
-    sweep moves on.  Results are identical for any worker count.
+    A numerical failure in any trial (a :class:`NumericalError` or a raw
+    ``LinAlgError`` from numpy) marks that SNR point failed and the sweep
+    moves on.  Results are identical for any worker count.
     """
     spec.validate()
     start = time.perf_counter()
@@ -496,9 +504,18 @@ def format_csv(result: SweepResult) -> str:
 
 
 def write_csv(result: SweepResult, path):
+    """Write the CSV atomically: a temp file in the target directory, then
+    ``os.replace``, so an existing file is never left half-written."""
     text = format_csv(result)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return text
 
 

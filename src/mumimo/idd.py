@@ -14,7 +14,8 @@ import numpy as np
 from .errors import (EstimationQualityWarning, NumericalError, ParameterError,
                      StructuralError)
 from .txchain import (LLR_CLIP, TrellisSpec, deinterleave, interleave,
-                      qpsk_constellation, trellis_tables)
+                      qpsk_constellation, trellis_predecessors,
+                      trellis_tables)
 
 _VAR_FLOOR = 1e-30
 
@@ -178,6 +179,43 @@ class BcjrResult:
     info_bits: np.ndarray   # hard information-bit decisions
 
 
+def _state_recursions(gammas: np.ndarray, trellis: TrellisSpec) -> np.ndarray:
+    """Forward and backward state metrics from branch metrics (batch, t, s, u).
+
+    Both recursions run in one loop over a stacked ``(2 * batch, n_states)``
+    state vector: the alpha rows gather their predecessor states and the
+    beta rows their successor states through one flat index table, and
+    each adds its time-aligned branch metric.  Row ``t`` of the result
+    holds alpha at time ``t`` (first ``batch`` rows) and beta at time
+    ``n_steps - t`` (last ``batch`` rows); every row is max-normalized.
+    """
+    batch, n_steps, n_states, _ = gammas.shape
+    next_state, _ = trellis_tables(trellis)
+    pred_state, pred_input = trellis_predecessors(trellis)
+    # step t advances alpha from time t and beta from time n_steps - t; the
+    # two candidate branches of every state lead the arrays, so each is a
+    # contiguous (2 * batch, n_states) block
+    step_gammas = np.empty((n_steps, 2, 2 * batch, n_states))
+    gather = np.empty((2, 2 * batch, n_states), dtype=np.int64)
+    rows = n_states * np.arange(2 * batch)[:, None]
+    for k in (0, 1):
+        step_gammas[:, k, :batch] = gammas[:, :, pred_state[:, k],
+                                           pred_input[:, k]].transpose(1, 0, 2)
+        step_gammas[:, k, batch:] = gammas[:, ::-1, :, k].transpose(1, 0, 2)
+        gather[k, :batch] = rows[:batch] + pred_state[:, k]
+        gather[k, batch:] = rows[batch:] + next_state[:, k]
+
+    states = np.full((n_steps, 2 * batch, n_states), -np.inf)
+    states[0, :, 0] = 0.0
+    # alpha at n_steps and beta at 0 are never read, so one step is skipped
+    for t in range(n_steps - 1):
+        cand = states[t].take(gather) + step_gammas[t]
+        step = np.logaddexp(cand[0], cand[1])
+        # normalize to keep the recursion bounded; differences are invariant
+        states[t + 1] = step - np.maximum.reduce(step, axis=1, keepdims=True)
+    return states
+
+
 def bcjr_decode(channel_llrs: np.ndarray,
                 trellis: TrellisSpec = TrellisSpec()) -> BcjrResult:
     """Exact log-domain BCJR for a zero-tail terminated convolutional code.
@@ -187,6 +225,9 @@ def bcjr_decode(channel_llrs: np.ndarray,
     forward/backward boundary conditions pin both endpoint states at zero,
     matching the tail-bit termination.  Extrinsic LLRs are the coded-bit
     posteriors minus the inputs; information-bit LLRs exclude the tail.
+
+    Only the state recursions are sequential (:func:`_state_recursions`);
+    the branch posteriors are then reduced for all time steps at once.
     """
     lam = np.asarray(channel_llrs, dtype=float)
     squeeze = lam.ndim == 1
@@ -199,52 +240,30 @@ def bcjr_decode(channel_llrs: np.ndarray,
     if n_steps <= trellis.memory:
         raise StructuralError("coded block is shorter than the code tail")
     batch = lam.shape[0]
-    n_states = trellis.n_states
     next_state, out_bits = trellis_tables(trellis)
     sign = (1.0 - 2.0 * out_bits).astype(float)  # (S, 2, n_out), bit 0 -> +1
     lam_steps = lam.reshape(batch, n_steps, n_out)
 
     # branch metrics gamma[t] for all (state, input) pairs at once
     gammas = 0.5 * np.einsum('btc,suc->btsu', lam_steps, sign)
-
-    neg_inf = -np.inf
-    alphas = np.full((batch, n_steps + 1, n_states), neg_inf)
-    alphas[:, 0, 0] = 0.0
-    # predecessors: state s' is reached from pred_state[s', :] under input s'&1
-    pred_state = np.empty((n_states, 2), dtype=np.int64)
-    pred_input = np.empty((n_states, 2), dtype=np.int64)
-    for sp in range(n_states):
-        preds = [(s, u) for s in range(n_states) for u in (0, 1)
-                 if next_state[s, u] == sp]
-        pred_state[sp] = [p[0] for p in preds]
-        pred_input[sp] = [p[1] for p in preds]
-    for t in range(n_steps):
-        cand = alphas[:, t, pred_state] + gammas[:, t, pred_state, pred_input]
-        step = np.logaddexp(cand[..., 0], cand[..., 1])
-        # normalize to keep the recursion bounded; differences are invariant
-        alphas[:, t + 1] = step - step.max(axis=1, keepdims=True)
-
-    beta = np.full((batch, n_states), neg_inf)
-    beta[:, 0] = 0.0
-    extrinsic = np.empty_like(lam_steps)
-    info_llrs = np.empty((batch, n_steps))
-    flat_next = next_state.reshape(-1)
+    states = _state_recursions(gammas, trellis)
+    alphas = states[:, :batch].transpose(1, 0, 2)  # alpha at time t
+    betas = states[::-1, batch:].transpose(1, 0, 2)  # beta at time t + 1
+    # joint metric of every branch (s, u) at every time t; it reuses the
+    # gammas buffer, which nothing reads afterwards
+    joint = np.add(alphas[..., None], gammas, out=gammas)
+    for u in (0, 1):
+        joint[..., u] += betas[:, :, next_state[:, u]]
+    jf = joint.reshape(batch, n_steps, -1)
     out_flat = out_bits.reshape(-1, n_out)  # (S*2, n_out)
-    input_flat = np.tile([0, 1], n_states)
-    for t in range(n_steps - 1, -1, -1):
-        # joint metric of every branch (s, u) at time t
-        joint = (alphas[:, t, :, None] + gammas[:, t]
-                 + beta[:, flat_next].reshape(batch, n_states, 2))
-        jf = joint.reshape(batch, -1)
-        for c in range(n_out):
-            zero = np.logaddexp.reduce(jf[:, out_flat[:, c] == 0], axis=1)
-            one = np.logaddexp.reduce(jf[:, out_flat[:, c] == 1], axis=1)
-            extrinsic[:, t, c] = zero - one - lam_steps[:, t, c]
-        info_llrs[:, t] = (np.logaddexp.reduce(jf[:, input_flat == 0], axis=1)
-                           - np.logaddexp.reduce(jf[:, input_flat == 1], axis=1))
-        cand = gammas[:, t] + beta[:, flat_next].reshape(batch, n_states, 2)
-        step = np.logaddexp(cand[..., 0], cand[..., 1])
-        beta = step - step.max(axis=1, keepdims=True)
+    input_flat = np.tile([0, 1], trellis.n_states)
+    extrinsic = np.empty_like(lam_steps)
+    for c in range(n_out):
+        zero = np.logaddexp.reduce(jf[..., out_flat[:, c] == 0], axis=-1)
+        one = np.logaddexp.reduce(jf[..., out_flat[:, c] == 1], axis=-1)
+        extrinsic[..., c] = zero - one - lam_steps[..., c]
+    info_llrs = (np.logaddexp.reduce(jf[..., input_flat == 0], axis=-1)
+                 - np.logaddexp.reduce(jf[..., input_flat == 1], axis=-1))
 
     k_info = n_steps - trellis.memory
     info = info_llrs[:, :k_info]

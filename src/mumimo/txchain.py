@@ -66,6 +66,22 @@ def trellis_tables(trellis: TrellisSpec):
     return next_state, out_bits
 
 
+@lru_cache(maxsize=8)
+def trellis_predecessors(trellis: TrellisSpec):
+    """(pred_state, pred_input) tables indexed by [state, branch].
+
+    State ``s'`` is entered from ``pred_state[s', k]`` under input
+    ``pred_input[s', k]``; the two branches are listed in increasing
+    (state, input) order.  The cached arrays are shared, so read-only.
+    """
+    next_state, _ = trellis_tables(trellis)
+    branches = np.argsort(next_state.ravel(), kind="stable").reshape(-1, 2)
+    tables = branches >> 1, branches & 1
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def conv_encode(bits, trellis: TrellisSpec = TrellisSpec()) -> np.ndarray:
     """Encode a bit vector, appending zero tail bits to flush the register.
 

@@ -1,4 +1,8 @@
-"""Harness tests: config parsing, trial/sweep determinism, CSV, CLI."""
+"""Harness tests: config parsing, trial/sweep determinism, CSV, CLI, README."""
+
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import mumimo as m
 from mumimo import cli, harness
 from mumimo.errors import ConfigError, NumericalError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """
 # smallest interesting uplink
@@ -182,6 +188,54 @@ def test_sweep_marks_failed_points(monkeypatch):
     assert 4.0 in result.failures
 
 
+def test_sweep_maps_raw_linalg_error_to_failed_point(monkeypatch):
+    spec = small_spec(snr_db=(4.0, 10.0), packets=2)
+    real = harness.compute_receive_filter
+
+    def singular_at_low_snr(chan, symbol_power, noise_var, kind):
+        if noise_var > harness.trial_noise_variance(spec, 10.0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(chan, symbol_power, noise_var, kind)
+
+    monkeypatch.setattr(harness, "compute_receive_filter", singular_at_low_snr)
+    result = m.run_sweep(spec)
+    assert result.rows[0].failed and np.isnan(result.rows[0].ber)
+    assert result.failures == {4.0: "LinAlgError: Singular matrix"}
+    assert not result.rows[1].failed and result.rows[1].bits > 0
+
+
+def test_cli_linalg_failure_still_writes_csv(tmp_path, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(harness, "compute_receive_filter", singular)
+    out = tmp_path / "res.csv"
+    cfg = write_config(tmp_path)
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert out.read_text().split("\n")[1].split(",")[3] == "nan"
+
+
+def test_failed_csv_write_leaves_existing_file_untouched(tmp_path):
+    path = tmp_path / "r.csv"
+    spec = small_spec(out=str(path))
+    good = m.write_csv(m.run_sweep(spec), path)
+    # a non-ASCII detector name makes the write itself fail mid-way
+    bad = m.SweepResult(scenario=dataclasses.replace(spec, detector="mms\u00e9"),
+                        rows=m.run_sweep(spec).rows, scenario_hash="")
+    with pytest.raises(UnicodeEncodeError):
+        m.write_csv(bad, path)
+    assert path.read_text() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
+def test_scenario_hash_ignores_output_path():
+    a = small_spec(out="a.csv")
+    b = small_spec(out="elsewhere/b.csv")
+    assert harness.scenario_hash(a) == harness.scenario_hash(b)
+    assert harness.scenario_hash(a) != harness.scenario_hash(small_spec(seed=4))
+    assert m.run_sweep(a).scenario_hash == m.run_sweep(b).scenario_hash
+
+
 def test_csv_format_and_rerun_bytes(tmp_path):
     spec = small_spec(snr_db=(4.0, 10.0), out=str(tmp_path / "r.csv"))
     text1 = m.write_csv(m.run_sweep(spec), spec.out)
@@ -304,3 +358,66 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert cli.main(["--config", str(cfg), "--out", str(out1)]) == 0
     assert cli.main(["--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# -- README -------------------------------------------------------------------
+
+def readme_table(heading):
+    """(keys, default, meaning) per row of the table after ``heading``."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index(heading):].split("\n\n")[1]
+    rows = []
+    for line in block.splitlines()[2:]:
+        keys, default, meaning = (c.strip() for c in line.strip("|").split("|"))
+        rows.append((re.findall(r"`([^`]+)`", keys), default.strip("`"), meaning))
+    return rows
+
+
+def dataclass_default(cls, name):
+    field = {f.name: f for f in dataclasses.fields(cls)}[name]
+    return field.default
+
+
+def readme_default(key, raw):
+    if key == "snr_db":
+        return m.parse_snr_spec(raw)
+    typ = {**harness._SYSTEM_KEYS, **harness._SCENARIO_KEYS}[key]
+    return harness._parse_bool(raw, key) if typ is bool else typ(raw)
+
+
+def test_readme_system_table_matches_defaults():
+    rows = readme_table("System geometry and propagation:")
+    assert {k for keys, _, _ in rows for k in keys} == {*harness._SYSTEM_KEYS, "n_rx_total"}
+    for keys, default, _ in rows:
+        if keys == ["n_rx_total"]:
+            continue  # a cross-check, not a field
+        values = [v.strip() for v in default.split("/")]
+        assert len(values) == len(keys), keys
+        for key, raw in zip(keys, values):
+            if key.endswith(("_min", "_max")):
+                name = key.rsplit("_", 1)[0] + "_range"
+                expected = dataclass_default(m.SystemConfig, name)[key.endswith("_max")]
+            else:
+                expected = dataclass_default(m.SystemConfig, key)
+            if raw == "required":
+                assert expected is dataclasses.MISSING, key
+            else:
+                assert readme_default(key, raw) == expected, key
+
+
+def test_readme_scenario_table_matches_defaults():
+    rows = readme_table("Scenario:")
+    assert {k for (k,), _, _ in rows} == set(harness._SCENARIO_KEYS)
+    for (key,), raw, meaning in rows:
+        expected = dataclass_default(m.ScenarioSpec,
+                                     harness._KEY_TO_FIELD.get(key, key))
+        assert readme_default(key, raw) == expected, key
+        if key in ("detector", "ordering", "estimator", "filter_design"):
+            # every option the table lists must pass validation
+            options = re.findall(r"`([^`]+)`", meaning)
+            assert options, key
+            for option in options:
+                overrides = {harness._KEY_TO_FIELD.get(key, key): option}
+                if key == "estimator" and option != "perfect":
+                    overrides.update(pilot_len=8, rank=2)
+                small_spec(**overrides)

@@ -7,8 +7,11 @@ import pytest
 
 import mumimo as m
 from conftest import random_channel, reference_encode
+from mumimo import idd
 from mumimo.errors import (EstimationQualityWarning, ParameterError,
                            StructuralError)
+from mumimo.idd import BcjrResult
+from mumimo.txchain import LLR_CLIP, TrellisSpec, trellis_tables
 
 
 def sigmoid(x):
@@ -277,6 +280,115 @@ def test_bcjr_matches_exhaustive_app(rng):
     np.testing.assert_allclose(result.info_llrs, info_ref, atol=1e-8)
     np.testing.assert_allclose(result.extrinsic, ext_ref, atol=1e-8)
     np.testing.assert_array_equal(result.info_bits, (info_ref < 0).astype(int))
+
+
+def reference_bcjr_decode(channel_llrs: np.ndarray,
+                          trellis: TrellisSpec = TrellisSpec()) -> BcjrResult:
+    """Per-step log-domain BCJR: one forward loop, then one backward loop
+    that forms the branch posteriors of each time step as it goes."""
+    lam = np.asarray(channel_llrs, dtype=float)
+    squeeze = lam.ndim == 1
+    lam = np.atleast_2d(lam)
+    n_out = trellis.n_out
+    if lam.shape[1] % n_out != 0:
+        raise StructuralError(
+            f"coded length {lam.shape[1]} is not a multiple of {n_out}")
+    n_steps = lam.shape[1] // n_out
+    if n_steps <= trellis.memory:
+        raise StructuralError("coded block is shorter than the code tail")
+    batch = lam.shape[0]
+    n_states = trellis.n_states
+    next_state, out_bits = trellis_tables(trellis)
+    sign = (1.0 - 2.0 * out_bits).astype(float)  # (S, 2, n_out), bit 0 -> +1
+    lam_steps = lam.reshape(batch, n_steps, n_out)
+
+    # branch metrics gamma[t] for all (state, input) pairs at once
+    gammas = 0.5 * np.einsum('btc,suc->btsu', lam_steps, sign)
+
+    neg_inf = -np.inf
+    alphas = np.full((batch, n_steps + 1, n_states), neg_inf)
+    alphas[:, 0, 0] = 0.0
+    # predecessors: state s' is reached from pred_state[s', :] under input s'&1
+    pred_state = np.empty((n_states, 2), dtype=np.int64)
+    pred_input = np.empty((n_states, 2), dtype=np.int64)
+    for sp in range(n_states):
+        preds = [(s, u) for s in range(n_states) for u in (0, 1)
+                 if next_state[s, u] == sp]
+        pred_state[sp] = [p[0] for p in preds]
+        pred_input[sp] = [p[1] for p in preds]
+    for t in range(n_steps):
+        cand = alphas[:, t, pred_state] + gammas[:, t, pred_state, pred_input]
+        step = np.logaddexp(cand[..., 0], cand[..., 1])
+        # normalize to keep the recursion bounded; differences are invariant
+        alphas[:, t + 1] = step - step.max(axis=1, keepdims=True)
+
+    beta = np.full((batch, n_states), neg_inf)
+    beta[:, 0] = 0.0
+    extrinsic = np.empty_like(lam_steps)
+    info_llrs = np.empty((batch, n_steps))
+    flat_next = next_state.reshape(-1)
+    out_flat = out_bits.reshape(-1, n_out)  # (S*2, n_out)
+    input_flat = np.tile([0, 1], n_states)
+    for t in range(n_steps - 1, -1, -1):
+        # joint metric of every branch (s, u) at time t
+        joint = (alphas[:, t, :, None] + gammas[:, t]
+                 + beta[:, flat_next].reshape(batch, n_states, 2))
+        jf = joint.reshape(batch, -1)
+        for c in range(n_out):
+            zero = np.logaddexp.reduce(jf[:, out_flat[:, c] == 0], axis=1)
+            one = np.logaddexp.reduce(jf[:, out_flat[:, c] == 1], axis=1)
+            extrinsic[:, t, c] = zero - one - lam_steps[:, t, c]
+        info_llrs[:, t] = (np.logaddexp.reduce(jf[:, input_flat == 0], axis=1)
+                           - np.logaddexp.reduce(jf[:, input_flat == 1], axis=1))
+        cand = gammas[:, t] + beta[:, flat_next].reshape(batch, n_states, 2)
+        step = np.logaddexp(cand[..., 0], cand[..., 1])
+        beta = step - step.max(axis=1, keepdims=True)
+
+    k_info = n_steps - trellis.memory
+    info = info_llrs[:, :k_info]
+    bits = (info < 0).astype(np.int8)  # ties resolve toward bit 0
+    ext = extrinsic.reshape(batch, -1)
+    if squeeze:
+        return BcjrResult(ext[0], info[0], bits[0])
+    return BcjrResult(ext, info, bits)
+
+
+def assert_bcjr_identical(got, ref):
+    for name in ("extrinsic", "info_llrs", "info_bits"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def test_bcjr_equals_per_step_oracle_on_clipped_input(rng):
+    # wide LLRs saturate at the clip, so both endpoint states and runs of
+    # -inf / very large metrics go through the recursion
+    lam = np.clip(rng.normal(0.0, 30.0, size=(8, 1000)), -LLR_CLIP, LLR_CLIP)
+    assert np.any(np.abs(lam) == LLR_CLIP)
+    assert_bcjr_identical(m.bcjr_decode(lam), reference_bcjr_decode(lam))
+
+
+def test_bcjr_equals_per_step_oracle_single_stream(rng):
+    lam = rng.normal(0.0, 2.0, size=200)
+    got = m.bcjr_decode(lam)
+    assert got.extrinsic.ndim == 1
+    assert_bcjr_identical(got, reference_bcjr_decode(lam))
+
+
+def test_bcjr_equals_per_step_oracle_other_trellis(rng):
+    trellis = TrellisSpec(4, (0o15, 0o17))
+    lam = rng.normal(0.0, 3.0, size=(3, 2 * 150))
+    assert_bcjr_identical(m.bcjr_decode(lam, trellis),
+                          reference_bcjr_decode(lam, trellis))
+
+
+def test_coded_sweep_csv_matches_per_step_oracle(monkeypatch):
+    spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=6), coded=True,
+                          idd_iterations=2, packet_symbols=80,
+                          snr_db=(4.0, 10.0), packets=2, seed=5).validate()
+    fused = m.format_csv(m.run_sweep(spec))
+    monkeypatch.setattr(idd, "bcjr_decode", reference_bcjr_decode)
+    assert m.format_csv(m.run_sweep(spec)) == fused
 
 
 def test_bcjr_batched_matches_per_stream(rng):
