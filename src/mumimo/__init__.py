@@ -8,13 +8,12 @@ including reduced-rank variants.
 """
 
 from .config import SystemConfig
-from .errors import (CapacityError, ConfigError, EstimationQualityWarning,
-                     NumericalError, ParameterError, ParameterWarning,
-                     RankError, SingularMatrixError, StructuralError)
+from .errors import (CapacityError, ConfigError, NumericalError,
+                     ParameterError, ParameterWarning, RankError,
+                     SingularMatrixError, StructuralError)
 from .channel import (ChannelRealization, LargeScaleDraw, compose_channel,
-                      correlation_matrix, draw_channel, draw_large_scale,
-                      draw_small_scale, estimate_mean_gamma_sq, gain_diagonal,
-                      matrix_sqrt, snr_to_noise_variance)
+                      correlation_matrix, draw_large_scale, draw_small_scale,
+                      gain_diagonal, matrix_sqrt, snr_to_noise_variance)
 from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
                       channel_transmit, coded_payload_length, conv_encode,
                       deinterleave, interleave, labels_to_bits,
@@ -24,12 +23,11 @@ from .detectors import (DetectorOutput, OrderingPattern, ReceiveFilterSet,
                         compute_ordering, compute_receive_filter, df_detect,
                         linear_detect, mb_sic_detect, ml_detect_oracle,
                         sic_detect)
-from .idd import (BcjrResult, IddResult, bcjr_decode,
-                  estimate_effective_channel, extrinsic_llr, idd_receive,
-                  soft_mmse_sic_detect, soft_symbol_stats)
+from .idd import (BcjrResult, IddResult, bcjr_decode, extrinsic_llr,
+                  idd_receive, soft_mmse_sic_detect, soft_symbol_stats)
 from .estimation import (JioFilterBank, JioRlsFilter, LmsChannelEstimator,
-                         LmsFilterEstimator, ProjectionSpec,
-                         ReducedRankFilterBank, ReducedRankRlsFilter,
+                         ProjectionSpec, ReducedRankFilterBank,
+                         ReducedRankRlsFilter,
                          RlsChannelEstimator, RlsFilterBank,
                          RlsFilterEstimator, build_projection,
                          ls_channel_estimate, ls_filter_estimate)
@@ -43,13 +41,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemConfig",
-    "CapacityError", "ConfigError", "EstimationQualityWarning",
-    "NumericalError", "ParameterError", "ParameterWarning", "RankError",
-    "SingularMatrixError", "StructuralError",
+    "CapacityError", "ConfigError", "NumericalError", "ParameterError",
+    "ParameterWarning", "RankError", "SingularMatrixError", "StructuralError",
     "ChannelRealization", "LargeScaleDraw", "compose_channel",
-    "correlation_matrix", "draw_channel", "draw_large_scale",
-    "draw_small_scale", "estimate_mean_gamma_sq", "gain_diagonal",
-    "matrix_sqrt", "snr_to_noise_variance",
+    "correlation_matrix", "draw_large_scale", "draw_small_scale",
+    "gain_diagonal", "matrix_sqrt", "snr_to_noise_variance",
     "SymbolFrame", "TrellisSpec", "assemble_frame", "channel_transmit",
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
     "labels_to_bits", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",
@@ -57,11 +53,10 @@ __all__ = [
     "DetectorOutput", "OrderingPattern", "ReceiveFilterSet",
     "compute_ordering", "compute_receive_filter", "df_detect",
     "linear_detect", "mb_sic_detect", "ml_detect_oracle", "sic_detect",
-    "BcjrResult", "IddResult", "bcjr_decode", "estimate_effective_channel",
-    "extrinsic_llr", "idd_receive", "soft_mmse_sic_detect",
-    "soft_symbol_stats",
+    "BcjrResult", "IddResult", "bcjr_decode", "extrinsic_llr", "idd_receive",
+    "soft_mmse_sic_detect", "soft_symbol_stats",
     "JioFilterBank", "JioRlsFilter", "LmsChannelEstimator",
-    "LmsFilterEstimator", "ProjectionSpec", "ReducedRankFilterBank",
+    "ProjectionSpec", "ReducedRankFilterBank",
     "ReducedRankRlsFilter", "RlsChannelEstimator", "RlsFilterBank",
     "RlsFilterEstimator", "build_projection", "ls_channel_estimate",
     "ls_filter_estimate",

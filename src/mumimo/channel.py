@@ -169,33 +169,6 @@ def compose_channel(cfg: SystemConfig, small: list, large: LargeScaleDraw) -> Ch
                               stacked=np.hstack(per_user))
 
 
-def draw_channel(cfg: SystemConfig, small_rngs, large_rng) -> ChannelRealization:
-    """Full channel draw: large-scale once, small-scale per user."""
-    large = draw_large_scale(cfg, large_rng)
-    small = [draw_small_scale(cfg, cfg.n_rx_total, r) for r in small_rngs]
-    return compose_channel(cfg, small, large)
-
-
-def estimate_mean_gamma_sq(cfg: SystemConfig, n_draws: int,
-                           rng: np.random.Generator):
-    """Monte Carlo estimate of E[gamma^2] with its standard error.
-
-    The large-scale coefficients are i.i.d. across (user, group) pairs, so
-    the estimate samples the marginal distribution directly.
-    """
-    if n_draws < 1000:
-        raise ParameterError(f"n_draws must be >= 1000, got {n_draws}")
-    grid = _distance_grid(cfg.distance_range)
-    d = grid[rng.integers(0, len(grid), size=n_draws)]
-    lo, hi = cfg.path_gain_range
-    link = lo + (hi - lo) * rng.random(size=n_draws)
-    v = rng.standard_normal(n_draws)
-    gamma_sq = (link / d ** cfg.path_loss_exp) * 10.0 ** (cfg.shadow_spread_db * v / 5.0)
-    mean = float(np.mean(gamma_sq))
-    stderr = float(np.std(gamma_sq, ddof=1) / np.sqrt(n_draws))
-    return mean, stderr
-
-
 def snr_to_noise_variance(snr_db: float, cfg: SystemConfig, code_rate: float,
                           bits_per_symbol: int, mean_gamma_sq: float) -> float:
     """Noise variance realizing a target SNR.

@@ -48,16 +48,17 @@ def main(argv=None) -> int:
             overrides["out"] = args.out
         if overrides:
             spec = replace(spec, **overrides).validate()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     # numerical failures come back as marked rows, never as exceptions
     result = run_sweep(spec, workers=max(1, args.workers))
-    write_csv(result, spec.out)
+    try:
+        write_csv(result, spec.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for row in result.rows:
         if row.failed:
             print(f"snr {row.snr_db:g} dB: FAILED ({row.message})")

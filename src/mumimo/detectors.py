@@ -6,7 +6,6 @@ batch form is what the Monte Carlo harness uses, since filters and
 orderings depend only on the channel.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +14,8 @@ from .errors import CapacityError, ParameterError, SingularMatrixError, Structur
 from .txchain import qpsk_constellation, qpsk_slice_labels
 
 LINEAR_DESIGNS = ("rmf", "zf", "mmse")
-ORDERING_CRITERIA = ("norm", "snr", "sinr", "exhaustive")
+ORDERING_CRITERIA = ("norm", "snr", "sinr")
 ML_CANDIDATE_GUARD = 10 ** 6
-EXHAUSTIVE_STREAM_GUARD = 6
 
 
 @dataclass
@@ -124,35 +122,11 @@ def _stream_keys(chan, symbol_power, noise_var, criterion):
 
 
 def compute_ordering(chan: np.ndarray, symbol_power: float, noise_var: float,
-                     criterion: str = "norm", r=None,
-                     filter_design: str = "mmse") -> OrderingPattern:
-    """Detection order over streams (descending key, ties by stream index).
-
-    ``exhaustive`` enumerates every permutation, runs SIC on the given
-    single received vector and keeps the order with the smallest final
-    Euclidean distance; it is an oracle for small stream counts only.
-    """
+                     criterion: str = "norm") -> OrderingPattern:
+    """Detection order over streams (descending key, ties by stream index)."""
     chan = np.asarray(chan, dtype=complex)
-    m = chan.shape[1]
     if criterion not in ORDERING_CRITERIA:
         raise ParameterError(f"unknown ordering criterion {criterion!r}")
-    if criterion == "exhaustive":
-        if m > EXHAUSTIVE_STREAM_GUARD:
-            raise CapacityError(
-                f"exhaustive ordering limited to {EXHAUSTIVE_STREAM_GUARD} streams, got {m}")
-        if r is None:
-            raise ParameterError("exhaustive ordering needs the received vector")
-        r = np.asarray(r, dtype=complex)
-        if r.ndim != 1:
-            raise ParameterError("exhaustive ordering operates on a single received vector")
-        best, best_perm = None, None
-        for perm in itertools.permutations(range(m)):
-            order = np.array(perm)
-            out = sic_detect(chan, r, order, filter_design, symbol_power, noise_var)
-            dist = np.linalg.norm(r - chan @ out.symbols)
-            if best is None or dist < best - 1e-15:
-                best, best_perm = dist, order
-        return OrderingPattern("exhaustive", best_perm)
     keys = _stream_keys(chan, symbol_power, noise_var, criterion)
     perm = np.argsort(-keys, kind="stable")
     return OrderingPattern(criterion, perm)
@@ -198,39 +172,29 @@ def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
     return DetectorOutput(labels=labels, symbols=symbols)
 
 
-def _branch_orderings(base: np.ndarray, n_branches: int, exhaustive: bool):
-    m = base.size
-    if exhaustive:
-        if m > EXHAUSTIVE_STREAM_GUARD:
-            raise CapacityError(
-                f"exhaustive branch set limited to {EXHAUSTIVE_STREAM_GUARD} streams, got {m}")
-        return [np.array(p) for p in itertools.permutations(range(m))]
-    if not 1 <= n_branches <= m:
-        raise ParameterError(
-            f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
-    return [np.roll(base, -shift) for shift in range(n_branches)]
-
-
 def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
                   filter_design: str = "mmse", symbol_power: float = 1.0,
                   noise_var: float = 1.0, base_criterion: str = "norm",
-                  constellation=None, exhaustive_branches: bool = False) -> DetectorOutput:
+                  constellation=None) -> DetectorOutput:
     """Multi-branch SIC: parallel SIC branches under shifted orderings.
 
     Branch 1 uses the base ordering; branch l applies a circular left shift
     by l - 1.  Every branch produces a full decision vector and the branch
     with the smallest Euclidean distance ``||r - G s_l||`` wins, per
-    received vector.  ``exhaustive_branches`` replaces the shifts with all
-    stream permutations (small stream counts only).
+    received vector.
     """
     chan = np.asarray(chan, dtype=complex)
     block, single = _as_block(r, chan.shape[0])
+    m = chan.shape[1]
+    if not 1 <= n_branches <= m:
+        raise ParameterError(
+            f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
     base = compute_ordering(chan, symbol_power, noise_var, base_criterion).permutation
-    orders = _branch_orderings(base, n_branches, exhaustive_branches)
+    orders = [np.roll(base, -shift) for shift in range(n_branches)]
     n_vec = block.shape[1]
-    all_labels = np.empty((len(orders), chan.shape[1], n_vec), dtype=np.int64)
+    all_labels = np.empty((len(orders), m, n_vec), dtype=np.int64)
     dists = np.empty((len(orders), n_vec))
     for li, order in enumerate(orders):
         out = sic_detect(chan, block, order, filter_design, symbol_power,
@@ -281,7 +245,7 @@ def df_detect(chan: np.ndarray, r, mode: str = "s-df",
 
 def ml_detect_oracle(chan: np.ndarray, r, constellation=None,
                      chunk: int = 512) -> DetectorOutput:
-    """Exhaustive maximum-likelihood detection (reference oracle).
+    """Brute-force maximum-likelihood detection (reference oracle).
 
     Enumerates every candidate stream vector in lexicographic label order
     and returns the minimum-distance one (first hit wins ties).  Guarded to

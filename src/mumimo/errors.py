@@ -31,7 +31,3 @@ class ConfigError(ValueError):
 
 class ParameterWarning(UserWarning):
     """A parameter is outside its recommended range; the run proceeds."""
-
-
-class EstimationQualityWarning(UserWarning):
-    """An estimate was formed from very few samples; quality is suspect."""

@@ -45,26 +45,32 @@ def _hermitize(p):
 # -- channel estimation -------------------------------------------------------
 
 def ls_channel_estimate(pilots: np.ndarray, received: np.ndarray,
-                        lam: float = 1.0) -> np.ndarray:
-    """Batch (exponentially weighted) least-squares channel estimate.
+                        lam: float = 1.0, delta: float = 0.0) -> np.ndarray:
+    """Batch (exponentially weighted, optionally regularized) least-squares
+    channel estimate.
 
     ``pilots`` is (M, N) holding the stacked known stream symbols and
     ``received`` (N_A, N); the estimate solves the weighted normal
-    equations ``G_hat = Q R^{-1}`` with Q the received/pilot cross-moment
-    and R the pilot autocorrelation.
+    equations ``G_hat = Q (R + delta lam^N I)^{-1}`` with Q the
+    received/pilot cross-moment and R the pilot autocorrelation.  With
+    ``delta > 0`` this is exactly where :class:`RlsChannelEstimator`
+    started from ``P = I / delta`` stands after the same N pilots, and it
+    needs no minimum pilot count.
     """
     pilots = np.asarray(pilots, dtype=complex)
     received = np.asarray(received, dtype=complex)
     _check_forgetting(lam)
+    if delta < 0.0:
+        raise ParameterError("delta must be >= 0")
     if pilots.ndim != 2 or received.ndim != 2 or pilots.shape[1] != received.shape[1]:
         raise StructuralError("pilots (M, N) and received (N_A, N) must share N")
     n = pilots.shape[1]
-    if n < pilots.shape[0]:
+    if delta == 0.0 and n < pilots.shape[0]:
         raise RankError(
             f"{n} pilots cannot resolve {pilots.shape[0]} streams")
     w = _weights(n, lam)
     q = (received * w) @ pilots.conj().T
-    r = (pilots * w) @ pilots.conj().T
+    r = (pilots * w) @ pilots.conj().T + delta * lam ** n * np.eye(pilots.shape[0])
     try:
         return np.linalg.solve(r.conj().T, q.conj().T).conj().T
     except np.linalg.LinAlgError:
@@ -177,36 +183,6 @@ class RlsFilterEstimator:
         self.w = self.w + gain * np.conj(err)
         self.p = _hermitize((self.p - np.outer(gain, r.conj() @ self.p)) / self.lam)
         self.n_updates += 1
-        return err
-
-
-class LmsFilterEstimator:
-    """Least-mean-squares adaptation of one receive filter."""
-
-    _POWER_CHECK_AT = 16
-
-    def __init__(self, n_dim: int, mu: float = 0.05):
-        if mu <= 0.0:
-            raise ParameterError("step size must be > 0")
-        self.mu = mu
-        self.w = np.zeros(n_dim, dtype=complex)
-        self.n_updates = 0
-        self._power_acc = 0.0
-        self._warned = False
-
-    def update(self, received: np.ndarray, desired: complex) -> complex:
-        r = np.asarray(received, dtype=complex).ravel()
-        self._power_acc += float(np.real(r.conj() @ r))
-        self.n_updates += 1
-        if not self._warned and self.n_updates == self._POWER_CHECK_AT:
-            tr_est = self._power_acc / self.n_updates
-            if tr_est > 0 and self.mu >= 2.0 / tr_est:
-                warnings.warn(
-                    f"LMS step size {self.mu} exceeds 2 / tr(R) ~= {2.0 / tr_est:.4g}; "
-                    "the recursion may diverge", ParameterWarning, stacklevel=2)
-            self._warned = True
-        err = desired - self.w.conj() @ r
-        self.w = self.w + self.mu * np.conj(err) * r
         return err
 
 

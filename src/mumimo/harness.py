@@ -16,16 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channel import (compose_channel, draw_large_scale, draw_small_scale,
-                      estimate_mean_gamma_sq, snr_to_noise_variance)
+from .channel import (_distance_grid, compose_channel, draw_large_scale,
+                      draw_small_scale, snr_to_noise_variance)
 from .config import SystemConfig
-from .detectors import (ML_CANDIDATE_GUARD, compute_ordering,
+from .detectors import (ML_CANDIDATE_GUARD, ORDERING_CRITERIA, compute_ordering,
                         compute_receive_filter, df_detect, linear_detect,
                         mb_sic_detect, ml_detect_oracle, sic_detect)
 from .errors import ConfigError, NumericalError
 from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
-                         ReducedRankFilterBank, RlsChannelEstimator,
-                         RlsFilterBank, ls_channel_estimate)
+                         ReducedRankFilterBank, RlsFilterBank,
+                         ls_channel_estimate)
 from .idd import idd_receive
 from .txchain import (TrellisSpec, assemble_frame, channel_transmit,
                       coded_payload_length, labels_to_bits,
@@ -37,8 +37,6 @@ CSV_COLUMNS = ("snr_db", "bits", "errors", "ber", "ci_low", "ci_high",
                "detector", "estimator", "seed")
 
 _Z95 = 1.959963984540054
-_GAMMA_MOMENT_SEED = 0x5EED
-_GAMMA_MOMENT_DRAWS = 200_000
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class ScenarioSpec:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.ordering not in ("norm", "snr", "sinr"):
+        if self.ordering not in ORDERING_CRITERIA:
             raise ConfigError(f"unknown ordering criterion {self.ordering!r}")
         if self.filter_design not in ("zf", "mmse"):
             raise ConfigError(f"unknown filter design {self.filter_design!r}")
@@ -291,16 +289,17 @@ def scenario_hash(spec: ScenarioSpec) -> str:
 
 # -- trial execution ----------------------------------------------------------
 
-_gamma_moment_cache = {}
-
-
 def mean_gamma_sq(cfg: SystemConfig) -> float:
-    """Deterministic Monte Carlo moment E[gamma^2] used by the SNR mapping."""
-    if cfg not in _gamma_moment_cache:
-        gen = rngmod.substream(_GAMMA_MOMENT_SEED, rngmod.GAMMA_MOMENT)
-        _gamma_moment_cache[cfg], _ = estimate_mean_gamma_sq(
-            cfg, _GAMMA_MOMENT_DRAWS, gen)
-    return _gamma_moment_cache[cfg]
+    """Exact E[gamma^2] of the large-scale model, used by the SNR mapping.
+
+    ``gamma^2 = link * d^-tau * 10^(sigma v / 5)`` with independent factors:
+    a uniform link gain, a distance uniform on the grid and a standard
+    normal v, whose lognormal factor has mean ``exp((sigma ln10 / 5)^2 / 2)``.
+    """
+    grid = _distance_grid(cfg.distance_range)
+    shadow = np.exp((cfg.shadow_spread_db * np.log(10.0) / 5.0) ** 2 / 2.0)
+    return float(np.mean(cfg.path_gain_range) * np.mean(grid ** -cfg.path_loss_exp)
+                 * shadow)
 
 
 def trial_noise_variance(spec: ScenarioSpec, snr_db: float) -> float:
@@ -309,12 +308,12 @@ def trial_noise_variance(spec: ScenarioSpec, snr_db: float) -> float:
                                  mean_gamma_sq(spec.system))
 
 
-def _draw_trial_channel(spec: ScenarioSpec, snr_index: int, trial_index: int):
-    cfg = spec.system
+def _draw_trial_channel(cfg: SystemConfig, seed: int, snr_index: int,
+                        trial_index: int):
     large = draw_large_scale(cfg, rngmod.substream(
-        spec.seed, snr_index, trial_index, rngmod.LARGE_SCALE))
+        seed, snr_index, trial_index, rngmod.LARGE_SCALE))
     small = [draw_small_scale(cfg, cfg.n_rx_total, rngmod.substream(
-        spec.seed, snr_index, trial_index, rngmod.SMALL_SCALE, k))
+        seed, snr_index, trial_index, rngmod.SMALL_SCALE, k))
         for k in range(cfg.n_users)]
     return compose_channel(cfg, small, large)
 
@@ -334,13 +333,11 @@ def _build_trial_frame(spec: ScenarioSpec, snr_index: int, trial_index: int):
 
 def _estimate_channel(spec: ScenarioSpec, frame, received_pilots):
     cfg = spec.system
-    if spec.estimator == "ls":
-        return ls_channel_estimate(frame.pilots, received_pilots, spec.forgetting)
-    if spec.estimator == "rls":
-        tracker = RlsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.forgetting)
-        for i in range(frame.n_pilots):
-            tracker.update(frame.pilots[:, i], received_pilots[:, i])
-        return tracker.estimate
+    if spec.estimator in ("ls", "rls"):
+        # rls is the exact solution of the recursion started from P = I / delta
+        delta = DEFAULT_DELTA if spec.estimator == "rls" else 0.0
+        return ls_channel_estimate(frame.pilots, received_pilots, spec.forgetting,
+                                   delta)
     tracker = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
                                   cfg.symbol_power)
     for i in range(frame.n_pilots):
@@ -389,7 +386,7 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trial_index: int) -> TrialResul
         raise ConfigError(f"snr_db = {snr_db} is not part of the scenario sweep") from None
     cfg = spec.system
     noise_var = trial_noise_variance(spec, snr_db)
-    chan = _draw_trial_channel(spec, snr_index, trial_index)
+    chan = _draw_trial_channel(cfg, spec.seed, snr_index, trial_index)
     frame = _build_trial_frame(spec, snr_index, trial_index)
     received = channel_transmit(
         chan.stacked, frame.symbols(), noise_var,
@@ -409,8 +406,7 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trial_index: int) -> TrialResul
         result = idd_receive(rx_data, chan_for_detection, noise_var, frame.perms,
                              frame.trellis, cfg.symbol_power,
                              n_outer=spec.idd_iterations,
-                             max_log=spec.idd_max_log,
-                             known_symbols=frame.data_symbols)
+                             max_log=spec.idd_max_log)
         per_iter = tuple(int(np.sum(bits != frame.info_bits))
                          for bits in result.per_iteration_bits)
         return TrialResult(bits=frame.info_bits.size, errors=per_iter[-1],
@@ -538,11 +534,7 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
     if checkpoints[0] < 1 or checkpoints[-1] > n_train:
         raise ConfigError("checkpoints must lie in [1, n_train]")
     noise_var = snr_to_noise_variance(snr_db, cfg, 1.0, 2, mean_gamma_sq(cfg))
-    large = draw_large_scale(cfg, rngmod.substream(seed, 0, 0, rngmod.LARGE_SCALE))
-    small = [draw_small_scale(cfg, cfg.n_rx_total,
-                              rngmod.substream(seed, 0, 0, rngmod.SMALL_SCALE, k))
-             for k in range(cfg.n_users)]
-    chan = compose_channel(cfg, small, large).stacked
+    chan = _draw_trial_channel(cfg, seed, 0, 0).stacked
     m = cfg.n_streams
     constellation = qpsk_constellation(cfg.symbol_power)
 

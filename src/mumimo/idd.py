@@ -6,13 +6,11 @@ follow the convention ``lambda = log P(b = 0) / P(b = 1)`` (bit 0 is the
 positive amplitude), so ``P(b = 0) = 1 / (1 + exp(-lambda))``.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EstimationQualityWarning, NumericalError, ParameterError,
-                     StructuralError)
+from .errors import NumericalError, ParameterError, StructuralError
 from .txchain import (LLR_CLIP, TrellisSpec, deinterleave, interleave,
                       qpsk_constellation, trellis_predecessors,
                       trellis_tables)
@@ -97,30 +95,6 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
     xi_model = np.maximum(symbol_power ** 2 * q * (1.0 - variances * q) / denom ** 2,
                           _VAR_FLOOR)
     return z, v_model, xi_model
-
-
-def estimate_effective_channel(z: np.ndarray, symbols: np.ndarray,
-                               symbol_power: float = 1.0):
-    """Sample-average effective amplitude and residual variance per stream.
-
-    Fits the scalar model ``z = V s + xi`` against known symbols:
-    ``V = Re(mean(conj(s) z)) / sigma_s^2`` and the residual variance is the
-    mean squared deviation from that fit.  Averages run over the last axis.
-    """
-    z = np.asarray(z, dtype=complex)
-    symbols = np.asarray(symbols, dtype=complex)
-    if z.shape != symbols.shape:
-        raise StructuralError("filter outputs and symbols must share a shape")
-    n = z.shape[-1]
-    if n == 0:
-        raise ParameterError("cannot estimate the effective channel from zero samples")
-    if n < 32:
-        warnings.warn(f"effective-channel estimate from only {n} samples",
-                      EstimationQualityWarning, stacklevel=2)
-    v_hat = np.mean(symbols.conj() * z, axis=-1).real / symbol_power
-    resid = z - v_hat[..., None] * symbols
-    xi_var = np.mean(np.abs(resid) ** 2, axis=-1)
-    return v_hat, xi_var
 
 
 def extrinsic_llr(z: np.ndarray, v_hat, xi_var, constellation=None,
@@ -289,13 +263,13 @@ class IddResult:
 def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
                 perms: np.ndarray, trellis: TrellisSpec = TrellisSpec(),
                 symbol_power: float = 1.0, n_outer: int = 4,
-                max_log: bool = False, known_symbols=None) -> IddResult:
+                max_log: bool = False) -> IddResult:
     """Iterative detection and decoding of one coded frame.
 
     Each outer iteration forms soft symbols from the decoders' extrinsic
-    LLRs, runs the soft MMSE detector, fits the scalar model ``z = V s +
-    xi`` per stream over the whole packet (against ``known_symbols`` if
-    given, otherwise from the detector's own filter statistics), converts
+    LLRs, runs the soft MMSE detector, sets the scalar model ``z = V s +
+    xi`` per stream to the packet average of the detector's own filter
+    statistics (the receiver never sees the transmitted data), converts
     the outputs to extrinsic bit LLRs, deinterleaves them into the
     decoders, and feeds the decoder extrinsics back as the next priors.
     """
@@ -318,11 +292,8 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
         means, variances = soft_symbol_stats(priors, constellation, symbol_power)
         z, v_model, xi_model = soft_mmse_sic_detect(
             r_block, chan, means, variances, noise_var, symbol_power)
-        if known_symbols is not None:
-            v_hat, xi_var = estimate_effective_channel(z, known_symbols, symbol_power)
-        else:
-            v_hat = v_model.mean(axis=1)
-            xi_var = xi_model.mean(axis=1)
+        v_hat = v_model.mean(axis=1)
+        xi_var = xi_model.mean(axis=1)
         lam1 = extrinsic_llr(z, v_hat[:, None], xi_var[:, None], constellation,
                              symbol_power, max_log=max_log)
         lam1_flat = lam1.reshape(m, -1)

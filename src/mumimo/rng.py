@@ -15,8 +15,7 @@ LARGE_SCALE = 1
 PAYLOAD = 2
 FRAME = 3
 NOISE = 4
-GAMMA_MOMENT = 5
-EVAL = 6
+EVAL = 6  # not 5: renumbering would move every EVAL substream
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

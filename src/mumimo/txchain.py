@@ -158,12 +158,6 @@ def qpsk_slice_labels(symbols) -> np.ndarray:
     return (b0 << 1) | b1
 
 
-def qpsk_slice(symbols) -> np.ndarray:
-    """Hard decisions as bits, one extra trailing axis of length 2."""
-    labels = qpsk_slice_labels(symbols)
-    return labels_to_bits(labels)
-
-
 def labels_to_bits(labels) -> np.ndarray:
     labels = np.asarray(labels)
     return np.stack([(labels >> 1) & 1, labels & 1], axis=-1).astype(np.int8)

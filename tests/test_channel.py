@@ -109,19 +109,24 @@ def test_shadowing_second_moment_closed_form(rng):
 
 
 def test_mean_gamma_sq_matches_independent_factorization(rng):
-    cfg = m.SystemConfig(n_users=2, n_bs=4)
-    est, stderr = m.estimate_mean_gamma_sq(cfg, 500000, rng)
-    # gamma^2 = link * d^-tau * beta^2 with independent factors
-    grid = _distance_grid(cfg.distance_range)
-    sigma = cfg.shadow_spread_db
-    exact = 0.7 * np.mean(grid ** -2.0) * np.exp((sigma * np.log(10.0) / 5.0) ** 2 / 2.0)
-    assert abs(est - exact) < 5 * stderr + 1e-12
+    # the closed form against the sample mean of gamma^2 over many draws of
+    # the large-scale model itself, on one CAS and one DAS system
+    for cfg in (m.SystemConfig(n_users=4, n_bs=4, path_gain_range=(0.5, 0.9)),
+                m.SystemConfig(n_users=4, n_bs=2, n_heads=3, antennas_per_head=2,
+                               path_loss_exp=3.0, shadow_spread_db=4.0)):
+        samples = np.concatenate([m.draw_large_scale(cfg, rng).gains.ravel() ** 2
+                                  for _ in range(10000)])
+        stderr = np.std(samples, ddof=1) / np.sqrt(samples.size)
+        assert abs(np.mean(samples) - m.mean_gamma_sq(cfg)) < 5 * stderr
 
 
-def test_mean_gamma_sq_rejects_tiny_sample(rng):
-    cfg = m.SystemConfig(n_users=2, n_bs=4)
-    with pytest.raises(ParameterError):
-        m.estimate_mean_gamma_sq(cfg, 10, rng)
+def test_mean_gamma_sq_hand_value():
+    # 8x16 defaults: link 0.7, d on 0.10, 0.15, ..., 0.95, tau 2, sigma 3 dB
+    mean_inv_d_sq = sum((0.1 + 0.05 * i) ** -2 for i in range(18)) / 18
+    shadow = np.exp((3.0 * np.log(10.0) / 5.0) ** 2 / 2.0)
+    cfg = m.SystemConfig(n_users=8, n_bs=16)
+    assert m.mean_gamma_sq(cfg) == pytest.approx(0.7 * mean_inv_d_sq * shadow, rel=1e-12)
+    assert m.mean_gamma_sq(cfg) == pytest.approx(23.98231, rel=1e-6)
 
 
 def test_gain_diagonal_repeats_over_blocks():
@@ -150,17 +155,6 @@ def test_compose_channel_shape_errors():
         m.compose_channel(cfg, [np.ones((4, 1))], ls)
     with pytest.raises(StructuralError):
         m.compose_channel(cfg, [np.ones((4, 1)), np.ones((3, 1))], ls)
-
-
-def test_draw_channel_deterministic():
-    cfg = m.SystemConfig(n_users=3, n_bs=6, antennas_per_user=2)
-    from mumimo import rng as rmod
-    def draws():
-        small = [rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k) for k in range(3)]
-        return m.draw_channel(cfg, small, rmod.substream(9, 0, 0, rmod.LARGE_SCALE))
-    a, b = draws(), draws()
-    np.testing.assert_array_equal(a.stacked, b.stacked)
-    assert a.stacked.shape == (6, 6)
 
 
 def test_snr_to_noise_variance_hand_value():

@@ -111,28 +111,6 @@ def test_sinr_ordering_prefers_clean_stream():
     assert order.permutation[0] == 0
 
 
-def test_exhaustive_ordering_minimizes_distance(rng):
-    const = m.qpsk_constellation()
-    chan = random_channel(rng, 4, 3)
-    labels = rng.integers(0, 4, size=3)
-    r = chan @ const[labels] + 0.4 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    best = m.compute_ordering(chan, 1.0, 0.2, "exhaustive", r=r)
-    # oracle: try every permutation through the public SIC
-    dists = {}
-    for perm in itertools.permutations(range(3)):
-        out = m.sic_detect(chan, r, np.array(perm), "mmse", 1.0, 0.2, const)
-        dists[perm] = np.sum(np.abs(r - chan @ out.symbols) ** 2)
-    got = m.sic_detect(chan, r, best, "mmse", 1.0, 0.2, const)
-    got_dist = np.sum(np.abs(r - chan @ got.symbols) ** 2)
-    assert got_dist == pytest.approx(min(dists.values()), abs=1e-12)
-
-
-def test_exhaustive_ordering_guards_stream_count(rng):
-    chan = random_channel(rng, 8, 7)
-    with pytest.raises(CapacityError):
-        m.compute_ordering(chan, 1.0, 1.0, "exhaustive", r=np.zeros(8, dtype=complex))
-
-
 def test_sic_noiseless_recovery(rng):
     chan = random_channel(rng, 8, 4)
     const = m.qpsk_constellation()
@@ -184,24 +162,6 @@ def test_mb_sic_branch_orderings_are_circular_shifts(rng):
     assert out.branch_distances.shape[0] == 3
     # one vector in -> scalar selection
     assert np.isscalar(out.selected_branch) or out.selected_branch.shape == ()
-
-
-def test_mb_sic_exhaustive_matches_best_permutation(rng):
-    const = m.qpsk_constellation()
-    chan = random_channel(rng, 5, 3)
-    labels = rng.integers(0, 4, size=(3, 16))
-    noise = 0.6 * (rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16)))
-    r = chan @ const[labels] + noise
-    mb = m.mb_sic_detect(chan, r, 6, "mmse", 1.0, 0.6, "norm", const,
-                         exhaustive_branches=True)
-    # the winning branch distance must match the minimum over all
-    # permutations run one by one (branch_distances are Euclidean norms)
-    for t in range(16):
-        per_perm = []
-        for perm in itertools.permutations(range(3)):
-            out = m.sic_detect(chan, r[:, t], np.array(perm), "mmse", 1.0, 0.6, const)
-            per_perm.append(np.linalg.norm(r[:, t] - chan @ out.symbols))
-        assert np.min(mb.branch_distances[:, t]) == pytest.approx(min(per_perm), abs=1e-10)
 
 
 def test_df_noiseless_zf_equals_linear(rng):

@@ -75,6 +75,34 @@ def test_rls_channel_forgetting_matches_weighted_ls(rng):
     assert err < 1e-5
 
 
+@pytest.mark.parametrize("n_pilots,lam,delta", [
+    (60, 1.0, DEFAULT_DELTA), (150, 0.95, DEFAULT_DELTA), (2, 1.0, DEFAULT_DELTA),
+    (3, 0.9, 0.5), (40, 0.95, 0.5)])
+def test_regularized_ls_equals_rls_recursion(rng, n_pilots, lam, delta):
+    # the delta-regularized batch solve is where the recursion stands after
+    # the same pilots, including fewer pilots than streams; a large delta
+    # makes the lam^N decay of the initial P visible
+    chan = random_channel(rng, 6, 4)
+    pilots = qpsk_block(rng, 4, n_pilots)
+    recv = chan @ pilots + 0.2 * (rng.standard_normal((6, n_pilots))
+                                  + 1j * rng.standard_normal((6, n_pilots)))
+    tracker = m.RlsChannelEstimator(4, 6, lam, delta)
+    for i in range(n_pilots):
+        tracker.update(pilots[:, i], recv[:, i])
+    batch = m.ls_channel_estimate(pilots, recv, lam, delta)
+    err = np.linalg.norm(tracker.estimate - batch) / np.linalg.norm(batch)
+    assert err < 1e-7
+
+
+def test_regularized_ls_validates_delta(rng):
+    pilots = qpsk_block(rng, 4, 2)
+    with pytest.raises(ParameterError):
+        m.ls_channel_estimate(pilots, np.zeros((6, 2), dtype=complex), 1.0, -1.0)
+    # with delta > 0 there is no pilot-count floor
+    est = m.ls_channel_estimate(pilots, np.zeros((6, 2), dtype=complex), 1.0, 1e-3)
+    assert est.shape == (6, 4)
+
+
 def test_rls_channel_tracks_channel_switch(rng):
     chan_a = random_channel(rng, 4, 2)
     chan_b = random_channel(rng, 4, 2)
@@ -144,26 +172,6 @@ def test_rls_filter_first_error_is_desired(rng):
     est = m.RlsFilterEstimator(3)
     err = est.update(np.ones(3, dtype=complex), 1.0 - 1.0j)
     assert err == pytest.approx(1.0 - 1.0j)
-
-
-def test_lms_filter_approaches_wiener_solution(rng):
-    chan = random_channel(rng, 4, 1, scale=3.0)
-    syms = qpsk_block(rng, 1, 4000)
-    recv = chan @ syms + 0.1 * (rng.standard_normal((4, 4000))
-                                + 1j * rng.standard_normal((4, 4000)))
-    est = m.LmsFilterEstimator(4, mu=0.01)
-    for i in range(4000):
-        est.update(recv[:, i], syms[0, i])
-    wiener = m.ls_filter_estimate(recv, syms[0])
-    assert np.linalg.norm(est.w - wiener) / np.linalg.norm(wiener) < 0.25
-
-
-def test_lms_filter_power_warning(rng):
-    est = m.LmsFilterEstimator(4, mu=1.0)
-    big = 10.0 * np.ones(4, dtype=complex)
-    with pytest.warns(ParameterWarning):
-        for _ in range(16):
-            est.update(big, 0.0)
 
 
 # -- projections --------------------------------------------------------------

@@ -283,6 +283,46 @@ def test_estimators_dispatch_smoke():
         assert res.bits == 256
 
 
+def test_rls_trial_uses_the_recursion_solution(monkeypatch):
+    # one pilot for two streams: the batch solve must stand where the
+    # per-pilot recursion stands, with no pilot-count floor
+    spec = small_spec(estimator="rls", pilot_len=1, forgetting=0.9)
+    fast = m.run_trial(spec, 8.0, 0)
+
+    def recursion(pilots, received, lam, delta):
+        tracker = m.RlsChannelEstimator(pilots.shape[0], received.shape[0], lam, delta)
+        for i in range(pilots.shape[1]):
+            tracker.update(pilots[:, i], received[:, i])
+        return tracker.estimate
+
+    monkeypatch.setattr(harness, "ls_channel_estimate", recursion)
+    assert m.run_trial(spec, 8.0, 0) == fast
+    assert fast.bits == 256
+
+
+def test_filter_training_channel_matches_trial_draw(monkeypatch):
+    # the experiment draws its channel as trial (0, 0) of the same seed:
+    # large scale first, then one small-scale substream per user
+    cfg = m.SystemConfig(n_users=3, n_bs=6, antennas_per_user=2)
+    seen = []
+    transmit = harness.channel_transmit
+
+    def recording_transmit(chan, *args):
+        seen.append(chan)
+        return transmit(chan, *args)
+
+    monkeypatch.setattr(harness, "channel_transmit", recording_transmit)
+    m.filter_training_experiment(cfg, 10.0, "rls", 2, 1.0, 20, (20,), 10, seed=9)
+    from mumimo import rng as rmod
+    large = m.draw_large_scale(cfg, rmod.substream(9, 0, 0, rmod.LARGE_SCALE))
+    small = [m.draw_small_scale(cfg, 6, rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k))
+             for k in range(3)]
+    expected = m.compose_channel(cfg, small, large).stacked
+    assert len(seen) == 2
+    for chan in seen:
+        assert chan.tobytes() == expected.tobytes()
+
+
 def test_filter_training_experiment_contract():
     cfg = m.SystemConfig(n_users=2, n_bs=8)
     bers = m.filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
@@ -345,6 +385,14 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg.write_text("n_users = 2\nn_bs = 4\nwhoops = 1\n")
     assert cli.main(["--config", str(cfg)]) == 2
     assert cli.main(["--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_output_error_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "missing_dir" / "x.csv"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "output error" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_cli_override_validation_error(tmp_path):

@@ -8,8 +8,7 @@ import pytest
 import mumimo as m
 from conftest import random_channel, reference_encode
 from mumimo import idd
-from mumimo.errors import (EstimationQualityWarning, ParameterError,
-                           StructuralError)
+from mumimo.errors import ParameterError, StructuralError
 from mumimo.idd import BcjrResult
 from mumimo.txchain import LLR_CLIP, TrellisSpec, trellis_tables
 
@@ -145,28 +144,6 @@ def test_soft_mmse_validates(rng):
     with pytest.raises(StructuralError):
         m.soft_mmse_sic_detect(np.zeros((3, 1), dtype=complex), chan,
                                np.zeros((2, 1)), np.ones((2, 1)), 0.1)
-
-
-# -- effective channel fit ----------------------------------------------------
-
-def test_effective_channel_recovery(rng):
-    const = m.qpsk_constellation(1.0)
-    s = const[rng.integers(0, 4, size=(3, 20000))]
-    true_v = np.array([0.9, 0.6, 0.3])
-    noise = np.sqrt(0.09 / 2) * (rng.standard_normal(s.shape)
-                                 + 1j * rng.standard_normal(s.shape))
-    z = true_v[:, None] * s + noise
-    v_hat, xi = m.estimate_effective_channel(z, s)
-    np.testing.assert_allclose(v_hat, true_v, atol=0.01)
-    np.testing.assert_allclose(xi, 0.09, rtol=0.05)
-
-
-def test_effective_channel_warns_on_small_sample(rng):
-    z = np.ones((2, 8), dtype=complex)
-    with pytest.warns(EstimationQualityWarning):
-        m.estimate_effective_channel(z, z)
-    with pytest.raises(ParameterError):
-        m.estimate_effective_channel(np.ones((2, 0)), np.ones((2, 0)))
 
 
 # -- extrinsic LLRs -----------------------------------------------------------
@@ -439,7 +416,7 @@ def _coded_setup(rng, snr_scale, n_sym=60):
 
 def test_idd_receive_decodes_at_high_snr(rng):
     frame, chan, r, nv = _coded_setup(rng, 1e-3)
-    out = m.idd_receive(r, chan, nv, frame.perms, known_symbols=frame.data_symbols)
+    out = m.idd_receive(r, chan, nv, frame.perms)
     np.testing.assert_array_equal(out.info_bits, frame.info_bits)
     assert len(out.per_iteration_bits) == 4
     assert out.v_hat.shape == (3,)
@@ -449,8 +426,7 @@ def test_idd_receive_iterations_help_on_average(rng):
     total_first, total_last = 0, 0
     for _ in range(12):
         frame, chan, r, nv = _coded_setup(rng, 0.35)
-        out = m.idd_receive(r, chan, nv, frame.perms, n_outer=4,
-                            known_symbols=frame.data_symbols)
+        out = m.idd_receive(r, chan, nv, frame.perms, n_outer=4)
         total_first += np.sum(out.per_iteration_bits[0] != frame.info_bits)
         total_last += np.sum(out.per_iteration_bits[-1] != frame.info_bits)
     assert total_last <= total_first
@@ -458,8 +434,15 @@ def test_idd_receive_iterations_help_on_average(rng):
 
 def test_idd_receive_model_stats_fallback(rng):
     frame, chan, r, nv = _coded_setup(rng, 1e-3)
-    out = m.idd_receive(r, chan, nv, frame.perms)  # no genie symbols
+    out = m.idd_receive(r, chan, nv, frame.perms)
     np.testing.assert_array_equal(out.info_bits, frame.info_bits)
+    # the scalar model is the packet average of the detector's statistics,
+    # here for the first iteration, which starts from zero priors
+    first = m.idd_receive(r, chan, nv, frame.perms, n_outer=1)
+    means, variances = m.soft_symbol_stats(np.zeros((3, r.shape[1], 2)))
+    _, v_model, xi_model = m.soft_mmse_sic_detect(r, chan, means, variances, nv)
+    np.testing.assert_array_equal(first.v_hat, v_model.mean(axis=1))
+    np.testing.assert_array_equal(first.xi_var, xi_model.mean(axis=1))
 
 
 def test_idd_receive_validates(rng):
