@@ -25,12 +25,9 @@ from .detectors import (DetectorOutput, OrderingPattern, ReceiveFilterSet,
                         sic_detect)
 from .idd import (BcjrResult, IddResult, bcjr_decode, extrinsic_llr,
                   idd_receive, soft_mmse_sic_detect, soft_symbol_stats)
-from .estimation import (JioFilterBank, JioRlsFilter, LmsChannelEstimator,
-                         ProjectionSpec, ReducedRankFilterBank,
-                         ReducedRankRlsFilter,
-                         RlsChannelEstimator, RlsFilterBank,
-                         RlsFilterEstimator, build_projection,
-                         ls_channel_estimate, ls_filter_estimate)
+from .estimation import (JioFilterBank, LmsChannelEstimator,
+                         ReducedRankFilterBank, RlsChannelEstimator,
+                         build_projection, ls_channel_estimate)
 from .harness import (ScenarioSpec, SweepResult, SweepRow, TrialResult,
                       confidence_interval, filter_training_experiment,
                       format_csv, mean_gamma_sq, parse_config, parse_snr_spec,
@@ -55,11 +52,8 @@ __all__ = [
     "linear_detect", "mb_sic_detect", "ml_detect_oracle", "sic_detect",
     "BcjrResult", "IddResult", "bcjr_decode", "extrinsic_llr", "idd_receive",
     "soft_mmse_sic_detect", "soft_symbol_stats",
-    "JioFilterBank", "JioRlsFilter", "LmsChannelEstimator",
-    "ProjectionSpec", "ReducedRankFilterBank",
-    "ReducedRankRlsFilter", "RlsChannelEstimator", "RlsFilterBank",
-    "RlsFilterEstimator", "build_projection", "ls_channel_estimate",
-    "ls_filter_estimate",
+    "JioFilterBank", "LmsChannelEstimator", "ReducedRankFilterBank",
+    "RlsChannelEstimator", "build_projection", "ls_channel_estimate",
     "ScenarioSpec", "SweepResult", "SweepRow", "TrialResult",
     "confidence_interval", "filter_training_experiment", "format_csv",
     "mean_gamma_sq", "parse_config", "parse_snr_spec", "run_sweep",

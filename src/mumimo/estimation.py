@@ -1,20 +1,27 @@
-"""Adaptive parameter estimation: channel and receive-filter tracking.
+"""Adaptive parameter estimation: channel and receive-filter training.
 
 Channel estimators regress the received vector on the known pilot vector
-(all streams simultaneously); filter estimators adapt a per-stream receive
-filter directly against the known symbol.  Reduced-rank variants project
-the received vector onto a low-dimensional subspace first — principal
-components, a Krylov ladder seeded by the cross-correlation, or a jointly
-optimized projection (JIO) adapted together with the short filter.
+(all streams simultaneously); filter banks adapt one receive filter per
+stream directly against the known symbols.
 
-Exponentially weighted recursions use forgetting factor ``lam`` and the
-inverse-correlation initialization ``P[0] = I / delta``.  The default
-``delta = 1e-6`` keeps the recursive solutions within 1e-6 of their batch
-least-squares counterparts once the history has full rank.
+Receive-filter training statistics are folded in blocks: a bank keeps the
+exponentially weighted received correlation and the per-stream
+cross-correlations, and a block of ``n`` snapshots enters both in one
+product.  Filters are solved from these statistics on demand.  The
+full-rank (RLS) filter is the regularized solve of the statistics, which is
+exactly where the RLS recursion started from ``P[0] = I / delta`` stands
+after the same samples.  Reduced-rank filters first project onto principal
+components or onto a Krylov ladder seeded by the cross-correlation.  Only
+LMS, the joint iterative optimization (JIO) of projection and short filter,
+whose basis step depends on each sample, and the :class:`RlsChannelEstimator`
+oracle of the batch channel solve remain recursions.
+
+``delta`` starts the correlation at ``delta * I`` (``P[0] = I / delta`` for
+the recursions).  The default ``delta = 1e-6`` keeps the solutions within
+1e-6 of unregularized least squares once the history has full rank.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +35,11 @@ KRYLOV_BREAKDOWN_TOL = 1e-12
 def _check_forgetting(lam):
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"forgetting factor must lie in (0, 1], got {lam}")
+
+
+def _check_delta(delta):
+    if delta <= 0.0:
+        raise ParameterError("delta must be > 0")
 
 
 def _weights(n, lam):
@@ -85,8 +97,7 @@ class RlsChannelEstimator:
     def __init__(self, n_streams: int, n_rx: int, lam: float = 1.0,
                  delta: float = DEFAULT_DELTA):
         _check_forgetting(lam)
-        if delta <= 0.0:
-            raise ParameterError("delta must be > 0")
+        _check_delta(delta)
         self.lam = lam
         self.p = np.eye(n_streams, dtype=complex) / delta
         self.t = np.zeros((n_rx, n_streams), dtype=complex)
@@ -133,83 +144,16 @@ class LmsChannelEstimator:
         return self
 
 
-# -- direct filter estimation -------------------------------------------------
-
-def ls_filter_estimate(received: np.ndarray, desired: np.ndarray,
-                       lam: float = 1.0) -> np.ndarray:
-    """Batch weighted least-squares receive filter for one stream.
-
-    Solves ``R_r w = p`` with R_r the received autocorrelation and p the
-    cross-correlation with the desired symbol sequence; the filter is
-    applied as ``w^H r``.
-    """
-    received = np.asarray(received, dtype=complex)
-    desired = np.asarray(desired, dtype=complex).ravel()
-    _check_forgetting(lam)
-    if received.ndim != 2 or received.shape[1] != desired.size:
-        raise StructuralError("received (N_A, N) and desired (N,) must share N")
-    n = desired.size
-    if n < received.shape[0]:
-        raise RankError(
-            f"{n} training samples cannot resolve a {received.shape[0]}-dimensional filter")
-    w = _weights(n, lam)
-    r_corr = (received * w) @ received.conj().T
-    p = (received * w) @ desired.conj()
-    try:
-        return np.linalg.solve(r_corr, p)
-    except np.linalg.LinAlgError:
-        raise RankError(
-            f"received correlation is singular after {n} training samples") from None
-
-
-class RlsFilterEstimator:
-    """Recursive least-squares adaptation of one receive filter."""
-
-    def __init__(self, n_dim: int, lam: float = 1.0, delta: float = DEFAULT_DELTA):
-        _check_forgetting(lam)
-        if delta <= 0.0:
-            raise ParameterError("delta must be > 0")
-        self.lam = lam
-        self.p = np.eye(n_dim, dtype=complex) / delta
-        self.w = np.zeros(n_dim, dtype=complex)
-        self.n_updates = 0
-
-    def update(self, received: np.ndarray, desired: complex) -> complex:
-        """One adaptation step; returns the a-priori error."""
-        r = np.asarray(received, dtype=complex).ravel()
-        pr = self.p @ r
-        gain = pr / (self.lam + np.real(r.conj() @ pr))
-        err = desired - self.w.conj() @ r
-        self.w = self.w + gain * np.conj(err)
-        self.p = _hermitize((self.p - np.outer(gain, r.conj() @ self.p)) / self.lam)
-        self.n_updates += 1
-        return err
-
-
 # -- reduced-rank projections -------------------------------------------------
 
-@dataclass
-class ProjectionSpec:
-    """A projection basis with orthonormal columns.
-
-    ``effective_rank`` can fall short of the request when the Krylov ladder
-    collapses; ``collapsed`` flags that case.
-    """
-
-    method: str
-    requested_rank: int
-    basis: np.ndarray
-    effective_rank: int
-    collapsed: bool = False
-
-
 def build_projection(method: str, corr: np.ndarray, cross=None,
-                     rank: int = 5) -> ProjectionSpec:
-    """Build a rank-D projection from correlation estimates.
+                     rank: int = 5) -> np.ndarray:
+    """Orthonormal rank-D projection basis (N_A, D) from correlation estimates.
 
     ``pc`` keeps the top-D eigenvectors of ``corr``; ``krylov``
     orthonormalizes ``[t, R t, ..., R^{D-1} t]`` with ``t`` the normalized
-    cross-correlation ``cross``.
+    cross-correlation ``cross``.  A Krylov ladder that collapses returns
+    fewer than D columns.
     """
     corr = np.asarray(corr, dtype=complex)
     n = corr.shape[0]
@@ -219,8 +163,7 @@ def build_projection(method: str, corr: np.ndarray, cross=None,
         raise ParameterError(f"rank must lie in [1, {n}], got {rank}")
     if method == "pc":
         evals, evecs = np.linalg.eigh(corr)
-        order = np.argsort(evals)[::-1][:rank]
-        return ProjectionSpec("pc", rank, evecs[:, order], rank)
+        return evecs[:, np.argsort(evals)[::-1][:rank]]
     if method != "krylov":
         raise ParameterError(f"unknown projection method {method!r}")
     if cross is None:
@@ -231,7 +174,6 @@ def build_projection(method: str, corr: np.ndarray, cross=None,
         raise ParameterError("krylov seed vector is zero")
     basis = [t / nt]
     vec = basis[0]
-    collapsed = False
     for _ in range(1, rank):
         vec = corr @ vec
         # modified Gram-Schmidt against the basis built so far
@@ -239,158 +181,47 @@ def build_projection(method: str, corr: np.ndarray, cross=None,
             vec = vec - (b.conj() @ vec) * b
         nv = np.linalg.norm(vec)
         if nv < KRYLOV_BREAKDOWN_TOL:
-            collapsed = True
             break
         vec = vec / nv
         basis.append(vec)
-    t_mat = np.stack(basis, axis=1)
-    return ProjectionSpec("krylov", rank, t_mat, t_mat.shape[1], collapsed)
+    return np.stack(basis, axis=1)
 
 
-class ReducedRankRlsFilter:
-    """RLS in a fixed projected subspace: identical recursion on T^H r."""
-
-    def __init__(self, projection, lam: float = 1.0, delta: float = DEFAULT_DELTA):
-        basis = projection.basis if isinstance(projection, ProjectionSpec) else np.asarray(projection)
-        self.basis = np.asarray(basis, dtype=complex)
-        self.inner = RlsFilterEstimator(self.basis.shape[1], lam, delta)
-
-    def update(self, received: np.ndarray, desired: complex) -> complex:
-        return self.inner.update(self.basis.conj().T @ np.asarray(received, dtype=complex),
-                                 desired)
-
-    @property
-    def w_reduced(self) -> np.ndarray:
-        return self.inner.w
-
-    @property
-    def w(self) -> np.ndarray:
-        """Equivalent full-dimension filter T @ w_bar."""
-        return self.basis @ self.inner.w
+def _projected_solve(corr, basis, cross):
+    # filter T (T^H R T)^{-1} T^H p of the projected normal equations
+    return basis @ np.linalg.solve(basis.conj().T @ corr @ basis,
+                                   basis.conj().T @ cross)
 
 
-class JioRlsFilter:
-    """Joint iterative optimization: RLS on the short filter and a recursive
-    least-squares step on the projection, alternating once per sample.
+# -- receive-filter banks (shared statistics) --------------------------------
 
-    The projection step moves ``T`` along the full-dimension RLS gain
-    direction scaled onto the current short filter, so the effective filter
-    ``T @ w_bar`` tracks the full least-squares solution while the short
-    filter converges at the pace of its ``D``-dimensional recursion.  With
-    ``w_bar = 0`` the projection step is a no-op (zero gradient).
-    """
-
-    def __init__(self, n_dim: int, rank: int, lam: float = 1.0,
-                 delta: float = DEFAULT_DELTA):
-        if not 1 <= rank <= n_dim:
-            raise ParameterError(f"rank must lie in [1, {n_dim}], got {rank}")
-        _check_forgetting(lam)
-        self.lam = lam
-        self.basis = np.eye(n_dim, rank, dtype=complex)
-        self.w_bar = np.zeros(rank, dtype=complex)
-        self.p_bar = np.eye(rank, dtype=complex) / delta
-        self.p_full = np.eye(n_dim, dtype=complex) / delta
-        self.n_updates = 0
-
-    def update(self, received: np.ndarray, desired: complex) -> complex:
-        r = np.asarray(received, dtype=complex).ravel()
-        r_bar = self.basis.conj().T @ r
-        # short-filter RLS step with the projection held fixed
-        pr = self.p_bar @ r_bar
-        gain = pr / (self.lam + np.real(r_bar.conj() @ pr))
-        err = desired - self.w_bar.conj() @ r_bar
-        self.w_bar = self.w_bar + gain * np.conj(err)
-        self.p_bar = _hermitize((self.p_bar - np.outer(gain, r_bar.conj() @ self.p_bar)) / self.lam)
-        # projection step with the short filter held fixed
-        pf = self.p_full @ r
-        gain_full = pf / (self.lam + np.real(r.conj() @ pf))
-        self.p_full = _hermitize((self.p_full - np.outer(gain_full, r.conj() @ self.p_full)) / self.lam)
-        w_energy = float(np.real(self.w_bar.conj() @ self.w_bar))
-        if w_energy > 0.0:
-            err_post = desired - self.w_bar.conj() @ r_bar  # basis not updated yet
-            self.basis = self.basis + np.outer(
-                gain_full * np.conj(err_post), self.w_bar.conj()) / w_energy
-        self.n_updates += 1
-        return err
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.basis @ self.w_bar
-
-
-# -- multi-stream filter banks (shared statistics) ---------------------------
-
-class RlsFilterBank:
-    """Full-rank RLS filters for every stream, sharing one P recursion."""
-
-    def __init__(self, n_dim: int, n_streams: int, lam: float = 1.0,
-                 delta: float = DEFAULT_DELTA):
-        _check_forgetting(lam)
-        self.lam = lam
-        self.p = np.eye(n_dim, dtype=complex) / delta
-        self.weights = np.zeros((n_dim, n_streams), dtype=complex)
-
-    def update(self, received: np.ndarray, desired: np.ndarray):
-        r = np.asarray(received, dtype=complex).ravel()
-        pr = self.p @ r
-        gain = pr / (self.lam + np.real(r.conj() @ pr))
-        err = np.asarray(desired, dtype=complex).ravel() - self.weights.conj().T @ r
-        self.weights = self.weights + np.outer(gain, err.conj())
-        self.p = _hermitize((self.p - np.outer(gain, r.conj() @ self.p)) / self.lam)
-        return err
-
-
-def _krylov_stream_solution(corr, cross_k, rank):
-    """Basis, short filter and projected inverse for one stream's Krylov ladder.
-
-    The basis is padded with zero columns if the ladder collapses early, so
-    callers always see ``rank`` columns; padded coordinates never receive
-    energy and stay inert.
-    """
-    n_dim = corr.shape[0]
-    proj = build_projection("krylov", corr, cross_k, rank)
-    b = proj.basis
-    small = b.conj().T @ corr @ b
-    w_bar = np.linalg.solve(small, b.conj().T @ cross_k)
-    p_bar = _hermitize(np.linalg.inv(small))
-    r_eff = b.shape[1]
-    if r_eff < rank:
-        basis = np.zeros((n_dim, rank), dtype=complex)
-        basis[:, :r_eff] = b
-        wb = np.zeros(rank, dtype=complex)
-        wb[:r_eff] = w_bar
-        pb = np.eye(rank, dtype=complex)
-        pb[:r_eff, :r_eff] = p_bar
-        return basis, wb, pb
-    return b, w_bar, p_bar
-
-
-def _krylov_bank_weights(corr, cross, rank):
-    n_streams = cross.shape[1]
-    out = np.zeros((corr.shape[0], n_streams), dtype=complex)
-    for k in range(n_streams):
-        if not np.any(cross[:, k]):
-            continue  # nothing learned about this stream yet
-        basis, w_bar, _ = _krylov_stream_solution(corr, cross[:, k], rank)
-        out[:, k] = basis @ w_bar
-    return out
+def _snapshots(block, rows):
+    # a single vector is a block of one column
+    block = np.asarray(block, dtype=complex)
+    if block.ndim > 2 or block.shape[:1] != (rows,):
+        raise StructuralError(f"expected ({rows},) or ({rows}, n) snapshots, got {block.shape}")
+    return block.reshape(rows, -1)
 
 
 class ReducedRankFilterBank:
-    """Per-stream reduced-rank filters rebuilt from running statistics.
+    """Per-stream receive filters solved from block-folded training statistics.
 
-    Keeps exponentially weighted estimates of the received correlation and
-    of each stream's cross-correlation; ``weights`` solves the projected
-    normal equations on demand, with the basis rebuilt from the current
-    statistics (principal components are shared, Krylov ladders are
-    per stream).
+    Keeps exponentially weighted estimates of the received correlation
+    (started at ``delta * I``) and of each stream's cross-correlation;
+    ``weights`` solves the projected normal equations on demand, with the
+    basis rebuilt from the current statistics (principal components are
+    shared, Krylov ladders are per stream).  With ``rank == n_dim`` the bank
+    is the full-rank RLS filter.
     """
 
     def __init__(self, n_dim: int, n_streams: int, method: str = "krylov",
                  rank: int = 5, lam: float = 1.0, delta: float = DEFAULT_DELTA):
         if method not in ("pc", "krylov"):
             raise ParameterError(f"unknown reduced-rank method {method!r}")
+        if not 1 <= rank <= n_dim:
+            raise ParameterError(f"rank must lie in [1, {n_dim}], got {rank}")
         _check_forgetting(lam)
+        _check_delta(delta)
         self.method = method
         self.rank = rank
         self.lam = lam
@@ -399,34 +230,53 @@ class ReducedRankFilterBank:
         self.n_updates = 0
 
     def update(self, received: np.ndarray, desired: np.ndarray):
-        r = np.asarray(received, dtype=complex).ravel()
-        d = np.asarray(desired, dtype=complex).ravel()
-        self.corr = self.lam * self.corr + np.outer(r, r.conj())
-        self.cross = self.lam * self.cross + np.outer(r, d.conj())
-        self.n_updates += 1
+        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,)."""
+        r = _snapshots(received, self.corr.shape[0])
+        d = _snapshots(desired, self.cross.shape[1])
+        n = r.shape[1]
+        decay = self.lam ** n
+        rw = r * _weights(n, self.lam)
+        self.corr = decay * self.corr + rw @ r.conj().T
+        self.cross = decay * self.cross + rw @ d.conj().T
+        self.n_updates += n
 
     @property
     def weights(self) -> np.ndarray:
+        if self.rank == self.corr.shape[0]:
+            # the projected solve is the full one here: the pc basis spans the
+            # whole space, and the span of a krylov ladder contains R^{-1} p
+            # even when it collapses (the ladder then spans an R-invariant
+            # subspace holding p)
+            return np.linalg.solve(self.corr, self.cross)
         if self.method == "pc":
-            proj = build_projection("pc", self.corr, rank=self.rank)
-            basis = proj.basis
-            small = basis.conj().T @ self.corr @ basis
-            rhs = basis.conj().T @ self.cross
-            return basis @ np.linalg.solve(small, rhs)
-        return _krylov_bank_weights(self.corr, self.cross, self.rank)
+            basis = build_projection("pc", self.corr, rank=self.rank)
+            return _projected_solve(self.corr, basis, self.cross)
+        out = np.zeros_like(self.cross)
+        # a stream with no training yet has no ladder seed and a zero filter
+        for k in np.flatnonzero(np.any(self.cross, axis=0)):
+            basis = build_projection("krylov", self.corr, self.cross[:, k], self.rank)
+            out[:, k] = _projected_solve(self.corr, basis, self.cross[:, k])
+        return out
 
 
 class JioFilterBank:
     """Per-stream JIO-RLS filters vectorized across streams.
 
-    The joint recursions adapt a projection and a short filter per stream.
-    Because the stochastic basis step needs a usable short filter to define
-    its direction, an optional ``warmup`` window defers it: during the first
-    ``warmup`` updates the bank pools correlation statistics and behaves
-    exactly like the Krylov-ladder bank (an alternating scheme wants a
-    subspace-aware starting point, and the pooled ladder is the natural
-    one), then hands the ladder basis, the projected solution and the
-    inverse statistics over to the joint recursions.
+    The joint recursions adapt a projection and a short filter per stream,
+    alternating an RLS step on the short filter with a recursive
+    least-squares step on the projection once per sample.  The projection
+    step moves the basis along the full-dimension RLS gain direction scaled
+    onto the current short filter, so the effective filter ``T @ w_bar``
+    tracks the full least-squares solution while the short filter converges
+    at the pace of its ``D``-dimensional recursion.  With ``w_bar = 0`` the
+    projection step is a no-op (zero gradient).
+
+    Because the basis step needs a usable short filter to define its
+    direction, an optional ``warmup`` window defers it: the first ``warmup``
+    samples fold into a Krylov-ladder :class:`ReducedRankFilterBank` (an
+    alternating scheme wants a subspace-aware starting point, and the
+    pooled ladder is the natural one), whose basis, projected solution and
+    inverse statistics then seed the joint recursions.
     """
 
     def __init__(self, n_dim: int, n_streams: int, rank: int = 5,
@@ -437,6 +287,7 @@ class JioFilterBank:
         if warmup < 0:
             raise ParameterError(f"warmup must be >= 0, got {warmup}")
         _check_forgetting(lam)
+        _check_delta(delta)
         self.lam = lam
         self.rank = rank
         self.warmup = int(warmup)
@@ -448,31 +299,42 @@ class JioFilterBank:
                                      (n_streams, rank, rank)).copy()
         self.p_full = np.eye(n_dim, dtype=complex) / delta
         if self.warmup > 0:
-            self.corr = np.eye(n_dim, dtype=complex) * delta
-            self.cross = np.zeros((n_dim, n_streams), dtype=complex)
+            self.pooled = ReducedRankFilterBank(n_dim, n_streams, "krylov", rank,
+                                                lam, delta)
 
     def _hand_off(self):
-        # seed the joint recursions from the pooled statistics
-        for k in range(self.cross.shape[1]):
-            if not np.any(self.cross[:, k]):
-                continue
-            basis, w_bar, p_bar = _krylov_stream_solution(
-                self.corr, self.cross[:, k], self.rank)
-            self.basis[k] = basis
-            self.w_bar[k] = w_bar
-            self.p_bar[k] = p_bar
-        self.p_full = _hermitize(np.linalg.inv(self.corr))
+        # seed the joint recursions from the pooled statistics; a collapsed
+        # ladder leaves its padded coordinates inert (zero basis columns)
+        corr, cross = self.pooled.corr, self.pooled.cross
+        for k in np.flatnonzero(np.any(cross, axis=0)):
+            b = build_projection("krylov", corr, cross[:, k], self.rank)
+            small = b.conj().T @ corr @ b
+            depth = b.shape[1]
+            self.basis[k] = 0.0
+            self.basis[k, :, :depth] = b
+            self.w_bar[k] = 0.0
+            self.w_bar[k, :depth] = np.linalg.solve(small, b.conj().T @ cross[:, k])
+            self.p_bar[k] = np.eye(self.rank)
+            self.p_bar[k, :depth, :depth] = _hermitize(np.linalg.inv(small))
+        self.p_full = _hermitize(np.linalg.inv(corr))
 
     def update(self, received: np.ndarray, desired: np.ndarray):
-        r = np.asarray(received, dtype=complex).ravel()
-        d = np.asarray(desired, dtype=complex).ravel()
-        if self.n_updates < self.warmup:
-            self.corr = self.lam * self.corr + np.outer(r, r.conj())
-            self.cross = self.lam * self.cross + np.outer(r, d.conj())
-            self.n_updates += 1
+        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,)."""
+        r = _snapshots(received, self.p_full.shape[0])
+        d = _snapshots(desired, self.w_bar.shape[0])
+        head = max(0, min(r.shape[1], self.warmup - self.n_updates))
+        if head:
+            self.pooled.update(r[:, :head], d[:, :head])
+            self.n_updates += head
             if self.n_updates == self.warmup:
                 self._hand_off()
-            return
+        # contiguous rows: each joint step sees the operands a single-vector
+        # update would
+        for r_i, d_i in zip(np.ascontiguousarray(r[:, head:].T),
+                            np.ascontiguousarray(d[:, head:].T)):
+            self._joint_step(r_i, d_i)
+
+    def _joint_step(self, r, d):
         self.n_updates += 1
         r_bar = np.einsum('knd,n->kd', self.basis.conj(), r)
         pr = np.einsum('kde,ke->kd', self.p_bar, r_bar)
@@ -496,5 +358,5 @@ class JioFilterBank:
     @property
     def weights(self) -> np.ndarray:
         if self.n_updates < self.warmup:
-            return _krylov_bank_weights(self.corr, self.cross, self.rank)
+            return self.pooled.weights
         return np.einsum('knd,kd->nk', self.basis, self.w_bar)

@@ -24,8 +24,7 @@ from .detectors import (ML_CANDIDATE_GUARD, ORDERING_CRITERIA, compute_ordering,
                         mb_sic_detect, ml_detect_oracle, sic_detect)
 from .errors import ConfigError, NumericalError
 from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
-                         ReducedRankFilterBank, RlsFilterBank,
-                         ls_channel_estimate)
+                         ReducedRankFilterBank, ls_channel_estimate)
 from .idd import idd_receive
 from .txchain import (TrellisSpec, assemble_frame, channel_transmit,
                       coded_payload_length, labels_to_bits,
@@ -71,6 +70,9 @@ class ScenarioSpec:
             raise ConfigError(f"unknown ordering criterion {self.ordering!r}")
         if self.filter_design not in ("zf", "mmse"):
             raise ConfigError(f"unknown filter design {self.filter_design!r}")
+        if self.detector == "mb-sic" and not 1 <= self.branches <= self.system.n_streams:
+            raise ConfigError(
+                f"branches must lie in [1, {self.system.n_streams}], got {self.branches}")
         if self.detector == "ml" and 4 ** self.system.n_streams > ML_CANDIDATE_GUARD:
             raise ConfigError(
                 f"ml detector would enumerate 4^{self.system.n_streams} candidates")
@@ -353,8 +355,7 @@ def _train_filter_bank(spec: ScenarioSpec, frame, received_pilots):
     else:
         bank = ReducedRankFilterBank(cfg.n_rx_total, cfg.n_streams, kind,
                                      spec.rank, spec.forgetting)
-    for i in range(frame.n_pilots):
-        bank.update(received_pilots[:, i], frame.pilots[:, i])
+    bank.update(received_pilots, frame.pilots)
     return bank.weights
 
 
@@ -533,6 +534,8 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[0] < 1 or checkpoints[-1] > n_train:
         raise ConfigError("checkpoints must lie in [1, n_train]")
+    if delta <= 0.0:
+        raise ConfigError(f"delta must be > 0, got {delta}")
     noise_var = snr_to_noise_variance(snr_db, cfg, 1.0, 2, mean_gamma_sq(cfg))
     chan = _draw_trial_channel(cfg, seed, 0, 0).stacked
     m = cfg.n_streams
@@ -550,7 +553,10 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
                                rngmod.substream(seed, 0, 0, rngmod.EVAL, 1))
 
     if method == "rls":
-        bank = RlsFilterBank(cfg.n_rx_total, m, lam, delta)
+        # at full rank the bank solves the delta-regularized normal equations,
+        # where the RLS recursion started from P = I / delta stands
+        bank = ReducedRankFilterBank(cfg.n_rx_total, m, "krylov", cfg.n_rx_total,
+                                     lam, delta)
     elif method == "jio":
         # joint refinement starts once the pooled covariance has ~4 snapshots
         # per dimension; before that the bank runs on the Krylov ladder
@@ -563,11 +569,8 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
 
     eval_bits = labels_to_bits(eval_labels)
     bers = np.empty(len(checkpoints))
-    ci = 0
-    for i in range(n_train):
-        bank.update(train_rx[:, i], train_syms[:, i])
-        if ci < len(checkpoints) and i + 1 == checkpoints[ci]:
-            out = linear_detect(bank.weights, eval_rx, constellation)
-            bers[ci] = np.mean(labels_to_bits(out.labels) != eval_bits)
-            ci += 1
+    for i, (lo, hi) in enumerate(zip([0] + checkpoints[:-1], checkpoints)):
+        bank.update(train_rx[:, lo:hi], train_syms[:, lo:hi])
+        out = linear_detect(bank.weights, eval_rx, constellation)
+        bers[i] = np.mean(labels_to_bits(out.labels) != eval_bits)
     return bers

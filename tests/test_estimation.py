@@ -1,11 +1,12 @@
-"""Adaptive estimation tests: LS/RLS/LMS trackers, projections, banks."""
+"""Adaptive estimation tests: LS/RLS/LMS trackers, projections, filter banks."""
 
 import numpy as np
 import pytest
 
 import mumimo as m
 from conftest import random_channel
-from mumimo.errors import ParameterError, ParameterWarning, RankError
+from mumimo.errors import (ParameterError, ParameterWarning, RankError,
+                           StructuralError)
 from mumimo.estimation import DEFAULT_DELTA
 
 
@@ -130,30 +131,91 @@ def test_lms_channel_step_size_warning():
         m.LmsChannelEstimator(4, 8, mu=0.6)  # 2 / tr(R) = 0.5
 
 
-# -- direct filter estimation -------------------------------------------------
+# -- per-sample oracles for the receive-filter banks ------------------------
+
+def reference_rls_filter(received, desired, lam=1.0, delta=DEFAULT_DELTA):
+    """Per-sample RLS recursion of one receive filter (applied as w^H r),
+    started from P = I / delta; returns the filter after the last sample."""
+    n_dim = received.shape[0]
+    p = np.eye(n_dim, dtype=complex) / delta
+    w = np.zeros(n_dim, dtype=complex)
+    for r, d in zip(received.T, desired):
+        pr = p @ r
+        gain = pr / (lam + np.real(r.conj() @ pr))
+        w = w + gain * np.conj(d - w.conj() @ r)
+        p = (p - np.outer(gain, r.conj() @ p)) / lam
+        p = 0.5 * (p + p.conj().T)
+    return w
+
+
+class ReferenceJio:
+    """Single-stream JIO-RLS: an RLS step on the short filter, then a
+    recursive least-squares step on the projection, once per sample."""
+
+    def __init__(self, n_dim, rank, lam=1.0, delta=DEFAULT_DELTA):
+        self.lam = lam
+        self.basis = np.eye(n_dim, rank, dtype=complex)
+        self.w_bar = np.zeros(rank, dtype=complex)
+        self.p_bar = np.eye(rank, dtype=complex) / delta
+        self.p_full = np.eye(n_dim, dtype=complex) / delta
+
+    @staticmethod
+    def _rls_step(p, r, lam):
+        pr = p @ r
+        gain = pr / (lam + np.real(r.conj() @ pr))
+        p = (p - np.outer(gain, r.conj() @ p)) / lam
+        return gain, 0.5 * (p + p.conj().T)
+
+    def update(self, r, desired):
+        r_bar = self.basis.conj().T @ r
+        gain, self.p_bar = self._rls_step(self.p_bar, r_bar, self.lam)
+        self.w_bar = self.w_bar + gain * np.conj(desired - self.w_bar.conj() @ r_bar)
+        gain_full, self.p_full = self._rls_step(self.p_full, r, self.lam)
+        w_energy = float(np.real(self.w_bar.conj() @ self.w_bar))
+        if w_energy > 0.0:
+            err_post = desired - self.w_bar.conj() @ r_bar
+            self.basis = self.basis + np.outer(
+                gain_full * np.conj(err_post), self.w_bar.conj()) / w_energy
+
+    @property
+    def w(self):
+        return self.basis @ self.w_bar
+
+
+def training_block(rng, n_dim, n_streams, n):
+    recv = rng.standard_normal((n_dim, n)) + 1j * rng.standard_normal((n_dim, n))
+    desired = rng.standard_normal((n_streams, n)) + 1j * rng.standard_normal((n_streams, n))
+    return recv, desired
+
+
+def weighted_normal_equations(recv, desired, lam, delta):
+    n = recv.shape[1]
+    weights = lam ** np.arange(n - 1, -1, -1, dtype=float)
+    r_corr = (recv * weights) @ recv.conj().T + delta * lam ** n * np.eye(recv.shape[0])
+    return r_corr, (recv * weights) @ desired.conj().T
+
+
+# -- full-rank (RLS) filter ---------------------------------------------------
+
+def full_rank_bank(n_dim, n_streams, lam=1.0, delta=DEFAULT_DELTA):
+    return m.ReducedRankFilterBank(n_dim, n_streams, "krylov", n_dim, lam, delta)
+
 
 def test_ls_filter_solves_normal_equations(rng):
-    recv = (rng.standard_normal((4, 100)) + 1j * rng.standard_normal((4, 100)))
-    desired = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    recv, desired = training_block(rng, 4, 2, 100)
     lam = 0.97
-    w_filt = m.ls_filter_estimate(recv, desired, lam)
-    weights = lam ** np.arange(99, -1, -1, dtype=float)
-    r_corr = (recv * weights) @ recv.conj().T
-    p = (recv * weights) @ desired.conj()
-    np.testing.assert_allclose(r_corr @ w_filt, p, atol=1e-10)
+    bank = full_rank_bank(4, 2, lam)
+    bank.update(recv, desired)
+    r_corr, p = weighted_normal_equations(recv, desired, lam, DEFAULT_DELTA)
+    np.testing.assert_allclose(r_corr @ bank.weights, p, atol=1e-10)
 
 
 def test_ls_filter_recovers_true_filter(rng):
     w_true = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     recv = rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200))
-    desired = w_true.conj() @ recv
-    w_filt = m.ls_filter_estimate(recv, desired)
-    np.testing.assert_allclose(w_filt, w_true, atol=1e-10)
-
-
-def test_ls_filter_rank_guard(rng):
-    with pytest.raises(RankError):
-        m.ls_filter_estimate(np.zeros((8, 3), dtype=complex), np.zeros(3))
+    bank = full_rank_bank(4, 1, delta=1e-12)
+    bank.update(recv, (w_true.conj() @ recv)[None, :])
+    np.testing.assert_allclose(bank.weights[:, 0], w_true, atol=1e-10)
 
 
 def test_rls_filter_growing_window_matches_batch(rng):
@@ -161,17 +223,38 @@ def test_rls_filter_growing_window_matches_batch(rng):
     syms = qpsk_block(rng, 2, 80)
     recv = chan @ syms + 0.3 * (rng.standard_normal((6, 80))
                                 + 1j * rng.standard_normal((6, 80)))
-    est = m.RlsFilterEstimator(6, lam=1.0)
-    for i in range(80):
-        est.update(recv[:, i], syms[0, i])
-    batch = m.ls_filter_estimate(recv, syms[0])
-    assert np.linalg.norm(est.w - batch) / np.linalg.norm(batch) < 1e-6
+    bank = full_rank_bank(6, 2)
+    bank.update(recv, syms)
+    batch = np.linalg.solve(recv @ recv.conj().T, recv @ syms.conj().T)
+    assert np.linalg.norm(bank.weights - batch) / np.linalg.norm(batch) < 1e-6
 
 
-def test_rls_filter_first_error_is_desired(rng):
-    est = m.RlsFilterEstimator(3)
-    err = est.update(np.ones(3, dtype=complex), 1.0 - 1.0j)
-    assert err == pytest.approx(1.0 - 1.0j)
+@pytest.mark.parametrize("lam", [1.0, 0.97])
+def test_full_rank_bank_equals_rls_recursion(rng, lam):
+    recv, desired = training_block(rng, 6, 3, 120)
+    bank = full_rank_bank(6, 3, lam, delta=0.01)
+    bank.update(recv, desired)
+    for k in range(3):
+        ref = reference_rls_filter(recv, desired[k], lam, delta=0.01)
+        assert np.linalg.norm(bank.weights[:, k] - ref) / np.linalg.norm(ref) < 1e-9
+
+
+@pytest.mark.parametrize("method,confined", [("pc", False), ("krylov", False),
+                                             ("krylov", True)])
+def test_full_rank_bank_equals_projected_solve(rng, method, confined):
+    recv, desired = training_block(rng, 6, 2, 40)
+    if confined:
+        # snapshots in a 2-D subspace: the ladder of the regularized
+        # correlation collapses there, and that subspace still holds R^{-1} p
+        recv = np.linalg.qr(recv[:, :2])[0] @ recv[:2]
+    bank = m.ReducedRankFilterBank(6, 2, method, rank=6, lam=0.98, delta=0.01)
+    bank.update(recv, desired)
+    for k in range(2):
+        basis = m.build_projection(method, bank.corr, bank.cross[:, k], rank=6)
+        assert basis.shape == (6, 2 if confined else 6)
+        ref = basis @ np.linalg.solve(basis.conj().T @ bank.corr @ basis,
+                                      basis.conj().T @ bank.cross[:, k])
+        np.testing.assert_allclose(bank.weights[:, k], ref, atol=1e-10)
 
 
 # -- projections --------------------------------------------------------------
@@ -185,21 +268,19 @@ def random_psd(rng, n, spread=4.0):
 
 def test_pc_projection_is_top_eigenspace(rng):
     corr = random_psd(rng, 8)
-    proj = m.build_projection("pc", corr, rank=3)
-    assert proj.basis.shape == (8, 3)
-    np.testing.assert_allclose(proj.basis.conj().T @ proj.basis, np.eye(3), atol=1e-10)
+    basis = m.build_projection("pc", corr, rank=3)
+    assert basis.shape == (8, 3)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-10)
     evals, evecs = np.linalg.eigh(corr)
     top = evecs[:, np.argsort(evals)[::-1][:3]]
     # subspaces match even though individual eigenvector phases may differ
-    np.testing.assert_allclose(proj.basis @ proj.basis.conj().T,
-                               top @ top.conj().T, atol=1e-10)
+    np.testing.assert_allclose(basis @ basis.conj().T, top @ top.conj().T, atol=1e-10)
 
 
 def test_krylov_projection_spans_power_iterates(rng):
     corr = random_psd(rng, 8)
     cross = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    proj = m.build_projection("krylov", corr, cross, rank=4)
-    t_mat = proj.basis
+    t_mat = m.build_projection("krylov", corr, cross, rank=4)
     np.testing.assert_allclose(t_mat.conj().T @ t_mat, np.eye(4), atol=1e-10)
     vec = cross / np.linalg.norm(cross)
     for _ in range(4):
@@ -211,9 +292,7 @@ def test_krylov_projection_spans_power_iterates(rng):
 
 def test_krylov_collapse_detected(rng):
     cross = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    proj = m.build_projection("krylov", np.eye(6), cross, rank=4)
-    assert proj.collapsed
-    assert proj.effective_rank == 1
+    assert m.build_projection("krylov", np.eye(6), cross, rank=4).shape == (6, 1)
     with pytest.raises(ParameterError):
         m.build_projection("krylov", np.eye(6), np.zeros(6), rank=3)
 
@@ -227,41 +306,16 @@ def test_projection_validates():
         m.build_projection("krylov", np.eye(4), rank=2)
 
 
-def test_reduced_rank_rls_identity_basis_equals_full(rng):
-    recv = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
-    desired = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    full = m.RlsFilterEstimator(5)
-    red = m.ReducedRankRlsFilter(np.eye(5, dtype=complex))
-    for i in range(40):
-        full.update(recv[:, i], desired[i])
-        red.update(recv[:, i], desired[i])
-    np.testing.assert_allclose(red.w, full.w, atol=1e-12)
-    np.testing.assert_allclose(red.w_reduced, full.w, atol=1e-12)
-
-
-def test_reduced_rank_rls_matches_projected_batch(rng):
-    recv = rng.standard_normal((8, 300)) + 1j * rng.standard_normal((8, 300))
-    desired = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    r_corr = recv @ recv.conj().T
-    p = recv @ desired.conj()
-    proj = m.build_projection("krylov", r_corr, p, rank=3)
-    red = m.ReducedRankRlsFilter(proj, lam=1.0)
-    for i in range(300):
-        red.update(recv[:, i], desired[i])
-    t_mat = proj.basis
-    ref = t_mat @ np.linalg.solve(t_mat.conj().T @ r_corr @ t_mat,
-                                  t_mat.conj().T @ p)
-    assert np.linalg.norm(red.w - ref) / np.linalg.norm(ref) < 1e-5
-
+# -- joint iterative optimization ---------------------------------------------
 
 def test_jio_keeps_basis_until_filter_moves(rng):
-    jio = m.JioRlsFilter(6, 2)
+    jio = m.JioFilterBank(6, 1, rank=2)
     start = jio.basis.copy()
     # zero desired keeps the short filter at zero: projection must not move
-    jio.update(rng.standard_normal(6) + 1j * rng.standard_normal(6), 0.0)
+    jio.update(rng.standard_normal(6) + 1j * rng.standard_normal(6), [0.0])
     np.testing.assert_array_equal(jio.basis, start)
     # a real error moves both
-    jio.update(rng.standard_normal(6) + 1j * rng.standard_normal(6), 1.0 + 0j)
+    jio.update(rng.standard_normal(6) + 1j * rng.standard_normal(6), [1.0 + 0j])
     assert not np.array_equal(jio.basis, start)
 
 
@@ -273,40 +327,27 @@ def test_jio_beats_fixed_basis_on_misaligned_subspace(rng):
     recv = rng.standard_normal((n, n_train)) + 1j * rng.standard_normal((n, n_train))
     desired = w_true.conj() @ recv + 0.05 * (rng.standard_normal(n_train)
                                              + 1j * rng.standard_normal(n_train))
-    jio = m.JioRlsFilter(n, rank)
-    fixed = m.ReducedRankRlsFilter(np.eye(n, rank, dtype=complex))
-    for i in range(n_train):
-        jio.update(recv[:, i], desired[i])
-        fixed.update(recv[:, i], desired[i])
+    jio = m.JioFilterBank(n, 1, rank)
+    jio.update(recv, desired[None, :])
+    # the fixed basis keeps the first `rank` coordinates
+    r_corr, p = weighted_normal_equations(recv[:rank], desired, 1.0, DEFAULT_DELTA)
+    w_fixed = np.zeros(n, dtype=complex)
+    w_fixed[:rank] = np.linalg.solve(r_corr, p)
     eval_recv = rng.standard_normal((n, 2000)) + 1j * rng.standard_normal((n, 2000))
     eval_des = w_true.conj() @ eval_recv
-    mse_jio = np.mean(np.abs(eval_des - jio.w.conj() @ eval_recv) ** 2)
-    mse_fixed = np.mean(np.abs(eval_des - fixed.w.conj() @ eval_recv) ** 2)
+    mse_jio = np.mean(np.abs(eval_des - jio.weights[:, 0].conj() @ eval_recv) ** 2)
+    mse_fixed = np.mean(np.abs(eval_des - w_fixed.conj() @ eval_recv) ** 2)
     assert mse_jio < 0.1 * mse_fixed
 
 
 # -- filter banks -------------------------------------------------------------
 
-def test_rls_bank_matches_independent_filters(rng):
-    recv = rng.standard_normal((6, 50)) + 1j * rng.standard_normal((6, 50))
-    desired = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
-    bank = m.RlsFilterBank(6, 3, lam=0.98)
-    singles = [m.RlsFilterEstimator(6, lam=0.98) for _ in range(3)]
-    for i in range(50):
-        bank.update(recv[:, i], desired[:, i])
-        for k, est in enumerate(singles):
-            est.update(recv[:, i], desired[k, i])
-    for k, est in enumerate(singles):
-        np.testing.assert_allclose(bank.weights[:, k], est.w, atol=1e-12)
-
-
 def test_jio_bank_matches_independent_filters(rng):
-    recv = rng.standard_normal((6, 60)) + 1j * rng.standard_normal((6, 60))
-    desired = rng.standard_normal((3, 60)) + 1j * rng.standard_normal((3, 60))
+    recv, desired = training_block(rng, 6, 3, 60)
     bank = m.JioFilterBank(6, 3, rank=2, lam=0.99)
-    singles = [m.JioRlsFilter(6, 2, lam=0.99) for _ in range(3)]
+    singles = [ReferenceJio(6, 2, lam=0.99) for _ in range(3)]
+    bank.update(recv, desired)
     for i in range(60):
-        bank.update(recv[:, i], desired[:, i])
         for k, est in enumerate(singles):
             est.update(recv[:, i], desired[k, i])
     for k, est in enumerate(singles):
@@ -314,20 +355,60 @@ def test_jio_bank_matches_independent_filters(rng):
         np.testing.assert_allclose(bank.weights[:, k], est.w, atol=1e-10)
 
 
+@pytest.mark.parametrize("method,rank", [("pc", 3), ("krylov", 3), ("krylov", 6)])
+def test_reduced_rank_bank_block_equals_single_updates(rng, method, rank):
+    recv, desired = training_block(rng, 6, 2, 40)
+    single = m.ReducedRankFilterBank(6, 2, method, rank, lam=0.97)
+    block = m.ReducedRankFilterBank(6, 2, method, rank, lam=0.97)
+    for i in range(40):
+        single.update(recv[:, i], desired[:, i])
+    block.update(recv[:, :25], desired[:, :25])
+    block.update(recv[:, 25:], desired[:, 25:])
+    assert block.n_updates == single.n_updates == 40
+    np.testing.assert_allclose(block.corr, single.corr, rtol=1e-12)
+    np.testing.assert_allclose(block.cross, single.cross, rtol=1e-12)
+    np.testing.assert_allclose(block.weights, single.weights, rtol=1e-12)
+
+
+def test_jio_bank_block_equals_single_updates(rng):
+    # four dimensions, so the five warm-up snapshots give the pooled
+    # correlation full rank; a rank-deficient one is near delta * I on its
+    # null space, and inverting it at hand-off amplifies roundoff by 1 / delta
+    recv, desired = training_block(rng, 4, 2, 17)
+    single = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)
+    block = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)
+    for i in range(17):
+        single.update(recv[:, i], desired[:, i])
+    # the second block straddles the hand-off after the fifth sample
+    for lo, hi in ((0, 3), (3, 7), (7, 17)):
+        block.update(recv[:, lo:hi], desired[:, lo:hi])
+    assert block.n_updates == single.n_updates == 17
+    np.testing.assert_allclose(block.basis, single.basis, rtol=1e-12)
+    np.testing.assert_allclose(block.w_bar, single.w_bar, rtol=1e-12)
+    np.testing.assert_allclose(block.weights, single.weights, rtol=1e-12)
+
+
+def test_jio_hand_off_keeps_the_pooled_krylov_filter(rng):
+    recv, desired = training_block(rng, 4, 2, 5)
+    jio = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)
+    jio.update(recv, desired)
+    pooled = m.ReducedRankFilterBank(4, 2, "krylov", rank=2, lam=0.98)
+    pooled.update(recv, desired)
+    np.testing.assert_allclose(jio.weights, pooled.weights, atol=1e-10)
+    np.testing.assert_allclose(jio.p_full, np.linalg.inv(pooled.corr), rtol=1e-10)
+
+
 def test_reduced_rank_bank_matches_manual_solve(rng):
-    recv = rng.standard_normal((6, 80)) + 1j * rng.standard_normal((6, 80))
-    desired = rng.standard_normal((2, 80)) + 1j * rng.standard_normal((2, 80))
+    recv, desired = training_block(rng, 6, 2, 80)
     for method in ("pc", "krylov"):
         bank = m.ReducedRankFilterBank(6, 2, method, rank=3, lam=0.97)
-        for i in range(80):
-            bank.update(recv[:, i], desired[:, i])
+        bank.update(recv, desired)
         got = bank.weights
         for k in range(2):
             if method == "pc":
-                proj = m.build_projection("pc", bank.corr, rank=3)
+                t_mat = m.build_projection("pc", bank.corr, rank=3)
             else:
-                proj = m.build_projection("krylov", bank.corr, bank.cross[:, k], 3)
-            t_mat = proj.basis
+                t_mat = m.build_projection("krylov", bank.corr, bank.cross[:, k], 3)
             ref = t_mat @ np.linalg.solve(t_mat.conj().T @ bank.corr @ t_mat,
                                           t_mat.conj().T @ bank.cross[:, k])
             np.testing.assert_allclose(got[:, k], ref, atol=1e-10)
@@ -346,11 +427,25 @@ def test_estimator_parameter_validation():
     with pytest.raises(ParameterError):
         m.LmsChannelEstimator(2, 4, mu=0.0)
     with pytest.raises(ParameterError):
-        m.JioRlsFilter(4, 0)
+        m.JioFilterBank(4, 1, rank=0)
     with pytest.raises(ParameterError):
         m.JioFilterBank(4, 2, rank=9)
     with pytest.raises(ParameterError):
         m.ReducedRankFilterBank(4, 2, "svd")
+    with pytest.raises(ParameterError):
+        m.ReducedRankFilterBank(4, 2, "pc", rank=5)
+    # snapshots are columns: a transposed block is rejected, not reshaped
+    for bank in (m.ReducedRankFilterBank(4, 2, "pc", rank=2), m.JioFilterBank(4, 2, rank=2)):
+        with pytest.raises(StructuralError):
+            bank.update(np.zeros((3, 4)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3])
+def test_filter_banks_reject_nonpositive_delta(delta):
+    with pytest.raises(ParameterError, match="delta"):
+        m.ReducedRankFilterBank(4, 2, "krylov", rank=2, delta=delta)
+    with pytest.raises(ParameterError, match="delta"):
+        m.JioFilterBank(4, 2, rank=2, delta=delta)
 
 
 def test_default_delta_is_small():

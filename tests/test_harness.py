@@ -124,6 +124,18 @@ def test_validate_rejects_bad_combinations():
         small_spec(coded=True, estimator="rr-jio", pilot_len=16)
 
 
+@pytest.mark.parametrize("branches", [0, 3, 5])
+def test_validate_rejects_branches_beyond_streams(branches):
+    with pytest.raises(ConfigError, match="branches"):
+        small_spec(detector="mb-sic", branches=branches)
+
+
+def test_validate_accepts_branches_up_to_streams():
+    assert small_spec(detector="mb-sic", branches=2).branches == 2
+    # other detectors ignore the branch count
+    assert small_spec(detector="sic", branches=5).branches == 5
+
+
 # -- trials and sweeps --------------------------------------------------------
 
 def test_run_trial_is_deterministic():
@@ -300,6 +312,22 @@ def test_rls_trial_uses_the_recursion_solution(monkeypatch):
     assert fast.bits == 256
 
 
+@pytest.mark.parametrize("est", ["rr-pc", "rr-krylov", "rr-jio"])
+def test_filter_bank_block_training_matches_per_sample(monkeypatch, est):
+    # one block update of all pilots decides like one update per pilot
+    spec = small_spec(estimator=est, pilot_len=24, rank=2, forgetting=0.998)
+    blocked = m.run_trial(spec, 8.0, 0)
+    bank = m.JioFilterBank if est == "rr-jio" else m.ReducedRankFilterBank
+    update = bank.update
+
+    def per_sample(self, received, desired):
+        for i in range(received.shape[1]):
+            update(self, received[:, i], desired[:, i])
+
+    monkeypatch.setattr(bank, "update", per_sample)
+    assert m.run_trial(spec, 8.0, 0) == blocked
+
+
 def test_filter_training_channel_matches_trial_draw(monkeypatch):
     # the experiment draws its channel as trial (0, 0) of the same seed:
     # large scale first, then one small-scale substream per user
@@ -333,11 +361,24 @@ def test_filter_training_experiment_contract():
                                          n_eval=200, seed=4)
     assert bers.shape == (3,)
     np.testing.assert_array_equal(bers, again)
+    # a checkpoint sees the first c samples, whatever the other checkpoints
+    alone = m.filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
+                                         n_train=60, checkpoints=(30,),
+                                         n_eval=200, seed=4)
+    assert alone[0] == bers[1]
     assert np.all((bers >= 0) & (bers <= 1))
     with pytest.raises(ConfigError):
         m.filter_training_experiment(cfg, 12.0, "rls", 2, 1.0, 60, (0, 10), 100, 4)
     with pytest.raises(ConfigError):
         m.filter_training_experiment(cfg, 12.0, "hyb", 2, 1.0, 60, (10,), 100, 4)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5])
+def test_filter_training_rejects_nonpositive_delta(delta):
+    cfg = m.SystemConfig(n_users=2, n_bs=8)
+    with pytest.raises(ConfigError, match="delta"):
+        m.filter_training_experiment(cfg, 12.0, "rls", 2, 1.0, 60, (10, 60), 100, 4,
+                                     delta=delta)
 
 
 def test_filter_training_methods_share_data():
@@ -468,4 +509,6 @@ def test_readme_scenario_table_matches_defaults():
                 overrides = {harness._KEY_TO_FIELD.get(key, key): option}
                 if key == "estimator" and option != "perfect":
                     overrides.update(pilot_len=8, rank=2)
+                if option == "mb-sic":
+                    overrides.update(branches=2)  # the spec has two streams
                 small_spec(**overrides)
