@@ -11,18 +11,17 @@ from .config import SystemConfig
 from .errors import (CapacityError, ConfigError, NumericalError,
                      ParameterError, ParameterWarning, RankError,
                      SingularMatrixError, StructuralError)
-from .channel import (ChannelRealization, LargeScaleDraw, compose_channel,
-                      correlation_matrix, draw_large_scale, draw_small_scale,
-                      gain_diagonal, matrix_sqrt, snr_to_noise_variance)
+from .channel import (LargeScaleDraw, compose_channel, correlation_matrix,
+                      draw_large_scale, draw_small_scale, gain_diagonal,
+                      matrix_sqrt, snr_to_noise_variance)
 from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
                       channel_transmit, coded_payload_length, conv_encode,
                       deinterleave, interleave, labels_to_bits,
                       qpsk_constellation, qpsk_map, qpsk_slice_labels,
                       trellis_tables)
-from .detectors import (DetectorOutput, OrderingPattern, ReceiveFilterSet,
-                        compute_ordering, compute_receive_filter, df_detect,
-                        linear_detect, mb_sic_detect, ml_detect_oracle,
-                        sic_detect)
+from .detectors import (DetectorOutput, compute_ordering, compute_receive_filter,
+                        df_detect, linear_detect, mb_sic_detect,
+                        ml_detect_oracle, sic_detect)
 from .idd import (BcjrResult, IddResult, bcjr_decode, extrinsic_llr,
                   idd_receive, soft_mmse_sic_detect, soft_symbol_stats)
 from .estimation import (JioFilterBank, LmsChannelEstimator,
@@ -40,16 +39,16 @@ __all__ = [
     "SystemConfig",
     "CapacityError", "ConfigError", "NumericalError", "ParameterError",
     "ParameterWarning", "RankError", "SingularMatrixError", "StructuralError",
-    "ChannelRealization", "LargeScaleDraw", "compose_channel",
-    "correlation_matrix", "draw_large_scale", "draw_small_scale",
-    "gain_diagonal", "matrix_sqrt", "snr_to_noise_variance",
+    "LargeScaleDraw", "compose_channel", "correlation_matrix",
+    "draw_large_scale", "draw_small_scale", "gain_diagonal", "matrix_sqrt",
+    "snr_to_noise_variance",
     "SymbolFrame", "TrellisSpec", "assemble_frame", "channel_transmit",
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
     "labels_to_bits", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",
     "trellis_tables",
-    "DetectorOutput", "OrderingPattern", "ReceiveFilterSet",
-    "compute_ordering", "compute_receive_filter", "df_detect",
-    "linear_detect", "mb_sic_detect", "ml_detect_oracle", "sic_detect",
+    "DetectorOutput", "compute_ordering", "compute_receive_filter",
+    "df_detect", "linear_detect", "mb_sic_detect", "ml_detect_oracle",
+    "sic_detect",
     "BcjrResult", "IddResult", "bcjr_decode", "extrinsic_llr", "idd_receive",
     "soft_mmse_sic_detect", "soft_symbol_stats",
     "JioFilterBank", "LmsChannelEstimator", "ReducedRankFilterBank",

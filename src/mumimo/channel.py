@@ -140,16 +140,7 @@ def gain_diagonal(cfg: SystemConfig, large: LargeScaleDraw, user: int) -> np.nda
     return np.repeat(large.gains[user], reps)
 
 
-@dataclass
-class ChannelRealization:
-    """One composite channel draw: per-user matrices plus the stacked G."""
-
-    per_user: list
-    large: LargeScaleDraw
-    stacked: np.ndarray  # (N_A, K * N_U)
-
-
-def compose_channel(cfg: SystemConfig, small: list, large: LargeScaleDraw) -> ChannelRealization:
+def compose_channel(cfg: SystemConfig, small: list, large: LargeScaleDraw) -> np.ndarray:
     """Scale each user's fading matrix by its large-scale gains and stack.
 
     ``small`` holds one (N_A, N_U) matrix per user.  The stacked channel has
@@ -165,8 +156,7 @@ def compose_channel(cfg: SystemConfig, small: list, large: LargeScaleDraw) -> Ch
             raise StructuralError(
                 f"user {k}: expected shape {(cfg.n_rx_total, cfg.antennas_per_user)}, got {h.shape}")
         per_user.append(gain_diagonal(cfg, large, k)[:, None] * h)
-    return ChannelRealization(per_user=per_user, large=large,
-                              stacked=np.hstack(per_user))
+    return np.hstack(per_user)
 
 
 def snr_to_noise_variance(snr_db: float, cfg: SystemConfig, code_rate: float,

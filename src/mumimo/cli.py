@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError
-from .harness import parse_config, parse_snr_spec, run_sweep, write_csv
+from .harness import CONFIG_KEYS, parse_config, parse_value, run_sweep, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -18,11 +18,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uplink multiuser MIMO link-level BER sweep")
     parser.add_argument("--config", required=True, metavar="FILE",
                         help="flat key = value scenario file")
-    parser.add_argument("--snr", metavar="A:B:STEP",
+    # an override's dest is its config key, and its text parses as in a file
+    parser.add_argument("--snr", dest="snr_db", metavar="A:B:STEP",
                         help="override the swept SNR points (dB)")
     parser.add_argument("--detector", help="override the detector")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--packets", type=int, help="override packets per point")
+    parser.add_argument("--seed", help="override the master seed")
+    parser.add_argument("--packets", help="override packets per point")
     parser.add_argument("--out", help="override the output CSV path")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (default 1; any count gives "
@@ -35,17 +36,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             spec = parse_config(fh.read())
-        overrides = {}
-        if args.snr is not None:
-            overrides["snr_db"] = parse_snr_spec(args.snr)
-        if args.detector is not None:
-            overrides["detector"] = args.detector
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.packets is not None:
-            overrides["packets"] = args.packets
-        if args.out is not None:
-            overrides["out"] = args.out
+        overrides = {CONFIG_KEYS[key].field: parse_value(key, raw)
+                     for key, raw in vars(args).items()
+                     if key in CONFIG_KEYS and raw is not None}
         if overrides:
             spec = replace(spec, **overrides).validate()
     except (OSError, ConfigError) as exc:

@@ -6,6 +6,7 @@ the statistical parameters of the channel.  It is immutable and hashable so
 derived quantities can be cached against it.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -13,6 +14,9 @@ from .errors import ParameterError
 #: grid step of the discrete uniform distance distribution (both endpoints
 #: of ``distance_range`` are included in the grid)
 DISTANCE_GRID_STEP = 0.05
+
+#: lower bounds of the integer fields of a system
+_MINIMA = {"n_users": 1, "n_bs": 1, "n_heads": 0, "antennas_per_user": 1}
 
 
 @dataclass(frozen=True)
@@ -63,30 +67,25 @@ class SystemConfig:
     symbol_power: float = 1.0
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise ParameterError(f"n_users must be >= 1, got {self.n_users}")
-        if self.antennas_per_user < 1:
-            raise ParameterError("antennas_per_user must be >= 1")
-        if self.n_bs < 1:
-            raise ParameterError("n_bs must be >= 1")
-        if self.n_heads < 0:
-            raise ParameterError("n_heads must be >= 0")
+        for name, low in _MINIMA.items():
+            if getattr(self, name) < low:
+                raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n_heads > 0 and self.antennas_per_head < 1:
             raise ParameterError("antennas_per_head must be >= 1 when heads are present")
         if not 0.0 <= self.rho <= 1.0:
             raise ParameterError(f"rho must lie in [0, 1], got {self.rho}")
         if not 2.0 <= self.path_loss_exp <= 4.0:
             raise ParameterError(f"path_loss_exp must lie in [2, 4], got {self.path_loss_exp}")
-        if self.shadow_spread_db < 0.0:
-            raise ParameterError("shadow_spread_db must be >= 0")
+        if not 0.0 <= self.shadow_spread_db < math.inf:
+            raise ParameterError("shadow_spread_db must be finite and >= 0")
         lo, hi = self.path_gain_range
         if not (0.0 < lo <= hi):
             raise ParameterError(f"path_gain_range must satisfy 0 < lo <= hi, got {self.path_gain_range}")
         lo, hi = self.distance_range
         if not (0.0 < lo <= hi <= 1.0):
             raise ParameterError(f"distance_range must lie in (0, 1], got {self.distance_range}")
-        if self.symbol_power <= 0.0:
-            raise ParameterError("symbol_power must be > 0")
+        if not 0.0 < self.symbol_power < math.inf:
+            raise ParameterError("symbol_power must be finite and > 0")
         if self.n_rx_total < self.n_streams:
             raise ParameterError(
                 f"receive antennas ({self.n_rx_total}) must be >= total streams ({self.n_streams})")

@@ -19,22 +19,6 @@ ML_CANDIDATE_GUARD = 10 ** 6
 
 
 @dataclass
-class ReceiveFilterSet:
-    """Receive filter bank W (N_A, M); estimates are ``W.conj().T @ r``."""
-
-    design: str
-    weights: np.ndarray
-
-
-@dataclass
-class OrderingPattern:
-    """Detection order for successive cancellation (first entry detected first)."""
-
-    criterion: str
-    permutation: np.ndarray
-
-
-@dataclass
 class DetectorOutput:
     """Hard decisions plus any branch bookkeeping a detector produced.
 
@@ -62,8 +46,9 @@ def _as_block(r, n_rx):
 
 
 def compute_receive_filter(chan: np.ndarray, symbol_power: float, noise_var: float,
-                           design: str) -> ReceiveFilterSet:
-    """Linear receive filter bank for the stacked channel.
+                           design: str) -> np.ndarray:
+    """Linear receive filter bank W (N_A, M) for the stacked channel;
+    estimates are ``W.conj().T @ r``.
 
     rmf   W = G
     zf    W = G (G^H G)^{-1}
@@ -77,7 +62,7 @@ def compute_receive_filter(chan: np.ndarray, symbol_power: float, noise_var: flo
     if symbol_power <= 0.0:
         raise ParameterError("symbol_power must be > 0")
     if design == "rmf":
-        return ReceiveFilterSet(design, chan.copy())
+        return chan.copy()
     gram = chan.conj().T @ chan
     if design == "zf":
         if np.linalg.matrix_rank(chan) < chan.shape[1]:
@@ -87,12 +72,12 @@ def compute_receive_filter(chan: np.ndarray, symbol_power: float, noise_var: flo
         if noise_var <= 0.0:
             raise ParameterError("mmse filter requires noise_var > 0")
         inv = np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(gram.shape[0]))
-    return ReceiveFilterSet(design, chan @ inv)
+    return chan @ inv
 
 
-def linear_detect(filters: ReceiveFilterSet, r, constellation=None) -> DetectorOutput:
-    """Filter, then slice each stream independently."""
-    w = filters.weights if isinstance(filters, ReceiveFilterSet) else np.asarray(filters)
+def linear_detect(filters: np.ndarray, r, constellation=None) -> DetectorOutput:
+    """Filter with the bank W (N_A, M), then slice each stream independently."""
+    w = np.asarray(filters)
     block, single = _as_block(r, w.shape[0])
     if constellation is None:
         constellation = qpsk_constellation()
@@ -113,7 +98,7 @@ def _stream_keys(chan, symbol_power, noise_var, criterion):
             raise ParameterError("snr ordering requires noise_var > 0")
         return symbol_power * norms_sq / noise_var
     # one-shot output SINR under the initial MMSE filter bank
-    w = compute_receive_filter(chan, symbol_power, noise_var, "mmse").weights
+    w = compute_receive_filter(chan, symbol_power, noise_var, "mmse")
     cross = w.conj().T @ chan  # (M, M): row j = responses of filter j
     sig = np.abs(np.diagonal(cross)) ** 2
     interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
@@ -122,22 +107,14 @@ def _stream_keys(chan, symbol_power, noise_var, criterion):
 
 
 def compute_ordering(chan: np.ndarray, symbol_power: float, noise_var: float,
-                     criterion: str = "norm") -> OrderingPattern:
-    """Detection order over streams (descending key, ties by stream index)."""
+                     criterion: str = "norm") -> np.ndarray:
+    """Detection order over streams, first entry detected first (descending
+    key, ties by stream index)."""
     chan = np.asarray(chan, dtype=complex)
     if criterion not in ORDERING_CRITERIA:
         raise ParameterError(f"unknown ordering criterion {criterion!r}")
     keys = _stream_keys(chan, symbol_power, noise_var, criterion)
-    perm = np.argsort(-keys, kind="stable")
-    return OrderingPattern(criterion, perm)
-
-
-def _resolve_order(ordering, m):
-    perm = ordering.permutation if isinstance(ordering, OrderingPattern) else np.asarray(ordering)
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(m)):
-        raise StructuralError(f"ordering {perm} is not a permutation of {m} streams")
-    return perm
+    return np.argsort(-keys, kind="stable")
 
 
 def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
@@ -152,16 +129,18 @@ def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
     chan = np.asarray(chan, dtype=complex)
     block, single = _as_block(r, chan.shape[0])
     m = chan.shape[1]
-    perm = _resolve_order(ordering, m)
+    perm = np.asarray(ordering, dtype=np.int64)
+    if sorted(perm.tolist()) != list(range(m)):
+        raise StructuralError(f"ordering {perm} is not a permutation of {m} streams")
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
     labels = np.empty((m, block.shape[1]), dtype=np.int64)
     residual = block.copy()
     for stage in range(m):
         remaining = perm[stage:]
-        filt = compute_receive_filter(chan[:, remaining], symbol_power, noise_var,
-                                      filter_design)
-        w = filt.weights[:, 0]  # column of the stream detected now
+        # column of the stream detected now
+        w = compute_receive_filter(chan[:, remaining], symbol_power, noise_var,
+                                   filter_design)[:, 0]
         soft = w.conj() @ residual
         lab = qpsk_slice_labels(soft)
         labels[perm[stage]] = lab
@@ -191,7 +170,7 @@ def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
             f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
-    base = compute_ordering(chan, symbol_power, noise_var, base_criterion).permutation
+    base = compute_ordering(chan, symbol_power, noise_var, base_criterion)
     orders = [np.roll(base, -shift) for shift in range(n_branches)]
     n_vec = block.shape[1]
     all_labels = np.empty((len(orders), m, n_vec), dtype=np.int64)
@@ -228,7 +207,7 @@ def df_detect(chan: np.ndarray, r, mode: str = "s-df",
     block, single = _as_block(r, chan.shape[0])
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
-    w = compute_receive_filter(chan, symbol_power, noise_var, filter_design).weights
+    w = compute_receive_filter(chan, symbol_power, noise_var, filter_design)
     soft = w.conj().T @ block
     first = constellation[qpsk_slice_labels(soft)]
     feedback = w.conj().T @ chan

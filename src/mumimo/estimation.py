@@ -136,11 +136,17 @@ class LmsChannelEstimator:
         self.mu = mu
         self.estimate = np.zeros((n_rx, n_streams), dtype=complex)
 
-    def update(self, pilot: np.ndarray, received: np.ndarray):
-        s = np.asarray(pilot, dtype=complex).ravel()
-        r = np.asarray(received, dtype=complex).ravel()
-        err = r - self.estimate @ s
-        self.estimate = self.estimate + self.mu * np.outer(err, s.conj())
+    def update(self, pilots: np.ndarray, received: np.ndarray):
+        """Run the recursion over a block: pilots (M, n) or (M,), received
+        (N_A, n) or (N_A,)."""
+        s = _snapshots(pilots, self.estimate.shape[1])
+        r = _snapshots(received, self.estimate.shape[0])
+        if s.shape[1] != r.shape[1]:
+            raise StructuralError(f"{s.shape[1]} pilots but {r.shape[1]} received vectors")
+        # contiguous rows: each step sees the operands a single-vector update would
+        for s_i, r_i in zip(np.ascontiguousarray(s.T), np.ascontiguousarray(r.T)):
+            err = r_i - self.estimate @ s_i
+            self.estimate = self.estimate + self.mu * np.outer(err, s_i.conj())
         return self
 
 

@@ -9,9 +9,11 @@ byte-identically regardless of execution order or worker count.
 import concurrent.futures
 import contextlib
 import hashlib
+import math
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +38,10 @@ CSV_COLUMNS = ("snr_db", "bits", "errors", "ber", "ci_low", "ci_high",
                "detector", "estimator", "seed")
 
 _Z95 = 1.959963984540054
+
+#: lower bounds of the integer fields of a scenario
+_MINIMA = {"idd_iterations": 1, "pilot_len": 0, "packet_symbols": 1, "rank": 1,
+           "packets": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,10 @@ class ScenarioSpec:
     out: str = "results.csv"
 
     def validate(self):
+        for name, low in _MINIMA.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{_RENAMED.get(name, name)} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
         if self.detector not in DETECTORS:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.estimator not in ESTIMATORS:
@@ -83,8 +93,6 @@ class ScenarioSpec:
             raise ConfigError("direct filter estimation does not feed the coded receiver")
         if self.estimator != "perfect" and self.pilot_len < 1:
             raise ConfigError(f"estimator {self.estimator!r} needs pilot_len >= 1")
-        if self.packet_symbols < 1:
-            raise ConfigError("packet_symbols must be >= 1")
         if self.coded:
             try:
                 coded_payload_length(self.packet_symbols)
@@ -92,18 +100,16 @@ class ScenarioSpec:
                 raise ConfigError(str(exc)) from None
         if not 0.0 < self.forgetting <= 1.0:
             raise ConfigError("lambda must lie in (0, 1]")
-        if self.step_size <= 0.0:
-            raise ConfigError("mu must be > 0")
-        if self.rank < 1:
-            raise ConfigError("rank must be >= 1")
+        if not 0.0 < self.step_size < math.inf:
+            raise ConfigError("mu must be finite and > 0")
         if self.estimator.startswith("rr-") and self.rank > self.system.n_rx_total:
             raise ConfigError("rank cannot exceed the number of receive antennas")
         if not self.snr_db:
             raise ConfigError("snr_db must list at least one point")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ConfigError(f"snr_db points must be finite, got {self.snr_db}")
         if len(set(self.snr_db)) != len(self.snr_db):
             raise ConfigError("snr_db points must be distinct")
-        if self.packets < 1:
-            raise ConfigError("packets must be >= 1")
         return self
 
 
@@ -140,34 +146,25 @@ class SweepResult:
 
 # -- configuration files ------------------------------------------------------
 
-_SYSTEM_KEYS = {
-    "n_users": int, "n_bs": int, "n_heads": int, "antennas_per_head": int,
-    "antennas_per_user": int, "rho": float, "path_loss_exp": float,
-    "shadow_spread_db": float, "path_gain_min": float, "path_gain_max": float,
-    "distance_min": float, "distance_max": float, "symbol_power": float,
-}
-
-_SCENARIO_KEYS = {
-    "detector": str, "ordering": str, "branches": int, "filter_design": str,
-    "coded": bool, "idd.iterations": int, "idd.maxlog": bool,
-    "estimator": str, "lambda": float, "mu": float, "rank": int,
-    "pilot_len": int, "packet_symbols": int, "snr_db": str, "packets": int,
-    "seed": int, "out": str,
-}
-
-_KEY_TO_FIELD = {
-    "idd.iterations": "idd_iterations", "idd.maxlog": "idd_max_log",
-    "lambda": "forgetting", "mu": "step_size",
-}
+#: fields whose config keys differ from their names
+_RENAMED = {"idd_iterations": "idd.iterations", "idd_max_log": "idd.maxlog",
+            "forgetting": "lambda", "step_size": "mu"}
 
 
-def _parse_bool(raw, key):
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
+def _parse_bool(raw):
     low = raw.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"key {key!r}: cannot read boolean from {raw!r}")
+    raise ValueError(f"cannot read boolean from {raw!r}")
 
 
 def parse_snr_spec(raw: str) -> tuple:
@@ -178,26 +175,66 @@ def parse_snr_spec(raw: str) -> tuple:
             parts = raw.split(":")
             if len(parts) != 3:
                 raise ValueError("expected a:b:step")
-            a, b, step = (float(p) for p in parts)
+            a, b, step = (_parse_float(p) for p in parts)
             if step <= 0 or b < a:
                 raise ValueError("need step > 0 and b >= a")
             n = int(np.floor((b - a) / step + 1e-9)) + 1
             return tuple(round(a + i * step, 10) for i in range(n))
-        return tuple(float(p) for p in raw.split(","))
+        return tuple(_parse_float(p) for p in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse SNR specification {raw!r}: {exc}") from None
+
+
+# (parse, format) per field type; a float prints as repr(float(v)), so an int
+# and the equal float write the same line
+_FLOAT = (_parse_float, lambda v: repr(float(v)))
+_CODECS = {int: (int, str), str: (str, str), float: _FLOAT,
+           bool: (_parse_bool, lambda v: str(v).lower())}
+
+
+#: where a config key lives: ``owner.field``, or end ``index`` of a range field
+ConfigKey = namedtuple("ConfigKey", "owner field index parse format")
+
+
+def _config_keys(cls):
+    # SystemConfig's fields, then the rest of ScenarioSpec's, in declaration
+    # order, which is the canonical line order; a *_range field is two keys
+    for f in fields(cls):
+        if f.type is SystemConfig:
+            yield from _config_keys(SystemConfig)
+        elif f.name.endswith("_range"):
+            stem = f.name[:-len("range")]
+            yield stem + "min", ConfigKey(cls, f.name, 0, *_FLOAT)
+            yield stem + "max", ConfigKey(cls, f.name, 1, *_FLOAT)
+        elif f.name == "snr_db":
+            yield f.name, ConfigKey(cls, f.name, None, parse_snr_spec,
+                                    lambda v: ",".join(format(s, ".10g") for s in v))
+        else:
+            yield _RENAMED.get(f.name, f.name), ConfigKey(cls, f.name, None,
+                                                          *_CODECS[f.type])
+
+
+#: config key -> ConfigKey, in canonical order
+CONFIG_KEYS = dict(_config_keys(ScenarioSpec))
+
+
+def parse_value(key: str, raw: str):
+    """Read the text of one config value; ``n_rx_total`` reads as an int."""
+    try:
+        return (int if key == "n_rx_total" else CONFIG_KEYS[key].parse)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 def parse_config(text: str) -> ScenarioSpec:
     """Parse a flat ``key = value`` scenario file.
 
     Lines starting with ``#`` (or inline ``#`` suffixes) are comments.
-    Unknown keys are rejected with their line number.  ``n_rx_total`` is
-    accepted as a cross-check against the geometry keys.
+    Unknown, repeated and malformed keys are rejected with their line
+    number.  ``n_rx_total`` is accepted as a cross-check against the
+    geometry keys.
     """
-    system_kwargs = {}
-    scenario_kwargs = {}
-    check_n_rx = None
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -206,86 +243,55 @@ def parse_config(text: str) -> ScenarioSpec:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = body.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key == "n_rx_total":
-            check_n_rx = int(raw)
-        elif key in _SYSTEM_KEYS:
-            system_kwargs[key] = _SYSTEM_KEYS[key](raw)
-        elif key in _SCENARIO_KEYS:
-            typ = _SCENARIO_KEYS[key]
-            if typ is bool:
-                value = _parse_bool(raw, key)
-            elif key == "snr_db":
-                value = parse_snr_spec(raw)
-            else:
-                value = typ(raw)
-            scenario_kwargs[_KEY_TO_FIELD.get(key, key)] = value
-        else:
+        if key != "n_rx_total" and key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        try:
+            values[key] = parse_value(key, raw.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
 
-    gain = (system_kwargs.pop("path_gain_min", 0.7),
-            system_kwargs.pop("path_gain_max", None))
-    if gain[1] is None:
-        gain = (gain[0], gain[0])
-    dist = (system_kwargs.pop("distance_min", 0.1),
-            system_kwargs.pop("distance_max", 0.95))
+    check_n_rx = values.pop("n_rx_total", None)
+    # a lone path_gain_min keeps the link gain deterministic
+    if "path_gain_min" in values:
+        values.setdefault("path_gain_max", values["path_gain_min"])
+    kwargs = {SystemConfig: {}, ScenarioSpec: {}}
+    for key, value in values.items():
+        owner, field, index = CONFIG_KEYS[key][:3]
+        if index is not None:
+            ends = kwargs[owner].get(field, getattr(owner, field))
+            value = ends[:index] + (value,) + ends[index + 1:]
+        kwargs[owner][field] = value
     try:
-        system = SystemConfig(path_gain_range=gain, distance_range=dist,
-                              **system_kwargs)
+        system = SystemConfig(**kwargs[SystemConfig])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid system configuration: {exc}") from None
     if check_n_rx is not None and check_n_rx != system.n_rx_total:
         raise ConfigError(
             f"n_rx_total = {check_n_rx} contradicts geometry "
             f"(n_bs + n_heads * antennas_per_head = {system.n_rx_total})")
-    spec = ScenarioSpec(system=system, **scenario_kwargs)
-    return spec.validate()
+    return ScenarioSpec(system=system, **kwargs[ScenarioSpec]).validate()
 
 
-def _scenario_lines(spec: ScenarioSpec) -> list:
-    """Every canonical ``key = value`` line except the output path."""
-    sysc = spec.system
-    return [
-        f"n_users = {sysc.n_users}",
-        f"n_bs = {sysc.n_bs}",
-        f"n_heads = {sysc.n_heads}",
-        f"antennas_per_head = {sysc.antennas_per_head}",
-        f"antennas_per_user = {sysc.antennas_per_user}",
-        f"rho = {sysc.rho!r}",
-        f"path_loss_exp = {sysc.path_loss_exp!r}",
-        f"shadow_spread_db = {sysc.shadow_spread_db!r}",
-        f"path_gain_min = {sysc.path_gain_range[0]!r}",
-        f"path_gain_max = {sysc.path_gain_range[1]!r}",
-        f"distance_min = {sysc.distance_range[0]!r}",
-        f"distance_max = {sysc.distance_range[1]!r}",
-        f"symbol_power = {sysc.symbol_power!r}",
-        f"detector = {spec.detector}",
-        f"ordering = {spec.ordering}",
-        f"branches = {spec.branches}",
-        f"filter_design = {spec.filter_design}",
-        f"coded = {str(spec.coded).lower()}",
-        f"idd.iterations = {spec.idd_iterations}",
-        f"idd.maxlog = {str(spec.idd_max_log).lower()}",
-        f"estimator = {spec.estimator}",
-        f"lambda = {spec.forgetting!r}",
-        f"mu = {spec.step_size!r}",
-        f"rank = {spec.rank}",
-        f"pilot_len = {spec.pilot_len}",
-        f"packet_symbols = {spec.packet_symbols}",
-        "snr_db = " + ",".join(format(s, ".10g") for s in spec.snr_db),
-        f"packets = {spec.packets}",
-        f"seed = {spec.seed}",
-    ]
+def _config_lines(spec: ScenarioSpec):
+    """(field, canonical ``key = value`` line) per config key."""
+    for key, (owner, field, index, _, fmt) in CONFIG_KEYS.items():
+        value = getattr(spec.system if owner is SystemConfig else spec, field)
+        if index is not None:
+            value = value[index]
+        yield field, f"{key} = {fmt(value)}"
 
 
 def serialize_config(spec: ScenarioSpec) -> str:
     """Canonical flat text for a scenario; parses back to an equal spec."""
-    return "\n".join(_scenario_lines(spec) + [f"out = {spec.out}"]) + "\n"
+    return "".join(line + "\n" for _, line in _config_lines(spec))
 
 
 def scenario_hash(spec: ScenarioSpec) -> str:
     """Short digest of the scenario; the output path is not part of it."""
-    text = "\n".join(_scenario_lines(spec)) + "\n"
+    text = "".join(line + "\n" for field, line in _config_lines(spec) if field != "out")
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -342,9 +348,7 @@ def _estimate_channel(spec: ScenarioSpec, frame, received_pilots):
                                    delta)
     tracker = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
                                   cfg.symbol_power)
-    for i in range(frame.n_pilots):
-        tracker.update(frame.pilots[:, i], received_pilots[:, i])
-    return tracker.estimate
+    return tracker.update(frame.pilots, received_pilots).estimate
 
 
 def _train_filter_bank(spec: ScenarioSpec, frame, received_pilots):
@@ -363,8 +367,8 @@ def _hard_detect(spec: ScenarioSpec, chan, block, noise_var, constellation):
     sp = spec.system.symbol_power
     name = spec.detector
     if name in ("rmf", "zf", "mmse"):
-        filters = compute_receive_filter(chan, sp, noise_var, name)
-        return linear_detect(filters, block, constellation)
+        return linear_detect(compute_receive_filter(chan, sp, noise_var, name),
+                             block, constellation)
     if name == "sic":
         order = compute_ordering(chan, sp, noise_var, spec.ordering)
         return sic_detect(chan, block, order, spec.filter_design, sp, noise_var,
@@ -390,14 +394,14 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trial_index: int) -> TrialResul
     chan = _draw_trial_channel(cfg, spec.seed, snr_index, trial_index)
     frame = _build_trial_frame(spec, snr_index, trial_index)
     received = channel_transmit(
-        chan.stacked, frame.symbols(), noise_var,
+        chan, frame.symbols(), noise_var,
         rngmod.substream(spec.seed, snr_index, trial_index, rngmod.NOISE))
     rx_pilots = received[:, :frame.n_pilots]
     rx_data = received[:, frame.n_pilots:]
     constellation = qpsk_constellation(cfg.symbol_power)
 
     filter_bank = None
-    chan_for_detection = chan.stacked
+    chan_for_detection = chan
     if spec.estimator.startswith("rr-"):
         filter_bank = _train_filter_bank(spec, frame, rx_pilots)
     elif spec.estimator != "perfect":
@@ -537,7 +541,7 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
     if delta <= 0.0:
         raise ConfigError(f"delta must be > 0, got {delta}")
     noise_var = snr_to_noise_variance(snr_db, cfg, 1.0, 2, mean_gamma_sq(cfg))
-    chan = _draw_trial_channel(cfg, seed, 0, 0).stacked
+    chan = _draw_trial_channel(cfg, seed, 0, 0)
     m = cfg.n_streams
     constellation = qpsk_constellation(cfg.symbol_power)
 

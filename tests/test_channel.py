@@ -142,10 +142,10 @@ def test_compose_channel_scales_columns():
     ls = m.draw_large_scale(cfg, np.random.default_rng(1))
     ls.gains = np.array([[2.0, 3.0], [4.0, 5.0]])
     small = [np.ones((3, 1), dtype=complex), np.full((3, 1), 1j)]
-    real = m.compose_channel(cfg, small, ls)
-    np.testing.assert_allclose(real.stacked[:, 0], [2.0, 2.0, 3.0])
-    np.testing.assert_allclose(real.stacked[:, 1], [4j, 4j, 5j])
-    assert real.stacked.shape == (3, 2)
+    chan = m.compose_channel(cfg, small, ls)
+    np.testing.assert_allclose(chan[:, 0], [2.0, 2.0, 3.0])
+    np.testing.assert_allclose(chan[:, 1], [4j, 4j, 5j])
+    assert chan.shape == (3, 2)
 
 
 def test_compose_channel_shape_errors():
@@ -194,3 +194,8 @@ def test_config_validation_errors():
         m.SystemConfig(n_users=8, n_bs=4)  # more streams than antennas
     with pytest.raises(ParameterError):
         m.SystemConfig(n_users=1, n_bs=2, n_heads=2, antennas_per_head=0)
+    # non-finite values fail every bound, including the one-sided ones
+    for name in ("rho", "path_loss_exp", "shadow_spread_db", "symbol_power"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match=name):
+                m.SystemConfig(n_users=1, n_bs=4, **{name: bad})

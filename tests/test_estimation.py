@@ -126,6 +126,25 @@ def test_lms_channel_converges_noiseless(rng):
     assert err < 1e-3
 
 
+def test_lms_block_update_equals_single_updates(rng):
+    chan = random_channel(rng, 5, 3)
+    pilots = qpsk_block(rng, 3, 17)
+    recv = chan @ pilots + 0.1 * random_channel(rng, 5, 17)
+    single = m.LmsChannelEstimator(3, 5, mu=0.1)
+    for i in range(17):
+        single.update(pilots[:, i], recv[:, i])
+    block = m.LmsChannelEstimator(3, 5, mu=0.1)
+    for lo, hi in ((0, 1), (1, 6), (6, 17)):
+        block.update(pilots[:, lo:hi], recv[:, lo:hi])
+    np.testing.assert_array_equal(block.estimate, single.estimate)
+    whole = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots, recv)
+    np.testing.assert_array_equal(whole.estimate, single.estimate)
+    with pytest.raises(StructuralError):
+        whole.update(pilots, recv[:, :16])
+    with pytest.raises(StructuralError):
+        whole.update(pilots.T, recv.T)
+
+
 def test_lms_channel_step_size_warning():
     with pytest.warns(ParameterWarning):
         m.LmsChannelEstimator(4, 8, mu=0.6)  # 2 / tr(R) = 0.5

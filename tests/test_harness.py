@@ -25,6 +25,18 @@ seed = 3
 """
 
 
+# every config key at a value other than its default
+ALL_KEYS = m.ScenarioSpec(
+    system=m.SystemConfig(n_users=3, n_bs=6, n_heads=2, antennas_per_head=2,
+                          antennas_per_user=2, rho=0.35, path_loss_exp=3.5,
+                          shadow_spread_db=6.0, path_gain_range=(0.5, 0.9),
+                          distance_range=(0.2, 0.8), symbol_power=2.0),
+    detector="mb-sic", ordering="sinr", branches=3, filter_design="zf",
+    idd_iterations=2, idd_max_log=True, estimator="rls", forgetting=0.97,
+    step_size=0.01, rank=3, pilot_len=12, packet_symbols=100,
+    snr_db=(-2.5, 0.0, 7.25), packets=9, seed=11, out="x.csv")
+
+
 def small_spec(**overrides):
     base = dict(system=m.SystemConfig(n_users=2, n_bs=4), packet_symbols=64,
                 snr_db=(8.0,), packets=2, seed=3)
@@ -51,6 +63,17 @@ def test_parse_serialize_roundtrip():
     assert m.serialize_config(again) == m.serialize_config(spec)
 
 
+@pytest.mark.parametrize("name, digest", [("minimal", "ec6924842c4a"),
+                                          ("all-keys", "1349c84abfae")])
+def test_scenario_hash_is_pinned_and_round_trips(name, digest):
+    spec = m.parse_config(MINIMAL) if name == "minimal" else ALL_KEYS.validate()
+    text = m.serialize_config(spec)
+    again = m.parse_config(text)
+    assert again == spec
+    assert m.serialize_config(again) == text
+    assert harness.scenario_hash(spec) == harness.scenario_hash(again) == digest
+
+
 def test_parse_rejects_unknown_key_with_line():
     text = "n_users = 2\nn_bs = 4\ndetctor = mmse\n"
     with pytest.raises(ConfigError, match=r"line 3.*detctor"):
@@ -60,6 +83,23 @@ def test_parse_rejects_unknown_key_with_line():
 def test_parse_rejects_bad_syntax():
     with pytest.raises(ConfigError, match="line 1"):
         m.parse_config("just some words\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("packets = abc", r"line 3: key 'packets': invalid literal"),
+    ("n_rx_total = four", r"line 3: key 'n_rx_total': invalid literal"),
+    ("mu = nan", r"line 3: key 'mu': 'nan' is not a finite number"),
+    ("snr_db = inf", r"line 3: key 'snr_db': .*'inf' is not a finite number"),
+    ("packets = 3\npackets = 5", r"line 4: key 'packets' repeats line 3"),
+], ids=["packets-abc", "n_rx_total-four", "mu-nan", "snr_db-inf", "repeated-packets"])
+def test_malformed_value_is_config_error_with_line(tmp_path, capsys, lines, message):
+    text = f"n_users = 2\nn_bs = 4\n{lines}\n"
+    with pytest.raises(ConfigError, match=message):
+        m.parse_config(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_parse_snr_specs():
@@ -122,6 +162,33 @@ def test_validate_rejects_bad_combinations():
         small_spec(estimator="rr-pc", pilot_len=16, rank=100)
     with pytest.raises(ConfigError):
         small_spec(coded=True, estimator="rr-jio", pilot_len=16)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(seed=-1), dict(snr_db=(float("inf"),)), dict(snr_db=(4.0, float("nan"))),
+    dict(idd_iterations=0), dict(pilot_len=-3), dict(step_size=float("nan")),
+], ids=["seed", "snr-inf", "snr-nan", "idd-iterations", "pilot-len", "mu-nan"])
+def test_validate_is_the_gate_before_a_sweep(overrides):
+    spec = m.ScenarioSpec(system=m.SystemConfig(n_users=2, n_bs=4), packet_symbols=64,
+                          snr_db=(8.0,), packets=1, seed=3)
+    spec = dataclasses.replace(spec, **overrides)
+    with pytest.raises(ConfigError):
+        spec.validate()
+    with pytest.raises(ConfigError):
+        m.run_sweep(spec)
+
+
+def test_equal_specs_hash_equally():
+    ints = m.ScenarioSpec(system=m.SystemConfig(n_users=2, n_bs=4, rho=0),
+                          forgetting=1, snr_db=(8,))
+    floats = m.ScenarioSpec(system=m.SystemConfig(n_users=2, n_bs=4, rho=0.0),
+                            forgetting=1.0, snr_db=(8.0,))
+    assert ints == floats
+    assert m.serialize_config(ints) == m.serialize_config(floats)
+    again = m.parse_config(m.serialize_config(ints))
+    assert again == ints
+    assert (harness.scenario_hash(ints) == harness.scenario_hash(floats)
+            == harness.scenario_hash(again))
 
 
 @pytest.mark.parametrize("branches", [0, 3, 5])
@@ -312,19 +379,21 @@ def test_rls_trial_uses_the_recursion_solution(monkeypatch):
     assert fast.bits == 256
 
 
-@pytest.mark.parametrize("est", ["rr-pc", "rr-krylov", "rr-jio"])
+@pytest.mark.parametrize("est", ["rr-pc", "rr-krylov", "rr-jio", "lms"])
 def test_filter_bank_block_training_matches_per_sample(monkeypatch, est):
     # one block update of all pilots decides like one update per pilot
     spec = small_spec(estimator=est, pilot_len=24, rank=2, forgetting=0.998)
     blocked = m.run_trial(spec, 8.0, 0)
-    bank = m.JioFilterBank if est == "rr-jio" else m.ReducedRankFilterBank
-    update = bank.update
+    trainer = {"rr-jio": m.JioFilterBank,
+               "lms": m.LmsChannelEstimator}.get(est, m.ReducedRankFilterBank)
+    update = trainer.update
 
-    def per_sample(self, received, desired):
-        for i in range(received.shape[1]):
-            update(self, received[:, i], desired[:, i])
+    def per_sample(self, first, second):
+        for i in range(first.shape[1]):
+            update(self, first[:, i], second[:, i])
+        return self
 
-    monkeypatch.setattr(bank, "update", per_sample)
+    monkeypatch.setattr(trainer, "update", per_sample)
     assert m.run_trial(spec, 8.0, 0) == blocked
 
 
@@ -345,7 +414,7 @@ def test_filter_training_channel_matches_trial_draw(monkeypatch):
     large = m.draw_large_scale(cfg, rmod.substream(9, 0, 0, rmod.LARGE_SCALE))
     small = [m.draw_small_scale(cfg, 6, rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k))
              for k in range(3)]
-    expected = m.compose_channel(cfg, small, large).stacked
+    expected = m.compose_channel(cfg, small, large)
     assert len(seen) == 2
     for chan in seen:
         assert chan.tobytes() == expected.tobytes()
@@ -439,6 +508,9 @@ def test_cli_output_error_exit_code(tmp_path, capsys):
 def test_cli_override_validation_error(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["--config", str(cfg), "--detector", "nope"]) == 2
+    # overrides are read and checked like the keys in the file
+    for flags in (["--packets", "abc"], ["--seed", "-1"], ["--snr", "0:inf:2"]):
+        assert cli.main(["--config", str(cfg), *flags]) == 2, flags
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -462,51 +534,43 @@ def readme_table(heading):
     return rows
 
 
-def dataclass_default(cls, name):
-    field = {f.name: f for f in dataclasses.fields(cls)}[name]
-    return field.default
+def table_keys(owner):
+    return {key for key, entry in harness.CONFIG_KEYS.items() if entry.owner is owner}
 
 
-def readme_default(key, raw):
-    if key == "snr_db":
-        return m.parse_snr_spec(raw)
-    typ = {**harness._SYSTEM_KEYS, **harness._SCENARIO_KEYS}[key]
-    return harness._parse_bool(raw, key) if typ is bool else typ(raw)
+def key_default(key):
+    owner, name, index = harness.CONFIG_KEYS[key][:3]
+    default = {f.name: f.default for f in dataclasses.fields(owner)}[name]
+    return default if index is None else default[index]
 
 
 def test_readme_system_table_matches_defaults():
     rows = readme_table("System geometry and propagation:")
-    assert {k for keys, _, _ in rows for k in keys} == {*harness._SYSTEM_KEYS, "n_rx_total"}
+    assert {k for keys, _, _ in rows for k in keys} == {*table_keys(m.SystemConfig),
+                                                        "n_rx_total"}
     for keys, default, _ in rows:
         if keys == ["n_rx_total"]:
             continue  # a cross-check, not a field
         values = [v.strip() for v in default.split("/")]
         assert len(values) == len(keys), keys
         for key, raw in zip(keys, values):
-            if key.endswith(("_min", "_max")):
-                name = key.rsplit("_", 1)[0] + "_range"
-                expected = dataclass_default(m.SystemConfig, name)[key.endswith("_max")]
-            else:
-                expected = dataclass_default(m.SystemConfig, key)
             if raw == "required":
-                assert expected is dataclasses.MISSING, key
+                assert key_default(key) is dataclasses.MISSING, key
             else:
-                assert readme_default(key, raw) == expected, key
+                assert harness.parse_value(key, raw) == key_default(key), key
 
 
 def test_readme_scenario_table_matches_defaults():
     rows = readme_table("Scenario:")
-    assert {k for (k,), _, _ in rows} == set(harness._SCENARIO_KEYS)
+    assert {k for (k,), _, _ in rows} == table_keys(m.ScenarioSpec)
     for (key,), raw, meaning in rows:
-        expected = dataclass_default(m.ScenarioSpec,
-                                     harness._KEY_TO_FIELD.get(key, key))
-        assert readme_default(key, raw) == expected, key
+        assert harness.parse_value(key, raw) == key_default(key), key
         if key in ("detector", "ordering", "estimator", "filter_design"):
             # every option the table lists must pass validation
             options = re.findall(r"`([^`]+)`", meaning)
             assert options, key
             for option in options:
-                overrides = {harness._KEY_TO_FIELD.get(key, key): option}
+                overrides = {harness.CONFIG_KEYS[key].field: option}
                 if key == "estimator" and option != "perfect":
                     overrides.update(pilot_len=8, rank=2)
                 if option == "mb-sic":

@@ -114,9 +114,9 @@ def test_soft_mmse_zero_priors_equals_linear_mmse(rng):
     variances = np.full((4, 11), sp)
     z, v, _ = m.soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
     filt = m.compute_receive_filter(chan, sp, nv, "mmse")
-    np.testing.assert_allclose(z, filt.weights.conj().T @ r, atol=1e-10)
+    np.testing.assert_allclose(z, filt.conj().T @ r, atol=1e-10)
     # effective amplitude equals the diagonal of the linear filter response
-    diag = np.diag(filt.weights.conj().T @ chan).real
+    diag = np.diag(filt.conj().T @ chan).real
     np.testing.assert_allclose(v, np.broadcast_to(diag[:, None], v.shape), atol=1e-10)
 
 
