@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import math
 import os
+import re
 import time
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -38,6 +39,12 @@ CSV_COLUMNS = ("snr_db", "bits", "errors", "ber", "ci_low", "ci_high",
                "detector", "estimator", "seed")
 
 _Z95 = 1.959963984540054
+
+#: most points an ``a:b:step`` SNR range may expand to
+MAX_SNR_POINTS = 1000
+
+#: a comment starts a line or follows whitespace
+_COMMENT = re.compile(r"^#|\s#")
 
 #: lower bounds of the integer fields of a scenario
 _MINIMA = {"idd_iterations": 1, "pilot_len": 0, "packet_symbols": 1, "rank": 1,
@@ -110,6 +117,10 @@ class ScenarioSpec:
             raise ConfigError(f"snr_db points must be finite, got {self.snr_db}")
         if len(set(self.snr_db)) != len(self.snr_db):
             raise ConfigError("snr_db points must be distinct")
+        if (self.out != self.out.strip() or len(self.out.splitlines()) > 1
+                or _COMMENT.search(self.out)):
+            raise ConfigError(f"out {self.out!r} cannot be written as a config value: "
+                              "no surrounding whitespace, line break or ' #'")
         return self
 
 
@@ -130,6 +141,7 @@ class SweepRow:
     ci_high: float
     failed: bool = False
     message: str = ""
+    per_iteration_errors: tuple = ()  # coded: errors after each IDD iteration
 
 
 @dataclass
@@ -178,8 +190,10 @@ def parse_snr_spec(raw: str) -> tuple:
             a, b, step = (_parse_float(p) for p in parts)
             if step <= 0 or b < a:
                 raise ValueError("need step > 0 and b >= a")
-            n = int(np.floor((b - a) / step + 1e-9)) + 1
-            return tuple(round(a + i * step, 10) for i in range(n))
+            span = np.floor((b - a) / step + 1e-9)  # may overflow to inf
+            if span >= MAX_SNR_POINTS:
+                raise ValueError(f"more than {MAX_SNR_POINTS} points")
+            return tuple(round(a + i * step, 10) for i in range(int(span) + 1))
         return tuple(_parse_float(p) for p in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse SNR specification {raw!r}: {exc}") from None
@@ -229,14 +243,15 @@ def parse_value(key: str, raw: str):
 def parse_config(text: str) -> ScenarioSpec:
     """Parse a flat ``key = value`` scenario file.
 
-    Lines starting with ``#`` (or inline ``#`` suffixes) are comments.
-    Unknown, repeated and malformed keys are rejected with their line
-    number.  ``n_rx_total`` is accepted as a cross-check against the
+    Lines starting with ``#`` are comments, and so is the rest of a line
+    from a ``#`` that follows whitespace; any other ``#`` is part of the
+    value.  Unknown, repeated and malformed keys are rejected with their
+    line number.  ``n_rx_total`` is accepted as a cross-check against the
     geometry keys.
     """
     values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _COMMENT.split(line.strip(), maxsplit=1)[0].strip()
         if not body:
             continue
         if "=" not in body:
@@ -479,8 +494,11 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
         bits = sum(r.bits for r in by_point[snr])
         errors = sum(r.errors for r in by_point[snr])
         lo, hi = confidence_interval(errors, bits)
+        per_iter = (tuple(map(sum, zip(*(r.per_iteration_errors for r in by_point[snr]))))
+                    if spec.coded else ())
         rows.append(SweepRow(snr_db=snr, bits=bits, errors=errors,
-                             ber=errors / bits, ci_low=lo, ci_high=hi))
+                             ber=errors / bits, ci_low=lo, ci_high=hi,
+                             per_iteration_errors=per_iter))
     return SweepResult(scenario=spec, rows=rows, scenario_hash=scenario_hash(spec),
                        wall_time_s=time.perf_counter() - start)
 

@@ -52,10 +52,13 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
 
     For each stream j the soft means of all other streams are subtracted
     and an MMSE filter built against the residual covariance
-    ``sum_{m != j} v_m g_m g_m^H + noise_var I`` is applied.  Returns the
-    filter outputs ``z`` (M, T) together with the model-implied effective
-    amplitude and residual variance per (stream, symbol) — the statistics
-    of the scalar model ``z = V s + xi``.
+    ``sum_{m != j} v_m g_m g_m^H + noise_var I`` is applied (Wang and Poor,
+    1999).  With ``A = G^H G``, the push-through identity ``G^H C_t^-1 =
+    (A V_t + noise_var I)^-1 G^H`` turns each symbol's covariance ``C_t =
+    G V_t G^H + noise_var I`` into one M x M solve against ``[A | G^H
+    residual_t]``; no N_A x N_A matrix is formed.  Returns the filter
+    outputs ``z`` (M, T) and the model-implied effective amplitude and
+    residual variance per (stream, symbol) of the scalar model ``z = V s + xi``.
     """
     chan = np.asarray(chan, dtype=complex)
     r_block = np.asarray(r_block, dtype=complex)
@@ -68,26 +71,21 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
         raise StructuralError("soft statistics must be (M, T) matching the channel")
     if noise_var <= 0.0:
         raise ParameterError("soft MMSE detection requires noise_var > 0")
+    if np.any(variances < 0):
+        raise ParameterError("prior variances must be non-negative")
 
-    residual = r_block - chan @ means  # (N_A, T)
-    uniform = bool(np.all(variances == variances[:, :1]))
+    gram = chan.conj().T @ chan  # A, (M, M)
+    matched = chan.conj().T @ (r_block - chan @ means)  # G^H residual, (M, T)
+    system = gram * variances.T[:, None, :]  # A V_t, (T, M, M)
+    system += noise_var * np.eye(m)
+    rhs = np.concatenate([np.broadcast_to(gram, system.shape),
+                          matched.T[:, :, None]], axis=2)
     try:
-        if uniform:
-            cov = (chan * variances[:, 0]) @ chan.conj().T + noise_var * np.eye(n_rx)
-            cov_inv = np.linalg.inv(cov)
-            a = cov_inv @ chan  # (N_A, M)
-            q = np.einsum('am,am->m', chan.conj(), a).real  # g^H C^-1 g
-            u = a.conj().T @ residual + means * q[:, None]
-            q = np.broadcast_to(q[:, None], means.shape)
-        else:
-            cov = np.einsum('am,mt,bm->tab', chan, variances, chan.conj())
-            cov += noise_var * np.eye(n_rx)
-            cov_inv = np.linalg.inv(cov)
-            a = np.einsum('tab,bm->tam', cov_inv, chan)
-            q = np.einsum('am,tam->tm', chan.conj(), a).real.T  # (M, T)
-            u = np.einsum('tam,at->mt', a.conj(), residual) + means * q
+        x = np.linalg.solve(system, rhs)  # (T, M, M + 1)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"soft detection covariance is singular: {exc}") from None
+        raise NumericalError(f"soft detection system is singular: {exc}") from None
+    q = np.diagonal(x, axis1=1, axis2=2).real.T  # g^H C^-1 g, (M, T)
+    u = x[:, :, m].T + means * q
 
     denom = 1.0 + (symbol_power - variances) * q
     z = symbol_power * u / denom

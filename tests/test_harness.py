@@ -112,6 +112,19 @@ def test_parse_snr_specs():
         m.parse_snr_spec("a:b:c")
 
 
+def test_snr_range_point_count_is_capped(tmp_path, capsys):
+    cap = harness.MAX_SNR_POINTS
+    assert len(m.parse_snr_spec(f"0:{cap - 1}:1")) == cap
+    for raw in (f"0:{cap}:1", "0:1e9:1", "0:1e308:1e-308", "-1e308:1e308:1"):
+        with pytest.raises(ConfigError, match=f"more than {cap} points"):
+            m.parse_snr_spec(raw)
+    with pytest.raises(ConfigError, match=r"line 3: key 'snr_db': .*more than"):
+        m.parse_config("n_users = 2\nn_bs = 4\nsnr_db = 0:1e9:1\n")
+    cfg = write_config(tmp_path)
+    assert cli.main(["--config", str(cfg), "--snr", "0:1e9:1"]) == cli.EXIT_CONFIG
+    assert "more than" in capsys.readouterr().err
+
+
 def test_parse_n_rx_total_cross_check():
     ok = "n_users = 2\nn_bs = 4\nn_rx_total = 4\nsnr_db = 10\n"
     assert m.parse_config(ok).system.n_rx_total == 4
@@ -143,6 +156,23 @@ def test_parse_large_distributed_scenario():
 def test_parse_comments_and_inline_comments():
     text = "n_users = 2  # two terminals\nn_bs = 4\n\n# done\nsnr_db = 5\n"
     assert m.parse_config(text).system.n_users == 2
+
+
+def test_hash_in_value_is_not_a_comment():
+    spec = small_spec(out="res#1.csv")
+    text = m.serialize_config(spec)
+    assert "out = res#1.csv\n" in text
+    assert m.parse_config(text) == spec
+    assert m.parse_config(text + "# done\n").out == "res#1.csv"
+    tail = m.parse_config(text.replace("res#1.csv", "res#1.csv\t# trailing"))
+    assert tail.out == "res#1.csv"
+
+
+@pytest.mark.parametrize("out", [" x.csv", "x.csv ", "a\nb.csv", "a\x1cb.csv",
+                                 "a #1.csv", "a\t#1.csv", "#1.csv"])
+def test_validate_rejects_out_that_cannot_round_trip(out):
+    with pytest.raises(ConfigError, match="out"):
+        small_spec(out=out)
 
 
 def test_validate_rejects_bad_combinations():
@@ -241,6 +271,23 @@ def test_sweep_single_point_structure():
     assert row.bits == 2 * 64 * 2
     assert 0 <= row.errors <= row.bits
     assert row.ci_low <= row.ber <= row.ci_high
+
+
+def test_coded_sweep_keeps_per_iteration_errors():
+    spec = small_spec(coded=True, packet_symbols=100, idd_iterations=3,
+                      snr_db=(2.0, 8.0), packets=3)
+    result = m.run_sweep(spec)
+    for row in result.rows:
+        trials = [m.run_trial(spec, row.snr_db, t) for t in range(spec.packets)]
+        assert row.per_iteration_errors == tuple(
+            sum(t.per_iteration_errors[i] for t in trials) for i in range(3))
+        assert row.per_iteration_errors[-1] == row.errors
+    assert any(row.per_iteration_errors[0] > 0 for row in result.rows)
+    # the CSV does not carry them
+    bare = dataclasses.replace(result, rows=[dataclasses.replace(
+        row, per_iteration_errors=()) for row in result.rows])
+    assert m.format_csv(bare) == m.format_csv(result)
+    assert m.run_sweep(small_spec()).rows[0].per_iteration_errors == ()
 
 
 def test_sweep_parallel_matches_serial():

@@ -8,7 +8,7 @@ import pytest
 import mumimo as m
 from conftest import random_channel, reference_encode
 from mumimo import idd
-from mumimo.errors import ParameterError, StructuralError
+from mumimo.errors import NumericalError, ParameterError, StructuralError
 from mumimo.idd import BcjrResult
 from mumimo.txchain import LLR_CLIP, TrellisSpec, trellis_tables
 
@@ -144,6 +144,75 @@ def test_soft_mmse_validates(rng):
     with pytest.raises(StructuralError):
         m.soft_mmse_sic_detect(np.zeros((3, 1), dtype=complex), chan,
                                np.zeros((2, 1)), np.ones((2, 1)), 0.1)
+    with pytest.raises(ParameterError, match="non-negative"):
+        m.soft_mmse_sic_detect(np.zeros((4, 2), dtype=complex), chan, np.zeros((2, 2)),
+                               np.array([[1.0, 0.5], [0.2, -1e-12]]), 0.1)
+
+
+def test_soft_mmse_singular_system_is_numerical_error():
+    # equal columns make A = G^H G singular, and a noise variance below the
+    # roundoff of A leaves A V + noise_var I exactly singular in floating point
+    chan = np.array([[1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(NumericalError, match="singular"):
+        m.soft_mmse_sic_detect(np.zeros((2, 3), dtype=complex), chan,
+                               np.zeros((2, 3)), np.ones((2, 3)), 1e-20)
+
+
+def reference_soft_mmse_sic_detect(r_block, chan, means, variances, noise_var,
+                                   symbol_power=1.0):
+    """Soft MMSE detection through the (N_A, N_A) covariance of every symbol.
+
+    ``C_t = G V_t G^H + noise_var I`` is formed and inverted per symbol,
+    ``q = g^H C_t^-1 g`` and ``u = (C_t^-1 g)^H residual_t + mean * q``.
+    """
+    chan = np.asarray(chan, dtype=complex)
+    n_rx = chan.shape[0]
+    means = np.asarray(means, dtype=complex)
+    variances = np.asarray(variances, dtype=float)
+    residual = r_block - chan @ means
+    cov = np.einsum('am,mt,bm->tab', chan, variances, chan.conj())
+    cov += noise_var * np.eye(n_rx)
+    a = np.einsum('tab,bm->tam', np.linalg.inv(cov), chan)
+    q = np.einsum('am,tam->tm', chan.conj(), a).real.T  # (M, T)
+    u = np.einsum('tam,at->mt', a.conj(), residual) + means * q
+    denom = 1.0 + (symbol_power - variances) * q
+    z = symbol_power * u / denom
+    v_model = symbol_power * q / denom
+    xi_model = np.maximum(symbol_power ** 2 * q * (1.0 - variances * q) / denom ** 2,
+                          idd._VAR_FLOOR)
+    return z, v_model, xi_model
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+@pytest.mark.parametrize("n_streams, n_rx, n_sym", [(8, 16, 40), (8, 64, 40),
+                                                    (32, 128, 4)])
+def test_soft_mmse_matches_covariance_inversion_oracle(rng, uniform, n_streams,
+                                                       n_rx, n_sym):
+    chan = random_channel(rng, n_rx, n_streams)
+    sp, nv = 1.3, 0.5
+    const = m.qpsk_constellation(sp)
+    labels = rng.integers(0, 4, size=(n_streams, n_sym))
+    noise = rng.standard_normal((n_rx, n_sym)) + 1j * rng.standard_normal((n_rx, n_sym))
+    r = chan @ const[labels] + np.sqrt(nv / 2) * noise
+    if uniform:
+        priors = np.zeros((n_streams, n_sym, 2))
+    else:
+        priors = rng.normal(0.0, 2.0, size=(n_streams, n_sym, 2))
+    means, variances = m.soft_symbol_stats(priors, const, sp)
+    got = m.soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
+    ref = reference_soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
+    for g, want in zip(got, ref):
+        np.testing.assert_allclose(g, want, rtol=1e-10, atol=0)
+
+
+def test_coded_sweep_csv_matches_covariance_inversion_oracle(monkeypatch):
+    spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=6), coded=True,
+                          idd_iterations=3, packet_symbols=80,
+                          snr_db=(2.0, 6.0, 10.0), packets=3, seed=5).validate()
+    fast = m.run_sweep(spec)
+    assert sum(row.errors for row in fast.rows) > 0
+    monkeypatch.setattr(idd, "soft_mmse_sic_detect", reference_soft_mmse_sic_detect)
+    assert m.format_csv(m.run_sweep(spec)) == m.format_csv(fast)
 
 
 # -- extrinsic LLRs -----------------------------------------------------------
