@@ -1,6 +1,7 @@
 """Command line entry point: run a configured BER sweep and write CSV."""
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -31,6 +32,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dir(path):
+    """Raise ``OSError`` unless the directory that will hold ``path`` exists
+    and is writable, so a bad path fails before the sweep, not after it."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise OSError(f"directory {parent!r} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise OSError(f"directory {parent!r} is not writable")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -45,6 +56,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    try:
+        _check_output_dir(spec.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     # numerical failures come back as marked rows, never as exceptions
     result = run_sweep(spec, workers=max(1, args.workers))
     try:

@@ -45,6 +45,28 @@ def _as_block(r, n_rx):
     return r, False
 
 
+def _inverse_gram(chan, gram, symbol_power, noise_var, design):
+    """Inverse of the Gram matrix a linear design filters with, after checking
+    the design; None for rmf, which needs no inverse.
+
+    zf    (G^H G)^{-1}
+    mmse  (G^H G + (sigma_n^2 / sigma_s^2) I)^{-1}
+    """
+    if design not in LINEAR_DESIGNS:
+        raise ParameterError(f"unknown filter design {design!r}")
+    if symbol_power <= 0.0:
+        raise ParameterError("symbol_power must be > 0")
+    if design == "rmf":
+        return None
+    if design == "zf":
+        if np.linalg.matrix_rank(chan) < chan.shape[1]:
+            raise SingularMatrixError("zf filter: channel is rank deficient")
+        return np.linalg.inv(gram)
+    if noise_var <= 0.0:
+        raise ParameterError("mmse filter requires noise_var > 0")
+    return np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(gram.shape[0]))
+
+
 def compute_receive_filter(chan: np.ndarray, symbol_power: float, noise_var: float,
                            design: str) -> np.ndarray:
     """Linear receive filter bank W (N_A, M) for the stacked channel;
@@ -57,22 +79,9 @@ def compute_receive_filter(chan: np.ndarray, symbol_power: float, noise_var: flo
     chan = np.asarray(chan, dtype=complex)
     if chan.ndim != 2:
         raise StructuralError(f"channel must be 2-D, got shape {chan.shape}")
-    if design not in LINEAR_DESIGNS:
-        raise ParameterError(f"unknown filter design {design!r}")
-    if symbol_power <= 0.0:
-        raise ParameterError("symbol_power must be > 0")
-    if design == "rmf":
-        return chan.copy()
-    gram = chan.conj().T @ chan
-    if design == "zf":
-        if np.linalg.matrix_rank(chan) < chan.shape[1]:
-            raise SingularMatrixError("zf filter: channel is rank deficient")
-        inv = np.linalg.inv(gram)
-    else:
-        if noise_var <= 0.0:
-            raise ParameterError("mmse filter requires noise_var > 0")
-        inv = np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(gram.shape[0]))
-    return chan @ inv
+    gram = None if design == "rmf" else chan.conj().T @ chan
+    inv = _inverse_gram(chan, gram, symbol_power, noise_var, design)
+    return chan.copy() if inv is None else chan @ inv
 
 
 def linear_detect(filters: np.ndarray, r, constellation=None) -> DetectorOutput:
@@ -117,14 +126,46 @@ def compute_ordering(chan: np.ndarray, symbol_power: float, noise_var: float,
     return np.argsort(-keys, kind="stable")
 
 
+def _sic_setup(chan, block, filter_design, symbol_power, noise_var):
+    """What every SIC ordering shares, in natural stream order: the Gram
+    matrix ``G^H G``, its inverse under the design (None for rmf) and the
+    matched-filter outputs ``G^H r`` (M, T)."""
+    gram = chan.conj().T @ chan
+    inv = _inverse_gram(chan, gram, symbol_power, noise_var, filter_design)
+    return gram, inv, chan.conj().T @ block
+
+
+def _sic_labels(gram, inv, matched, perm, constellation):
+    """Labels (M, T) of SIC in the order ``perm``, worked in the matched
+    domain: O(k T) per stage once the shared set-up is formed."""
+    gram = gram[np.ix_(perm, perm)]
+    p = None if inv is None else inv[np.ix_(perm, perm)]
+    y = matched[perm]
+    labels = np.empty(matched.shape, dtype=np.int64)
+    for stage in range(len(perm)):
+        # P[0] @ y is w^H residual for w = G_R P_R e_0, the deflated filter
+        lab = qpsk_slice_labels(y[stage] if p is None else p[0] @ y[stage:])
+        labels[perm[stage]] = lab
+        y[stage + 1:] -= np.outer(gram[stage + 1:, stage], constellation[lab])
+        if p is not None:
+            # inverse of the trailing block: the Schur complement of P[0, 0]
+            p = p[1:, 1:] - np.outer(p[1:, 0], p[0, 1:]) / p[0, 0]
+    return labels
+
+
 def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
                symbol_power: float = 1.0, noise_var: float = 1.0,
                constellation=None) -> DetectorOutput:
     """Successive interference cancellation with per-stage refiltering.
 
-    At every stage the filter for the current stream is recomputed from the
-    deflated channel holding only the not-yet-detected columns, the stream
-    is sliced, and its reconstructed contribution is subtracted.
+    Stage k detects stream ``ordering[k]`` with the ``filter_design`` filter
+    of the deflated channel G_R, whose columns R are the streams not yet
+    detected, slices it and cancels its reconstructed contribution.  The
+    work happens in the matched-filter domain ``y = G^H r`` (M, T): the
+    estimate is ``P_R[0] @ y_R`` with P_R the inverse (regularised) Gram
+    matrix of G_R, cancelling a stream subtracts its Gram column times the
+    decision from y, and P_R shrinks by a rank-one downdate, so the block
+    costs one M x M inversion in all rather than one per stage.
     """
     chan = np.asarray(chan, dtype=complex)
     block, single = _as_block(r, chan.shape[0])
@@ -134,17 +175,8 @@ def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
         raise StructuralError(f"ordering {perm} is not a permutation of {m} streams")
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
-    labels = np.empty((m, block.shape[1]), dtype=np.int64)
-    residual = block.copy()
-    for stage in range(m):
-        remaining = perm[stage:]
-        # column of the stream detected now
-        w = compute_receive_filter(chan[:, remaining], symbol_power, noise_var,
-                                   filter_design)[:, 0]
-        soft = w.conj() @ residual
-        lab = qpsk_slice_labels(soft)
-        labels[perm[stage]] = lab
-        residual -= np.outer(chan[:, perm[stage]], constellation[lab])
+    setup = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
+    labels = _sic_labels(*setup, perm, constellation)
     symbols = constellation[labels]
     if single:
         labels, symbols = labels[:, 0], symbols[:, 0]
@@ -160,7 +192,8 @@ def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
     Branch 1 uses the base ordering; branch l applies a circular left shift
     by l - 1.  Every branch produces a full decision vector and the branch
     with the smallest Euclidean distance ``||r - G s_l||`` wins, per
-    received vector.
+    received vector.  The branches share one SIC set-up (Gram matrix, its
+    inverse, matched outputs), each reading it in its own order.
     """
     chan = np.asarray(chan, dtype=complex)
     block, single = _as_block(r, chan.shape[0])
@@ -171,15 +204,13 @@ def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
     base = compute_ordering(chan, symbol_power, noise_var, base_criterion)
-    orders = [np.roll(base, -shift) for shift in range(n_branches)]
+    setup = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
     n_vec = block.shape[1]
-    all_labels = np.empty((len(orders), m, n_vec), dtype=np.int64)
-    dists = np.empty((len(orders), n_vec))
-    for li, order in enumerate(orders):
-        out = sic_detect(chan, block, order, filter_design, symbol_power,
-                         noise_var, constellation)
-        all_labels[li] = out.labels
-        dists[li] = np.linalg.norm(block - chan @ out.symbols, axis=0)
+    all_labels = np.empty((n_branches, m, n_vec), dtype=np.int64)
+    dists = np.empty((n_branches, n_vec))
+    for li in range(n_branches):
+        all_labels[li] = _sic_labels(*setup, np.roll(base, -li), constellation)
+        dists[li] = np.linalg.norm(block - chan @ constellation[all_labels[li]], axis=0)
     selected = np.argmin(dists, axis=0)
     labels = all_labels[selected, :, np.arange(n_vec)].T
     symbols = constellation[labels]

@@ -7,7 +7,10 @@ import pytest
 
 import mumimo as m
 from conftest import random_channel
-from mumimo.errors import CapacityError, ParameterError, SingularMatrixError
+from mumimo import detectors, harness
+from mumimo.errors import (CapacityError, ParameterError, SingularMatrixError,
+                           StructuralError)
+from mumimo.txchain import qpsk_slice_labels
 
 
 def brute_force_ml(chan, r, constellation):
@@ -21,6 +24,59 @@ def brute_force_ml(chan, r, constellation):
             best_dist = dist
             best_labels = labels
     return np.array(best_labels), best_dist
+
+
+def reference_sic_detect(chan, r, ordering, filter_design="mmse", symbol_power=1.0,
+                         noise_var=1.0, constellation=None):
+    """SIC that re-derives the deflated filter at every stage: the filter of
+    the not-yet-detected columns, applied to the N_A-dimensional residual."""
+    chan = np.asarray(chan, dtype=complex)
+    block, single = detectors._as_block(r, chan.shape[0])
+    m_streams = chan.shape[1]
+    perm = np.asarray(ordering, dtype=np.int64)
+    if sorted(perm.tolist()) != list(range(m_streams)):
+        raise StructuralError(f"ordering {perm} is not a permutation")
+    if constellation is None:
+        constellation = m.qpsk_constellation(symbol_power)
+    labels = np.empty((m_streams, block.shape[1]), dtype=np.int64)
+    residual = block.copy()
+    for stage in range(m_streams):
+        remaining = perm[stage:]
+        w = m.compute_receive_filter(chan[:, remaining], symbol_power, noise_var,
+                                     filter_design)[:, 0]
+        lab = qpsk_slice_labels(w.conj() @ residual)
+        labels[perm[stage]] = lab
+        residual -= np.outer(chan[:, perm[stage]], constellation[lab])
+    symbols = constellation[labels]
+    if single:
+        labels, symbols = labels[:, 0], symbols[:, 0]
+    return m.DetectorOutput(labels=labels, symbols=symbols)
+
+
+def reference_mb_sic_detect(chan, r, n_branches=4, filter_design="mmse",
+                            symbol_power=1.0, noise_var=1.0, base_criterion="norm",
+                            constellation=None):
+    """Multi-branch SIC that runs ``reference_sic_detect`` in every branch."""
+    chan = np.asarray(chan, dtype=complex)
+    block, single = detectors._as_block(r, chan.shape[0])
+    if constellation is None:
+        constellation = m.qpsk_constellation(symbol_power)
+    base = m.compute_ordering(chan, symbol_power, noise_var, base_criterion)
+    outs = [reference_sic_detect(chan, block, np.roll(base, -shift), filter_design,
+                                 symbol_power, noise_var, constellation)
+            for shift in range(n_branches)]
+    dists = np.array([np.linalg.norm(block - chan @ out.symbols, axis=0)
+                      for out in outs])
+    selected = np.argmin(dists, axis=0)
+    labels = np.array([out.labels for out in outs])[selected, :,
+                                                      np.arange(block.shape[1])].T
+    symbols = constellation[labels]
+    if single:
+        return m.DetectorOutput(labels=labels[:, 0], symbols=symbols[:, 0],
+                                branch_distances=dists[:, 0],
+                                selected_branch=int(selected[0]))
+    return m.DetectorOutput(labels=labels, symbols=symbols,
+                            branch_distances=dists, selected_branch=selected)
 
 
 def test_rmf_filter_is_channel(rng):
@@ -247,3 +303,141 @@ def test_detectors_agree_in_easy_conditions(rng):
     ]
     for out in outputs:
         np.testing.assert_array_equal(out.labels, labels)
+
+
+# -- SIC by inverse downdate against the per-stage re-inversion ---------------
+
+SIC_SYSTEMS = {
+    "cas-8x16": m.SystemConfig(n_users=8, n_bs=16),
+    "square-8x8": m.SystemConfig(n_users=8, n_bs=8),
+    "das-8x8x1": m.SystemConfig(n_users=8, n_bs=8, n_heads=8, antennas_per_head=1),
+    "cas-32x128": m.SystemConfig(n_users=32, n_bs=128),
+}
+
+
+def sic_trials(cfg, snr_db, n_draws=3, n_sym=200):
+    """(chan, noisy block, noise_var, constellation) per channel draw, as a
+    sweep at ``snr_db`` would see them."""
+    spec = m.ScenarioSpec(system=cfg, snr_db=(snr_db,)).validate()
+    noise_var = harness.trial_noise_variance(spec, snr_db)
+    const = m.qpsk_constellation(cfg.symbol_power)
+    rng = np.random.default_rng(2024)
+    for draw in range(n_draws):
+        chan = harness._draw_trial_channel(cfg, 5, 0, draw)
+        labels = rng.integers(0, 4, size=(cfg.n_streams, n_sym))
+        noise = np.sqrt(noise_var / 2.0) * (
+            rng.standard_normal((chan.shape[0], n_sym))
+            + 1j * rng.standard_normal((chan.shape[0], n_sym)))
+        yield chan, chan @ const[labels] + noise, noise_var, const
+
+
+@pytest.mark.parametrize("system", SIC_SYSTEMS)
+@pytest.mark.parametrize("design", ["zf", "mmse", "rmf"])
+def test_sic_decisions_equal_per_stage_reinversion(system, design):
+    for snr_db in (0.0, 15.0):
+        for chan, r, nv, const in sic_trials(SIC_SYSTEMS[system], snr_db):
+            for criterion in ("norm", "snr", "sinr"):
+                order = m.compute_ordering(chan, 1.0, nv, criterion)
+                fast = m.sic_detect(chan, r, order, design, 1.0, nv, const)
+                ref = reference_sic_detect(chan, r, order, design, 1.0, nv, const)
+                assert np.array_equal(fast.labels, ref.labels), (snr_db, criterion)
+                assert np.array_equal(fast.symbols, ref.symbols)
+
+
+@pytest.mark.parametrize("system", SIC_SYSTEMS)
+@pytest.mark.parametrize("design", ["zf", "mmse", "rmf"])
+def test_mb_sic_equals_per_stage_reinversion_in_every_branch(system, design):
+    for snr_db in (0.0, 15.0):
+        for chan, r, nv, const in sic_trials(SIC_SYSTEMS[system], snr_db, n_draws=2):
+            for criterion in ("norm", "sinr"):
+                args = (4, design, 1.0, nv, criterion, const)
+                fast = m.mb_sic_detect(chan, r, *args)
+                ref = reference_mb_sic_detect(chan, r, *args)
+                assert np.array_equal(fast.labels, ref.labels), (snr_db, criterion)
+                assert np.array_equal(fast.branch_distances, ref.branch_distances)
+                assert np.array_equal(fast.selected_branch, ref.selected_branch)
+
+
+def test_sic_single_vector_equals_oracle(rng):
+    chan = random_channel(rng, 6, 3)
+    r = chan @ m.qpsk_constellation()[[1, 3, 0]] + 0.3 * random_channel(rng, 6, 1)[:, 0]
+    fast = m.sic_detect(chan, r, [2, 0, 1], "mmse", 1.0, 0.1)
+    np.testing.assert_array_equal(
+        fast.labels, reference_sic_detect(chan, r, [2, 0, 1], "mmse", 1.0, 0.1).labels)
+    mb = m.mb_sic_detect(chan, r, 3, "zf", 1.0, 0.1)
+    ref = reference_mb_sic_detect(chan, r, 3, "zf", 1.0, 0.1)
+    np.testing.assert_array_equal(mb.labels, ref.labels)
+    np.testing.assert_array_equal(mb.branch_distances, ref.branch_distances)
+    assert mb.selected_branch == ref.selected_branch
+
+
+@pytest.mark.parametrize("detector, extra", [
+    ("sic", dict(filter_design="zf", ordering="sinr")),
+    ("mb-sic", dict(branches=3)),
+])
+def test_sic_sweep_csv_matches_per_stage_oracle(monkeypatch, detector, extra):
+    spec = m.ScenarioSpec(
+        system=m.SystemConfig(n_users=4, n_bs=4, n_heads=4, antennas_per_head=1),
+        detector=detector, snr_db=(0.0, 6.0, 12.0), packets=3, packet_symbols=200,
+        seed=21, **extra).validate()
+    fast = m.run_sweep(spec)
+    assert all(row.errors > 0 for row in fast.rows)
+    monkeypatch.setattr(harness, "sic_detect", reference_sic_detect)
+    monkeypatch.setattr(harness, "mb_sic_detect", reference_mb_sic_detect)
+    assert m.format_csv(m.run_sweep(spec)) == m.format_csv(fast)
+
+
+def counting_inv(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def wrapper(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", wrapper)
+    return calls
+
+
+def test_sic_inverts_once_per_block(monkeypatch, rng):
+    chan = random_channel(rng, 128, 32)
+    r = random_channel(rng, 128, 50)
+    order = m.compute_ordering(chan, 1.0, 0.1, "norm")
+    calls = counting_inv(monkeypatch)
+    reference_sic_detect(chan, r, order, "mmse", 1.0, 0.1)
+    assert len(calls) == 32  # the counter sees the per-stage oracle
+    calls.clear()
+
+    def no_filter(*args):
+        raise AssertionError("sic_detect must not build per-stage filters")
+
+    monkeypatch.setattr(detectors, "compute_receive_filter", no_filter)
+    for design in ("zf", "mmse"):
+        m.sic_detect(chan, r, order, design, 1.0, 0.1)
+        assert len(calls) <= 1, design
+        calls.clear()
+    m.mb_sic_detect(chan, r, 4, "mmse", 1.0, 0.1, "norm")
+    assert len(calls) <= 1
+
+
+def no_stage(*args):
+    raise AssertionError("a SIC stage ran before the inputs were checked")
+
+
+def test_sic_error_paths_raise_before_any_stage(monkeypatch):
+    monkeypatch.setattr(detectors, "qpsk_slice_labels", no_stage)
+    chan = np.ones((4, 2), dtype=complex)  # duplicate columns
+    r = np.zeros((4, 3), dtype=complex)
+    with pytest.raises(SingularMatrixError):
+        m.sic_detect(chan, r, [0, 1], "zf", 1.0, 0.5)
+    with pytest.raises(SingularMatrixError):
+        m.mb_sic_detect(chan, r, 2, "zf", 1.0, 0.5)
+    chan = np.eye(4, 2, dtype=complex)
+    for bad in ([0, 0], [1, 2], [0]):
+        with pytest.raises(StructuralError):
+            m.sic_detect(chan, r, bad, "mmse", 1.0, 0.5)
+    for design, nv in (("wiener", 0.5), ("mmse", 0.0), ("mmse", -1.0)):
+        with pytest.raises(ParameterError):
+            m.sic_detect(chan, r, [0, 1], design, 1.0, nv)
+        with pytest.raises(ParameterError):
+            m.mb_sic_detect(chan, r, 2, design, 1.0, nv)

@@ -552,6 +552,23 @@ def test_cli_output_error_exit_code(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_cli_checks_output_dir_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    cfg = write_config(tmp_path)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing_dir" / "x.csv", tmp_path / "file" / "x.csv"):
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(out.parent) in err
+    # a root process passes any permission check: stand in for a read-only directory
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "not writable" in capsys.readouterr().err
+
+
 def test_cli_override_validation_error(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["--config", str(cfg), "--detector", "nope"]) == 2
