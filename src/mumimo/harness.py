@@ -43,6 +43,10 @@ _Z95 = 1.959963984540054
 #: most points an ``a:b:step`` SNR range may expand to
 MAX_SNR_POINTS = 1000
 
+#: most streams (packets x streams per packet) one trial block decodes
+#: together; 24 keeps a coded block's working set near one packet's
+MAX_BLOCK_STREAMS = 24
+
 #: a comment starts a line or follows whitespace
 _COMMENT = re.compile(r"^#|\s#")
 
@@ -398,47 +402,86 @@ def _hard_detect(spec: ScenarioSpec, chan, block, noise_var, constellation):
     return ml_detect_oracle(chan, block, constellation)
 
 
-def run_trial(spec: ScenarioSpec, snr_db: float, trial_index: int) -> TrialResult:
-    """Simulate one packet at one SNR point; pure in (spec, snr, trial)."""
-    try:
-        snr_index = spec.snr_db.index(float(snr_db))
-    except ValueError:
-        raise ConfigError(f"snr_db = {snr_db} is not part of the scenario sweep") from None
-    cfg = spec.system
-    noise_var = trial_noise_variance(spec, snr_db)
-    chan = _draw_trial_channel(cfg, spec.seed, snr_index, trial_index)
+def _receive_packet(spec: ScenarioSpec, snr_index: int, trial_index: int,
+                    noise_var: float):
+    """Draw one packet and estimate what its receiver works from.
+
+    Returns the frame, the received data block and either the channel the
+    detector uses (true or estimated) or the trained filter bank.
+    """
+    chan = _draw_trial_channel(spec.system, spec.seed, snr_index, trial_index)
     frame = _build_trial_frame(spec, snr_index, trial_index)
     received = channel_transmit(
         chan, frame.symbols(), noise_var,
         rngmod.substream(spec.seed, snr_index, trial_index, rngmod.NOISE))
     rx_pilots = received[:, :frame.n_pilots]
     rx_data = received[:, frame.n_pilots:]
-    constellation = qpsk_constellation(cfg.symbol_power)
-
-    filter_bank = None
-    chan_for_detection = chan
     if spec.estimator.startswith("rr-"):
-        filter_bank = _train_filter_bank(spec, frame, rx_pilots)
-    elif spec.estimator != "perfect":
-        chan_for_detection = _estimate_channel(spec, frame, rx_pilots)
+        return frame, rx_data, _train_filter_bank(spec, frame, rx_pilots)
+    if spec.estimator != "perfect":
+        return frame, rx_data, _estimate_channel(spec, frame, rx_pilots)
+    return frame, rx_data, chan
 
-    if spec.coded:
-        result = idd_receive(rx_data, chan_for_detection, noise_var, frame.perms,
-                             frame.trellis, cfg.symbol_power,
-                             n_outer=spec.idd_iterations,
-                             max_log=spec.idd_max_log)
-        per_iter = tuple(int(np.sum(bits != frame.info_bits))
-                         for bits in result.per_iteration_bits)
-        return TrialResult(bits=frame.info_bits.size, errors=per_iter[-1],
-                           per_iteration_errors=per_iter)
 
-    if filter_bank is not None:
-        out = linear_detect(filter_bank, rx_data, constellation)
+def _detect_uncoded(spec: ScenarioSpec, packet, noise_var: float) -> TrialResult:
+    frame, rx_data, chan_or_bank = packet
+    constellation = qpsk_constellation(spec.system.symbol_power)
+    if spec.estimator.startswith("rr-"):
+        out = linear_detect(chan_or_bank, rx_data, constellation)
     else:
-        out = _hard_detect(spec, chan_for_detection, rx_data, noise_var, constellation)
+        out = _hard_detect(spec, chan_or_bank, rx_data, noise_var, constellation)
     decided = labels_to_bits(out.labels)
     reference = frame.channel_bits.reshape(decided.shape)
     return TrialResult(bits=reference.size, errors=int(np.sum(decided != reference)))
+
+
+def _decode_coded(spec: ScenarioSpec, snr_index: int, block: range,
+                  noise_var: float) -> list:
+    """Draw the coded packets of ``block`` and decode them in one
+    :func:`idd_receive` call."""
+    info_bits, rx_data, chans, perms = [], [], [], []
+    for t in block:
+        frame, data, chan = _receive_packet(spec, snr_index, t, noise_var)
+        info_bits.append(frame.info_bits)
+        rx_data.append(data)
+        chans.append(chan)
+        perms.append(frame.perms)
+    # the stacks replace the per-packet arrays for the length of the decode
+    rx_data, chans, perms = np.stack(rx_data), np.stack(chans), np.stack(perms)
+    result = idd_receive(rx_data, chans, noise_var, perms,
+                         symbol_power=spec.system.symbol_power,
+                         n_outer=spec.idd_iterations, max_log=spec.idd_max_log)
+    results = []
+    for k, info in enumerate(info_bits):
+        per_iter = tuple(int(np.sum(bits[k] != info)) for bits in result.per_iteration_bits)
+        results.append(TrialResult(bits=info.size, errors=per_iter[-1],
+                                   per_iteration_errors=per_iter))
+    return results
+
+
+def run_trial(spec: ScenarioSpec, snr_db: float, trials):
+    """Simulate packets of one SNR point; pure in (spec, snr, trial index).
+
+    ``trials`` is one trial index, which returns its :class:`TrialResult`,
+    or a ``range`` of them, simulated as one block, which returns a list.
+    Every packet draws its channel, frame and noise from its own
+    substreams, and coded packets decode exactly as they would alone, so
+    a packet's result does not depend on the block it ran in.  The coded
+    packets of a block go through one :func:`idd_receive` call; uncoded
+    packets are detected one at a time.
+    """
+    try:
+        snr_index = spec.snr_db.index(float(snr_db))
+    except ValueError:
+        raise ConfigError(f"snr_db = {snr_db} is not part of the scenario sweep") from None
+    block = trials if isinstance(trials, range) else range(trials, trials + 1)
+    noise_var = trial_noise_variance(spec, snr_db)
+    if spec.coded:
+        results = _decode_coded(spec, snr_index, block, noise_var)
+    else:
+        results = [_detect_uncoded(spec, _receive_packet(spec, snr_index, t, noise_var),
+                                   noise_var) for t in block]
+    return results if isinstance(trials, range) else results[0]
 
 
 def confidence_interval(errors: int, bits: int, z: float = _Z95):
@@ -452,38 +495,49 @@ def confidence_interval(errors: int, bits: int, z: float = _Z95):
     return max(p - half, 0.0), min(p + half, 1.0)
 
 
+def trial_blocks(spec: ScenarioSpec) -> list:
+    """The ranges of trial indices that one SNR point runs as blocks.
+
+    A block holds every packet of the point, up to ``MAX_BLOCK_STREAMS``
+    streams (at least one packet).
+    """
+    size = max(1, MAX_BLOCK_STREAMS // spec.system.n_streams)
+    return [range(t, min(t + size, spec.packets)) for t in range(0, spec.packets, size)]
+
+
 def _trial_task(args):
-    spec, snr_db, trial_index = args
+    spec, snr_db, block = args
     try:
-        res = run_trial(spec, snr_db, trial_index)
-        return snr_db, trial_index, res, None
+        return snr_db, run_trial(spec, snr_db, block), None
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        return snr_db, trial_index, None, f"{type(exc).__name__}: {exc}"
+        return snr_db, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
     """Run every (SNR, packet) trial and aggregate order-independently.
 
-    A numerical failure in any trial (a :class:`NumericalError` or a raw
-    ``LinAlgError`` from numpy) marks that SNR point failed and the sweep
-    moves on.  Results are identical for any worker count.
+    The packets of each SNR point run in blocks (:func:`trial_blocks`),
+    one task each.  A numerical failure in any packet (a
+    :class:`NumericalError` or a raw ``LinAlgError`` from numpy) marks
+    that SNR point failed and the sweep moves on.  Results are identical
+    for any worker count.
     """
     spec.validate()
     start = time.perf_counter()
-    tasks = [(spec, snr, t) for snr in spec.snr_db for t in range(spec.packets)]
+    tasks = [(spec, snr, block) for snr in spec.snr_db for block in trial_blocks(spec)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=8))
+            outcomes = list(pool.map(_trial_task, tasks))
     else:
         outcomes = [_trial_task(t) for t in tasks]
 
     by_point = {snr: [] for snr in spec.snr_db}
     failures = {}
-    for snr_db, trial_index, res, err in outcomes:
+    for snr_db, results, err in outcomes:
         if err is not None:
             failures.setdefault(snr_db, err)
         else:
-            by_point[snr_db].append(res)
+            by_point[snr_db].extend(results)
     rows = []
     for snr in sorted(spec.snr_db):
         if snr in failures:

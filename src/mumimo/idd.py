@@ -17,6 +17,10 @@ from .txchain import (LLR_CLIP, TrellisSpec, deinterleave, interleave,
 
 _VAR_FLOOR = 1e-30
 
+#: symbols (soft detection) or trellis steps (decoding) whose working
+#: arrays exist at once; bounds the working set whatever the stream count
+_CHUNK = 64
+
 
 def soft_symbol_stats(priors: np.ndarray, constellation=None,
                       symbol_power: float = 1.0):
@@ -56,9 +60,11 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
     1999).  With ``A = G^H G``, the push-through identity ``G^H C_t^-1 =
     (A V_t + noise_var I)^-1 G^H`` turns each symbol's covariance ``C_t =
     G V_t G^H + noise_var I`` into one M x M solve against ``[A | G^H
-    residual_t]``; no N_A x N_A matrix is formed.  Returns the filter
-    outputs ``z`` (M, T) and the model-implied effective amplitude and
-    residual variance per (stream, symbol) of the scalar model ``z = V s + xi``.
+    residual_t]``; no N_A x N_A matrix is formed.  When every symbol has
+    the same prior variances (zero priors) the systems coincide and one
+    solve serves them all.  Returns the filter outputs ``z`` (M, T) and the
+    model-implied effective amplitude and residual variance per (stream,
+    symbol) of the scalar model ``z = V s + xi``.
     """
     chan = np.asarray(chan, dtype=complex)
     r_block = np.asarray(r_block, dtype=complex)
@@ -76,16 +82,28 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
 
     gram = chan.conj().T @ chan  # A, (M, M)
     matched = chan.conj().T @ (r_block - chan @ means)  # G^H residual, (M, T)
-    system = gram * variances.T[:, None, :]  # A V_t, (T, M, M)
-    system += noise_var * np.eye(m)
-    rhs = np.concatenate([np.broadcast_to(gram, system.shape),
-                          matched.T[:, :, None]], axis=2)
     try:
-        x = np.linalg.solve(system, rhs)  # (T, M, M + 1)
+        if np.all(variances == variances[:, :1]):
+            # equal priors for every symbol (the zero-prior first IDD pass):
+            # all T systems are one, so one solve takes every right-hand side
+            system = gram * variances[:, 0] + noise_var * np.eye(m)
+            x = np.linalg.solve(system, np.concatenate([gram, matched], axis=1))
+            q = np.broadcast_to(np.diagonal(x).real[:, None], means.shape)
+            u = x[:, m:] + means * q
+        else:
+            q = np.empty(means.shape)  # g^H C^-1 g, (M, T)
+            u = np.empty_like(means)
+            for t0 in range(0, means.shape[1], _CHUNK):
+                span = slice(t0, t0 + _CHUNK)
+                system = gram * variances.T[span, None, :]  # A V_t, (chunk, M, M)
+                system += noise_var * np.eye(m)
+                rhs = np.concatenate([np.broadcast_to(gram, system.shape),
+                                      matched.T[span, :, None]], axis=2)
+                x = np.linalg.solve(system, rhs)  # (chunk, M, M + 1)
+                q[:, span] = np.diagonal(x, axis1=1, axis2=2).real.T
+                u[:, span] = x[:, :, m].T + means[:, span] * q[:, span]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"soft detection system is singular: {exc}") from None
-    q = np.diagonal(x, axis1=1, axis2=2).real.T  # g^H C^-1 g, (M, T)
-    u = x[:, :, m].T + means * q
 
     denom = 1.0 + (symbol_power - variances) * q
     z = symbol_power * u / denom
@@ -116,8 +134,10 @@ def extrinsic_llr(z: np.ndarray, v_hat, xi_var, constellation=None,
     v = np.broadcast_to(np.asarray(v_hat, dtype=float), z.shape)
     s2 = np.broadcast_to(np.maximum(np.asarray(xi_var, dtype=float), _VAR_FLOOR),
                          z.shape)
-    diff = z[..., None] - v[..., None] * constellation  # broadcast over points
-    metric = -np.abs(diff) ** 2 / (2.0 * s2[..., None])
+    scale = 2.0 * s2
+    metric = np.empty(z.shape + constellation.shape)
+    for i, point in enumerate(constellation):  # one point at a time bounds the temporaries
+        metric[..., i] = -np.abs(z - v * point) ** 2 / scale
     labels = np.arange(len(constellation))
     bit_table = np.stack([(labels >> 1) & 1, labels & 1], axis=0)  # (2, 4)
     if priors is not None:
@@ -151,8 +171,16 @@ class BcjrResult:
     info_bits: np.ndarray   # hard information-bit decisions
 
 
-def _state_recursions(gammas: np.ndarray, trellis: TrellisSpec) -> np.ndarray:
-    """Forward and backward state metrics from branch metrics (batch, t, s, u).
+def _branch_metrics(lam_steps: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """gamma[b, t, s, u]: half the LLRs of step t correlated with the output
+    signs (S, 2, n_out) of branch (s, u)."""
+    table = sign.reshape(-1, sign.shape[-1]).T  # (n_out, S * 2)
+    return 0.5 * (lam_steps @ table).reshape(lam_steps.shape[:2] + sign.shape[:2])
+
+
+def _state_recursions(lam_steps: np.ndarray, sign: np.ndarray,
+                      trellis: TrellisSpec) -> np.ndarray:
+    """Forward and backward state metrics from step LLRs (batch, t, n_out).
 
     Both recursions run in one loop over a stacked ``(2 * batch, n_states)``
     state vector: the alpha rows gather their predecessor states and the
@@ -161,30 +189,36 @@ def _state_recursions(gammas: np.ndarray, trellis: TrellisSpec) -> np.ndarray:
     holds alpha at time ``t`` (first ``batch`` rows) and beta at time
     ``n_steps - t`` (last ``batch`` rows); every row is max-normalized.
     """
-    batch, n_steps, n_states, _ = gammas.shape
+    batch, n_steps, _ = lam_steps.shape
+    n_states = trellis.n_states
     next_state, _ = trellis_tables(trellis)
     pred_state, pred_input = trellis_predecessors(trellis)
     # step t advances alpha from time t and beta from time n_steps - t; the
     # two candidate branches of every state lead the arrays, so each is a
     # contiguous (2 * batch, n_states) block
-    step_gammas = np.empty((n_steps, 2, 2 * batch, n_states))
     gather = np.empty((2, 2 * batch, n_states), dtype=np.int64)
     rows = n_states * np.arange(2 * batch)[:, None]
     for k in (0, 1):
-        step_gammas[:, k, :batch] = gammas[:, :, pred_state[:, k],
-                                           pred_input[:, k]].transpose(1, 0, 2)
-        step_gammas[:, k, batch:] = gammas[:, ::-1, :, k].transpose(1, 0, 2)
         gather[k, :batch] = rows[:batch] + pred_state[:, k]
         gather[k, batch:] = rows[batch:] + next_state[:, k]
 
     states = np.full((n_steps, 2 * batch, n_states), -np.inf)
     states[0, :, 0] = 0.0
+    step_gammas = np.empty((_CHUNK, 2, 2 * batch, n_states))
     # alpha at n_steps and beta at 0 are never read, so one step is skipped
-    for t in range(n_steps - 1):
-        cand = states[t].take(gather) + step_gammas[t]
-        step = np.logaddexp(cand[0], cand[1])
-        # normalize to keep the recursion bounded; differences are invariant
-        states[t + 1] = step - np.maximum.reduce(step, axis=1, keepdims=True)
+    for t0 in range(0, n_steps - 1, _CHUNK):
+        t1 = min(t0 + _CHUNK, n_steps - 1)
+        fwd = _branch_metrics(lam_steps[:, t0:t1], sign)
+        bwd = _branch_metrics(lam_steps[:, n_steps - t1:n_steps - t0], sign)[:, ::-1]
+        for k in (0, 1):
+            step_gammas[:t1 - t0, k, :batch] = fwd[:, :, pred_state[:, k],
+                                                   pred_input[:, k]].transpose(1, 0, 2)
+            step_gammas[:t1 - t0, k, batch:] = bwd[:, :, :, k].transpose(1, 0, 2)
+        for t in range(t0, t1):
+            cand = states[t].take(gather) + step_gammas[t - t0]
+            step = np.logaddexp(cand[0], cand[1])
+            # normalize to keep the recursion bounded; differences are invariant
+            states[t + 1] = step - np.maximum.reduce(step, axis=1, keepdims=True)
     return states
 
 
@@ -197,9 +231,10 @@ def bcjr_decode(channel_llrs: np.ndarray,
     forward/backward boundary conditions pin both endpoint states at zero,
     matching the tail-bit termination.  Extrinsic LLRs are the coded-bit
     posteriors minus the inputs; information-bit LLRs exclude the tail.
+    Every stream's output equals its own single-stream call.
 
     Only the state recursions are sequential (:func:`_state_recursions`);
-    the branch posteriors are then reduced for all time steps at once.
+    the branch posteriors are then reduced a chunk of time steps at a time.
     """
     lam = np.asarray(channel_llrs, dtype=float)
     squeeze = lam.ndim == 1
@@ -216,26 +251,27 @@ def bcjr_decode(channel_llrs: np.ndarray,
     sign = (1.0 - 2.0 * out_bits).astype(float)  # (S, 2, n_out), bit 0 -> +1
     lam_steps = lam.reshape(batch, n_steps, n_out)
 
-    # branch metrics gamma[t] for all (state, input) pairs at once
-    gammas = 0.5 * np.einsum('btc,suc->btsu', lam_steps, sign)
-    states = _state_recursions(gammas, trellis)
-    alphas = states[:, :batch].transpose(1, 0, 2)  # alpha at time t
-    betas = states[::-1, batch:].transpose(1, 0, 2)  # beta at time t + 1
-    # joint metric of every branch (s, u) at every time t; it reuses the
-    # gammas buffer, which nothing reads afterwards
-    joint = np.add(alphas[..., None], gammas, out=gammas)
-    for u in (0, 1):
-        joint[..., u] += betas[:, :, next_state[:, u]]
-    jf = joint.reshape(batch, n_steps, -1)
+    states = _state_recursions(lam_steps, sign, trellis)
+    alphas = states[:, :batch]  # alpha at time t
+    betas = states[::-1, batch:]  # beta at time t + 1
     out_flat = out_bits.reshape(-1, n_out)  # (S*2, n_out)
     input_flat = np.tile([0, 1], trellis.n_states)
     extrinsic = np.empty_like(lam_steps)
-    for c in range(n_out):
-        zero = np.logaddexp.reduce(jf[..., out_flat[:, c] == 0], axis=-1)
-        one = np.logaddexp.reduce(jf[..., out_flat[:, c] == 1], axis=-1)
-        extrinsic[..., c] = zero - one - lam_steps[..., c]
-    info_llrs = (np.logaddexp.reduce(jf[..., input_flat == 0], axis=-1)
-                 - np.logaddexp.reduce(jf[..., input_flat == 1], axis=-1))
+    info_llrs = np.empty((batch, n_steps))
+    for t0 in range(0, n_steps, _CHUNK):
+        t1 = min(t0 + _CHUNK, n_steps)
+        # joint metric of every branch (s, u) at every time t of the chunk
+        joint = _branch_metrics(lam_steps[:, t0:t1], sign)
+        joint += alphas[t0:t1].transpose(1, 0, 2)[..., None]
+        for u in (0, 1):
+            joint[..., u] += betas[t0:t1, :, next_state[:, u]].transpose(1, 0, 2)
+        jf = joint.reshape(batch, t1 - t0, -1)
+        for c in range(n_out):
+            zero = np.logaddexp.reduce(jf[..., out_flat[:, c] == 0], axis=-1)
+            one = np.logaddexp.reduce(jf[..., out_flat[:, c] == 1], axis=-1)
+            extrinsic[:, t0:t1, c] = zero - one - lam_steps[:, t0:t1, c]
+        info_llrs[:, t0:t1] = (np.logaddexp.reduce(jf[..., input_flat == 0], axis=-1)
+                               - np.logaddexp.reduce(jf[..., input_flat == 1], axis=-1))
 
     k_info = n_steps - trellis.memory
     info = info_llrs[:, :k_info]
@@ -262,7 +298,7 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
                 perms: np.ndarray, trellis: TrellisSpec = TrellisSpec(),
                 symbol_power: float = 1.0, n_outer: int = 4,
                 max_log: bool = False) -> IddResult:
-    """Iterative detection and decoding of one coded frame.
+    """Iterative detection and decoding of one coded frame or a block of them.
 
     Each outer iteration forms soft symbols from the decoders' extrinsic
     LLRs, runs the soft MMSE detector, sets the scalar model ``z = V s +
@@ -270,37 +306,52 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
     statistics (the receiver never sees the transmitted data), converts
     the outputs to extrinsic bit LLRs, deinterleaves them into the
     decoders, and feeds the decoder extrinsics back as the next priors.
+
+    One frame is ``r_block`` (N_A, T), ``chan`` (N_A, M) and ``perms``
+    (M, 2T).  A block of P frames stacks them on a leading axis; the soft
+    statistics and the detector run per frame, while demapping,
+    (de)interleaving and BCJR decoding run once on all P * M streams.
+    Every frame of a block decodes exactly as it would alone, and the
+    results keep the leading axis.
     """
     if n_outer < 1:
         raise ParameterError("n_outer must be >= 1")
     chan = np.asarray(chan, dtype=complex)
     r_block = np.asarray(r_block, dtype=complex)
     perms = np.asarray(perms)
-    m = chan.shape[1]
-    n_sym = r_block.shape[1]
-    if perms.shape[0] != m or perms.shape[1] != 2 * n_sym:
-        raise StructuralError("permutations must be (M, 2 * n_symbols) for QPSK")
+    single = chan.ndim == 2
+    if single:
+        chan, r_block, perms = chan[None], r_block[None], perms[None]
+    n_pkt, _, m = chan.shape
+    n_sym = r_block.shape[-1]
+    if r_block.shape[0] != n_pkt or perms.shape != (n_pkt, m, 2 * n_sym):
+        raise StructuralError("permutations must be (M, 2 * n_symbols) for QPSK, "
+                              "one set per frame")
+    perms = perms.reshape(n_pkt * m, -1)
     constellation = qpsk_constellation(symbol_power)
 
-    priors = np.zeros((m, n_sym, 2))
+    priors = np.zeros((n_pkt, m, n_sym, 2))
+    z = np.empty((n_pkt, m, n_sym), dtype=complex)
+    v_hat = np.empty((n_pkt, m))
+    xi_var = np.empty((n_pkt, m))
     per_iter = []
-    info_bits = None
-    v_hat = xi_var = None
     for _ in range(n_outer):
-        means, variances = soft_symbol_stats(priors, constellation, symbol_power)
-        z, v_model, xi_model = soft_mmse_sic_detect(
-            r_block, chan, means, variances, noise_var, symbol_power)
-        v_hat = v_model.mean(axis=1)
-        xi_var = xi_model.mean(axis=1)
-        lam1 = extrinsic_llr(z, v_hat[:, None], xi_var[:, None], constellation,
-                             symbol_power, max_log=max_log)
-        lam1_flat = lam1.reshape(m, -1)
-        dec_in = np.stack([deinterleave(row, p) for row, p in zip(lam1_flat, perms)])
-        decoded = bcjr_decode(dec_in, trellis)
-        feedback = np.clip(decoded.extrinsic, -LLR_CLIP, LLR_CLIP)
-        priors = np.stack([interleave(row, p) for row, p in
-                           zip(feedback, perms)]).reshape(m, n_sym, 2)
-        info_bits = decoded.info_bits
-        per_iter.append(info_bits)
-    return IddResult(info_bits=info_bits, per_iteration_bits=per_iter,
+        for k in range(n_pkt):
+            means, variances = soft_symbol_stats(priors[k], constellation, symbol_power)
+            z[k], v_model, xi_model = soft_mmse_sic_detect(
+                r_block[k], chan[k], means, variances, noise_var, symbol_power)
+            v_hat[k] = v_model.mean(axis=1)
+            xi_var[k] = xi_model.mean(axis=1)
+        lam1 = extrinsic_llr(z, v_hat[..., None], xi_var[..., None], constellation,
+                             symbol_power, max_log=max_log).reshape(n_pkt * m, -1)
+        lam1 = deinterleave(lam1, perms)
+        decoded = bcjr_decode(lam1, trellis)
+        feedback = np.clip(decoded.extrinsic, -LLR_CLIP, LLR_CLIP, out=decoded.extrinsic)
+        priors = interleave(feedback, perms).reshape(priors.shape)
+        per_iter.append(decoded.info_bits.reshape(n_pkt, m, -1))
+        # the next pass's working set starts from the priors and bits alone
+        del lam1, decoded, feedback
+    if single:
+        per_iter, v_hat, xi_var = [bits[0] for bits in per_iter], v_hat[0], xi_var[0]
+    return IddResult(info_bits=per_iter[-1], per_iteration_bits=per_iter,
                      v_hat=v_hat, xi_var=xi_var)

@@ -86,40 +86,41 @@ def conv_encode(bits, trellis: TrellisSpec = TrellisSpec()) -> np.ndarray:
     """Encode a bit vector, appending zero tail bits to flush the register.
 
     Output length is ``n_out * (len(bits) + memory)``; an empty input still
-    produces the tail.
+    produces the tail.  Each generator's output is the input convolved
+    with its taps, modulo 2.
     """
     bits = np.asarray(bits, dtype=np.int64).ravel()
     if bits.size and not np.isin(bits, (0, 1)).all():
         raise ParameterError("input bits must be 0/1")
-    next_state, out_bits = trellis_tables(trellis)
     seq = np.concatenate([bits, np.zeros(trellis.memory, dtype=np.int64)])
+    shifts = np.arange(trellis.constraint_length - 1, -1, -1)
     out = np.empty((seq.size, trellis.n_out), dtype=np.int8)
-    state = 0
-    for i, u in enumerate(seq):
-        out[i] = out_bits[state, u]
-        state = next_state[state, u]
+    for gi, gen in enumerate(trellis.generators):
+        out[:, gi] = np.convolve(seq, (gen >> shifts) & 1)[:seq.size] & 1
     return out.ravel()
 
 
-def interleave(x, perm) -> np.ndarray:
-    """Reorder ``x`` by ``perm``: out[i] = x[perm[i]]."""
-    x = np.asarray(x)
-    perm = np.asarray(perm)
-    if x.shape[-1] != perm.size:
+def _row_perms(x, perm):
+    if x.shape[-1] != perm.shape[-1]:
         raise StructuralError(
-            f"length mismatch: data {x.shape[-1]} vs permutation {perm.size}")
-    return x[..., perm]
+            f"length mismatch: data {x.shape[-1]} vs permutation {perm.shape[-1]}")
+    return np.broadcast_to(perm, x.shape)
+
+
+def interleave(x, perm) -> np.ndarray:
+    """Reorder the last axis of ``x`` by ``perm``: out[..., i] = x[..., perm[..., i]].
+
+    ``perm`` is one permutation for every row, or one per row of ``x``.
+    """
+    x = np.asarray(x)
+    return np.take_along_axis(x, _row_perms(x, np.asarray(perm)), axis=-1)
 
 
 def deinterleave(x, perm) -> np.ndarray:
-    """Invert :func:`interleave` for the same permutation."""
+    """Invert :func:`interleave` for the same permutation(s)."""
     x = np.asarray(x)
-    perm = np.asarray(perm)
-    if x.shape[-1] != perm.size:
-        raise StructuralError(
-            f"length mismatch: data {x.shape[-1]} vs permutation {perm.size}")
     out = np.empty_like(x)
-    out[..., perm] = x
+    np.put_along_axis(out, _row_perms(x, np.asarray(perm)), x, axis=-1)
     return out
 
 
@@ -232,7 +233,7 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int,
         if n_coded % 2 != 0:
             raise StructuralError("coded stream length must be even for QPSK")
         perms = np.stack([rng.permutation(n_coded) for _ in range(n_streams)])
-        channel_bits = np.stack([interleave(cb, p) for cb, p in zip(coded_bits, perms)])
+        channel_bits = interleave(coded_bits, perms)
     else:
         if payload_bits.shape[1] % 2 != 0:
             raise StructuralError("uncoded payload length must be even for QPSK")

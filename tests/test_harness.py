@@ -314,6 +314,76 @@ def test_sweep_marks_failed_points(monkeypatch):
     assert 4.0 in result.failures
 
 
+@pytest.mark.parametrize("extra", [dict(coded=True, packet_symbols=100),
+                                   dict(estimator="lms", pilot_len=16), dict()],
+                         ids=["coded", "lms", "mmse"])
+def test_run_trial_is_the_one_packet_view_of_its_block(extra):
+    spec = small_spec(packets=5, **extra)
+    block = m.run_trial(spec, 8.0, range(5))
+    assert block == [m.run_trial(spec, 8.0, t) for t in range(5)]
+    assert m.run_trial(spec, 8.0, range(2, 4)) == block[2:4]
+
+
+def test_trial_blocks_cover_the_point_within_the_stream_cap():
+    spec = small_spec(packets=25)  # 2 streams per packet
+    blocks = harness.trial_blocks(spec)
+    assert [t for b in blocks for t in b] == list(range(25))
+    assert all(len(b) * 2 <= harness.MAX_BLOCK_STREAMS for b in blocks)
+    assert len(blocks[0]) == harness.MAX_BLOCK_STREAMS // 2
+    wide = dataclasses.replace(spec, system=m.SystemConfig(
+        n_users=harness.MAX_BLOCK_STREAMS + 1, n_bs=harness.MAX_BLOCK_STREAMS + 1))
+    assert harness.trial_blocks(wide) == [range(t, t + 1) for t in range(25)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coded_sweep_csv_matches_per_packet_receiver(monkeypatch, workers):
+    spec = small_spec(coded=True, packet_symbols=100, idd_iterations=3,
+                      snr_db=(2.0, 8.0), packets=5)
+    assert len(harness.trial_blocks(spec)[0]) > 1
+    blocked = m.run_sweep(spec, workers=workers)
+    real = harness.idd_receive
+
+    def per_packet(r, chans, noise_var, perms, **kwargs):
+        outs = [real(r[k], chans[k], noise_var, perms[k], **kwargs)
+                for k in range(len(r))]
+        return m.IddResult(
+            info_bits=np.stack([o.info_bits for o in outs]),
+            per_iteration_bits=[np.stack(b) for b in
+                                zip(*(o.per_iteration_bits for o in outs))],
+            v_hat=np.stack([o.v_hat for o in outs]),
+            xi_var=np.stack([o.xi_var for o in outs]))
+
+    monkeypatch.setattr(harness, "idd_receive", per_packet)
+    alone = m.run_sweep(spec, workers=workers)
+    assert m.format_csv(alone) == m.format_csv(blocked)
+    assert [r.per_iteration_errors for r in alone.rows] == [
+        r.per_iteration_errors for r in blocked.rows]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("error", [NumericalError("synthetic failure"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["numerical", "linalg"])
+@pytest.mark.parametrize("coded", [True, False], ids=["coded", "uncoded"])
+def test_failure_in_one_packet_of_a_block_fails_only_its_point(monkeypatch, workers,
+                                                               error, coded):
+    spec = small_spec(coded=coded, packet_symbols=100, snr_db=(4.0, 10.0), packets=5)
+    assert len(harness.trial_blocks(spec)) == 1  # packet 3 shares its block
+    clean = m.run_sweep(spec)
+    real = harness._draw_trial_channel
+
+    def fails_once(cfg, seed, snr_index, trial_index):
+        if (snr_index, trial_index) == (0, 3):
+            raise error
+        return real(cfg, seed, snr_index, trial_index)
+
+    monkeypatch.setattr(harness, "_draw_trial_channel", fails_once)
+    result = m.run_sweep(spec, workers=workers)
+    assert result.failures == {4.0: f"{type(error).__name__}: {error}"}
+    assert result.rows[0].failed and np.isnan(result.rows[0].ber)
+    assert result.rows[1] == clean.rows[1]
+
+
 def test_sweep_maps_raw_linalg_error_to_failed_point(monkeypatch):
     spec = small_spec(snr_db=(4.0, 10.0), packets=2)
     real = harness.compute_receive_filter

@@ -7,7 +7,7 @@ import pytest
 
 import mumimo as m
 from conftest import random_channel, reference_encode
-from mumimo import idd
+from mumimo import harness, idd
 from mumimo.errors import NumericalError, ParameterError, StructuralError
 from mumimo.idd import BcjrResult
 from mumimo.txchain import LLR_CLIP, TrellisSpec, trellis_tables
@@ -203,6 +203,27 @@ def test_soft_mmse_matches_covariance_inversion_oracle(rng, uniform, n_streams,
     ref = reference_soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
     for g, want in zip(got, ref):
         np.testing.assert_allclose(g, want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n_streams, n_rx", [(8, 16), (3, 6), (32, 128)])
+def test_soft_mmse_equal_priors_take_one_solve(rng, n_streams, n_rx):
+    # zero priors give every symbol the same system; its single solve
+    # equals the per-symbol batched solve bit for bit
+    chan = random_channel(rng, n_rx, n_streams)
+    n_sym = 150
+    r = (rng.standard_normal((n_rx, n_sym))
+         + 1j * rng.standard_normal((n_rx, n_sym)))
+    means, variances = m.soft_symbol_stats(np.zeros((n_streams, n_sym, 2)))
+    nv = 0.3
+    gram = chan.conj().T @ chan
+    matched = chan.conj().T @ r
+    system = gram * variances.T[:, None, :] + nv * np.eye(n_streams)
+    x = np.linalg.solve(system, np.concatenate(
+        [np.broadcast_to(gram, system.shape), matched.T[:, :, None]], axis=2))
+    q = np.diagonal(x, axis1=1, axis2=2).real.T
+    z, v_model, _ = m.soft_mmse_sic_detect(r, chan, means, variances, nv)
+    assert np.array_equal(v_model, q / (1.0 + (1.0 - variances) * q))
+    assert np.array_equal(z, x[:, :, n_streams].T / (1.0 + (1.0 - variances) * q))
 
 
 def test_coded_sweep_csv_matches_covariance_inversion_oracle(monkeypatch):
@@ -438,12 +459,14 @@ def test_coded_sweep_csv_matches_per_step_oracle(monkeypatch):
 
 
 def test_bcjr_batched_matches_per_stream(rng):
-    lam = rng.normal(0.0, 1.5, size=(3, 24))
+    # 1000 LLRs span several time chunks; every stream decodes as it would alone
+    lam = np.clip(rng.normal(0.0, 4.0, size=(24, 1000)), -LLR_CLIP, LLR_CLIP)
     batched = m.bcjr_decode(lam)
-    for s in range(3):
+    for s in range(24):
         single = m.bcjr_decode(lam[s])
-        np.testing.assert_allclose(batched.extrinsic[s], single.extrinsic, atol=1e-12)
-        np.testing.assert_allclose(batched.info_llrs[s], single.info_llrs, atol=1e-12)
+        assert np.array_equal(batched.extrinsic[s], single.extrinsic)
+        assert np.array_equal(batched.info_llrs[s], single.info_llrs)
+        assert np.array_equal(batched.info_bits[s], single.info_bits)
 
 
 def test_bcjr_decodes_clean_codeword(rng):
@@ -512,6 +535,33 @@ def test_idd_receive_model_stats_fallback(rng):
     _, v_model, xi_model = m.soft_mmse_sic_detect(r, chan, means, variances, nv)
     np.testing.assert_array_equal(first.v_hat, v_model.mean(axis=1))
     np.testing.assert_array_equal(first.xi_var, xi_model.mean(axis=1))
+
+
+def _received_block(estimator, n_pkt):
+    spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=6), coded=True,
+                          estimator=estimator, pilot_len=12, packet_symbols=80,
+                          snr_db=(6.0,), packets=n_pkt, seed=7).validate()
+    nv = harness.trial_noise_variance(spec, 6.0)
+    frames, rx, chans = zip(*(harness._receive_packet(spec, 0, t, nv)
+                              for t in range(n_pkt)))
+    return np.stack(rx), np.stack(chans), nv, np.stack([f.perms for f in frames])
+
+
+@pytest.mark.parametrize("estimator", ["perfect", "lms"])
+@pytest.mark.parametrize("max_log", [False, True], ids=["exact", "maxlog"])
+@pytest.mark.parametrize("n_pkt", [1, 3])
+def test_stacked_idd_equals_per_packet_calls(estimator, max_log, n_pkt):
+    r, chans, nv, perms = _received_block(estimator, n_pkt)
+    block = m.idd_receive(r, chans, nv, perms, n_outer=3, max_log=max_log)
+    assert block.info_bits.shape == (n_pkt, 3, m.coded_payload_length(80))
+    for k in range(n_pkt):
+        alone = m.idd_receive(r[k], chans[k], nv, perms[k], n_outer=3, max_log=max_log)
+        for stacked, bits in zip(block.per_iteration_bits, alone.per_iteration_bits,
+                                 strict=True):
+            assert np.array_equal(stacked[k], bits)
+        assert np.array_equal(block.info_bits[k], alone.info_bits)
+        assert np.array_equal(block.v_hat[k], alone.v_hat)
+        assert np.array_equal(block.xi_var[k], alone.xi_var)
 
 
 def test_idd_receive_validates(rng):

@@ -23,9 +23,16 @@ def test_encoder_all_zero():
 
 
 def test_encoder_matches_reference_on_random_blocks(rng):
-    for _ in range(20):
-        bits = rng.integers(0, 2, size=rng.integers(1, 60))
-        np.testing.assert_array_equal(m.conv_encode(bits), reference_encode(bits))
+    for trellis in (m.TrellisSpec(), m.TrellisSpec(4, (0o15, 0o17))):
+        for _ in range(20):
+            bits = rng.integers(0, 2, size=rng.integers(1, 60))
+            np.testing.assert_array_equal(
+                m.conv_encode(bits, trellis),
+                reference_encode(bits, trellis.generators, trellis.memory))
+        # an empty block still emits the tail
+        np.testing.assert_array_equal(
+            m.conv_encode([], trellis),
+            np.zeros(trellis.n_out * trellis.memory, dtype=np.int8))
 
 
 def test_encoder_is_linear(rng):
@@ -65,6 +72,16 @@ def test_interleave_roundtrip(rng):
 
 def test_interleave_places_values():
     np.testing.assert_array_equal(m.interleave([10, 11, 12], [2, 0, 1]), [12, 10, 11])
+
+
+def test_interleave_one_permutation_per_row(rng):
+    x = rng.standard_normal((2, 4, 9))
+    perms = np.stack([[rng.permutation(9) for _ in range(4)] for _ in range(2)])
+    mixed = m.interleave(x, perms)
+    for i in range(2):
+        for j in range(4):
+            np.testing.assert_array_equal(mixed[i, j], m.interleave(x[i, j], perms[i, j]))
+    np.testing.assert_array_equal(m.deinterleave(mixed, perms), x)
 
 
 def test_interleave_length_mismatch():
