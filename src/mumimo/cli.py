@@ -33,8 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_dir(path):
-    """Raise ``OSError`` unless the directory that will hold ``path`` exists
-    and is writable, so a bad path fails before the sweep, not after it."""
+    """Raise ``OSError`` unless ``path`` can name a file in a directory that
+    exists and is writable, so a bad path fails before the sweep, not after it."""
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise OSError(f"{path!r} names a directory, not a file")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise OSError(f"directory {parent!r} does not exist")

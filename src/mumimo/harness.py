@@ -66,7 +66,6 @@ class ScenarioSpec:
     filter_design: str = "mmse"
     coded: bool = False
     idd_iterations: int = 4
-    idd_max_log: bool = False
     estimator: str = "perfect"
     forgetting: float = 1.0
     step_size: float = 0.05
@@ -121,6 +120,8 @@ class ScenarioSpec:
             raise ConfigError(f"snr_db points must be finite, got {self.snr_db}")
         if len(set(self.snr_db)) != len(self.snr_db):
             raise ConfigError("snr_db points must be distinct")
+        if not self.out:
+            raise ConfigError("out must name the output file")
         if (self.out != self.out.strip() or len(self.out.splitlines()) > 1
                 or _COMMENT.search(self.out)):
             raise ConfigError(f"out {self.out!r} cannot be written as a config value: "
@@ -163,8 +164,8 @@ class SweepResult:
 # -- configuration files ------------------------------------------------------
 
 #: fields whose config keys differ from their names
-_RENAMED = {"idd_iterations": "idd.iterations", "idd_max_log": "idd.maxlog",
-            "forgetting": "lambda", "step_size": "mu"}
+_RENAMED = {"idd_iterations": "idd.iterations", "forgetting": "lambda",
+            "step_size": "mu"}
 
 
 def _parse_float(raw):
@@ -450,7 +451,7 @@ def _decode_coded(spec: ScenarioSpec, snr_index: int, block: range,
     rx_data, chans, perms = np.stack(rx_data), np.stack(chans), np.stack(perms)
     result = idd_receive(rx_data, chans, noise_var, perms,
                          symbol_power=spec.system.symbol_power,
-                         n_outer=spec.idd_iterations, max_log=spec.idd_max_log)
+                         n_outer=spec.idd_iterations)
     results = []
     for k, info in enumerate(info_bits):
         per_iter = tuple(int(np.sum(bits[k] != info)) for bits in result.per_iteration_bits)
@@ -608,26 +609,13 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
     see identical data.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[0] < 1 or checkpoints[-1] > n_train:
-        raise ConfigError("checkpoints must lie in [1, n_train]")
+    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_train:
+        raise ConfigError("checkpoints must list at least one point in [1, n_train]")
+    if n_eval < 1:
+        raise ConfigError(f"n_eval must be >= 1, got {n_eval}")
     if delta <= 0.0:
         raise ConfigError(f"delta must be > 0, got {delta}")
-    noise_var = snr_to_noise_variance(snr_db, cfg, 1.0, 2, mean_gamma_sq(cfg))
-    chan = _draw_trial_channel(cfg, seed, 0, 0)
     m = cfg.n_streams
-    constellation = qpsk_constellation(cfg.symbol_power)
-
-    payload_rng = rngmod.substream(seed, 0, 0, rngmod.PAYLOAD)
-    train_labels = payload_rng.integers(0, 4, size=(m, n_train))
-    train_syms = constellation[train_labels]
-    train_rx = channel_transmit(chan, train_syms, noise_var,
-                                rngmod.substream(seed, 0, 0, rngmod.NOISE))
-    eval_rng = rngmod.substream(seed, 0, 0, rngmod.EVAL)
-    eval_labels = eval_rng.integers(0, 4, size=(m, n_eval))
-    eval_syms = constellation[eval_labels]
-    eval_rx = channel_transmit(chan, eval_syms, noise_var,
-                               rngmod.substream(seed, 0, 0, rngmod.EVAL, 1))
-
     if method == "rls":
         # at full rank the bank solves the delta-regularized normal equations,
         # where the RLS recursion started from P = I / delta stands
@@ -642,6 +630,21 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
         bank = ReducedRankFilterBank(cfg.n_rx_total, m, method, rank, lam, delta)
     else:
         raise ConfigError(f"unknown training method {method!r}")
+
+    noise_var = snr_to_noise_variance(snr_db, cfg, 1.0, 2, mean_gamma_sq(cfg))
+    chan = _draw_trial_channel(cfg, seed, 0, 0)
+    constellation = qpsk_constellation(cfg.symbol_power)
+
+    payload_rng = rngmod.substream(seed, 0, 0, rngmod.PAYLOAD)
+    train_labels = payload_rng.integers(0, 4, size=(m, n_train))
+    train_syms = constellation[train_labels]
+    train_rx = channel_transmit(chan, train_syms, noise_var,
+                                rngmod.substream(seed, 0, 0, rngmod.NOISE))
+    eval_rng = rngmod.substream(seed, 0, 0, rngmod.EVAL)
+    eval_labels = eval_rng.integers(0, 4, size=(m, n_eval))
+    eval_syms = constellation[eval_labels]
+    eval_rx = channel_transmit(chan, eval_syms, noise_var,
+                               rngmod.substream(seed, 0, 0, rngmod.EVAL, 1))
 
     eval_bits = labels_to_bits(eval_labels)
     bers = np.empty(len(checkpoints))

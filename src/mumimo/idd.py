@@ -22,6 +22,18 @@ _VAR_FLOOR = 1e-30
 _CHUNK = 64
 
 
+def _qpsk_amplitude(constellation, symbol_power: float) -> float:
+    """``a`` of the Gray QPSK points ``a (+/-1 +/- j)``, the one point set for
+    which the closed forms below hold; any other constellation is rejected."""
+    if constellation is None:
+        constellation = qpsk_constellation(symbol_power)
+    points = np.asarray(constellation)
+    amp = points[0].real if points.shape == (4,) else np.nan
+    if not (amp > 0.0 and np.array_equal(points, qpsk_constellation(2.0 * amp ** 2))):
+        raise ParameterError("the soft receiver needs a Gray QPSK constellation")
+    return amp
+
+
 def soft_symbol_stats(priors: np.ndarray, constellation=None,
                       symbol_power: float = 1.0):
     """Per-symbol soft mean and variance from bitwise prior LLRs.
@@ -29,23 +41,21 @@ def soft_symbol_stats(priors: np.ndarray, constellation=None,
     ``priors`` has shape (..., 2) holding the LLR of each QPSK label bit.
     Returns ``(means, variances)`` where the mean is the prior expectation
     of the constellation point and the variance its spread around the mean.
-    Zero LLRs give mean 0 and variance equal to the symbol energy.
+    Gray QPSK carries one bit per quadrature, so with ``t = tanh(lambda /
+    2)`` the mean is ``a (t_0 + j t_1)`` and the variance ``a^2
+    (sech^2(lambda_0 / 2) + sech^2(lambda_1 / 2))``, which keeps its
+    relative accuracy for confident priors where ``E_s - |mean|^2``
+    cancels.  Zero LLRs give mean 0 and variance ``2 a^2`` for every symbol.
     """
     priors = np.asarray(priors, dtype=float)
     if priors.shape[-1] != 2:
         raise StructuralError("QPSK priors need a trailing axis of 2 bit LLRs")
-    if constellation is None:
-        constellation = qpsk_constellation(symbol_power)
-    lam = np.clip(priors, -LLR_CLIP, LLR_CLIP)
-    p_zero = 1.0 / (1.0 + np.exp(-lam))  # P(bit = 0) per label bit
-    labels = np.arange(len(constellation))
-    bits = np.stack([(labels >> 1) & 1, labels & 1], axis=-1)  # (4, 2)
-    # P(point) = prod over bits of the matching bit probability
-    probs = np.where(bits[:, 0] == 0, p_zero[..., :1], 1.0 - p_zero[..., :1]) \
-        * np.where(bits[:, 1] == 0, p_zero[..., 1:], 1.0 - p_zero[..., 1:])
-    means = probs @ constellation
-    spread = np.abs(constellation[None, :] - means[..., None]) ** 2
-    variances = np.einsum('...m,...m->...', probs, spread)
+    amp = _qpsk_amplitude(constellation, symbol_power)
+    half = 0.5 * np.clip(priors, -LLR_CLIP, LLR_CLIP)
+    soft = amp * np.tanh(half)
+    means = soft[..., 0] + 1j * soft[..., 1]
+    sech2 = 1.0 / np.cosh(half) ** 2
+    variances = amp ** 2 * (sech2[..., 0] + sech2[..., 1])
     return means, variances
 
 
@@ -115,49 +125,29 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
 
 def extrinsic_llr(z: np.ndarray, v_hat, xi_var, constellation=None,
                   symbol_power: float = 1.0, priors=None,
-                  max_log: bool = False, clip: float = LLR_CLIP) -> np.ndarray:
+                  clip: float = LLR_CLIP) -> np.ndarray:
     """Detector-side bitwise LLRs from the Gaussian scalar model.
 
-    For each bit the candidate constellation points are weighted by
-    ``exp(-|z - V a|^2 / (2 sigma_xi^2))`` (plus the other bits' priors if
-    given), reduced by log-sum-exp over the bit-0 and bit-1 subsets and
-    differenced; for Gray QPSK the prior weighting on the other bit has no
-    effect.  ``max_log = True`` substitutes a max for the log-sum-exp.
-    Output is clipped to ``+/- clip``.
+    Each candidate point ``s`` is weighted by ``exp(-|z - V s|^2 / (2
+    sigma_xi^2))``.  For Gray QPSK ``a (+/-1 +/- j)`` the two label bits
+    ride the two quadratures, so the log-sum-exp over each bit's subsets
+    (and its max-log approximation) is exactly ``2 a V (Re z, Im z) /
+    sigma_xi^2``, and the other bit's prior cancels: ``priors``, if given,
+    is checked for shape and does not change the value.  Output is
+    clipped to ``+/- clip``.
     """
     z = np.asarray(z, dtype=complex)
-    if constellation is None:
-        constellation = qpsk_constellation(symbol_power)
-    constellation = np.asarray(constellation)
-    if np.any(np.asarray(xi_var) < 0):
+    amp = _qpsk_amplitude(constellation, symbol_power)
+    if priors is not None and np.shape(priors) != z.shape + (2,):
+        raise StructuralError("priors need one pair of bit LLRs per symbol")
+    xi_var = np.asarray(xi_var, dtype=float)
+    if np.any(xi_var < 0):
         raise ParameterError("residual variance must be non-negative")
-    v = np.broadcast_to(np.asarray(v_hat, dtype=float), z.shape)
-    s2 = np.broadcast_to(np.maximum(np.asarray(xi_var, dtype=float), _VAR_FLOOR),
-                         z.shape)
-    scale = 2.0 * s2
-    metric = np.empty(z.shape + constellation.shape)
-    for i, point in enumerate(constellation):  # one point at a time bounds the temporaries
-        metric[..., i] = -np.abs(z - v * point) ** 2 / scale
-    labels = np.arange(len(constellation))
-    bit_table = np.stack([(labels >> 1) & 1, labels & 1], axis=0)  # (2, 4)
-    if priors is not None:
-        priors = np.clip(np.asarray(priors, dtype=float), -LLR_CLIP, LLR_CLIP)
-        # total prior weight per point; each bit's own prior is removed after
-        # the reduction, leaving only the other bits' contribution
-        sign = 1.0 - 2.0 * bit_table  # bit 0 -> +1
-        metric = metric + 0.5 * np.einsum('...c,cm->...m', priors, sign)
+    gain = 2.0 * amp * np.asarray(v_hat, dtype=float) / np.maximum(xi_var, _VAR_FLOOR)
     out = np.empty(z.shape + (2,))
-    for c in range(2):
-        zero = metric[..., bit_table[c] == 0]
-        one = metric[..., bit_table[c] == 1]
-        if max_log:
-            out[..., c] = zero.max(axis=-1) - one.max(axis=-1)
-        else:
-            out[..., c] = (np.logaddexp.reduce(zero, axis=-1)
-                           - np.logaddexp.reduce(one, axis=-1))
-        if priors is not None:
-            out[..., c] -= priors[..., c]
-    return np.clip(out, -clip, clip)
+    out[..., 0] = gain * z.real
+    out[..., 1] = gain * z.imag
+    return np.clip(out, -clip, clip, out=out)
 
 
 # -- BCJR decoding ----------------------------------------------------------
@@ -296,8 +286,7 @@ class IddResult:
 
 def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
                 perms: np.ndarray, trellis: TrellisSpec = TrellisSpec(),
-                symbol_power: float = 1.0, n_outer: int = 4,
-                max_log: bool = False) -> IddResult:
+                symbol_power: float = 1.0, n_outer: int = 4) -> IddResult:
     """Iterative detection and decoding of one coded frame or a block of them.
 
     Each outer iteration forms soft symbols from the decoders' extrinsic
@@ -309,7 +298,7 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
 
     One frame is ``r_block`` (N_A, T), ``chan`` (N_A, M) and ``perms``
     (M, 2T).  A block of P frames stacks them on a leading axis; the soft
-    statistics and the detector run per frame, while demapping,
+    detector runs per frame, while the soft statistics, demapping,
     (de)interleaving and BCJR decoding run once on all P * M streams.
     Every frame of a block decodes exactly as it would alone, and the
     results keep the leading axis.
@@ -336,21 +325,21 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
     xi_var = np.empty((n_pkt, m))
     per_iter = []
     for _ in range(n_outer):
+        means, variances = soft_symbol_stats(priors, constellation)
         for k in range(n_pkt):
-            means, variances = soft_symbol_stats(priors[k], constellation, symbol_power)
             z[k], v_model, xi_model = soft_mmse_sic_detect(
-                r_block[k], chan[k], means, variances, noise_var, symbol_power)
+                r_block[k], chan[k], means[k], variances[k], noise_var, symbol_power)
             v_hat[k] = v_model.mean(axis=1)
             xi_var[k] = xi_model.mean(axis=1)
-        lam1 = extrinsic_llr(z, v_hat[..., None], xi_var[..., None], constellation,
-                             symbol_power, max_log=max_log).reshape(n_pkt * m, -1)
+        lam1 = extrinsic_llr(z, v_hat[..., None], xi_var[..., None],
+                             constellation).reshape(n_pkt * m, -1)
         lam1 = deinterleave(lam1, perms)
         decoded = bcjr_decode(lam1, trellis)
         feedback = np.clip(decoded.extrinsic, -LLR_CLIP, LLR_CLIP, out=decoded.extrinsic)
         priors = interleave(feedback, perms).reshape(priors.shape)
         per_iter.append(decoded.info_bits.reshape(n_pkt, m, -1))
         # the next pass's working set starts from the priors and bits alone
-        del lam1, decoded, feedback
+        del means, variances, lam1, decoded, feedback
     if single:
         per_iter, v_hat, xi_var = [bits[0] for bits in per_iter], v_hat[0], xi_var[0]
     return IddResult(info_bits=per_iter[-1], per_iteration_bits=per_iter,

@@ -6,7 +6,7 @@ per-stream bit interleaver and Gray-mapped QPSK.  Uncoded streams map raw
 bits straight onto symbols.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -180,19 +180,12 @@ class SymbolFrame:
     channel_bits: np.ndarray
     pilots: np.ndarray
     data_symbols: np.ndarray
-    symbol_power: float
-    coded: bool = False
     coded_bits: np.ndarray = None
     perms: np.ndarray = None
-    trellis: TrellisSpec = field(default_factory=TrellisSpec)
 
     @property
     def n_pilots(self) -> int:
         return self.pilots.shape[1]
-
-    @property
-    def n_data(self) -> int:
-        return self.data_symbols.shape[1]
 
     def symbols(self) -> np.ndarray:
         """Pilot symbols followed by data symbols, shape (M, N_p + P)."""
@@ -244,8 +237,7 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int,
     data_symbols = qpsk_map(channel_bits, cfg.symbol_power)
     return SymbolFrame(info_bits=payload_bits, channel_bits=channel_bits,
                        pilots=pilots, data_symbols=data_symbols,
-                       symbol_power=cfg.symbol_power, coded=coded,
-                       coded_bits=coded_bits, perms=perms, trellis=trellis)
+                       coded_bits=coded_bits, perms=perms)
 
 
 def coded_payload_length(n_data_symbols: int, trellis: TrellisSpec = TrellisSpec(),

@@ -32,7 +32,7 @@ ALL_KEYS = m.ScenarioSpec(
                           shadow_spread_db=6.0, path_gain_range=(0.5, 0.9),
                           distance_range=(0.2, 0.8), symbol_power=2.0),
     detector="mb-sic", ordering="sinr", branches=3, filter_design="zf",
-    idd_iterations=2, idd_max_log=True, estimator="rls", forgetting=0.97,
+    idd_iterations=2, estimator="rls", forgetting=0.97,
     step_size=0.01, rank=3, pilot_len=12, packet_symbols=100,
     snr_db=(-2.5, 0.0, 7.25), packets=9, seed=11, out="x.csv")
 
@@ -63,8 +63,8 @@ def test_parse_serialize_roundtrip():
     assert m.serialize_config(again) == m.serialize_config(spec)
 
 
-@pytest.mark.parametrize("name, digest", [("minimal", "ec6924842c4a"),
-                                          ("all-keys", "1349c84abfae")])
+@pytest.mark.parametrize("name, digest", [("minimal", "d8f12a954891"),
+                                          ("all-keys", "a08ae7b18d7e")])
 def test_scenario_hash_is_pinned_and_round_trips(name, digest):
     spec = m.parse_config(MINIMAL) if name == "minimal" else ALL_KEYS.validate()
     text = m.serialize_config(spec)
@@ -78,6 +78,17 @@ def test_parse_rejects_unknown_key_with_line():
     text = "n_users = 2\nn_bs = 4\ndetctor = mmse\n"
     with pytest.raises(ConfigError, match=r"line 3.*detctor"):
         m.parse_config(text)
+
+
+def test_removed_maxlog_key_is_an_unknown_key(tmp_path, capsys):
+    # Gray QPSK makes the max-log demapper exact, so the key had no effect
+    text = MINIMAL + "idd.maxlog = true\n"
+    with pytest.raises(ConfigError, match=r"line 10: unknown key 'idd.maxlog'"):
+        m.parse_config(text)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "unknown key 'idd.maxlog'" in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_syntax():
@@ -168,7 +179,7 @@ def test_hash_in_value_is_not_a_comment():
     assert tail.out == "res#1.csv"
 
 
-@pytest.mark.parametrize("out", [" x.csv", "x.csv ", "a\nb.csv", "a\x1cb.csv",
+@pytest.mark.parametrize("out", ["", " x.csv", "x.csv ", "a\nb.csv", "a\x1cb.csv",
                                  "a #1.csv", "a\t#1.csv", "#1.csv"])
 def test_validate_rejects_out_that_cannot_round_trip(out):
     with pytest.raises(ConfigError, match="out"):
@@ -567,6 +578,24 @@ def test_filter_training_rejects_nonpositive_delta(delta):
                                      delta=delta)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(checkpoints=[]), "checkpoints"),
+    (dict(n_eval=0), "n_eval"),
+    (dict(n_eval=-3), "n_eval"),
+    (dict(method="hyb"), "unknown training method"),
+], ids=["no-checkpoints", "n-eval-zero", "n-eval-negative", "unknown-method"])
+def test_filter_training_checks_inputs_before_any_draw(monkeypatch, kwargs, message):
+    def no_draw(*args, **kw):
+        raise AssertionError("the channel was drawn before the inputs were checked")
+
+    monkeypatch.setattr(harness, "_draw_trial_channel", no_draw)
+    call = dict(cfg=m.SystemConfig(n_users=2, n_bs=8), snr_db=12.0, method="rls",
+                rank=2, lam=1.0, n_train=60, checkpoints=(10, 60), n_eval=100, seed=4)
+    call.update(kwargs)
+    with pytest.raises(ConfigError, match=message):
+        m.filter_training_experiment(**call)
+
+
 def test_filter_training_methods_share_data():
     cfg = m.SystemConfig(n_users=2, n_bs=8)
     kw = dict(snr_db=12.0, rank=2, lam=0.998, n_train=40, checkpoints=(40,),
@@ -637,6 +666,32 @@ def test_cli_checks_output_dir_before_the_sweep(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert "not writable" in capsys.readouterr().err
+
+
+def test_cli_rejects_unwritable_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    cfg = write_config(tmp_path)
+    # an empty out is a config error, from the file or from --out
+    empty = tmp_path / "empty.cfg"
+    empty.write_text(MINIMAL + "out =\n")
+    assert cli.main(["--config", str(empty)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert cli.main(["--config", str(cfg), "--out", ""]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    # a path that names a directory cannot be replaced by the CSV
+    for out in ("sub", "sub/", str(tmp_path / "sub"), "new/"):
+        assert cli.main(["--config", str(cfg), "--out", out]) == cli.EXIT_CONFIG, out
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "directory" in err, out
+    dir_cfg = tmp_path / "dir.cfg"
+    dir_cfg.write_text(MINIMAL + "out = sub\n")
+    assert cli.main(["--config", str(dir_cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("output error: ")
 
 
 def test_cli_override_validation_error(tmp_path):

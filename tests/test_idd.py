@@ -61,6 +61,79 @@ def test_soft_symbol_stats_shape_check():
         m.soft_symbol_stats(np.zeros((3, 3)))
 
 
+def reference_soft_symbol_stats(priors, constellation=None, symbol_power=1.0):
+    """Soft statistics through the (..., 4) table of point probabilities:
+    the mean is ``sum_s P(s) s`` and the variance ``sum_s P(s) |s - mean|^2``."""
+    priors = np.asarray(priors, dtype=float)
+    if constellation is None:
+        constellation = m.qpsk_constellation(symbol_power)
+    lam = np.clip(priors, -LLR_CLIP, LLR_CLIP)
+    p_zero = 1.0 / (1.0 + np.exp(-lam))  # P(bit = 0) per label bit
+    labels = np.arange(len(constellation))
+    bits = np.stack([(labels >> 1) & 1, labels & 1], axis=-1)  # (4, 2)
+    # P(point) = prod over bits of the matching bit probability
+    probs = np.where(bits[:, 0] == 0, p_zero[..., :1], 1.0 - p_zero[..., :1]) \
+        * np.where(bits[:, 1] == 0, p_zero[..., 1:], 1.0 - p_zero[..., 1:])
+    means = probs @ constellation
+    spread = np.abs(constellation[None, :] - means[..., None]) ** 2
+    variances = np.einsum('...m,...m->...', probs, spread)
+    return means, variances
+
+
+def edge_priors(rng, shape):
+    """Random priors with exact zeros, the clip level and beyond-clip values."""
+    priors = rng.normal(0.0, 8.0, size=shape)
+    edges = np.array([0.0, LLR_CLIP, -LLR_CLIP, 80.0, -80.0])
+    flat = priors.reshape(-1)
+    flat[::3] = rng.choice(edges, size=flat[::3].shape)
+    return priors
+
+
+@pytest.mark.parametrize("sp", [1.0, 2.0])
+def test_soft_symbol_stats_match_probability_table(rng, sp):
+    priors = edge_priors(rng, (6, 50, 2))
+    assert np.any(priors == 0.0) and np.any(np.abs(priors) == 80.0)
+    const = m.qpsk_constellation(sp)
+    means, variances = m.soft_symbol_stats(priors, const)
+    ref_means, ref_variances = reference_soft_symbol_stats(priors, const)
+    # the table's 1 - P(b = 0) has absolute error ~eps, so confident priors
+    # agree to an absolute tolerance of a few ulps of the symbol energy
+    np.testing.assert_allclose(means, ref_means, rtol=1e-12, atol=1e-15 * sp)
+    np.testing.assert_allclose(variances, ref_variances, rtol=1e-12, atol=1e-15 * sp)
+
+
+@pytest.mark.parametrize("sp", [1.0, 2.0])
+def test_soft_symbol_variance_keeps_relative_accuracy(sp):
+    # sech^2(x / 2) = 4 e^-|x| / (1 + e^-|x|)^2: no cancellation at any |x|,
+    # where E_s - |mean|^2 would return 0 or roundoff at the clip
+    lam = np.array([[0.0, 5.0], [-20.0, 37.0], [LLR_CLIP, -LLR_CLIP], [80.0, -80.0]])
+    _, variances = m.soft_symbol_stats(lam, symbol_power=sp)
+    e = np.exp(-np.abs(np.clip(lam, -LLR_CLIP, LLR_CLIP)))
+    exact = sp / 2.0 * np.sum(4.0 * e / (1.0 + e) ** 2, axis=-1)
+    np.testing.assert_allclose(variances, exact, rtol=1e-12, atol=0)
+    assert np.all(variances > 0)
+
+
+@pytest.mark.parametrize("sp", [1.0, 2.0, 1.3])
+def test_soft_symbol_stats_zero_priors_give_equal_variances(sp):
+    # the single-solve branch of soft_mmse_sic_detect needs exact equality
+    means, variances = m.soft_symbol_stats(np.zeros((3, 4, 50, 2)), symbol_power=sp)
+    assert np.all(means == 0)
+    assert np.all(variances == variances.flat[0])
+    assert variances.flat[0] == pytest.approx(sp, rel=1e-15)
+
+
+def test_soft_receiver_rejects_other_constellations():
+    const = m.qpsk_constellation(1.0)
+    for bad in (const[[0, 2, 1, 3]], const + 1e-3, const[:3], const.real, -const):
+        with pytest.raises(ParameterError, match="Gray QPSK"):
+            m.soft_symbol_stats(np.zeros((2, 2)), bad)
+        with pytest.raises(ParameterError, match="Gray QPSK"):
+            m.extrinsic_llr(np.zeros(2, dtype=complex), 1.0, 0.5, bad)
+    with pytest.raises(ParameterError):
+        m.soft_symbol_stats(np.zeros((2, 2)), symbol_power=0.0)
+
+
 # -- soft MMSE detection ------------------------------------------------------
 
 def naive_soft_mmse(r_block, chan, means, variances, noise_var, symbol_power):
@@ -257,6 +330,73 @@ def brute_force_llr(z, v, s2, const, priors=None, max_log=False):
     return np.array(out)
 
 
+def reference_extrinsic_llr(z, v_hat, xi_var, constellation=None, symbol_power=1.0,
+                            priors=None, clip=LLR_CLIP):
+    """Demapper through the (..., 4) table of point metrics
+    ``-|z - V s|^2 / (2 sigma_xi^2)`` (plus the priors), reduced by
+    log-sum-exp over each bit's subsets."""
+    z = np.asarray(z, dtype=complex)
+    if constellation is None:
+        constellation = m.qpsk_constellation(symbol_power)
+    v = np.broadcast_to(np.asarray(v_hat, dtype=float), z.shape)
+    s2 = np.broadcast_to(np.maximum(np.asarray(xi_var, dtype=float), idd._VAR_FLOOR),
+                         z.shape)
+    metric = np.empty(z.shape + constellation.shape)
+    for i, point in enumerate(constellation):
+        metric[..., i] = -np.abs(z - v * point) ** 2 / (2.0 * s2)
+    labels = np.arange(len(constellation))
+    bit_table = np.stack([(labels >> 1) & 1, labels & 1], axis=0)  # (2, 4)
+    if priors is not None:
+        priors = np.clip(np.asarray(priors, dtype=float), -LLR_CLIP, LLR_CLIP)
+        sign = 1.0 - 2.0 * bit_table  # bit 0 -> +1
+        metric = metric + 0.5 * np.einsum('...c,cm->...m', priors, sign)
+    out = np.empty(z.shape + (2,))
+    for c in range(2):
+        out[..., c] = (np.logaddexp.reduce(metric[..., bit_table[c] == 0], axis=-1)
+                       - np.logaddexp.reduce(metric[..., bit_table[c] == 1], axis=-1))
+        if priors is not None:
+            out[..., c] -= priors[..., c]
+    return np.clip(out, -clip, clip)
+
+
+@pytest.mark.parametrize("sp", [1.0, 2.0])
+def test_extrinsic_llr_matches_metric_table(rng, sp):
+    const = m.qpsk_constellation(sp)
+    z = 2.0 * (rng.standard_normal((3, 8, 40)) + 1j * rng.standard_normal((3, 8, 40)))
+    v = np.abs(rng.normal(0.8, 0.2, size=(3, 8, 1)))
+    s2 = np.abs(rng.normal(0.5, 0.2, size=(3, 8, 1)))
+    priors = edge_priors(rng, z.shape + (2,))
+    for clip in (LLR_CLIP, 1e9):
+        got = m.extrinsic_llr(z, v, s2, const, priors=priors, clip=clip)
+        ref = reference_extrinsic_llr(z, v, s2, const, priors=priors, clip=clip)
+        # log-sum-exp differences carry roundoff of ~eps times the largest
+        # metric, hence the absolute tolerance for LLRs near 0
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_extrinsic_llr_checks_prior_shape():
+    z = np.zeros((2, 5), dtype=complex)
+    m.extrinsic_llr(z, 1.0, 0.5, priors=np.zeros((2, 5, 2)))
+    with pytest.raises(StructuralError):
+        m.extrinsic_llr(z, 1.0, 0.5, priors=np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coded_sweep_csv_matches_table_oracles(monkeypatch, workers):
+    spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=6), coded=True,
+                          idd_iterations=3, packet_symbols=80,
+                          snr_db=(2.0, 6.0, 10.0), packets=5, seed=5).validate()
+    assert len(harness.trial_blocks(spec)[0]) > 1
+    closed = m.run_sweep(spec, workers=workers)
+    assert sum(row.errors for row in closed.rows) > 0
+    monkeypatch.setattr(idd, "soft_symbol_stats", reference_soft_symbol_stats)
+    monkeypatch.setattr(idd, "extrinsic_llr", reference_extrinsic_llr)
+    tables = m.run_sweep(spec, workers=workers)
+    assert m.format_csv(tables) == m.format_csv(closed)
+    assert [r.per_iteration_errors for r in tables.rows] == [
+        r.per_iteration_errors for r in closed.rows]
+
+
 def test_extrinsic_llr_brute_force(rng):
     const = m.qpsk_constellation(1.0)
     z = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
@@ -290,9 +430,10 @@ def test_extrinsic_llr_gray_priors_are_inert(rng):
 
 
 def test_extrinsic_llr_max_log(rng):
+    # for Gray QPSK the max-log demapper is exact: one formula serves both
     const = m.qpsk_constellation(1.0)
     z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    got = m.extrinsic_llr(z, 0.8, 0.5, const, max_log=True, clip=1e9)
+    got = m.extrinsic_llr(z, 0.8, 0.5, const, clip=1e9)
     for t in range(6):
         ref = brute_force_llr(z[t], 0.8, 0.5, const, max_log=True)
         np.testing.assert_allclose(got[t], ref, atol=1e-10)
@@ -548,14 +689,13 @@ def _received_block(estimator, n_pkt):
 
 
 @pytest.mark.parametrize("estimator", ["perfect", "lms"])
-@pytest.mark.parametrize("max_log", [False, True], ids=["exact", "maxlog"])
 @pytest.mark.parametrize("n_pkt", [1, 3])
-def test_stacked_idd_equals_per_packet_calls(estimator, max_log, n_pkt):
+def test_stacked_idd_equals_per_packet_calls(estimator, n_pkt):
     r, chans, nv, perms = _received_block(estimator, n_pkt)
-    block = m.idd_receive(r, chans, nv, perms, n_outer=3, max_log=max_log)
+    block = m.idd_receive(r, chans, nv, perms, n_outer=3)
     assert block.info_bits.shape == (n_pkt, 3, m.coded_payload_length(80))
     for k in range(n_pkt):
-        alone = m.idd_receive(r[k], chans[k], nv, perms[k], n_outer=3, max_log=max_log)
+        alone = m.idd_receive(r[k], chans[k], nv, perms[k], n_outer=3)
         for stacked, bits in zip(block.per_iteration_bits, alone.per_iteration_bits,
                                  strict=True):
             assert np.array_equal(stacked[k], bits)
