@@ -60,35 +60,34 @@ def _cached_corr_sqrt(n: int, rho: float) -> np.ndarray:
     return out
 
 
-def _receive_corr_sqrt(cfg: SystemConfig, n_rx: int) -> np.ndarray:
-    """Block-diagonal square root of the receive correlation matrix."""
-    if n_rx == cfg.n_rx_total:
-        blocks = cfg.receive_blocks()
-    else:
-        # callers drawing an ad-hoc array size get one co-located block
-        blocks = [n_rx]
-    root = np.zeros((n_rx, n_rx))
+@lru_cache(maxsize=8)
+def _receive_corr_sqrt(blocks: tuple, rho: float) -> np.ndarray:
+    """Block-diagonal square root of the receive correlation matrix.
+
+    Stored complex and read-only: every per-user draw multiplies a complex
+    matrix by it, and a real root would be cast to complex on each call.
+    """
+    n_rx = sum(blocks)
+    root = np.zeros((n_rx, n_rx), dtype=complex)
     start = 0
     for size in blocks:
-        root[start:start + size, start:start + size] = _cached_corr_sqrt(size, cfg.rho)
+        root[start:start + size, start:start + size] = _cached_corr_sqrt(size, rho)
         start += size
+    root.setflags(write=False)
     return root
 
 
-def draw_small_scale(cfg: SystemConfig, n_rx: int, rng: np.random.Generator) -> np.ndarray:
-    """Correlated Rayleigh channel of one user, shape (n_rx, N_U).
+def draw_small_scale(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Correlated Rayleigh channel of one user, shape (N_A, N_U).
 
     An i.i.d. CN(0, 1) matrix is colored on the receive side by the
     (block-diagonal) correlation root and on the transmit side by the
     per-user antenna correlation root.
     """
-    if n_rx < 1:
-        raise ParameterError(f"n_rx must be >= 1, got {n_rx}")
-    n_tx = cfg.antennas_per_user
-    white = (rng.standard_normal((n_rx, n_tx))
-             + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2.0)
-    rx_root = _receive_corr_sqrt(cfg, n_rx)
-    tx_root = _cached_corr_sqrt(n_tx, cfg.rho)
+    shape = (cfg.n_rx_total, cfg.antennas_per_user)
+    white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    rx_root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
+    tx_root = _cached_corr_sqrt(cfg.antennas_per_user, cfg.rho)
     return rx_root @ white @ tx_root
 
 

@@ -114,4 +114,4 @@ class SystemConfig:
         head contributes a block of ``antennas_per_head``.  Correlation only
         couples antennas inside a block.
         """
-        return [self.n_bs] + [self.antennas_per_head] * self.n_heads
+        return (self.n_bs,) + (self.antennas_per_head,) * self.n_heads

@@ -47,11 +47,20 @@ def _weights(n, lam):
     return lam ** np.arange(n - 1, -1, -1, dtype=float)
 
 
+def _scale(x, c):
+    # x * c in place for a fresh complex array and a real c, on the real
+    # view: numpy's complex ``0.5 * x`` and ``x / lam`` round each part as
+    # ``part * 0.5`` and ``part * (1.0 / lam)``, so the bits are the same
+    # without a complex multiply or division per entry
+    x.view(float)[...] *= c
+    return x
+
+
 def _hermitize(p):
     # re-symmetrize an inverse-correlation iterate: the anti-Hermitian
     # roundoff component of the conventional recursion grows like lam**-n
     # and eventually dominates unless it is projected out each step
-    return 0.5 * (p + np.conj(np.swapaxes(p, -1, -2)))
+    return _scale(p + np.conj(np.swapaxes(p, -1, -2)), 0.5)
 
 
 # -- channel estimation -------------------------------------------------------
@@ -349,10 +358,12 @@ class JioFilterBank:
         err = d - np.einsum('kd,kd->k', self.w_bar.conj(), r_bar)
         self.w_bar = self.w_bar + gain * err.conj()[:, None]
         rp = np.einsum('kd,kde->ke', r_bar.conj(), self.p_bar)
-        self.p_bar = _hermitize((self.p_bar - gain[:, :, None] * rp[:, None, :]) / self.lam)
+        ilam = 1.0 / self.lam
+        self.p_bar = _hermitize(_scale(self.p_bar - gain[:, :, None] * rp[:, None, :], ilam))
         pf = self.p_full @ r
         gain_full = pf / (self.lam + np.real(r.conj() @ pf))
-        self.p_full = _hermitize((self.p_full - np.outer(gain_full, r.conj() @ self.p_full)) / self.lam)
+        p_full = self.p_full - np.outer(gain_full, r.conj() @ self.p_full)
+        self.p_full = _hermitize(_scale(p_full, ilam))
         err_post = d - np.einsum('kd,kd->k', self.w_bar.conj(), r_bar)
         w_energy = np.einsum('kd,kd->k', self.w_bar.conj(), self.w_bar).real
         active = w_energy > 0.0

@@ -340,7 +340,7 @@ def _draw_trial_channel(cfg: SystemConfig, seed: int, snr_index: int,
                         trial_index: int):
     large = draw_large_scale(cfg, rngmod.substream(
         seed, snr_index, trial_index, rngmod.LARGE_SCALE))
-    small = [draw_small_scale(cfg, cfg.n_rx_total, rngmod.substream(
+    small = [draw_small_scale(cfg, rngmod.substream(
         seed, snr_index, trial_index, rngmod.SMALL_SCALE, k))
         for k in range(cfg.n_users)]
     return compose_channel(cfg, small, large)

@@ -172,44 +172,54 @@ def _state_recursions(lam_steps: np.ndarray, sign: np.ndarray,
                       trellis: TrellisSpec) -> np.ndarray:
     """Forward and backward state metrics from step LLRs (batch, t, n_out).
 
-    Both recursions run in one loop over a stacked ``(2 * batch, n_states)``
-    state vector: the alpha rows gather their predecessor states and the
-    beta rows their successor states through one flat index table, and
-    each adds its time-aligned branch metric.  Row ``t`` of the result
-    holds alpha at time ``t`` (first ``batch`` rows) and beta at time
-    ``n_steps - t`` (last ``batch`` rows); every row is max-normalized.
+    Both recursions run in one loop over a stacked ``(n_states, 2 * batch)``
+    state slice: the alpha columns gather their predecessor states and the
+    beta columns their successor states through one flat index table, and
+    each adds its time-aligned branch metric.  Slice ``t`` of the result
+    holds alpha at time ``t`` (first ``batch`` columns) and beta at time
+    ``n_steps - t`` (last ``batch`` columns); every column is max-normalized.
     """
     batch, n_steps, _ = lam_steps.shape
+    width = 2 * batch
     n_states = trellis.n_states
     next_state, _ = trellis_tables(trellis)
     pred_state, pred_input = trellis_predecessors(trellis)
     # step t advances alpha from time t and beta from time n_steps - t; the
     # two candidate branches of every state lead the arrays, so each is a
-    # contiguous (2 * batch, n_states) block
-    gather = np.empty((2, 2 * batch, n_states), dtype=np.int64)
-    rows = n_states * np.arange(2 * batch)[:, None]
+    # contiguous (n_states, 2 * batch) block
+    gather = np.empty((2, n_states, width), dtype=np.int64)
+    cols = np.arange(width)
     for k in (0, 1):
-        gather[k, :batch] = rows[:batch] + pred_state[:, k]
-        gather[k, batch:] = rows[batch:] + next_state[:, k]
+        gather[k, :, :batch] = width * pred_state[:, k, None] + cols[:batch]
+        gather[k, :, batch:] = width * next_state[:, k, None] + cols[batch:]
 
-    states = np.full((n_steps, 2 * batch, n_states), -np.inf)
-    states[0, :, 0] = 0.0
-    step_gammas = np.empty((_CHUNK, 2, 2 * batch, n_states))
+    states = np.full((n_steps, n_states, width), -np.inf)
+    states[0, 0] = 0.0
+    step_gammas = np.empty((_CHUNK, 2, n_states, width))
     # alpha at n_steps and beta at 0 are never read, so one step is skipped
     for t0 in range(0, n_steps - 1, _CHUNK):
         t1 = min(t0 + _CHUNK, n_steps - 1)
         fwd = _branch_metrics(lam_steps[:, t0:t1], sign)
         bwd = _branch_metrics(lam_steps[:, n_steps - t1:n_steps - t0], sign)[:, ::-1]
         for k in (0, 1):
-            step_gammas[:t1 - t0, k, :batch] = fwd[:, :, pred_state[:, k],
-                                                   pred_input[:, k]].transpose(1, 0, 2)
-            step_gammas[:t1 - t0, k, batch:] = bwd[:, :, :, k].transpose(1, 0, 2)
+            step_gammas[:t1 - t0, k, :, :batch] = fwd[:, :, pred_state[:, k],
+                                                      pred_input[:, k]].transpose(1, 2, 0)
+            step_gammas[:t1 - t0, k, :, batch:] = bwd[:, :, :, k].transpose(1, 2, 0)
         for t in range(t0, t1):
             cand = states[t].take(gather) + step_gammas[t - t0]
             step = np.logaddexp(cand[0], cand[1])
             # normalize to keep the recursion bounded; differences are invariant
-            states[t + 1] = step - np.maximum.reduce(step, axis=1, keepdims=True)
+            states[t + 1] = step - np.maximum.reduce(step)
     return states
+
+
+def _logsumexp_fold(columns, idx):
+    # left fold in index order: the sums np.logaddexp.reduce forms over the
+    # gathered columns, without the gather
+    acc = columns[..., idx[0]]
+    for i in idx[1:]:
+        acc = np.logaddexp(acc, columns[..., i])
+    return acc
 
 
 def bcjr_decode(channel_llrs: np.ndarray,
@@ -242,26 +252,27 @@ def bcjr_decode(channel_llrs: np.ndarray,
     lam_steps = lam.reshape(batch, n_steps, n_out)
 
     states = _state_recursions(lam_steps, sign, trellis)
-    alphas = states[:, :batch]  # alpha at time t
-    betas = states[::-1, batch:]  # beta at time t + 1
+    alphas = states[:, :, :batch].transpose(2, 0, 1)  # alpha at time t
+    betas = states[::-1, :, batch:].transpose(2, 0, 1)  # beta at time t + 1
     out_flat = out_bits.reshape(-1, n_out)  # (S*2, n_out)
     input_flat = np.tile([0, 1], trellis.n_states)
+    groups = [(np.flatnonzero(bits == 0), np.flatnonzero(bits == 1))
+              for bits in list(out_flat.T) + [input_flat]]
     extrinsic = np.empty_like(lam_steps)
     info_llrs = np.empty((batch, n_steps))
     for t0 in range(0, n_steps, _CHUNK):
         t1 = min(t0 + _CHUNK, n_steps)
         # joint metric of every branch (s, u) at every time t of the chunk
         joint = _branch_metrics(lam_steps[:, t0:t1], sign)
-        joint += alphas[t0:t1].transpose(1, 0, 2)[..., None]
+        joint += alphas[:, t0:t1, :, None]
         for u in (0, 1):
-            joint[..., u] += betas[t0:t1, :, next_state[:, u]].transpose(1, 0, 2)
+            joint[..., u] += betas[:, t0:t1, next_state[:, u]]
         jf = joint.reshape(batch, t1 - t0, -1)
+        llrs = [_logsumexp_fold(jf, zero) - _logsumexp_fold(jf, one)
+                for zero, one in groups]
         for c in range(n_out):
-            zero = np.logaddexp.reduce(jf[..., out_flat[:, c] == 0], axis=-1)
-            one = np.logaddexp.reduce(jf[..., out_flat[:, c] == 1], axis=-1)
-            extrinsic[:, t0:t1, c] = zero - one - lam_steps[:, t0:t1, c]
-        info_llrs[:, t0:t1] = (np.logaddexp.reduce(jf[..., input_flat == 0], axis=-1)
-                               - np.logaddexp.reduce(jf[..., input_flat == 1], axis=-1))
+            extrinsic[:, t0:t1, c] = llrs[c] - lam_steps[:, t0:t1, c]
+        info_llrs[:, t0:t1] = llrs[n_out]
 
     k_info = n_steps - trellis.memory
     info = info_llrs[:, :k_info]

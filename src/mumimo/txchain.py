@@ -268,7 +268,11 @@ def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
     clean = chan @ symbols
     if noise_var == 0.0:
         return clean
-    scale = np.sqrt(noise_var / 2.0)
-    noise = scale * (rng.standard_normal(clean.shape)
-                     + 1j * rng.standard_normal(clean.shape))
-    return clean + noise
+    # the real and imaginary blocks are the same draws, in the same order,
+    # as two separate standard_normal(clean.shape) calls
+    noise = rng.standard_normal((2,) + clean.shape)
+    noise *= np.sqrt(noise_var / 2.0)
+    out = clean.astype(complex, copy=False)
+    out.real += noise[0]
+    out.imag += noise[1]
+    return out

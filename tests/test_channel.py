@@ -43,7 +43,7 @@ def test_matrix_sqrt_rejects_indefinite():
 
 def test_receive_corr_sqrt_is_block_diagonal():
     cfg = m.SystemConfig(n_users=2, n_bs=3, n_heads=2, antennas_per_head=2, rho=0.8)
-    root = _receive_corr_sqrt(cfg, cfg.n_rx_total)
+    root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
     cov = root @ root.conj().T
     # no coupling between the central array and any head, nor across heads
     assert np.all(cov[:3, 3:] == 0)
@@ -54,7 +54,7 @@ def test_receive_corr_sqrt_is_block_diagonal():
 
 def test_small_scale_unit_power_and_correlation(rng):
     cfg = m.SystemConfig(n_users=1, n_bs=2, rho=0.9)
-    draws = np.stack([m.draw_small_scale(cfg, 2, rng)[:, 0] for _ in range(20000)])
+    draws = np.stack([m.draw_small_scale(cfg, rng)[:, 0] for _ in range(20000)])
     power = np.mean(np.abs(draws) ** 2, axis=0)
     np.testing.assert_allclose(power, 1.0, atol=0.05)
     cross = np.mean(draws[:, 0] * draws[:, 1].conj())
@@ -63,9 +63,53 @@ def test_small_scale_unit_power_and_correlation(rng):
 
 def test_small_scale_uncorrelated_when_rho_zero(rng):
     cfg = m.SystemConfig(n_users=1, n_bs=4, rho=0.0)
-    draws = np.stack([m.draw_small_scale(cfg, 4, rng)[:, 0] for _ in range(8000)])
+    draws = np.stack([m.draw_small_scale(cfg, rng)[:, 0] for _ in range(8000)])
     gram = draws.conj().T @ draws / len(draws)
     np.testing.assert_allclose(gram, np.eye(4), atol=0.06)
+
+
+def reference_draw_small_scale(cfg, rng):
+    # the per-call draw before the complex root was cached: a real
+    # block-diagonal root built on every call and cast in the product
+    shape = (cfg.n_rx_total, cfg.antennas_per_user)
+    white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    root = np.zeros((cfg.n_rx_total, cfg.n_rx_total))
+    start = 0
+    for size in cfg.receive_blocks():
+        root[start:start + size, start:start + size] = m.matrix_sqrt(
+            m.correlation_matrix(size, cfg.rho))
+        start += size
+    tx_root = m.matrix_sqrt(m.correlation_matrix(cfg.antennas_per_user, cfg.rho))
+    return root @ white @ tx_root
+
+
+@pytest.mark.parametrize("cfg", [
+    m.SystemConfig(n_users=8, n_bs=16),
+    m.SystemConfig(n_users=8, n_bs=8, n_heads=8, antennas_per_head=1),
+    m.SystemConfig(n_users=32, n_bs=128),
+    m.SystemConfig(n_users=32, n_bs=64, n_heads=8, antennas_per_head=8, rho=0.5),
+    m.SystemConfig(n_users=64, n_bs=256),
+    m.SystemConfig(n_users=64, n_bs=128, n_heads=16, antennas_per_head=8),
+    m.SystemConfig(n_users=4, n_bs=8, n_heads=2, antennas_per_head=4, antennas_per_user=2),
+], ids=["cas-8x16", "das-8x8x1", "cas-32x128", "das-32x64x8", "cas-64x256",
+        "das-64x128x8", "das-4x8x4-nu2"])
+def test_small_scale_equals_per_call_real_root(cfg):
+    got, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        h = m.draw_small_scale(cfg, got)
+        assert h.dtype == complex and h.shape == (cfg.n_rx_total, cfg.antennas_per_user)
+        assert np.array_equal(h, reference_draw_small_scale(cfg, ref))
+
+
+def test_receive_corr_sqrt_is_one_cached_read_only_array():
+    cfg = m.SystemConfig(n_users=2, n_bs=4, n_heads=2, antennas_per_head=3, rho=0.7)
+    root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
+    assert root is _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
+    assert root.dtype == complex and not root.flags.writeable
+    with pytest.raises(ValueError):
+        root[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        root.view(float)[...] *= 2.0
 
 
 def test_distance_grid_step_and_endpoints():

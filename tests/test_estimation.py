@@ -407,6 +407,69 @@ def test_jio_bank_block_equals_single_updates(rng):
     np.testing.assert_allclose(block.weights, single.weights, rtol=1e-12)
 
 
+def reference_joint_step(bank, r, d):
+    # the joint step with numpy's complex ``/ lam`` and ``0.5 *``
+    def hermitize(p):
+        return 0.5 * (p + np.conj(np.swapaxes(p, -1, -2)))
+
+    bank.n_updates += 1
+    r_bar = np.einsum('knd,n->kd', bank.basis.conj(), r)
+    pr = np.einsum('kde,ke->kd', bank.p_bar, r_bar)
+    denom = bank.lam + np.einsum('kd,kd->k', r_bar.conj(), pr).real
+    gain = pr / denom[:, None]
+    err = d - np.einsum('kd,kd->k', bank.w_bar.conj(), r_bar)
+    bank.w_bar = bank.w_bar + gain * err.conj()[:, None]
+    rp = np.einsum('kd,kde->ke', r_bar.conj(), bank.p_bar)
+    bank.p_bar = hermitize((bank.p_bar - gain[:, :, None] * rp[:, None, :]) / bank.lam)
+    pf = bank.p_full @ r
+    gain_full = pf / (bank.lam + np.real(r.conj() @ pf))
+    bank.p_full = hermitize((bank.p_full - np.outer(gain_full, r.conj() @ bank.p_full)) / bank.lam)
+    err_post = d - np.einsum('kd,kd->k', bank.w_bar.conj(), r_bar)
+    w_energy = np.einsum('kd,kd->k', bank.w_bar.conj(), bank.w_bar).real
+    active = w_energy > 0.0
+    if np.any(active):
+        scale = np.where(active, err_post.conj() / np.maximum(w_energy, 1e-300), 0.0)
+        bank.basis = bank.basis + (scale[:, None, None] * gain_full[None, :, None]
+                                   * bank.w_bar.conj()[:, None, :])
+
+
+@pytest.mark.parametrize("warmup,blocks", [
+    (0, ((0, 300),)),
+    (0, ((0, 1), (1, 120), (120, 300))),
+    (20, ((0, 300),)),
+    (20, ((0, 7), (7, 33), (33, 300))),
+])
+def test_jio_bank_equals_complex_arithmetic_step(rng, monkeypatch, warmup, blocks):
+    # the real-view scaling must leave every bit of the recursion as it was;
+    # blocks (7, 33) straddle the hand-off after the twentieth sample
+    recv, desired = training_block(rng, 64, 8, 300)
+    got = m.JioFilterBank(64, 8, rank=5, lam=0.999, warmup=warmup)
+    ref = m.JioFilterBank(64, 8, rank=5, lam=0.999, warmup=warmup)
+    for lo, hi in blocks:
+        got.update(recv[:, lo:hi], desired[:, lo:hi])
+    monkeypatch.setattr(ref, "_joint_step", lambda r, d: reference_joint_step(ref, r, d))
+    for lo, hi in blocks:
+        ref.update(recv[:, lo:hi], desired[:, lo:hi])
+    assert got.n_updates == ref.n_updates == 300
+    for name in ("basis", "w_bar", "p_bar", "p_full", "weights"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("c", [0.97, 0.98, 0.999, 1.0])
+def test_numpy_complex_scaling_equals_real_view_scaling(rng, c):
+    # the JIO step and _hermitize rely on numpy rounding complex ``x / c``
+    # (real c) as each part times ``1.0 / c``, and ``0.5 * x`` as each part
+    # times 0.5; a numpy that rounds otherwise fails here, not as a moved CSV
+    x = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    x[0, :4] = [0.0, -0.0j, 1e-300 + 1e300j, -5e-324]
+    divided = x.copy()
+    divided.view(float)[...] *= 1.0 / c
+    assert np.array_equal(x / c, divided)
+    halved = x.copy()
+    halved.view(float)[...] *= 0.5
+    assert np.array_equal(0.5 * x, halved)
+
+
 def test_jio_hand_off_keeps_the_pooled_krylov_filter(rng):
     recv, desired = training_block(rng, 4, 2, 5)
     jio = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)

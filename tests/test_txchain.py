@@ -185,6 +185,38 @@ def test_channel_transmit_noise_statistics(rng):
     assert np.mean(out.real ** 2) == pytest.approx(2.0, rel=0.03)
 
 
+def reference_channel_transmit(chan, symbols, noise_var, rng):
+    # noise formed as a complex sum of two draws and added out of place
+    clean = chan @ symbols
+    if noise_var == 0.0:
+        return clean
+    scale = np.sqrt(noise_var / 2.0)
+    noise = scale * (rng.standard_normal(clean.shape)
+                     + 1j * rng.standard_normal(clean.shape))
+    return clean + noise
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "noiseless"])
+@pytest.mark.parametrize("n_rx,n_streams,n", [(16, 8, 500), (128, 32, 7), (256, 64, 30)])
+def test_channel_transmit_equals_out_of_place_noise(kind, n_rx, n_streams, n):
+    draw = np.random.default_rng(n_rx)
+    chan = draw.standard_normal((n_rx, n_streams))
+    sym = m.qpsk_map(draw.integers(0, 2, (n_streams, 2 * n)), 2.0)
+    if kind == "real":
+        # a real G s must still come back complex
+        sym = sym.real.copy()
+    else:
+        chan = chan + 1j * draw.standard_normal((n_rx, n_streams))
+    noise_var = 0.0 if kind == "noiseless" else 0.37
+    got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = m.channel_transmit(chan, sym, noise_var, got_rng)
+    ref = reference_channel_transmit(chan, sym, noise_var, ref_rng)
+    assert got.dtype == np.complex128 and got.shape == (n_rx, n)
+    assert np.array_equal(got, ref)
+    # the generator is left where the two-draw version leaves it
+    assert got_rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_channel_transmit_validates(rng):
     with pytest.raises(StructuralError):
         m.channel_transmit(np.zeros((2, 3)), np.zeros((2, 5)), 1.0, rng)
