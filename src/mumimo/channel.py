@@ -101,11 +101,7 @@ class LargeScaleDraw:
     """
 
     distances: np.ndarray
-    path_gains: np.ndarray
-    shadow_db_draws: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gains: np.ndarray  # gamma = alpha * beta
+    gains: np.ndarray  # gamma = sqrt(link / d^tau) * 10^(sigma v / 10)
 
 
 def _distance_grid(distance_range) -> np.ndarray:
@@ -127,10 +123,8 @@ def draw_large_scale(cfg: SystemConfig, rng: np.random.Generator) -> LargeScaleD
     lo, hi = cfg.path_gain_range
     link = lo + (hi - lo) * rng.random(size=shape)
     v = rng.standard_normal(shape)
-    alpha = np.sqrt(link / d ** cfg.path_loss_exp)
-    beta = 10.0 ** (cfg.shadow_spread_db * v / 10.0)
-    return LargeScaleDraw(distances=d, path_gains=link, shadow_db_draws=v,
-                          alpha=alpha, beta=beta, gains=alpha * beta)
+    return LargeScaleDraw(distances=d, gains=np.sqrt(link / d ** cfg.path_loss_exp)
+                          * 10.0 ** (cfg.shadow_spread_db * v / 10.0))
 
 
 def gain_diagonal(cfg: SystemConfig, large: LargeScaleDraw, user: int) -> np.ndarray:

@@ -72,7 +72,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     for row in result.rows:
         if row.failed:
-            print(f"snr {row.snr_db:g} dB: FAILED ({row.message})")
+            blocks = "block" if row.failed_blocks == 1 else "blocks"
+            print(f"snr {row.snr_db:g} dB: FAILED in {row.failed_blocks} {blocks} "
+                  f"(first: {row.message})")
         else:
             print(f"snr {row.snr_db:g} dB: ber {row.ber:.6g} "
                   f"({row.errors}/{row.bits} bits)")

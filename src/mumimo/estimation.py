@@ -16,6 +16,12 @@ LMS, the joint iterative optimization (JIO) of projection and short filter,
 whose basis step depends on each sample, and the :class:`RlsChannelEstimator`
 oracle of the batch channel solve remain recursions.
 
+The LMS tracker and both filter banks take ``packets=P`` to train P
+independent packets at once: every array gains a leading packet axis, and
+LMS and JIO step all P in one per-sample loop.  Each operation is
+elementwise or one BLAS call per packet, so a packet's estimate is bitwise
+what its 2-D (``packets=None``) tracker or bank would give.
+
 ``delta`` starts the correlation at ``delta * I`` (``P[0] = I / delta`` for
 the recursions).  The default ``delta = 1e-6`` keeps the solutions within
 1e-6 of unregularized least squares once the history has full rank.
@@ -42,6 +48,15 @@ def _check_delta(delta):
         raise ParameterError("delta must be > 0")
 
 
+def _lead(packets):
+    # the leading packet axis of a tracker's or bank's arrays, if it has one
+    if packets is None:
+        return ()
+    if packets < 1:
+        raise ParameterError(f"packets must be >= 1, got {packets}")
+    return (int(packets),)
+
+
 def _weights(n, lam):
     # lam ** (n-1), ..., lam ** 0
     return lam ** np.arange(n - 1, -1, -1, dtype=float)
@@ -56,11 +71,14 @@ def _scale(x, c):
     return x
 
 
-def _hermitize(p):
+def _hermitize(p, out=None):
     # re-symmetrize an inverse-correlation iterate: the anti-Hermitian
     # roundoff component of the conventional recursion grows like lam**-n
-    # and eventually dominates unless it is projected out each step
-    return _scale(p + np.conj(np.swapaxes(p, -1, -2)), 0.5)
+    # and eventually dominates unless it is projected out each step; the
+    # result goes to ``out`` (not ``p``) or to a fresh C-ordered array
+    h = np.conjugate(np.swapaxes(p, -1, -2),
+                     out=np.empty_like(p, order="C") if out is None else out)
+    return _scale(np.add(p, h, out=h), 0.5)
 
 
 # -- channel estimation -------------------------------------------------------
@@ -131,10 +149,14 @@ class RlsChannelEstimator:
 
 
 class LmsChannelEstimator:
-    """Least-mean-squares tracker of the stacked channel matrix."""
+    """Least-mean-squares tracker of the stacked channel matrix.
+
+    With ``packets=P`` it tracks P packets' channels at once: ``estimate``
+    is (P, N_A, M) and one update steps every packet per pilot.
+    """
 
     def __init__(self, n_streams: int, n_rx: int, mu: float = 0.05,
-                 symbol_power: float = 1.0):
+                 symbol_power: float = 1.0, packets: int = None):
         if mu <= 0.0:
             raise ParameterError("step size must be > 0")
         # stability heuristic: mu < 2 / tr(R) with white pilots
@@ -143,19 +165,20 @@ class LmsChannelEstimator:
                 f"LMS step size {mu} exceeds 2 / tr(R) = {2.0 / (n_streams * symbol_power):.4g}; "
                 "the recursion may diverge", ParameterWarning, stacklevel=2)
         self.mu = mu
-        self.estimate = np.zeros((n_rx, n_streams), dtype=complex)
+        self.estimate = np.zeros(_lead(packets) + (n_rx, n_streams), dtype=complex)
 
     def update(self, pilots: np.ndarray, received: np.ndarray):
         """Run the recursion over a block: pilots (M, n) or (M,), received
-        (N_A, n) or (N_A,)."""
-        s = _snapshots(pilots, self.estimate.shape[1])
-        r = _snapshots(received, self.estimate.shape[0])
-        if s.shape[1] != r.shape[1]:
-            raise StructuralError(f"{s.shape[1]} pilots but {r.shape[1]} received vectors")
-        # contiguous rows: each step sees the operands a single-vector update would
-        for s_i, r_i in zip(np.ascontiguousarray(s.T), np.ascontiguousarray(r.T)):
-            err = r_i - self.estimate @ s_i
-            self.estimate = self.estimate + self.mu * np.outer(err, s_i.conj())
+        (N_A, n) or (N_A,), each behind the packet axis if there is one."""
+        lead = self.estimate.shape[:-2]
+        s = _snapshots(pilots, lead, self.estimate.shape[-1])
+        r = _snapshots(received, lead, self.estimate.shape[-2])
+        if s.shape[-1] != r.shape[-1]:
+            raise StructuralError(f"{s.shape[-1]} pilots but {r.shape[-1]} received vectors")
+        for s_i, r_i in zip(_samples(s), _samples(r)):
+            err = r_i - (self.estimate @ s_i[..., None])[..., 0]
+            self.estimate = self.estimate + self.mu * (err[..., :, None]
+                                                       * s_i.conj()[..., None, :])
         return self
 
 
@@ -210,12 +233,20 @@ def _projected_solve(corr, basis, cross):
 
 # -- receive-filter banks (shared statistics) --------------------------------
 
-def _snapshots(block, rows):
-    # a single vector is a block of one column
+def _snapshots(block, lead, rows):
+    # a single vector is a block of one column; ``lead`` is the packet axis
     block = np.asarray(block, dtype=complex)
-    if block.ndim > 2 or block.shape[:1] != (rows,):
-        raise StructuralError(f"expected ({rows},) or ({rows}, n) snapshots, got {block.shape}")
-    return block.reshape(rows, -1)
+    if block.ndim > len(lead) + 2 or block.shape[:len(lead) + 1] != lead + (rows,):
+        shape = ", ".join(map(str, lead + (rows,)))
+        raise StructuralError(f"expected ({shape}) or ({shape}, n) snapshots, "
+                              f"got {block.shape}")
+    return block.reshape(lead + (rows, -1))
+
+
+def _samples(block):
+    # the snapshots one at a time, each contiguous, so that a step sees the
+    # operands a single-vector update would
+    return np.ascontiguousarray(np.moveaxis(block, -1, 0))
 
 
 class ReducedRankFilterBank:
@@ -226,11 +257,13 @@ class ReducedRankFilterBank:
     ``weights`` solves the projected normal equations on demand, with the
     basis rebuilt from the current statistics (principal components are
     shared, Krylov ladders are per stream).  With ``rank == n_dim`` the bank
-    is the full-rank RLS filter.
+    is the full-rank RLS filter.  With ``packets=P`` the statistics and
+    the weights gain a leading packet axis, and each packet is solved alone.
     """
 
     def __init__(self, n_dim: int, n_streams: int, method: str = "krylov",
-                 rank: int = 5, lam: float = 1.0, delta: float = DEFAULT_DELTA):
+                 rank: int = 5, lam: float = 1.0, delta: float = DEFAULT_DELTA,
+                 packets: int = None):
         if method not in ("pc", "krylov"):
             raise ParameterError(f"unknown reduced-rank method {method!r}")
         if not 1 <= rank <= n_dim:
@@ -240,37 +273,46 @@ class ReducedRankFilterBank:
         self.method = method
         self.rank = rank
         self.lam = lam
-        self.corr = np.eye(n_dim, dtype=complex) * delta
-        self.cross = np.zeros((n_dim, n_streams), dtype=complex)
+        lead = _lead(packets)
+        self.corr = np.broadcast_to(np.eye(n_dim, dtype=complex) * delta,
+                                    lead + (n_dim, n_dim)).copy()
+        self.cross = np.zeros(lead + (n_dim, n_streams), dtype=complex)
         self.n_updates = 0
 
     def update(self, received: np.ndarray, desired: np.ndarray):
-        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,)."""
-        r = _snapshots(received, self.corr.shape[0])
-        d = _snapshots(desired, self.cross.shape[1])
-        n = r.shape[1]
+        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,),
+        each behind the packet axis if there is one."""
+        lead = self.corr.shape[:-2]
+        r = _snapshots(received, lead, self.corr.shape[-1])
+        d = _snapshots(desired, lead, self.cross.shape[-1])
+        n = r.shape[-1]
         decay = self.lam ** n
         rw = r * _weights(n, self.lam)
-        self.corr = decay * self.corr + rw @ r.conj().T
-        self.cross = decay * self.cross + rw @ d.conj().T
+        self.corr = decay * self.corr + rw @ np.swapaxes(r.conj(), -1, -2)
+        self.cross = decay * self.cross + rw @ np.swapaxes(d.conj(), -1, -2)
         self.n_updates += n
 
     @property
     def weights(self) -> np.ndarray:
-        if self.rank == self.corr.shape[0]:
+        if self.corr.ndim > 2:
+            return np.stack([self._solve(c, x) for c, x in zip(self.corr, self.cross)])
+        return self._solve(self.corr, self.cross)
+
+    def _solve(self, corr, cross):
+        if self.rank == corr.shape[0]:
             # the projected solve is the full one here: the pc basis spans the
             # whole space, and the span of a krylov ladder contains R^{-1} p
             # even when it collapses (the ladder then spans an R-invariant
             # subspace holding p)
-            return np.linalg.solve(self.corr, self.cross)
+            return np.linalg.solve(corr, cross)
         if self.method == "pc":
-            basis = build_projection("pc", self.corr, rank=self.rank)
-            return _projected_solve(self.corr, basis, self.cross)
-        out = np.zeros_like(self.cross)
+            basis = build_projection("pc", corr, rank=self.rank)
+            return _projected_solve(corr, basis, cross)
+        out = np.zeros_like(cross)
         # a stream with no training yet has no ladder seed and a zero filter
-        for k in np.flatnonzero(np.any(self.cross, axis=0)):
-            basis = build_projection("krylov", self.corr, self.cross[:, k], self.rank)
-            out[:, k] = _projected_solve(self.corr, basis, self.cross[:, k])
+        for k in np.flatnonzero(np.any(cross, axis=0)):
+            basis = build_projection("krylov", corr, cross[:, k], self.rank)
+            out[:, k] = _projected_solve(corr, basis, cross[:, k])
         return out
 
 
@@ -292,11 +334,15 @@ class JioFilterBank:
     alternating scheme wants a subspace-aware starting point, and the
     pooled ladder is the natural one), whose basis, projected solution and
     inverse statistics then seed the joint recursions.
+
+    With ``packets=P`` every iterate gains a leading packet axis (``basis``
+    (P, K, N_A, D), ``p_bar`` (P, K, D, D), ``p_full`` (P, N_A, N_A)) and
+    one joint step advances all P packets.
     """
 
     def __init__(self, n_dim: int, n_streams: int, rank: int = 5,
                  lam: float = 1.0, delta: float = DEFAULT_DELTA,
-                 warmup: int = 0):
+                 warmup: int = 0, packets: int = None):
         if not 1 <= rank <= n_dim:
             raise ParameterError(f"rank must lie in [1, {n_dim}], got {rank}")
         if warmup < 0:
@@ -307,73 +353,90 @@ class JioFilterBank:
         self.rank = rank
         self.warmup = int(warmup)
         self.n_updates = 0
+        lead = _lead(packets)
         self.basis = np.broadcast_to(np.eye(n_dim, rank, dtype=complex),
-                                     (n_streams, n_dim, rank)).copy()
-        self.w_bar = np.zeros((n_streams, rank), dtype=complex)
+                                     lead + (n_streams, n_dim, rank)).copy()
+        self.w_bar = np.zeros(lead + (n_streams, rank), dtype=complex)
         self.p_bar = np.broadcast_to(np.eye(rank, dtype=complex) / delta,
-                                     (n_streams, rank, rank)).copy()
-        self.p_full = np.eye(n_dim, dtype=complex) / delta
+                                     lead + (n_streams, rank, rank)).copy()
+        self.p_full = np.broadcast_to(np.eye(n_dim, dtype=complex) / delta,
+                                      lead + (n_dim, n_dim)).copy()
         if self.warmup > 0:
             self.pooled = ReducedRankFilterBank(n_dim, n_streams, "krylov", rank,
-                                                lam, delta)
+                                                lam, delta, packets)
 
     def _hand_off(self):
         # seed the joint recursions from the pooled statistics; a collapsed
         # ladder leaves its padded coordinates inert (zero basis columns)
         corr, cross = self.pooled.corr, self.pooled.cross
-        for k in np.flatnonzero(np.any(cross, axis=0)):
-            b = build_projection("krylov", corr, cross[:, k], self.rank)
-            small = b.conj().T @ corr @ b
-            depth = b.shape[1]
-            self.basis[k] = 0.0
-            self.basis[k, :, :depth] = b
-            self.w_bar[k] = 0.0
-            self.w_bar[k, :depth] = np.linalg.solve(small, b.conj().T @ cross[:, k])
-            self.p_bar[k] = np.eye(self.rank)
-            self.p_bar[k, :depth, :depth] = _hermitize(np.linalg.inv(small))
+        for i in np.ndindex(corr.shape[:-2]):  # each packet, or () for none
+            for k in np.flatnonzero(np.any(cross[i], axis=0)):
+                b = build_projection("krylov", corr[i], cross[i][:, k], self.rank)
+                small = b.conj().T @ corr[i] @ b
+                depth = b.shape[1]
+                basis, w_bar, p_bar = self.basis[i][k], self.w_bar[i][k], self.p_bar[i][k]
+                basis[...] = 0.0
+                basis[:, :depth] = b
+                w_bar[...] = 0.0
+                w_bar[:depth] = np.linalg.solve(small, b.conj().T @ cross[i][:, k])
+                p_bar[...] = np.eye(self.rank)
+                p_bar[:depth, :depth] = _hermitize(np.linalg.inv(small))
         self.p_full = _hermitize(np.linalg.inv(corr))
 
     def update(self, received: np.ndarray, desired: np.ndarray):
-        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,)."""
-        r = _snapshots(received, self.p_full.shape[0])
-        d = _snapshots(desired, self.w_bar.shape[0])
-        head = max(0, min(r.shape[1], self.warmup - self.n_updates))
+        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,),
+        each behind the packet axis if there is one."""
+        lead = self.w_bar.shape[:-2]
+        r = _snapshots(received, lead, self.p_full.shape[-1])
+        d = _snapshots(desired, lead, self.w_bar.shape[-2])
+        head = max(0, min(r.shape[-1], self.warmup - self.n_updates))
         if head:
-            self.pooled.update(r[:, :head], d[:, :head])
+            self.pooled.update(r[..., :head], d[..., :head])
             self.n_updates += head
             if self.n_updates == self.warmup:
                 self._hand_off()
-        # contiguous rows: each joint step sees the operands a single-vector
-        # update would
-        for r_i, d_i in zip(np.ascontiguousarray(r[:, head:].T),
-                            np.ascontiguousarray(d[:, head:].T)):
+        for r_i, d_i in zip(_samples(r[..., head:]), _samples(d[..., head:])):
             self._joint_step(r_i, d_i)
 
     def _joint_step(self, r, d):
+        # r (..., N_A) and d (..., K): one sample of every packet
         self.n_updates += 1
-        r_bar = np.einsum('knd,n->kd', self.basis.conj(), r)
-        pr = np.einsum('kde,ke->kd', self.p_bar, r_bar)
-        denom = self.lam + np.einsum('kd,kd->k', r_bar.conj(), pr).real
-        gain = pr / denom[:, None]
-        err = d - np.einsum('kd,kd->k', self.w_bar.conj(), r_bar)
-        self.w_bar = self.w_bar + gain * err.conj()[:, None]
-        rp = np.einsum('kd,kde->ke', r_bar.conj(), self.p_bar)
+        r_bar = np.einsum('...knd,...n->...kd', self.basis.conj(), r)
+        pr = np.einsum('...kde,...ke->...kd', self.p_bar, r_bar)
+        denom = self.lam + np.einsum('...kd,...kd->...k', r_bar.conj(), pr).real
+        gain = pr / denom[..., None]
+        err = d - np.einsum('...kd,...kd->...k', self.w_bar.conj(), r_bar)
+        self.w_bar = self.w_bar + gain * err.conj()[..., None]
+        rp = np.einsum('...kd,...kde->...ke', r_bar.conj(), self.p_bar)
         ilam = 1.0 / self.lam
-        self.p_bar = _hermitize(_scale(self.p_bar - gain[:, :, None] * rp[:, None, :], ilam))
-        pf = self.p_full @ r
-        gain_full = pf / (self.lam + np.real(r.conj() @ pf))
-        p_full = self.p_full - np.outer(gain_full, r.conj() @ self.p_full)
-        self.p_full = _hermitize(_scale(p_full, ilam))
-        err_post = d - np.einsum('kd,kd->k', self.w_bar.conj(), r_bar)
-        w_energy = np.einsum('kd,kd->k', self.w_bar.conj(), self.w_bar).real
+        self.p_bar = _hermitize(_scale(self.p_bar - gain[..., :, None] * rp[..., None, :],
+                                       ilam))
+        r_row = r.conj()[..., None, :]
+        pf = (self.p_full @ r[..., None])[..., 0]
+        gain_full = pf / (self.lam + np.real((r_row @ pf[..., None])[..., 0]))
+        # the downdate fills one fresh array, and its hermitized form
+        # overwrites p_full in place
+        p_full = gain_full[..., :, None] * (r_row @ self.p_full)
+        _hermitize(_scale(np.subtract(self.p_full, p_full, out=p_full), ilam),
+                   out=self.p_full)
+        err_post = d - np.einsum('...kd,...kd->...k', self.w_bar.conj(), r_bar)
+        w_energy = np.einsum('...kd,...kd->...k', self.w_bar.conj(), self.w_bar).real
         active = w_energy > 0.0
-        if np.any(active):
+        moved = np.any(active, axis=-1)
+        if np.any(moved):
             scale = np.where(active, err_post.conj() / np.maximum(w_energy, 1e-300), 0.0)
-            self.basis = self.basis + (scale[:, None, None] * gain_full[None, :, None]
-                                       * self.w_bar.conj()[:, None, :])
+            step = (scale[..., :, None, None] * gain_full[..., None, :, None]
+                    * self.w_bar.conj()[..., :, None, :])
+            if np.all(moved):
+                self.basis += step
+            else:
+                # a packet with no active stream keeps its basis, as it would
+                # alone: adding its zero step would turn -0.0 entries into +0.0
+                self.basis = np.where(moved[..., None, None, None], self.basis + step,
+                                      self.basis)
 
     @property
     def weights(self) -> np.ndarray:
         if self.n_updates < self.warmup:
             return self.pooled.weights
-        return np.einsum('knd,kd->nk', self.basis, self.w_bar)
+        return np.einsum('...knd,...kd->...nk', self.basis, self.w_bar)

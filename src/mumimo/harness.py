@@ -145,7 +145,8 @@ class SweepRow:
     ci_low: float
     ci_high: float
     failed: bool = False
-    message: str = ""
+    message: str = ""  # the first failure of the point
+    failed_blocks: int = 0  # trial blocks of the point that failed
     per_iteration_errors: tuple = ()  # coded: errors after each IDD iteration
 
 
@@ -359,28 +360,38 @@ def _build_trial_frame(spec: ScenarioSpec, snr_index: int, trial_index: int):
     return assemble_frame(cfg, payload, spec.pilot_len, frame_rng, coded=spec.coded)
 
 
-def _estimate_channel(spec: ScenarioSpec, frame, received_pilots):
+def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
+    """Train the receivers of a block on its packets' pilots.
+
+    ``pilots`` lists each packet's known (M, n) pilot block and
+    ``rx_pilots`` its received (N_A, n) one.  Returns, per packet, the
+    channel estimate (ls, rls, lms) or the receive filters (rr-*), (N_A, M).
+    LMS and JIO step every packet of the block in one per-sample loop; a
+    block of one packet trains on its own 2-D arrays, which is the same code.
+    """
     cfg = spec.system
     if spec.estimator in ("ls", "rls"):
         # rls is the exact solution of the recursion started from P = I / delta
         delta = DEFAULT_DELTA if spec.estimator == "rls" else 0.0
-        return ls_channel_estimate(frame.pilots, received_pilots, spec.forgetting,
-                                   delta)
-    tracker = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
-                                  cfg.symbol_power)
-    return tracker.update(frame.pilots, received_pilots).estimate
-
-
-def _train_filter_bank(spec: ScenarioSpec, frame, received_pilots):
-    cfg = spec.system
-    kind = spec.estimator.split("-", 1)[1]
-    if kind == "jio":
-        bank = JioFilterBank(cfg.n_rx_total, cfg.n_streams, spec.rank, spec.forgetting)
+        return [ls_channel_estimate(s, r, spec.forgetting, delta)
+                for s, r in zip(pilots, rx_pilots)]
+    packets = len(pilots) if len(pilots) > 1 else None
+    s, r = ((np.stack(pilots), np.stack(rx_pilots)) if packets
+            else (pilots[0], rx_pilots[0]))
+    kind = spec.estimator.removeprefix("rr-")
+    if kind == "lms":
+        trained = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
+                                      cfg.symbol_power, packets).update(s, r).estimate
     else:
-        bank = ReducedRankFilterBank(cfg.n_rx_total, cfg.n_streams, kind,
-                                     spec.rank, spec.forgetting)
-    bank.update(received_pilots, frame.pilots)
-    return bank.weights
+        if kind == "jio":
+            bank = JioFilterBank(cfg.n_rx_total, cfg.n_streams, spec.rank,
+                                 spec.forgetting, packets=packets)
+        else:
+            bank = ReducedRankFilterBank(cfg.n_rx_total, cfg.n_streams, kind,
+                                         spec.rank, spec.forgetting, packets=packets)
+        bank.update(r, s)
+        trained = bank.weights
+    return list(trained.reshape((-1,) + trained.shape[-2:]))
 
 
 def _hard_detect(spec: ScenarioSpec, chan, block, noise_var, constellation):
@@ -403,34 +414,42 @@ def _hard_detect(spec: ScenarioSpec, chan, block, noise_var, constellation):
     return ml_detect_oracle(chan, block, constellation)
 
 
-def _receive_packet(spec: ScenarioSpec, snr_index: int, trial_index: int,
-                    noise_var: float):
-    """Draw one packet and estimate what its receiver works from.
-
-    Returns the frame, the received data block and either the channel the
-    detector uses (true or estimated) or the trained filter bank.
-    """
+def _draw_packet(spec: ScenarioSpec, snr_index: int, trial_index: int,
+                 noise_var: float):
+    """Draw one packet from its own substreams: its true channel, its frame
+    and the received block of pilots and data."""
     chan = _draw_trial_channel(spec.system, spec.seed, snr_index, trial_index)
     frame = _build_trial_frame(spec, snr_index, trial_index)
     received = channel_transmit(
         chan, frame.symbols(), noise_var,
         rngmod.substream(spec.seed, snr_index, trial_index, rngmod.NOISE))
-    rx_pilots = received[:, :frame.n_pilots]
-    rx_data = received[:, frame.n_pilots:]
-    if spec.estimator.startswith("rr-"):
-        return frame, rx_data, _train_filter_bank(spec, frame, rx_pilots)
+    return chan, frame, received
+
+
+def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
+                   noise_var: float):
+    """Draw the packets of ``block`` and train their receivers in one call.
+
+    Returns the frames, the received data blocks and, per packet, what its
+    detector works from: the true channel, the estimated one or the
+    trained receive filters.
+    """
+    chans, frames, received = zip(*(_draw_packet(spec, snr_index, t, noise_var)
+                                    for t in block))
+    n_pilots = frames[0].n_pilots
     if spec.estimator != "perfect":
-        return frame, rx_data, _estimate_channel(spec, frame, rx_pilots)
-    return frame, rx_data, chan
+        chans = _train(spec, [f.pilots for f in frames],
+                       [r[:, :n_pilots] for r in received])
+    return frames, [r[:, n_pilots:] for r in received], chans
 
 
-def _detect_uncoded(spec: ScenarioSpec, packet, noise_var: float) -> TrialResult:
-    frame, rx_data, chan_or_bank = packet
+def _detect_uncoded(spec: ScenarioSpec, frame, rx_data, chan_or_filters,
+                    noise_var: float) -> TrialResult:
     constellation = qpsk_constellation(spec.system.symbol_power)
     if spec.estimator.startswith("rr-"):
-        out = linear_detect(chan_or_bank, rx_data, constellation)
+        out = linear_detect(chan_or_filters, rx_data, constellation)
     else:
-        out = _hard_detect(spec, chan_or_bank, rx_data, noise_var, constellation)
+        out = _hard_detect(spec, chan_or_filters, rx_data, noise_var, constellation)
     decided = labels_to_bits(out.labels)
     reference = frame.channel_bits.reshape(decided.shape)
     return TrialResult(bits=reference.size, errors=int(np.sum(decided != reference)))
@@ -440,15 +459,12 @@ def _decode_coded(spec: ScenarioSpec, snr_index: int, block: range,
                   noise_var: float) -> list:
     """Draw the coded packets of ``block`` and decode them in one
     :func:`idd_receive` call."""
-    info_bits, rx_data, chans, perms = [], [], [], []
-    for t in block:
-        frame, data, chan = _receive_packet(spec, snr_index, t, noise_var)
-        info_bits.append(frame.info_bits)
-        rx_data.append(data)
-        chans.append(chan)
-        perms.append(frame.perms)
+    frames, rx_data, chans = _receive_block(spec, snr_index, block, noise_var)
+    info_bits = [f.info_bits for f in frames]
     # the stacks replace the per-packet arrays for the length of the decode
-    rx_data, chans, perms = np.stack(rx_data), np.stack(chans), np.stack(perms)
+    rx_data, chans = np.stack(rx_data), np.stack(chans)
+    perms = np.stack([f.perms for f in frames])
+    del frames
     result = idd_receive(rx_data, chans, noise_var, perms,
                          symbol_power=spec.system.symbol_power,
                          n_outer=spec.idd_iterations)
@@ -466,10 +482,11 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
     ``trials`` is one trial index, which returns its :class:`TrialResult`,
     or a ``range`` of them, simulated as one block, which returns a list.
     Every packet draws its channel, frame and noise from its own
-    substreams, and coded packets decode exactly as they would alone, so
-    a packet's result does not depend on the block it ran in.  The coded
-    packets of a block go through one :func:`idd_receive` call; uncoded
-    packets are detected one at a time.
+    substreams, the block's pilots train in one call (:func:`_train`) and
+    coded packets decode exactly as they would alone, so a packet's result
+    does not depend on the block it ran in.  The coded packets of a block
+    go through one :func:`idd_receive` call; uncoded packets are detected
+    one at a time.
     """
     try:
         snr_index = spec.snr_db.index(float(snr_db))
@@ -480,8 +497,8 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
     if spec.coded:
         results = _decode_coded(spec, snr_index, block, noise_var)
     else:
-        results = [_detect_uncoded(spec, _receive_packet(spec, snr_index, t, noise_var),
-                                   noise_var) for t in block]
+        results = [_detect_uncoded(spec, *packet, noise_var) for packet in
+                   zip(*_receive_block(spec, snr_index, block, noise_var))]
     return results if isinstance(trials, range) else results[0]
 
 
@@ -519,8 +536,9 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
 
     The packets of each SNR point run in blocks (:func:`trial_blocks`),
     one task each.  A numerical failure in any packet (a
-    :class:`NumericalError` or a raw ``LinAlgError`` from numpy) marks
-    that SNR point failed and the sweep moves on.  Results are identical
+    :class:`NumericalError` or a raw ``LinAlgError`` from numpy) fails its
+    block and marks that SNR point failed, with the first message and the
+    count of failed blocks, and the sweep moves on.  Results are identical
     for any worker count.
     """
     spec.validate()
@@ -533,18 +551,19 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
         outcomes = [_trial_task(t) for t in tasks]
 
     by_point = {snr: [] for snr in spec.snr_db}
-    failures = {}
+    failures = {snr: [] for snr in spec.snr_db}
     for snr_db, results, err in outcomes:
         if err is not None:
-            failures.setdefault(snr_db, err)
+            failures[snr_db].append(err)
         else:
             by_point[snr_db].extend(results)
     rows = []
     for snr in sorted(spec.snr_db):
-        if snr in failures:
+        if failures[snr]:
             rows.append(SweepRow(snr_db=snr, bits=0, errors=0, ber=float("nan"),
                                  ci_low=float("nan"), ci_high=float("nan"),
-                                 failed=True, message=failures[snr]))
+                                 failed=True, message=failures[snr][0],
+                                 failed_blocks=len(failures[snr])))
             continue
         bits = sum(r.bits for r in by_point[snr])
         errors = sum(r.errors for r in by_point[snr])

@@ -119,27 +119,32 @@ def test_distance_grid_step_and_endpoints():
     assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(0.95)
 
 
-def test_large_scale_draw_consistency(rng):
+def test_large_scale_draw_consistency():
     cfg = m.SystemConfig(n_users=5, n_bs=2, n_heads=3, antennas_per_head=1,
                          path_loss_exp=3.0, shadow_spread_db=2.0,
                          path_gain_range=(0.5, 0.9), distance_range=(0.2, 0.6))
-    ls = m.draw_large_scale(cfg, rng)
-    assert ls.gains.shape == (5, 4)
-    grid = set(np.round(_distance_grid((0.2, 0.6)), 10))
-    assert set(np.round(ls.distances, 10).ravel()) <= grid
-    assert np.all((ls.path_gains >= 0.5) & (ls.path_gains <= 0.9))
-    np.testing.assert_allclose(ls.alpha, np.sqrt(ls.path_gains / ls.distances ** 3.0))
-    np.testing.assert_allclose(ls.beta, 10.0 ** (2.0 * ls.shadow_db_draws / 10.0))
-    np.testing.assert_allclose(ls.gains, ls.alpha * ls.beta)
+    ls = m.draw_large_scale(cfg, np.random.default_rng(5))
+    assert ls.gains.shape == ls.distances.shape == (5, 4)
+    grid = _distance_grid((0.2, 0.6))
+    assert set(np.round(ls.distances, 10).ravel()) <= set(np.round(grid, 10))
+    # replay the generator: grid index, link gain, shadowing normal
+    replay = np.random.default_rng(5)
+    d = grid[replay.integers(0, len(grid), size=(5, 4))]
+    link = 0.5 + (0.9 - 0.5) * replay.random(size=(5, 4))
+    v = replay.standard_normal((5, 4))
+    assert np.array_equal(ls.distances, d)
+    assert np.all((link >= 0.5) & (link <= 0.9))
+    # gamma = sqrt(link / d^tau) * 10^(sigma v / 10)
+    np.testing.assert_allclose(ls.gains, np.sqrt(link / d ** 3.0) * 10.0 ** (2.0 * v / 10.0),
+                               rtol=1e-15)
 
 
 def test_large_scale_degenerate_ranges(rng):
     cfg = m.SystemConfig(n_users=3, n_bs=4, shadow_spread_db=0.0,
                          path_gain_range=(0.5, 0.5), distance_range=(0.5, 0.5))
     ls = m.draw_large_scale(cfg, rng)
-    # alpha = sqrt(0.5 / 0.5^2) = sqrt(2), beta = 1
-    np.testing.assert_allclose(ls.alpha, np.sqrt(2.0), atol=1e-12)
-    np.testing.assert_allclose(ls.beta, 1.0, atol=1e-12)
+    # sqrt(0.5 / 0.5^2) = sqrt(2), and no shadowing
+    np.testing.assert_allclose(ls.gains, np.sqrt(2.0), atol=1e-12)
 
 
 def test_shadowing_second_moment_closed_form(rng):

@@ -470,6 +470,132 @@ def test_numpy_complex_scaling_equals_real_view_scaling(rng, c):
     assert np.array_equal(0.5 * x, halved)
 
 
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n_dim,rank", [(1, 1), (6, 1), (6, 6), (16, 3), (64, 5)])
+def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
+    # the stacked LMS and JIO steps and the stacked bank statistics rely on
+    # numpy computing each item of a stacked product as the 2-D product of
+    # that item (one BLAS call per item, the same einsum loop order); a numpy
+    # or BLAS that rounds otherwise fails here, not as a moved CSV
+    n_pkt, n_streams, n_pilot_streams, n_samples = 3, 4, 3, 7
+    p_full = _complex(rng, n_pkt, n_dim, n_dim)
+    r, pf = _complex(rng, n_pkt, n_dim), _complex(rng, n_pkt, n_dim)
+    est, s = _complex(rng, n_pkt, n_dim, n_pilot_streams), _complex(rng, n_pkt, n_pilot_streams)
+    block = _complex(rng, n_pkt, n_dim, n_samples)
+    basis = _complex(rng, n_pkt, n_streams, n_dim, rank)
+    p_bar = _complex(rng, n_pkt, n_streams, rank, rank)
+    r_bar, w_bar = _complex(rng, n_pkt, n_streams, rank), _complex(rng, n_pkt, n_streams, rank)
+    corr = np.eye(n_dim) + block @ np.swapaxes(block.conj(), -1, -2)
+    stacked = {
+        "P r": (p_full @ r[..., None])[..., 0],
+        "r^H P": (r.conj()[..., None, :] @ p_full)[..., 0, :],
+        "r^H p": (r.conj()[..., None, :] @ pf[..., None])[..., 0, 0],
+        "G s": (est @ s[..., None])[..., 0],
+        "R R^H": block @ np.swapaxes(block.conj(), -1, -2),
+        "inv": np.linalg.inv(corr),
+        "T^H r": np.einsum('...knd,...n->...kd', basis.conj(), r),
+        "P_bar r_bar": np.einsum('...kde,...ke->...kd', p_bar, r_bar),
+        "r_bar^H w": np.einsum('...kd,...kd->...k', r_bar.conj(), w_bar),
+        "r_bar^H P_bar": np.einsum('...kd,...kde->...ke', r_bar.conj(), p_bar),
+        "T w": np.einsum('...knd,...kd->...nk', basis, w_bar),
+    }
+    for i in range(n_pkt):
+        alone = {
+            "P r": p_full[i] @ r[i],
+            "r^H P": r[i].conj() @ p_full[i],
+            "r^H p": r[i].conj() @ pf[i],
+            "G s": est[i] @ s[i],
+            "R R^H": block[i] @ block[i].conj().T,
+            "inv": np.linalg.inv(corr[i]),
+            "T^H r": np.einsum('knd,n->kd', basis[i].conj(), r[i]),
+            "P_bar r_bar": np.einsum('kde,ke->kd', p_bar[i], r_bar[i]),
+            "r_bar^H w": np.einsum('kd,kd->k', r_bar[i].conj(), w_bar[i]),
+            "r_bar^H P_bar": np.einsum('kd,kde->ke', r_bar[i].conj(), p_bar[i]),
+            "T w": np.einsum('knd,kd->nk', basis[i], w_bar[i]),
+        }
+        for name, value in alone.items():
+            assert np.array_equal(stacked[name][i], value), (name, i)
+
+
+def _packet_blocks(rng, n_pkt, n_dim, n_streams, n):
+    pairs = [training_block(rng, n_dim, n_streams, n) for _ in range(n_pkt)]
+    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+def test_stacked_lms_equals_independent_trackers(rng):
+    recv, pilots = _packet_blocks(rng, 3, 5, 3, 17)
+    stacked = m.LmsChannelEstimator(3, 5, mu=0.1, packets=3)
+    assert stacked.estimate.shape == (3, 5, 3)
+    # updates split across calls, one of them a single snapshot
+    stacked.update(pilots[..., 0], recv[..., 0])
+    for lo, hi in ((1, 6), (6, 17)):
+        stacked.update(pilots[..., lo:hi], recv[..., lo:hi])
+    for i in range(3):
+        alone = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots[i], recv[i])
+        assert np.array_equal(stacked.estimate[i], alone.estimate)
+    with pytest.raises(StructuralError):
+        stacked.update(pilots[0], recv[0])
+
+
+JIO_CASES = {
+    "rank-1": (6, 1, 0, ((0, 1), (1, 40), (40, 60))),
+    "full-rank": (6, 6, 0, ((0, 60),)),
+    "8x64": (64, 5, 0, ((0, 30), (30, 80))),
+    "hand-off": (4, 2, 5, ((0, 3), (3, 7), (7, 30))),
+}
+
+
+@pytest.mark.parametrize("n_dim,rank,warmup,blocks", JIO_CASES.values(), ids=JIO_CASES)
+def test_stacked_jio_equals_independent_banks(rng, n_dim, rank, warmup, blocks):
+    n_pkt, n_streams = 3, 4 if n_dim < 64 else 8
+    recv, desired = _packet_blocks(rng, n_pkt, n_dim, n_streams, blocks[-1][1])
+    stacked = m.JioFilterBank(n_dim, n_streams, rank, lam=0.98, warmup=warmup,
+                              packets=n_pkt)
+    alone = [m.JioFilterBank(n_dim, n_streams, rank, lam=0.98, warmup=warmup)
+             for _ in range(n_pkt)]
+    for lo, hi in blocks:
+        stacked.update(recv[..., lo:hi], desired[..., lo:hi])
+        for i, bank in enumerate(alone):
+            bank.update(recv[i, :, lo:hi], desired[i, :, lo:hi])
+    assert stacked.weights.shape == (n_pkt, n_dim, n_streams)
+    for name in ("basis", "w_bar", "p_bar", "p_full", "weights"):
+        for i, bank in enumerate(alone):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(bank, name)), (name, i)
+
+
+def test_stacked_jio_packet_at_rest_keeps_its_basis(rng):
+    # a packet whose short filters never move keeps its basis bit for bit,
+    # signed zeros included, while the other packets' bases move
+    recv, desired = _packet_blocks(rng, 2, 6, 2, 20)
+    desired[1] = 0.0
+    stacked = m.JioFilterBank(6, 2, rank=2, lam=0.99, packets=2)
+    stacked.basis[1] *= -1.0
+    alone = m.JioFilterBank(6, 2, rank=2, lam=0.99)
+    alone.basis *= -1.0
+    stacked.update(recv, desired)
+    alone.update(recv[1], desired[1])
+    assert stacked.basis[1].tobytes() == alone.basis.tobytes()
+    assert np.signbit(stacked.basis[1].real).all()  # -1 and the negated zeros
+    assert not np.array_equal(stacked.basis[0], np.eye(6, 2))
+
+
+@pytest.mark.parametrize("method,rank", [("pc", 3), ("krylov", 3), ("krylov", 6)])
+def test_stacked_reduced_rank_bank_equals_independent_banks(rng, method, rank):
+    recv, desired = _packet_blocks(rng, 3, 6, 2, 40)
+    stacked = m.ReducedRankFilterBank(6, 2, method, rank, lam=0.97, packets=3)
+    for lo, hi in ((0, 25), (25, 40)):
+        stacked.update(recv[..., lo:hi], desired[..., lo:hi])
+    for i in range(3):
+        alone = m.ReducedRankFilterBank(6, 2, method, rank, lam=0.97)
+        for lo, hi in ((0, 25), (25, 40)):
+            alone.update(recv[i, :, lo:hi], desired[i, :, lo:hi])
+        for name in ("corr", "cross", "weights"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(alone, name)), name
+
+
 def test_jio_hand_off_keeps_the_pooled_krylov_filter(rng):
     recv, desired = training_block(rng, 4, 2, 5)
     jio = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)
@@ -516,6 +642,9 @@ def test_estimator_parameter_validation():
         m.ReducedRankFilterBank(4, 2, "svd")
     with pytest.raises(ParameterError):
         m.ReducedRankFilterBank(4, 2, "pc", rank=5)
+    for packets in (0, -1):
+        with pytest.raises(ParameterError, match="packets"):
+            m.JioFilterBank(4, 2, rank=2, packets=packets)
     # snapshots are columns: a transposed block is rejected, not reshaped
     for bank in (m.ReducedRankFilterBank(4, 2, "pc", rank=2), m.JioFilterBank(4, 2, rank=2)):
         with pytest.raises(StructuralError):

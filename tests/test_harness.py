@@ -335,6 +335,42 @@ def test_run_trial_is_the_one_packet_view_of_its_block(extra):
     assert m.run_trial(spec, 8.0, range(2, 4)) == block[2:4]
 
 
+_DAS = m.SystemConfig(n_users=2, n_bs=2, n_heads=2, antennas_per_head=1)
+_TRAINED = {f"{est}-{name}": dict(system=system, estimator=est, pilot_len=24, rank=2,
+                                   forgetting=0.998, step_size=0.05)
+            for est in ("ls", "rls", "lms", "rr-pc", "rr-krylov", "rr-jio")
+            for name, system in (("cas", m.SystemConfig(n_users=2, n_bs=4)),
+                                 ("das", _DAS))}
+_TRAINED["coded-lms"] = dict(coded=True, packet_symbols=100, estimator="lms",
+                             pilot_len=24, step_size=0.05)
+
+
+@pytest.mark.parametrize("n_pkt", [1, 2, 3])
+@pytest.mark.parametrize("extra", _TRAINED.values(), ids=_TRAINED)
+def test_trained_block_equals_its_packets_alone(extra, n_pkt):
+    # a block trains its packets together; each result is the packet's own
+    spec = small_spec(packets=3, **extra)
+    assert m.run_trial(spec, 8.0, range(n_pkt)) == [m.run_trial(spec, 8.0, t)
+                                                    for t in range(n_pkt)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("est", ["lms", "rr-jio", "rr-krylov"])
+def test_sweep_csv_matches_per_packet_training(monkeypatch, workers, est):
+    spec = small_spec(estimator=est, pilot_len=24, rank=2, forgetting=0.998,
+                      snr_db=(2.0, 8.0), packets=5)
+    assert len(harness.trial_blocks(spec)[0]) > 1
+    blocked = m.run_sweep(spec, workers=workers)
+    real = harness._train
+
+    def per_packet(spec, pilots, rx_pilots):
+        return [trained for s, r in zip(pilots, rx_pilots)
+                for trained in real(spec, [s], [r])]
+
+    monkeypatch.setattr(harness, "_train", per_packet)
+    assert m.format_csv(m.run_sweep(spec, workers=workers)) == m.format_csv(blocked)
+
+
 def test_trial_blocks_cover_the_point_within_the_stream_cap():
     spec = small_spec(packets=25)  # 2 streams per packet
     blocks = harness.trial_blocks(spec)
@@ -393,6 +429,53 @@ def test_failure_in_one_packet_of_a_block_fails_only_its_point(monkeypatch, work
     assert result.failures == {4.0: f"{type(error).__name__}: {error}"}
     assert result.rows[0].failed and np.isnan(result.rows[0].ber)
     assert result.rows[1] == clean.rows[1]
+
+
+def _failing_packets(monkeypatch, spec, chosen):
+    # the mmse filter raises on the chosen (snr index, trial index) packets,
+    # which it recognises by their true channels
+    chans = {harness._draw_trial_channel(spec.system, spec.seed, *key).tobytes()
+             for key in chosen}
+    real = harness.compute_receive_filter
+
+    def raising(chan, *args):
+        if chan.tobytes() in chans:
+            raise NumericalError("synthetic failure")
+        return real(chan, *args)
+
+    monkeypatch.setattr(harness, "compute_receive_filter", raising)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_counts_failed_blocks(monkeypatch, workers):
+    # eight streams a packet: blocks of three packets, (0-2) (3-5) (6-7)
+    spec = small_spec(system=m.SystemConfig(n_users=8, n_bs=16),
+                      snr_db=(2.0, 6.0, 10.0), packets=8)
+    assert [len(b) for b in harness.trial_blocks(spec)] == [3, 3, 2]
+    clean = m.run_sweep(spec)
+    assert [row.failed_blocks for row in clean.rows] == [0, 0, 0]
+    _failing_packets(monkeypatch, spec, [(0, 1), (0, 2), (0, 7), (2, 4)])
+    result = m.run_sweep(spec, workers=workers)
+    assert [row.failed_blocks for row in result.rows] == [2, 0, 1]
+    assert result.failures == {2.0: "NumericalError: synthetic failure",
+                               10.0: "NumericalError: synthetic failure"}
+    assert result.rows[1] == clean.rows[1]
+    assert m.format_csv(result) == m.format_csv(m.run_sweep(spec, workers=3 - workers))
+
+
+def test_cli_prints_failed_block_count(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "res.csv"
+    cfg = write_config(tmp_path, f"out = {out}\n")
+    spec = dataclasses.replace(m.parse_config(cfg.read_text()), packets=25)
+    assert [len(b) for b in harness.trial_blocks(spec)] == [12, 12, 1]
+    _failing_packets(monkeypatch, spec, [(0, 0), (0, 2), (0, 24)])
+    assert cli.main(["--config", str(cfg), "--packets", "25"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "snr 8 dB: FAILED in 2 blocks (first: NumericalError: synthetic failure)")
+    monkeypatch.undo()
+    _failing_packets(monkeypatch, spec, [(0, 3)])
+    assert cli.main(["--config", str(cfg), "--packets", "25"]) == cli.EXIT_NUMERICAL
+    assert "FAILED in 1 block (" in capsys.readouterr().out
 
 
 def test_sweep_maps_raw_linalg_error_to_failed_point(monkeypatch):

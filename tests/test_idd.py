@@ -683,8 +683,7 @@ def _received_block(estimator, n_pkt):
                           estimator=estimator, pilot_len=12, packet_symbols=80,
                           snr_db=(6.0,), packets=n_pkt, seed=7).validate()
     nv = harness.trial_noise_variance(spec, 6.0)
-    frames, rx, chans = zip(*(harness._receive_packet(spec, 0, t, nv)
-                              for t in range(n_pkt)))
+    frames, rx, chans = harness._receive_block(spec, 0, range(n_pkt), nv)
     return np.stack(rx), np.stack(chans), nv, np.stack([f.perms for f in frames])
 
 
