@@ -170,11 +170,9 @@ class LmsChannelEstimator:
     def update(self, pilots: np.ndarray, received: np.ndarray):
         """Run the recursion over a block: pilots (M, n) or (M,), received
         (N_A, n) or (N_A,), each behind the packet axis if there is one."""
-        lead = self.estimate.shape[:-2]
-        s = _snapshots(pilots, lead, self.estimate.shape[-1])
-        r = _snapshots(received, lead, self.estimate.shape[-2])
-        if s.shape[-1] != r.shape[-1]:
-            raise StructuralError(f"{s.shape[-1]} pilots but {r.shape[-1]} received vectors")
+        *lead, n_rx, m = self.estimate.shape
+        s, r = _snapshots((pilots, received), tuple(lead), (m, n_rx),
+                          ("pilots", "received vectors"))
         for s_i, r_i in zip(_samples(s), _samples(r)):
             err = r_i - (self.estimate @ s_i[..., None])[..., 0]
             self.estimate = self.estimate + self.mu * (err[..., :, None]
@@ -233,14 +231,20 @@ def _projected_solve(corr, basis, cross):
 
 # -- receive-filter banks (shared statistics) --------------------------------
 
-def _snapshots(block, lead, rows):
-    # a single vector is a block of one column; ``lead`` is the packet axis
-    block = np.asarray(block, dtype=complex)
-    if block.ndim > len(lead) + 2 or block.shape[:len(lead) + 1] != lead + (rows,):
-        shape = ", ".join(map(str, lead + (rows,)))
-        raise StructuralError(f"expected ({shape}) or ({shape}, n) snapshots, "
-                              f"got {block.shape}")
-    return block.reshape(lead + (rows, -1))
+def _snapshots(blocks, lead, rows, names=("received vectors", "desired vectors")):
+    # two blocks read together, a snapshot (column) of each at a time: a
+    # single vector is a block of one column; ``lead`` is the packet axis
+    out = []
+    for block, n in zip(blocks, rows):
+        block = np.asarray(block, dtype=complex)
+        if block.ndim > len(lead) + 2 or block.shape[:len(lead) + 1] != lead + (n,):
+            shape = ", ".join(map(str, lead + (n,)))
+            raise StructuralError(f"expected ({shape}) or ({shape}, n) snapshots, "
+                                  f"got {block.shape}")
+        out.append(block.reshape(lead + (n, -1)))
+    if out[0].shape[-1] != out[1].shape[-1]:
+        raise StructuralError(f"{out[0].shape[-1]} {names[0]} but {out[1].shape[-1]} {names[1]}")
+    return out
 
 
 def _samples(block):
@@ -283,8 +287,7 @@ class ReducedRankFilterBank:
         """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,),
         each behind the packet axis if there is one."""
         lead = self.corr.shape[:-2]
-        r = _snapshots(received, lead, self.corr.shape[-1])
-        d = _snapshots(desired, lead, self.cross.shape[-1])
+        r, d = _snapshots((received, desired), lead, self.cross.shape[-2:])
         n = r.shape[-1]
         decay = self.lam ** n
         rw = r * _weights(n, self.lam)
@@ -386,9 +389,8 @@ class JioFilterBank:
     def update(self, received: np.ndarray, desired: np.ndarray):
         """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,),
         each behind the packet axis if there is one."""
-        lead = self.w_bar.shape[:-2]
-        r = _snapshots(received, lead, self.p_full.shape[-1])
-        d = _snapshots(desired, lead, self.w_bar.shape[-2])
+        *lead, n_streams, n_dim, _ = self.basis.shape
+        r, d = _snapshots((received, desired), tuple(lead), (n_dim, n_streams))
         head = max(0, min(r.shape[-1], self.warmup - self.n_updates))
         if head:
             self.pooled.update(r[..., :head], d[..., :head])

@@ -161,82 +161,82 @@ class BcjrResult:
     info_bits: np.ndarray   # hard information-bit decisions
 
 
-def _branch_metrics(lam_steps: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """gamma[b, t, s, u]: half the LLRs of step t correlated with the output
-    signs (S, 2, n_out) of branch (s, u)."""
-    table = sign.reshape(-1, sign.shape[-1]).T  # (n_out, S * 2)
-    return 0.5 * (lam_steps @ table).reshape(lam_steps.shape[:2] + sign.shape[:2])
+def _branch_weights(lam_t: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Weights ``exp(lambda . sign / 2 - sum |lambda| / 2)`` (t, ..., cols) of
+    the branches with output bits ``bits`` (..., cols, n_out) at every step
+    of the LLRs ``lam_t`` (t, n_out, cols): the product over coded bits c of
+    ``exp(min(0, +/-lambda_c))`` for bit 0 or 1, which is 1 where the bit
+    agrees with the sign of lambda_c."""
+    n_steps, n_out, cols = lam_t.shape
+    factors = np.empty((n_steps, n_out, 2, cols))
+    np.minimum(lam_t, 0.0, out=factors[:, :, 0])
+    np.minimum(-lam_t, 0.0, out=factors[:, :, 1])
+    factors = np.exp(factors, out=factors).reshape(n_steps, -1)
+    # flat position of each branch's bit-c factor in a step's factors
+    index = cols * (2 * np.arange(n_out) + bits) + np.arange(cols)[:, None]
+    weights = factors.take(index[..., 0], axis=1)
+    for c in range(1, n_out):
+        weights *= factors.take(index[..., c], axis=1)
+    return weights
 
 
-def _state_recursions(lam_steps: np.ndarray, sign: np.ndarray,
-                      trellis: TrellisSpec) -> np.ndarray:
-    """Forward and backward state metrics from step LLRs (batch, t, n_out).
-
-    Both recursions run in one loop over a stacked ``(n_states, 2 * batch)``
-    state slice: the alpha columns gather their predecessor states and the
-    beta columns their successor states through one flat index table, and
-    each adds its time-aligned branch metric.  Slice ``t`` of the result
-    holds alpha at time ``t`` (first ``batch`` columns) and beta at time
-    ``n_steps - t`` (last ``batch`` columns); every column is max-normalized.
+def _state_recursions(lam_t: np.ndarray, trellis: TrellisSpec) -> np.ndarray:
+    """Forward and backward state probabilities from step LLRs (t, n_out,
+    batch), in one loop over a stacked ``(n_states, 2 * batch)`` slice: alpha
+    columns gather their predecessor states and beta columns their successor
+    states through one flat index table, each weighed by its branch.  Slice
+    ``t`` holds alpha at time ``t`` (first ``batch`` columns) and beta at
+    time ``n_steps - t``, each column scaled to a maximum of 1.
     """
-    batch, n_steps, _ = lam_steps.shape
+    n_steps, _, batch = lam_t.shape
     width = 2 * batch
-    n_states = trellis.n_states
-    next_state, _ = trellis_tables(trellis)
+    next_state, out_bits = trellis_tables(trellis)
     pred_state, pred_input = trellis_predecessors(trellis)
-    # step t advances alpha from time t and beta from time n_steps - t; the
-    # two candidate branches of every state lead the arrays, so each is a
-    # contiguous (n_states, 2 * batch) block
-    gather = np.empty((2, n_states, width), dtype=np.int64)
     cols = np.arange(width)
-    for k in (0, 1):
-        gather[k, :, :batch] = width * pred_state[:, k, None] + cols[:batch]
-        gather[k, :, batch:] = width * next_state[:, k, None] + cols[batch:]
+    fwd = cols < batch  # the alpha columns
+    # the two candidate branches k of every state s lead the arrays, so each
+    # is a contiguous (n_states, 2 * batch) block: alpha's enters s from
+    # pred_state[s, k], beta's leaves s under input k
+    gather = width * np.where(fwd, pred_state.T[..., None], next_state.T[..., None]) + cols
+    bits = np.where(fwd[:, None], out_bits[pred_state.T, pred_input.T][:, :, None],
+                    out_bits.swapaxes(0, 1)[:, :, None])  # (2, S, width, n_out)
 
-    states = np.full((n_steps, n_states, width), -np.inf)
-    states[0, 0] = 0.0
-    step_gammas = np.empty((_CHUNK, 2, n_states, width))
+    states = np.zeros((n_steps, trellis.n_states, width))
+    states[0, 0] = 1.0
+    cand, scale = np.empty((2,) + states.shape[1:]), np.empty(width)
     # alpha at n_steps and beta at 0 are never read, so one step is skipped
     for t0 in range(0, n_steps - 1, _CHUNK):
         t1 = min(t0 + _CHUNK, n_steps - 1)
-        fwd = _branch_metrics(lam_steps[:, t0:t1], sign)
-        bwd = _branch_metrics(lam_steps[:, n_steps - t1:n_steps - t0], sign)[:, ::-1]
-        for k in (0, 1):
-            step_gammas[:t1 - t0, k, :, :batch] = fwd[:, :, pred_state[:, k],
-                                                      pred_input[:, k]].transpose(1, 2, 0)
-            step_gammas[:t1 - t0, k, :, batch:] = bwd[:, :, :, k].transpose(1, 2, 0)
-        for t in range(t0, t1):
-            cand = states[t].take(gather) + step_gammas[t - t0]
-            step = np.logaddexp(cand[0], cand[1])
-            # normalize to keep the recursion bounded; differences are invariant
-            states[t + 1] = step - np.maximum.reduce(step)
+        # step t advances alpha with step t and beta with step n_steps - 1 - t
+        back = lam_t[n_steps - t1:n_steps - t0][::-1]
+        weights = _branch_weights(np.concatenate([lam_t[t0:t1], back], axis=-1), bits)
+        for prev, step, weight in zip(states[t0:t1], states[t0 + 1:t1 + 1], weights):
+            prev.take(gather, out=cand, mode="clip")
+            np.multiply(cand, weight, out=cand)
+            np.add(cand[0], cand[1], out=step)
+            # rescale to keep the recursion in range; ratios are invariant
+            np.maximum.reduce(step, out=scale)
+            np.divide(step, scale, out=step)
     return states
-
-
-def _logsumexp_fold(columns, idx):
-    # left fold in index order: the sums np.logaddexp.reduce forms over the
-    # gathered columns, without the gather
-    acc = columns[..., idx[0]]
-    for i in idx[1:]:
-        acc = np.logaddexp(acc, columns[..., i])
-    return acc
 
 
 def bcjr_decode(channel_llrs: np.ndarray,
                 trellis: TrellisSpec = TrellisSpec()) -> BcjrResult:
-    """Exact log-domain BCJR for a zero-tail terminated convolutional code.
+    """Scaled probability-domain BCJR for a zero-tail terminated convolutional code.
 
     ``channel_llrs`` holds one LLR per coded bit, shape (n_coded,) or
-    (streams, n_coded) with ``n_coded = n_out * (k_info + memory)``.  The
-    forward/backward boundary conditions pin both endpoint states at zero,
-    matching the tail-bit termination.  Extrinsic LLRs are the coded-bit
-    posteriors minus the inputs; information-bit LLRs exclude the tail.
-    Every stream's output equals its own single-stream call.
-
-    Only the state recursions are sequential (:func:`_state_recursions`);
-    the branch posteriors are then reduced a chunk of time steps at a time.
+    (streams, n_coded) with ``n_coded = n_out * (k_info + memory)``.  It is
+    clipped to ``+/- LLR_CLIP`` first, as the receiver's demapper already
+    does, so no branch weight is below ``exp(-n_out * LLR_CLIP)`` and the
+    state probabilities, rescaled every step, stay in range.  Both endpoint
+    states are pinned at zero (tail termination).  Extrinsic LLRs are the
+    coded-bit posteriors minus the clipped inputs; information-bit LLRs
+    exclude the tail.  The joint weights ``alpha w beta`` are summed over
+    each bit's branches a chunk of steps at a time, with one ``log(S0/S1)``
+    per bit: the log-MAP posteriors (Robertson, Villebrun and Hoeher, 1995)
+    up to rounding.  Every stream decodes as its own call would.
     """
-    lam = np.asarray(channel_llrs, dtype=float)
+    lam = np.clip(np.asarray(channel_llrs, dtype=float), -LLR_CLIP, LLR_CLIP)
     squeeze = lam.ndim == 1
     lam = np.atleast_2d(lam)
     n_out = trellis.n_out
@@ -247,40 +247,38 @@ def bcjr_decode(channel_llrs: np.ndarray,
     if n_steps <= trellis.memory:
         raise StructuralError("coded block is shorter than the code tail")
     batch = lam.shape[0]
+    k_info = n_steps - trellis.memory
     next_state, out_bits = trellis_tables(trellis)
-    sign = (1.0 - 2.0 * out_bits).astype(float)  # (S, 2, n_out), bit 0 -> +1
-    lam_steps = lam.reshape(batch, n_steps, n_out)
+    # lam, our clipped copy, turns into the extrinsics a chunk at a time
+    ext = lam.reshape(batch, n_steps, n_out)
+    lam_t = ext.transpose(1, 2, 0)  # (t, n_out, batch)
 
-    states = _state_recursions(lam_steps, sign, trellis)
-    alphas = states[:, :, :batch].transpose(2, 0, 1)  # alpha at time t
-    betas = states[::-1, :, batch:].transpose(2, 0, 1)  # beta at time t + 1
-    out_flat = out_bits.reshape(-1, n_out)  # (S*2, n_out)
-    input_flat = np.tile([0, 1], trellis.n_states)
-    groups = [(np.flatnonzero(bits == 0), np.flatnonzero(bits == 1))
-              for bits in list(out_flat.T) + [input_flat]]
-    extrinsic = np.empty_like(lam_steps)
-    info_llrs = np.empty((batch, n_steps))
+    states = _state_recursions(lam_t, trellis)
+    # members[i, 2 g + v]: the i-th branch whose bit g (coded bits, then input) is v
+    labels = np.column_stack([out_bits.reshape(-1, n_out), np.tile([0, 1], len(out_bits))])
+    members = np.stack([np.flatnonzero(bit == v) for bit in labels.T for v in (0, 1)], 1)
+    info = np.empty((batch, k_info))
     for t0 in range(0, n_steps, _CHUNK):
         t1 = min(t0 + _CHUNK, n_steps)
-        # joint metric of every branch (s, u) at every time t of the chunk
-        joint = _branch_metrics(lam_steps[:, t0:t1], sign)
-        joint += alphas[:, t0:t1, :, None]
-        for u in (0, 1):
-            joint[..., u] += betas[:, t0:t1, next_state[:, u]]
-        jf = joint.reshape(batch, t1 - t0, -1)
-        llrs = [_logsumexp_fold(jf, zero) - _logsumexp_fold(jf, one)
-                for zero, one in groups]
-        for c in range(n_out):
-            extrinsic[:, t0:t1, c] = llrs[c] - lam_steps[:, t0:t1, c]
-        info_llrs[:, t0:t1] = llrs[n_out]
+        joint = _branch_weights(lam_t[t0:t1], out_bits[:, :, None])  # (t, S, 2, batch)
+        joint *= states[t0:t1, :, None, :batch]  # alpha at time t
+        joint *= states[::-1][t0:t1, next_state, batch:]  # beta at time t + 1
+        joint = joint.reshape(t1 - t0, -1, batch)
+        # a left fold over the members, so every stream sums its branches alike
+        sums = joint[:, members[0]]
+        for branches in members[1:]:
+            sums += joint[:, branches]
+        with np.errstate(divide="ignore"):  # a bit the code fixes gets an infinite LLR
+            post = np.log(sums[:, 0:-2:2] / sums[:, 1:-2:2]).transpose(2, 0, 1)
+        ext[:, t0:t1] = post - ext[:, t0:t1]
+        # the tail steps carry no input-1 mass, so only k_info steps are formed
+        n_info = max(0, min(t1, k_info) - t0)
+        info[:, t0:t0 + n_info] = np.log(sums[:n_info, -2] / sums[:n_info, -1]).T
 
-    k_info = n_steps - trellis.memory
-    info = info_llrs[:, :k_info]
     bits = (info < 0).astype(np.int8)  # ties resolve toward bit 0
-    ext = extrinsic.reshape(batch, -1)
     if squeeze:
-        return BcjrResult(ext[0], info[0], bits[0])
-    return BcjrResult(ext, info, bits)
+        return BcjrResult(lam[0], info[0], bits[0])
+    return BcjrResult(lam, info, bits)
 
 
 # -- full receiver ----------------------------------------------------------

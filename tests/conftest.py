@@ -7,6 +7,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def same_bytes(a, b):
+    """Bitwise equality of two arrays: dtype, shape and every byte, so a
+    flipped signed zero counts (``np.array_equal`` takes -0.0 == 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_channel(rng, n_rx, n_streams, scale=1.0):
     """Well-conditioned complex Gaussian channel for filter tests."""
     return scale * (rng.standard_normal((n_rx, n_streams))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import random_channel
+from conftest import random_channel, same_bytes
 from mumimo.errors import (ParameterError, ParameterWarning, RankError,
                            StructuralError)
 from mumimo.estimation import DEFAULT_DELTA
@@ -452,7 +452,7 @@ def test_jio_bank_equals_complex_arithmetic_step(rng, monkeypatch, warmup, block
         ref.update(recv[:, lo:hi], desired[:, lo:hi])
     assert got.n_updates == ref.n_updates == 300
     for name in ("basis", "w_bar", "p_bar", "p_full", "weights"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert same_bytes(getattr(got, name), getattr(ref, name)), name
 
 
 @pytest.mark.parametrize("c", [0.97, 0.98, 0.999, 1.0])
@@ -535,7 +535,7 @@ def test_stacked_lms_equals_independent_trackers(rng):
         stacked.update(pilots[..., lo:hi], recv[..., lo:hi])
     for i in range(3):
         alone = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots[i], recv[i])
-        assert np.array_equal(stacked.estimate[i], alone.estimate)
+        assert same_bytes(stacked.estimate[i], alone.estimate)
     with pytest.raises(StructuralError):
         stacked.update(pilots[0], recv[0])
 
@@ -563,7 +563,7 @@ def test_stacked_jio_equals_independent_banks(rng, n_dim, rank, warmup, blocks):
     assert stacked.weights.shape == (n_pkt, n_dim, n_streams)
     for name in ("basis", "w_bar", "p_bar", "p_full", "weights"):
         for i, bank in enumerate(alone):
-            assert np.array_equal(getattr(stacked, name)[i], getattr(bank, name)), (name, i)
+            assert same_bytes(getattr(stacked, name)[i], getattr(bank, name)), (name, i)
 
 
 def test_stacked_jio_packet_at_rest_keeps_its_basis(rng):
@@ -577,7 +577,7 @@ def test_stacked_jio_packet_at_rest_keeps_its_basis(rng):
     alone.basis *= -1.0
     stacked.update(recv, desired)
     alone.update(recv[1], desired[1])
-    assert stacked.basis[1].tobytes() == alone.basis.tobytes()
+    assert same_bytes(stacked.basis[1], alone.basis)
     assert np.signbit(stacked.basis[1].real).all()  # -1 and the negated zeros
     assert not np.array_equal(stacked.basis[0], np.eye(6, 2))
 
@@ -593,7 +593,7 @@ def test_stacked_reduced_rank_bank_equals_independent_banks(rng, method, rank):
         for lo, hi in ((0, 25), (25, 40)):
             alone.update(recv[i, :, lo:hi], desired[i, :, lo:hi])
         for name in ("corr", "cross", "weights"):
-            assert np.array_equal(getattr(stacked, name)[i], getattr(alone, name)), name
+            assert same_bytes(getattr(stacked, name)[i], getattr(alone, name)), name
 
 
 def test_jio_hand_off_keeps_the_pooled_krylov_filter(rng):
@@ -649,6 +649,25 @@ def test_estimator_parameter_validation():
     for bank in (m.ReducedRankFilterBank(4, 2, "pc", rank=2), m.JioFilterBank(4, 2, rank=2)):
         with pytest.raises(StructuralError):
             bank.update(np.zeros((3, 4)), np.zeros((3, 2)))
+
+
+SNAPSHOT_BANKS = {
+    "reduced-rank": lambda packets: m.ReducedRankFilterBank(4, 2, "krylov", rank=2,
+                                                            packets=packets),
+    "jio": lambda packets: m.JioFilterBank(4, 2, rank=2, packets=packets),
+    "jio-warmup": lambda packets: m.JioFilterBank(4, 2, rank=2, warmup=2, packets=packets),
+}
+
+
+@pytest.mark.parametrize("make", SNAPSHOT_BANKS.values(), ids=SNAPSHOT_BANKS)
+@pytest.mark.parametrize("packets", [None, 3])
+def test_filter_banks_reject_unequal_snapshot_counts(make, packets):
+    # received and desired snapshots pair up one to one; none is dropped
+    bank = make(packets)
+    lead = () if packets is None else (packets,)
+    with pytest.raises(StructuralError, match="5 received vectors but 3 desired vectors"):
+        bank.update(np.ones(lead + (4, 5)), np.ones(lead + (2, 3)))
+    assert bank.n_updates == 0
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-3])
