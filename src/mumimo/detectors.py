@@ -98,21 +98,16 @@ def linear_detect(filters: np.ndarray, r, constellation=None) -> DetectorOutput:
     return DetectorOutput(labels=labels, symbols=symbols)
 
 
-def _stream_keys(chan, symbol_power, noise_var, criterion):
-    norms_sq = np.sum(np.abs(chan) ** 2, axis=0)
-    if criterion == "norm":
-        return norms_sq
-    if criterion == "snr":
-        if noise_var <= 0.0:
-            raise ParameterError("snr ordering requires noise_var > 0")
-        return symbol_power * norms_sq / noise_var
-    # one-shot output SINR under the initial MMSE filter bank
-    w = compute_receive_filter(chan, symbol_power, noise_var, "mmse")
-    cross = w.conj().T @ chan  # (M, M): row j = responses of filter j
+def _sinr_ordering(gram, mmse_inv, symbol_power, noise_var):
+    """Descending one-shot output SINR under the initial MMSE filters
+    ``W = G P``, read in the matched domain: their responses ``W^H G`` are
+    ``P A`` and their noise gains ``diag(W^H W)`` are ``diag(P A P)``."""
+    cross = mmse_inv @ gram  # (M, M): row j = responses of filter j
     sig = np.abs(np.diagonal(cross)) ** 2
     interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
-    noise = noise_var * np.sum(np.abs(w) ** 2, axis=0)
-    return symbol_power * sig / (symbol_power * interf + noise)
+    noise = noise_var * np.einsum('ij,ji->i', cross, mmse_inv).real
+    keys = symbol_power * sig / (symbol_power * interf + noise)
+    return np.argsort(-keys, kind="stable")
 
 
 def compute_ordering(chan: np.ndarray, symbol_power: float, noise_var: float,
@@ -122,7 +117,15 @@ def compute_ordering(chan: np.ndarray, symbol_power: float, noise_var: float,
     chan = np.asarray(chan, dtype=complex)
     if criterion not in ORDERING_CRITERIA:
         raise ParameterError(f"unknown ordering criterion {criterion!r}")
-    keys = _stream_keys(chan, symbol_power, noise_var, criterion)
+    if criterion == "sinr":
+        gram = chan.conj().T @ chan
+        return _sinr_ordering(gram, _inverse_gram(chan, gram, symbol_power, noise_var, "mmse"),
+                              symbol_power, noise_var)
+    keys = np.sum(np.abs(chan) ** 2, axis=0)
+    if criterion == "snr":
+        if noise_var <= 0.0:
+            raise ParameterError("snr ordering requires noise_var > 0")
+        keys = symbol_power * keys / noise_var
     return np.argsort(-keys, kind="stable")
 
 
@@ -137,16 +140,21 @@ def _sic_setup(chan, block, filter_design, symbol_power, noise_var):
 
 def _sic_labels(gram, inv, matched, perm, constellation):
     """Labels (M, T) of SIC in the order ``perm``, worked in the matched
-    domain: O(k T) per stage once the shared set-up is formed."""
+    domain from the undeflated outputs ``y`` and the decided symbols ``x``:
+    stage k's estimate is ``P[0] y[k:] - (P[0] A[k:, :k]) x[:k]`` (rmf:
+    ``y[k] - A[k, :k] x[:k]``), a few row-vector products per stage."""
     gram = gram[np.ix_(perm, perm)]
     p = None if inv is None else inv[np.ix_(perm, perm)]
     y = matched[perm]
+    decided = np.empty(matched.shape, dtype=complex)
     labels = np.empty(matched.shape, dtype=np.int64)
     for stage in range(len(perm)):
-        # P[0] @ y is w^H residual for w = G_R P_R e_0, the deflated filter
-        lab = qpsk_slice_labels(y[stage] if p is None else p[0] @ y[stage:])
+        # w^H residual for the deflated filter w = G_R P_R e_0
+        row = gram[stage, :stage] if p is None else p[0] @ gram[stage:, :stage]
+        est = y[stage] if p is None else p[0] @ y[stage:]
+        lab = qpsk_slice_labels(est - row @ decided[:stage])
         labels[perm[stage]] = lab
-        y[stage + 1:] -= np.outer(gram[stage + 1:, stage], constellation[lab])
+        decided[stage] = constellation[lab]
         if p is not None:
             # inverse of the trailing block: the Schur complement of P[0, 0]
             p = p[1:, 1:] - np.outer(p[1:, 0], p[0, 1:]) / p[0, 0]
@@ -160,12 +168,14 @@ def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
 
     Stage k detects stream ``ordering[k]`` with the ``filter_design`` filter
     of the deflated channel G_R, whose columns R are the streams not yet
-    detected, slices it and cancels its reconstructed contribution.  The
-    work happens in the matched-filter domain ``y = G^H r`` (M, T): the
-    estimate is ``P_R[0] @ y_R`` with P_R the inverse (regularised) Gram
-    matrix of G_R, cancelling a stream subtracts its Gram column times the
-    decision from y, and P_R shrinks by a rank-one downdate, so the block
-    costs one M x M inversion in all rather than one per stage.
+    detected, applied to the residual left by cancelling the streams
+    already decided.  The work happens in the matched-filter domain
+    ``y = G^H r`` (M, T), which is never deflated: with P_R the inverse
+    (regularised) Gram matrix of G_R, the estimate is
+    ``P_R[0] @ (y_R - A[R, D] x_D)`` for the decided streams D and their
+    symbols x_D, formed as ``P_R[0] @ y_R - (P_R[0] @ A[R, D]) @ x_D``, and
+    P_R shrinks by a rank-one downdate, so the block costs one M x M
+    inversion in all rather than one per stage.
     """
     chan = np.asarray(chan, dtype=complex)
     block, single = _as_block(r, chan.shape[0])
@@ -193,7 +203,8 @@ def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
     by l - 1.  Every branch produces a full decision vector and the branch
     with the smallest Euclidean distance ``||r - G s_l||`` wins, per
     received vector.  The branches share one SIC set-up (Gram matrix, its
-    inverse, matched outputs), each reading it in its own order.
+    inverse, matched outputs), each reading it in its own order; the
+    ``sinr`` base ordering is read from the same set-up.
     """
     chan = np.asarray(chan, dtype=complex)
     block, single = _as_block(r, chan.shape[0])
@@ -203,8 +214,14 @@ def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
             f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
-    base = compute_ordering(chan, symbol_power, noise_var, base_criterion)
-    setup = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
+    setup = gram, inv, _ = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
+    if base_criterion == "sinr":
+        # the mmse set-up's inverse is the one the ordering needs
+        mmse_inv = (inv if filter_design == "mmse"
+                    else _inverse_gram(chan, gram, symbol_power, noise_var, "mmse"))
+        base = _sinr_ordering(gram, mmse_inv, symbol_power, noise_var)
+    else:
+        base = compute_ordering(chan, symbol_power, noise_var, base_criterion)
     n_vec = block.shape[1]
     all_labels = np.empty((n_branches, m, n_vec), dtype=np.int64)
     dists = np.empty((n_branches, n_vec))

@@ -338,6 +338,12 @@ class JioFilterBank:
     pooled ladder is the natural one), whose basis, projected solution and
     inverse statistics then seed the joint recursions.
 
+    The K bases are stored side by side as one (N_A, K*D) array and
+    ``basis`` is its (K, N_A, D) view, so a step projects the sample onto
+    every stream with one product and moves every basis with one rank-one
+    update.  Both inverse iterates, ``p_bar`` and ``p_full``, are Hermitian,
+    so each downdate is built from ``P r`` and its conjugate.
+
     With ``packets=P`` every iterate gains a leading packet axis (``basis``
     (P, K, N_A, D), ``p_bar`` (P, K, D, D), ``p_full`` (P, N_A, N_A)) and
     one joint step advances all P packets.
@@ -357,8 +363,12 @@ class JioFilterBank:
         self.warmup = int(warmup)
         self.n_updates = 0
         lead = _lead(packets)
-        self.basis = np.broadcast_to(np.eye(n_dim, rank, dtype=complex),
-                                     lead + (n_streams, n_dim, rank)).copy()
+        # stream k's basis is columns k*D..(k+1)*D - 1
+        self._columns = np.broadcast_to(np.tile(np.eye(n_dim, rank, dtype=complex),
+                                                n_streams),
+                                        lead + (n_dim, n_streams * rank)).copy()
+        self.basis = np.moveaxis(
+            self._columns.reshape(lead + (n_dim, n_streams, rank)), -3, -2)
         self.w_bar = np.zeros(lead + (n_streams, rank), dtype=complex)
         self.p_bar = np.broadcast_to(np.eye(rank, dtype=complex) / delta,
                                      lead + (n_streams, rank, rank)).copy()
@@ -403,39 +413,40 @@ class JioFilterBank:
     def _joint_step(self, r, d):
         # r (..., N_A) and d (..., K): one sample of every packet
         self.n_updates += 1
-        r_bar = np.einsum('...knd,...n->...kd', self.basis.conj(), r)
-        pr = np.einsum('...kde,...ke->...kd', self.p_bar, r_bar)
-        denom = self.lam + np.einsum('...kd,...kd->...k', r_bar.conj(), pr).real
-        gain = pr / denom[..., None]
-        err = d - np.einsum('...kd,...kd->...k', self.w_bar.conj(), r_bar)
-        self.w_bar = self.w_bar + gain * err.conj()[..., None]
-        rp = np.einsum('...kd,...kde->...ke', r_bar.conj(), self.p_bar)
         ilam = 1.0 / self.lam
-        self.p_bar = _hermitize(_scale(self.p_bar - gain[..., :, None] * rp[..., None, :],
-                                       ilam))
-        r_row = r.conj()[..., None, :]
+        # conj(r_bar) of all K streams: one (1, N_A) @ (N_A, K*D) product
+        rb_conj = (r.conj()[..., None, :] @ self._columns)[..., 0, :]
+        rb_conj = rb_conj.reshape(self.w_bar.shape)
+        pr = (self.p_bar @ rb_conj.conj()[..., None])[..., 0]
+        denom = self.lam + np.einsum('...kd,...kd->...k', rb_conj, pr).real
+        gain = pr / denom[..., None]
+        err_conj = d.conj() - np.einsum('...kd,...kd->...k', self.w_bar, rb_conj)
+        self.w_bar += gain * err_conj[..., None]
+        # both iterates are Hermitian, so r^H P is (P r)^H: each downdate fills
+        # one fresh array, which the scaled, hermitized result replaces
+        p_bar = gain[..., :, None] * pr.conj()[..., None, :]
+        self.p_bar = _hermitize(_scale(np.subtract(self.p_bar, p_bar, out=p_bar), ilam))
         pf = (self.p_full @ r[..., None])[..., 0]
-        gain_full = pf / (self.lam + np.real((r_row @ pf[..., None])[..., 0]))
-        # the downdate fills one fresh array, and its hermitized form
-        # overwrites p_full in place
-        p_full = gain_full[..., :, None] * (r_row @ self.p_full)
+        denom_full = self.lam + np.einsum('...n,...n->...', r.conj(), pf).real
+        gain_full = pf / denom_full[..., None]
+        p_full = gain_full[..., :, None] * pf.conj()[..., None, :]
         _hermitize(_scale(np.subtract(self.p_full, p_full, out=p_full), ilam),
                    out=self.p_full)
-        err_post = d - np.einsum('...kd,...kd->...k', self.w_bar.conj(), r_bar)
-        w_energy = np.einsum('...kd,...kd->...k', self.w_bar.conj(), self.w_bar).real
+        err_post_conj = d.conj() - np.einsum('...kd,...kd->...k', self.w_bar, rb_conj)
+        w_parts = self.w_bar.view(float)
+        w_energy = np.einsum('...i,...i->...', w_parts, w_parts)
         active = w_energy > 0.0
         moved = np.any(active, axis=-1)
         if np.any(moved):
-            scale = np.where(active, err_post.conj() / np.maximum(w_energy, 1e-300), 0.0)
-            step = (scale[..., :, None, None] * gain_full[..., None, :, None]
-                    * self.w_bar.conj()[..., :, None, :])
-            if np.all(moved):
-                self.basis += step
-            else:
-                # a packet with no active stream keeps its basis, as it would
-                # alone: adding its zero step would turn -0.0 entries into +0.0
-                self.basis = np.where(moved[..., None, None, None], self.basis + step,
-                                      self.basis)
+            scale = np.where(active, err_post_conj / np.maximum(w_energy, 1e-300), 0.0)
+            # one rank-one step per packet: the gain direction times every
+            # stream's scaled conj(w_bar), laid out as the basis columns
+            row = (scale[..., None] * self.w_bar.conj()).reshape(
+                scale.shape[:-1] + (1, -1))
+            step = gain_full[..., :, None] * row
+            # a packet with no active stream keeps its basis, as it would
+            # alone: adding its zero step would turn -0.0 entries into +0.0
+            np.add(self._columns, step, out=self._columns, where=moved[..., None, None])
 
     @property
     def weights(self) -> np.ndarray:

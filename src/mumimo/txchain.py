@@ -24,6 +24,14 @@ class TrellisSpec:
     constraint_length: int = 3
     generators: tuple = (0o7, 0o5)
 
+    def __post_init__(self):
+        # a generator taps the input and the memory: constraint_length bits
+        k = self.constraint_length
+        if k < 1 or not self.generators or not all(0 < g < 1 << k for g in self.generators):
+            raise ParameterError(
+                f"constraint length {k} with generators {self.generators}: a code needs "
+                f"K >= 1 and at least one generator, each in [1, 2**K)")
+
     @property
     def memory(self) -> int:
         return self.constraint_length - 1

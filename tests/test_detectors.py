@@ -53,6 +53,40 @@ def reference_sic_detect(chan, r, ordering, filter_design="mmse", symbol_power=1
     return m.DetectorOutput(labels=labels, symbols=symbols)
 
 
+def reference_sinr_keys(chan, symbol_power, noise_var):
+    """One-shot output SINR of each stream under the (N_A, M) MMSE filter
+    bank: the filters' responses to every column, and their noise gains."""
+    w = m.compute_receive_filter(chan, symbol_power, noise_var, "mmse")
+    cross = w.conj().T @ chan  # (M, M): row j = responses of filter j
+    sig = np.abs(np.diagonal(cross)) ** 2
+    interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
+    noise = noise_var * np.sum(np.abs(w) ** 2, axis=0)
+    return symbol_power * sig / (symbol_power * interf + noise)
+
+
+def reference_ordering(chan, symbol_power, noise_var, criterion):
+    """``compute_ordering`` with the sinr keys of the filter bank."""
+    if criterion != "sinr":
+        return m.compute_ordering(chan, symbol_power, noise_var, criterion)
+    return np.argsort(-reference_sinr_keys(chan, symbol_power, noise_var), kind="stable")
+
+
+def reference_deflating_sic_labels(gram, inv, matched, perm, constellation):
+    """SIC stages in the matched domain that deflate ``y``: each decided
+    stream's Gram column times its decisions is subtracted from the rest."""
+    gram = gram[np.ix_(perm, perm)]
+    p = None if inv is None else inv[np.ix_(perm, perm)]
+    y = matched[perm]
+    labels = np.empty(matched.shape, dtype=np.int64)
+    for stage in range(len(perm)):
+        lab = qpsk_slice_labels(y[stage] if p is None else p[0] @ y[stage:])
+        labels[perm[stage]] = lab
+        y[stage + 1:] -= np.outer(gram[stage + 1:, stage], constellation[lab])
+        if p is not None:
+            p = p[1:, 1:] - np.outer(p[1:, 0], p[0, 1:]) / p[0, 0]
+    return labels
+
+
 def reference_mb_sic_detect(chan, r, n_branches=4, filter_design="mmse",
                             symbol_power=1.0, noise_var=1.0, base_criterion="norm",
                             constellation=None):
@@ -61,7 +95,7 @@ def reference_mb_sic_detect(chan, r, n_branches=4, filter_design="mmse",
     block, single = detectors._as_block(r, chan.shape[0])
     if constellation is None:
         constellation = m.qpsk_constellation(symbol_power)
-    base = m.compute_ordering(chan, symbol_power, noise_var, base_criterion)
+    base = reference_ordering(chan, symbol_power, noise_var, base_criterion)
     outs = [reference_sic_detect(chan, block, np.roll(base, -shift), filter_design,
                                  symbol_power, noise_var, constellation)
             for shift in range(n_branches)]
@@ -164,6 +198,30 @@ def test_sinr_ordering_prefers_clean_stream():
                      [0.0, 0.0, 0.0]], dtype=complex)
     order = m.compute_ordering(chan, 1.0, 0.1, "sinr")
     assert order[0] == 0
+
+
+ORDERING_SYSTEMS = {
+    "cas-8x16": m.SystemConfig(n_users=8, n_bs=16),
+    "das-8x16": m.SystemConfig(n_users=8, n_bs=8, n_heads=4, antennas_per_head=2),
+    "cas-32x128": m.SystemConfig(n_users=32, n_bs=128),
+    "das-32x128": m.SystemConfig(n_users=32, n_bs=64, n_heads=8, antennas_per_head=8),
+    "cas-64x256": m.SystemConfig(n_users=64, n_bs=256),
+    "das-64x256": m.SystemConfig(n_users=64, n_bs=128, n_heads=8, antennas_per_head=16),
+}
+
+
+@pytest.mark.parametrize("system", ORDERING_SYSTEMS)
+def test_sinr_ordering_equals_filter_bank_keys(system):
+    # the matched-domain keys order the streams as the (N_A, M) bank's do
+    cfg = ORDERING_SYSTEMS[system]
+    spec = m.ScenarioSpec(system=cfg, snr_db=(0.0,)).validate()
+    for snr_db in (0.0, 15.0):
+        nv = harness.trial_noise_variance(spec, snr_db)
+        for draw in range(4):
+            chan = harness._draw_trial_channel(cfg, 11, 0, draw)
+            ref = reference_ordering(chan, cfg.symbol_power, nv, "sinr")
+            assert np.array_equal(m.compute_ordering(chan, cfg.symbol_power, nv, "sinr"),
+                                  ref), (snr_db, draw)
 
 
 def test_sic_noiseless_recovery(rng):
@@ -312,7 +370,10 @@ SIC_SYSTEMS = {
     "square-8x8": m.SystemConfig(n_users=8, n_bs=8),
     "das-8x8x1": m.SystemConfig(n_users=8, n_bs=8, n_heads=8, antennas_per_head=1),
     "cas-32x128": m.SystemConfig(n_users=32, n_bs=128),
+    "cas-64x256": m.SystemConfig(n_users=64, n_bs=256),
 }
+# channel draws per system and SNR; the largest is the slowest to check
+SIC_DRAWS = {"cas-64x256": 2}
 
 
 def sic_trials(cfg, snr_db, n_draws=3, n_sym=200):
@@ -335,7 +396,8 @@ def sic_trials(cfg, snr_db, n_draws=3, n_sym=200):
 @pytest.mark.parametrize("design", ["zf", "mmse", "rmf"])
 def test_sic_decisions_equal_per_stage_reinversion(system, design):
     for snr_db in (0.0, 15.0):
-        for chan, r, nv, const in sic_trials(SIC_SYSTEMS[system], snr_db):
+        for chan, r, nv, const in sic_trials(SIC_SYSTEMS[system], snr_db,
+                                             SIC_DRAWS.get(system, 3)):
             for criterion in ("norm", "snr", "sinr"):
                 order = m.compute_ordering(chan, 1.0, nv, criterion)
                 fast = m.sic_detect(chan, r, order, design, 1.0, nv, const)
@@ -349,13 +411,28 @@ def test_sic_decisions_equal_per_stage_reinversion(system, design):
 def test_mb_sic_equals_per_stage_reinversion_in_every_branch(system, design):
     for snr_db in (0.0, 15.0):
         for chan, r, nv, const in sic_trials(SIC_SYSTEMS[system], snr_db, n_draws=2):
-            for criterion in ("norm", "sinr"):
+            for criterion in ("norm", "snr", "sinr"):
                 args = (4, design, 1.0, nv, criterion, const)
                 fast = m.mb_sic_detect(chan, r, *args)
                 ref = reference_mb_sic_detect(chan, r, *args)
                 assert np.array_equal(fast.labels, ref.labels), (snr_db, criterion)
                 assert np.array_equal(fast.branch_distances, ref.branch_distances)
                 assert np.array_equal(fast.selected_branch, ref.selected_branch)
+
+
+@pytest.mark.parametrize("system", SIC_SYSTEMS)
+@pytest.mark.parametrize("design", ["zf", "mmse", "rmf"])
+def test_sic_labels_equal_deflating_stages(system, design):
+    # cancelling through the decided symbols decides as deflating y does
+    perms = np.random.default_rng(7)
+    for snr_db in (0.0, 15.0):
+        for chan, r, nv, const in sic_trials(SIC_SYSTEMS[system], snr_db,
+                                             SIC_DRAWS.get(system, 3)):
+            setup = detectors._sic_setup(chan, r, design, 1.0, nv)
+            orders = [m.compute_ordering(chan, 1.0, nv, c) for c in ("norm", "sinr")]
+            for perm in orders + [perms.permutation(chan.shape[1])]:
+                assert np.array_equal(detectors._sic_labels(*setup, perm, const),
+                                      reference_deflating_sic_labels(*setup, perm, const))
 
 
 def test_sic_single_vector_equals_oracle(rng):
@@ -416,8 +493,13 @@ def test_sic_inverts_once_per_block(monkeypatch, rng):
         m.sic_detect(chan, r, order, design, 1.0, 0.1)
         assert len(calls) <= 1, design
         calls.clear()
-    m.mb_sic_detect(chan, r, 4, "mmse", 1.0, 0.1, "norm")
-    assert len(calls) <= 1
+    for criterion in ("norm", "sinr"):
+        m.mb_sic_detect(chan, r, 4, "mmse", 1.0, 0.1, criterion)
+        assert len(calls) <= 1, criterion
+        calls.clear()
+    # the sinr keys come from one M x M inverse, not from the filter bank
+    m.compute_ordering(chan, 1.0, 0.1, "sinr")
+    assert calls == [(32, 32)]
 
 
 def no_stage(*args):

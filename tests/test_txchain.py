@@ -49,6 +49,24 @@ def test_encoder_rejects_non_bits():
         m.conv_encode([0, 2, 1])
 
 
+@pytest.mark.parametrize("constraint_length,generators", [
+    (3, (0o7, 0)),       # a generator with no taps
+    (3, (0o7, 0o17)),    # a tap beyond the constraint length
+    (3, (0o7, -0o5)),
+    (3, ()),
+    (0, (0o1,)),
+])
+def test_trellis_spec_rejects_codes_it_cannot_describe(constraint_length, generators):
+    with pytest.raises(ParameterError):
+        m.TrellisSpec(constraint_length, generators)
+
+
+def test_trellis_spec_accepts_valid_codes():
+    assert m.TrellisSpec() == m.TrellisSpec(3, (0o7, 0o5))
+    assert m.TrellisSpec(1, (0o1,)).n_states == 1
+    assert m.TrellisSpec(7, (0o171, 0o133)).n_out == 2
+
+
 def test_trellis_tables_shapes_and_termination():
     trellis = m.TrellisSpec()
     next_state, out_bits = m.trellis_tables(trellis)
