@@ -64,11 +64,11 @@ def _cached_corr_sqrt(n: int, rho: float) -> np.ndarray:
 def _receive_corr_sqrt(blocks: tuple, rho: float) -> np.ndarray:
     """Block-diagonal square root of the receive correlation matrix.
 
-    Stored complex and read-only: every per-user draw multiplies a complex
-    matrix by it, and a real root would be cast to complex on each call.
+    Stored real and read-only: it colors the real and imaginary parts of
+    every user's fading in one real product.
     """
     n_rx = sum(blocks)
-    root = np.zeros((n_rx, n_rx), dtype=complex)
+    root = np.zeros((n_rx, n_rx))
     start = 0
     for size in blocks:
         root[start:start + size, start:start + size] = _cached_corr_sqrt(size, rho)
@@ -77,18 +77,30 @@ def _receive_corr_sqrt(blocks: tuple, rho: float) -> np.ndarray:
     return root
 
 
-def draw_small_scale(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Correlated Rayleigh channel of one user, shape (N_A, N_U).
+def draw_small_scale(cfg: SystemConfig, rngs) -> np.ndarray:
+    """Correlated Rayleigh fading of every user, stacked (N_A, K * N_U).
 
-    An i.i.d. CN(0, 1) matrix is colored on the receive side by the
-    (block-diagonal) correlation root and on the transmit side by the
-    per-user antenna correlation root.
+    User k's i.i.d. CN(0, 1) matrix comes from its own generator
+    ``rngs[k]`` (real part, then imaginary part), so its columns
+    k * N_U ... (k + 1) * N_U - 1 depend on that generator alone.  All
+    users' white matrices are colored on the receive side by one real
+    product with the (block-diagonal) correlation root, and each user's
+    on the transmit side by the per-user antenna correlation root.
     """
-    shape = (cfg.n_rx_total, cfg.antennas_per_user)
-    white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    n_rx, n_u = cfg.n_rx_total, cfg.antennas_per_user
+    if len(rngs) != cfg.n_users:
+        raise StructuralError(f"expected {cfg.n_users} generators, one per user, "
+                              f"got {len(rngs)}")
+    # an entry's real and imaginary parts side by side: the real product
+    # is the complex fading matrix's real view
+    white = np.empty((n_rx, cfg.n_users, n_u, 2))
+    for k, rng in enumerate(rngs):
+        white[:, k] = np.moveaxis(rng.standard_normal((2, n_rx, n_u)), 0, -1)
+    white *= 1.0 / np.sqrt(2.0)
     rx_root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
-    tx_root = _cached_corr_sqrt(cfg.antennas_per_user, cfg.rho)
-    return rx_root @ white @ tx_root
+    fading = (rx_root @ white.reshape(n_rx, -1)).view(complex)
+    tx_root = _cached_corr_sqrt(n_u, cfg.rho)
+    return (fading.reshape(-1, n_u) @ tx_root).reshape(n_rx, cfg.n_streams)
 
 
 @dataclass
@@ -133,23 +145,19 @@ def gain_diagonal(cfg: SystemConfig, large: LargeScaleDraw, user: int) -> np.nda
     return np.repeat(large.gains[user], reps)
 
 
-def compose_channel(cfg: SystemConfig, small: list, large: LargeScaleDraw) -> np.ndarray:
-    """Scale each user's fading matrix by its large-scale gains and stack.
+def compose_channel(cfg: SystemConfig, small: np.ndarray, large: LargeScaleDraw) -> np.ndarray:
+    """Scale every user's fading columns by its large-scale gains.
 
-    ``small`` holds one (N_A, N_U) matrix per user.  The stacked channel has
-    the users' columns side by side, shape (N_A, K * N_U).
+    ``small`` is the stacked (N_A, K * N_U) fading of
+    :func:`draw_small_scale`; row n of user k's columns is scaled by
+    ``gain_diagonal(cfg, large, k)[n]``, all users in one broadcast.
     """
-    if len(small) != cfg.n_users:
-        raise StructuralError(
-            f"expected {cfg.n_users} per-user matrices, got {len(small)}")
-    per_user = []
-    for k, h in enumerate(small):
-        h = np.asarray(h)
-        if h.shape != (cfg.n_rx_total, cfg.antennas_per_user):
-            raise StructuralError(
-                f"user {k}: expected shape {(cfg.n_rx_total, cfg.antennas_per_user)}, got {h.shape}")
-        per_user.append(gain_diagonal(cfg, large, k)[:, None] * h)
-    return np.hstack(per_user)
+    small = np.asarray(small)
+    shape = (cfg.n_rx_total, cfg.n_streams)
+    if small.shape != shape:
+        raise StructuralError(f"expected stacked fading of shape {shape}, got {small.shape}")
+    gains = np.repeat(large.gains, cfg.receive_blocks(), axis=1)  # (K, N_A)
+    return np.repeat(gains.T, cfg.antennas_per_user, axis=1) * small
 
 
 def snr_to_noise_variance(snr_db: float, cfg: SystemConfig, code_rate: float,

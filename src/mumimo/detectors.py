@@ -161,17 +161,31 @@ def _sic_labels(gram, inv, matched, perm, constellation):
     return labels
 
 
+def _setup_ordering(chan, setup, criterion, filter_design, symbol_power, noise_var):
+    """Detection order for ``criterion`` with a SIC set-up at hand: the sinr
+    keys read the set-up's inverse when it is the mmse one."""
+    if criterion != "sinr":
+        return compute_ordering(chan, symbol_power, noise_var, criterion)
+    gram, inv, _ = setup
+    mmse_inv = (inv if filter_design == "mmse"
+                else _inverse_gram(chan, gram, symbol_power, noise_var, "mmse"))
+    return _sinr_ordering(gram, mmse_inv, symbol_power, noise_var)
+
+
 def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
                symbol_power: float = 1.0, noise_var: float = 1.0,
                constellation=None) -> DetectorOutput:
     """Successive interference cancellation with per-stage refiltering.
 
-    Stage k detects stream ``ordering[k]`` with the ``filter_design`` filter
-    of the deflated channel G_R, whose columns R are the streams not yet
-    detected, applied to the residual left by cancelling the streams
-    already decided.  The work happens in the matched-filter domain
-    ``y = G^H r`` (M, T), which is never deflated: with P_R the inverse
-    (regularised) Gram matrix of G_R, the estimate is
+    ``ordering`` is a permutation of the streams, or the name of a
+    criterion of :func:`compute_ordering`, which then orders the streams
+    from this block's own set-up (sinr with the mmse design costs no
+    second inversion).  Stage k detects stream ``ordering[k]`` with the
+    ``filter_design`` filter of the deflated channel G_R, whose columns R
+    are the streams not yet detected, applied to the residual left by
+    cancelling the streams already decided.  The work happens in the
+    matched-filter domain ``y = G^H r`` (M, T), which is never deflated:
+    with P_R the inverse (regularised) Gram matrix of G_R, the estimate is
     ``P_R[0] @ (y_R - A[R, D] x_D)`` for the decided streams D and their
     symbols x_D, formed as ``P_R[0] @ y_R - (P_R[0] @ A[R, D]) @ x_D``, and
     P_R shrinks by a rank-one downdate, so the block costs one M x M
@@ -180,12 +194,17 @@ def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
     chan = np.asarray(chan, dtype=complex)
     block, single = _as_block(r, chan.shape[0])
     m = chan.shape[1]
-    perm = np.asarray(ordering, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(m)):
-        raise StructuralError(f"ordering {perm} is not a permutation of {m} streams")
+    named = isinstance(ordering, str)
+    if not named:
+        perm = np.asarray(ordering, dtype=np.int64)
+        if sorted(perm.tolist()) != list(range(m)):
+            raise StructuralError(f"ordering {perm} is not a permutation of {m} streams")
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
     setup = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
+    if named:
+        perm = _setup_ordering(chan, setup, ordering, filter_design, symbol_power,
+                               noise_var)
     labels = _sic_labels(*setup, perm, constellation)
     symbols = constellation[labels]
     if single:
@@ -214,14 +233,9 @@ def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
             f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
     if constellation is None:
         constellation = qpsk_constellation(symbol_power)
-    setup = gram, inv, _ = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
-    if base_criterion == "sinr":
-        # the mmse set-up's inverse is the one the ordering needs
-        mmse_inv = (inv if filter_design == "mmse"
-                    else _inverse_gram(chan, gram, symbol_power, noise_var, "mmse"))
-        base = _sinr_ordering(gram, mmse_inv, symbol_power, noise_var)
-    else:
-        base = compute_ordering(chan, symbol_power, noise_var, base_criterion)
+    setup = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
+    base = _setup_ordering(chan, setup, base_criterion, filter_design, symbol_power,
+                           noise_var)
     n_vec = block.shape[1]
     all_labels = np.empty((n_branches, m, n_vec), dtype=np.int64)
     dists = np.empty((n_branches, n_vec))

@@ -22,9 +22,9 @@ from . import rng as rngmod
 from .channel import (_distance_grid, compose_channel, draw_large_scale,
                       draw_small_scale, snr_to_noise_variance)
 from .config import SystemConfig
-from .detectors import (ML_CANDIDATE_GUARD, ORDERING_CRITERIA, compute_ordering,
-                        compute_receive_filter, df_detect, linear_detect,
-                        mb_sic_detect, ml_detect_oracle, sic_detect)
+from .detectors import (ML_CANDIDATE_GUARD, ORDERING_CRITERIA, compute_receive_filter,
+                        df_detect, linear_detect, mb_sic_detect, ml_detect_oracle,
+                        sic_detect)
 from .errors import ConfigError, NumericalError
 from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, ls_channel_estimate)
@@ -341,9 +341,9 @@ def _draw_trial_channel(cfg: SystemConfig, seed: int, snr_index: int,
                         trial_index: int):
     large = draw_large_scale(cfg, rngmod.substream(
         seed, snr_index, trial_index, rngmod.LARGE_SCALE))
-    small = [draw_small_scale(cfg, rngmod.substream(
-        seed, snr_index, trial_index, rngmod.SMALL_SCALE, k))
-        for k in range(cfg.n_users)]
+    small = draw_small_scale(cfg, [rngmod.substream(
+        seed, snr_index, trial_index, rngmod.SMALL_SCALE, k)
+        for k in range(cfg.n_users)])
     return compose_channel(cfg, small, large)
 
 
@@ -401,8 +401,7 @@ def _hard_detect(spec: ScenarioSpec, chan, block, noise_var, constellation):
         return linear_detect(compute_receive_filter(chan, sp, noise_var, name),
                              block, constellation)
     if name == "sic":
-        order = compute_ordering(chan, sp, noise_var, spec.ordering)
-        return sic_detect(chan, block, order, spec.filter_design, sp, noise_var,
+        return sic_detect(chan, block, spec.ordering, spec.filter_design, sp, noise_var,
                           constellation)
     if name == "mb-sic":
         return mb_sic_detect(chan, block, spec.branches, spec.filter_design, sp,

@@ -15,6 +15,7 @@ from .config import SystemConfig
 from .errors import ParameterError, StructuralError
 
 LLR_CLIP = 50.0  # feedback log-likelihood ratios are clipped to +/- this
+_NOISE_SLAB_ROWS = 16  # receive rows of AWGN drawn per generator call
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,11 @@ def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
                      rng: np.random.Generator) -> np.ndarray:
     """Pass stacked stream symbols through the channel and add CN(0, noise_var).
 
-    ``chan`` is (N_A, M), ``symbols`` (M, T); the result is (N_A, T).
+    ``chan`` is (N_A, M), ``symbols`` (M, T); the result is (N_A, T) and
+    always complex.  The noise is drawn into one reused slab of
+    ``_NOISE_SLAB_ROWS`` rows at a time, every real part before any
+    imaginary part: the same normals, in the same generator order, as two
+    ``standard_normal((N_A, T))`` calls, without their (2, N_A, T) buffer.
     """
     chan = np.asarray(chan)
     symbols = np.asarray(symbols)
@@ -273,14 +278,16 @@ def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
             f"channel has {chan.shape[1]} streams, symbols carry {symbols.shape[0]}")
     if noise_var < 0.0:
         raise ParameterError("noise_var must be >= 0")
-    clean = chan @ symbols
+    out = (chan @ symbols).astype(complex, copy=False)
     if noise_var == 0.0:
-        return clean
-    # the real and imaginary blocks are the same draws, in the same order,
-    # as two separate standard_normal(clean.shape) calls
-    noise = rng.standard_normal((2,) + clean.shape)
-    noise *= np.sqrt(noise_var / 2.0)
-    out = clean.astype(complex, copy=False)
-    out.real += noise[0]
-    out.imag += noise[1]
+        return out
+    scale = np.sqrt(noise_var / 2.0)
+    n_rows = out.shape[0]
+    slab = np.empty((min(_NOISE_SLAB_ROWS, n_rows), out.shape[1]))
+    for part in (out.real, out.imag):
+        for lo in range(0, n_rows, _NOISE_SLAB_ROWS):
+            noise = slab[:n_rows - lo]
+            rng.standard_normal(out=noise)
+            noise *= scale
+            part[lo:lo + len(noise)] += noise
     return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mumimo as m
+from conftest import same_bytes
 from mumimo.channel import _distance_grid, _receive_corr_sqrt
 from mumimo.errors import NumericalError, ParameterError, StructuralError
 
@@ -54,7 +55,7 @@ def test_receive_corr_sqrt_is_block_diagonal():
 
 def test_small_scale_unit_power_and_correlation(rng):
     cfg = m.SystemConfig(n_users=1, n_bs=2, rho=0.9)
-    draws = np.stack([m.draw_small_scale(cfg, rng)[:, 0] for _ in range(20000)])
+    draws = np.stack([m.draw_small_scale(cfg, [rng])[:, 0] for _ in range(20000)])
     power = np.mean(np.abs(draws) ** 2, axis=0)
     np.testing.assert_allclose(power, 1.0, atol=0.05)
     cross = np.mean(draws[:, 0] * draws[:, 1].conj())
@@ -63,49 +64,104 @@ def test_small_scale_unit_power_and_correlation(rng):
 
 def test_small_scale_uncorrelated_when_rho_zero(rng):
     cfg = m.SystemConfig(n_users=1, n_bs=4, rho=0.0)
-    draws = np.stack([m.draw_small_scale(cfg, rng)[:, 0] for _ in range(8000)])
+    draws = np.stack([m.draw_small_scale(cfg, [rng])[:, 0] for _ in range(8000)])
     gram = draws.conj().T @ draws / len(draws)
     np.testing.assert_allclose(gram, np.eye(4), atol=0.06)
 
 
-def reference_draw_small_scale(cfg, rng):
-    # the per-call draw before the complex root was cached: a real
-    # block-diagonal root built on every call and cast in the product
-    shape = (cfg.n_rx_total, cfg.antennas_per_user)
-    white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def reference_roots(cfg):
+    # the real block-diagonal receive root and the transmit root, built
+    # from matrix_sqrt without the module's caches
     root = np.zeros((cfg.n_rx_total, cfg.n_rx_total))
     start = 0
     for size in cfg.receive_blocks():
         root[start:start + size, start:start + size] = m.matrix_sqrt(
             m.correlation_matrix(size, cfg.rho))
         start += size
-    tx_root = m.matrix_sqrt(m.correlation_matrix(cfg.antennas_per_user, cfg.rho))
-    return root @ white @ tx_root
+    return root, m.matrix_sqrt(m.correlation_matrix(cfg.antennas_per_user, cfg.rho))
 
 
-@pytest.mark.parametrize("cfg", [
-    m.SystemConfig(n_users=8, n_bs=16),
-    m.SystemConfig(n_users=8, n_bs=8, n_heads=8, antennas_per_head=1),
-    m.SystemConfig(n_users=32, n_bs=128),
-    m.SystemConfig(n_users=32, n_bs=64, n_heads=8, antennas_per_head=8, rho=0.5),
-    m.SystemConfig(n_users=64, n_bs=256),
-    m.SystemConfig(n_users=64, n_bs=128, n_heads=16, antennas_per_head=8),
-    m.SystemConfig(n_users=4, n_bs=8, n_heads=2, antennas_per_head=4, antennas_per_user=2),
-], ids=["cas-8x16", "das-8x8x1", "cas-32x128", "das-32x64x8", "cas-64x256",
-        "das-64x128x8", "das-4x8x4-nu2"])
+def reference_draw_small_scale(cfg, rng, roots):
+    # one user's draw before the stacked product: the real root cast in a
+    # complex product per user
+    shape = (cfg.n_rx_total, cfg.antennas_per_user)
+    white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    root, tx_root = roots
+    return root @ white @ tx_root, white
+
+
+def reference_stacked_draw(cfg, rngs):
+    """The per-user reference draws side by side, and how far a regrouped
+    product may round from them: each entry is a chain of two dot products,
+    of length n = 2 (N_A + N_U) counting the complex product's real terms,
+    and two evaluations of ``|R| |W| |T|`` in any order differ by at most
+    2 gamma_n times it, with gamma_n = n u / (1 - n u)."""
+    roots = root, tx_root = reference_roots(cfg)
+    draws = [reference_draw_small_scale(cfg, rng, roots) for rng in rngs]
+    n = 2 * (cfg.n_rx_total + cfg.antennas_per_user)
+    unit = np.finfo(float).eps / 2
+    gamma = n * unit / (1 - n * unit)
+    bound = 2 * gamma * np.hstack([np.abs(root) @ np.abs(w) @ np.abs(tx_root)
+                                   for _, w in draws])
+    return np.hstack([h for h, _ in draws]), bound
+
+
+SMALL_SCALE_SYSTEMS = {
+    "cas-8x16": m.SystemConfig(n_users=8, n_bs=16),
+    "das-8x8x1": m.SystemConfig(n_users=8, n_bs=8, n_heads=8, antennas_per_head=1),
+    "cas-32x128": m.SystemConfig(n_users=32, n_bs=128),
+    "das-32x64x8": m.SystemConfig(n_users=32, n_bs=64, n_heads=8, antennas_per_head=8,
+                                  rho=0.5),
+    "cas-64x256": m.SystemConfig(n_users=64, n_bs=256),
+    "das-64x128x8": m.SystemConfig(n_users=64, n_bs=128, n_heads=16, antennas_per_head=8),
+    "das-4x8x4-nu2": m.SystemConfig(n_users=4, n_bs=8, n_heads=2, antennas_per_head=4,
+                                    antennas_per_user=2),
+}
+
+
+@pytest.mark.parametrize("cfg", SMALL_SCALE_SYSTEMS.values(), ids=SMALL_SCALE_SYSTEMS)
 def test_small_scale_equals_per_call_real_root(cfg):
-    got, ref = np.random.default_rng(11), np.random.default_rng(11)
+    # the stacked draw regroups the per-user products, so it matches them
+    # to within the rounding bound of the reference, not bit for bit
+    got = [np.random.default_rng(11 + k) for k in range(cfg.n_users)]
+    ref = [np.random.default_rng(11 + k) for k in range(cfg.n_users)]
     for _ in range(3):
         h = m.draw_small_scale(cfg, got)
-        assert h.dtype == complex and h.shape == (cfg.n_rx_total, cfg.antennas_per_user)
-        assert np.array_equal(h, reference_draw_small_scale(cfg, ref))
+        assert h.dtype == complex and h.shape == (cfg.n_rx_total, cfg.n_streams)
+        expected, bound = reference_stacked_draw(cfg, ref)
+        assert np.all(np.abs(h.real - expected.real) <= bound)
+        assert np.all(np.abs(h.imag - expected.imag) <= bound)
+    # every generator is left where the per-user draws leave it
+    assert [g.random() for g in got] == [g.random() for g in ref]
+
+
+@pytest.mark.parametrize("cfg", [SMALL_SCALE_SYSTEMS["cas-8x16"],
+                                 SMALL_SCALE_SYSTEMS["das-4x8x4-nu2"]],
+                         ids=["cas-8x16", "das-4x8x4-nu2"])
+def test_small_scale_user_columns_depend_on_own_generator(cfg):
+    n_u = cfg.antennas_per_user
+    base = m.draw_small_scale(cfg, [np.random.default_rng(k) for k in range(cfg.n_users)])
+    for user in range(cfg.n_users):
+        seeds = list(range(cfg.n_users))
+        seeds[user] = 100
+        other = m.draw_small_scale(cfg, [np.random.default_rng(s) for s in seeds])
+        cols = np.zeros(cfg.n_streams, dtype=bool)
+        cols[user * n_u:(user + 1) * n_u] = True
+        assert same_bytes(other[:, ~cols], base[:, ~cols]), user
+        assert not np.any(other[:, cols] == base[:, cols]), user
+
+
+def test_small_scale_needs_one_generator_per_user():
+    cfg = m.SystemConfig(n_users=3, n_bs=4)
+    with pytest.raises(StructuralError):
+        m.draw_small_scale(cfg, [np.random.default_rng(0)] * 2)
 
 
 def test_receive_corr_sqrt_is_one_cached_read_only_array():
     cfg = m.SystemConfig(n_users=2, n_bs=4, n_heads=2, antennas_per_head=3, rho=0.7)
     root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
     assert root is _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
-    assert root.dtype == complex and not root.flags.writeable
+    assert root.dtype == float and not root.flags.writeable
     with pytest.raises(ValueError):
         root[0, 0] = 2.0
     with pytest.raises(ValueError):
@@ -190,20 +246,32 @@ def test_compose_channel_scales_columns():
     cfg = m.SystemConfig(n_users=2, n_bs=2, n_heads=1, antennas_per_head=1)
     ls = m.draw_large_scale(cfg, np.random.default_rng(1))
     ls.gains = np.array([[2.0, 3.0], [4.0, 5.0]])
-    small = [np.ones((3, 1), dtype=complex), np.full((3, 1), 1j)]
+    small = np.hstack([np.ones((3, 1), dtype=complex), np.full((3, 1), 1j)])
     chan = m.compose_channel(cfg, small, ls)
     np.testing.assert_allclose(chan[:, 0], [2.0, 2.0, 3.0])
     np.testing.assert_allclose(chan[:, 1], [4j, 4j, 5j])
     assert chan.shape == (3, 2)
 
 
+def test_compose_channel_equals_per_user_gain_diagonal(rng):
+    # one broadcast scales user k's N_U columns row by row with its gains
+    cfg = SMALL_SCALE_SYSTEMS["das-4x8x4-nu2"]
+    ls = m.draw_large_scale(cfg, rng)
+    small = rng.standard_normal((cfg.n_rx_total, cfg.n_streams)) + 1j * rng.standard_normal(
+        (cfg.n_rx_total, cfg.n_streams))
+    n_u = cfg.antennas_per_user
+    per_user = np.hstack([m.gain_diagonal(cfg, ls, k)[:, None] * small[:, k * n_u:(k + 1) * n_u]
+                          for k in range(cfg.n_users)])
+    assert same_bytes(m.compose_channel(cfg, small, ls), per_user)
+
+
 def test_compose_channel_shape_errors():
     cfg = m.SystemConfig(n_users=2, n_bs=4)
     ls = m.draw_large_scale(cfg, np.random.default_rng(2))
     with pytest.raises(StructuralError):
-        m.compose_channel(cfg, [np.ones((4, 1))], ls)
+        m.compose_channel(cfg, np.ones((4, 1)), ls)
     with pytest.raises(StructuralError):
-        m.compose_channel(cfg, [np.ones((4, 1)), np.ones((3, 1))], ls)
+        m.compose_channel(cfg, np.ones((3, 2)), ls)
 
 
 def test_snr_to_noise_variance_hand_value():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import random_channel
+from conftest import random_channel, same_bytes
 from mumimo import detectors, harness
+from mumimo.detectors import ORDERING_CRITERIA
 from mumimo.errors import (CapacityError, ParameterError, SingularMatrixError,
                            StructuralError)
 from mumimo.txchain import qpsk_slice_labels
@@ -29,10 +30,13 @@ def brute_force_ml(chan, r, constellation):
 def reference_sic_detect(chan, r, ordering, filter_design="mmse", symbol_power=1.0,
                          noise_var=1.0, constellation=None):
     """SIC that re-derives the deflated filter at every stage: the filter of
-    the not-yet-detected columns, applied to the N_A-dimensional residual."""
+    the not-yet-detected columns, applied to the N_A-dimensional residual.
+    A named ``ordering`` is read from the filter-bank keys."""
     chan = np.asarray(chan, dtype=complex)
     block, single = detectors._as_block(r, chan.shape[0])
     m_streams = chan.shape[1]
+    if isinstance(ordering, str):
+        ordering = reference_ordering(chan, symbol_power, noise_var, ordering)
     perm = np.asarray(ordering, dtype=np.int64)
     if sorted(perm.tolist()) != list(range(m_streams)):
         raise StructuralError(f"ordering {perm} is not a permutation")
@@ -497,9 +501,31 @@ def test_sic_inverts_once_per_block(monkeypatch, rng):
         m.mb_sic_detect(chan, r, 4, "mmse", 1.0, 0.1, criterion)
         assert len(calls) <= 1, criterion
         calls.clear()
+    # a named sinr order is read from the mmse set-up's own inverse
+    named = m.sic_detect(chan, r, "sinr", "mmse", 1.0, 0.1)
+    assert calls == [(32, 32)]
+    calls.clear()
+    by_perm = m.sic_detect(chan, r, m.compute_ordering(chan, 1.0, 0.1, "sinr"), "mmse",
+                           1.0, 0.1)
+    assert np.array_equal(named.labels, by_perm.labels)
+    calls.clear()
     # the sinr keys come from one M x M inverse, not from the filter bank
     m.compute_ordering(chan, 1.0, 0.1, "sinr")
     assert calls == [(32, 32)]
+
+
+@pytest.mark.parametrize("design", ["rmf", "zf", "mmse"])
+def test_sic_named_ordering_equals_its_permutation(rng, design):
+    for n_rx, n_streams in ((16, 8), (128, 32)):
+        chan = random_channel(rng, n_rx, n_streams)
+        r = random_channel(rng, n_rx, 40)
+        for criterion in ORDERING_CRITERIA:
+            order = m.compute_ordering(chan, 1.0, 0.2, criterion)
+            named = m.sic_detect(chan, r, criterion, design, 1.0, 0.2)
+            by_perm = m.sic_detect(chan, r, order, design, 1.0, 0.2)
+            assert same_bytes(named.labels, by_perm.labels), criterion
+    with pytest.raises(ParameterError):
+        m.sic_detect(chan, r, "bogus", design, 1.0, 0.2)
 
 
 def no_stage(*args):

@@ -7,7 +7,7 @@ import mumimo as m
 from conftest import random_channel, same_bytes
 from mumimo.errors import (ParameterError, ParameterWarning, RankError,
                            StructuralError)
-from mumimo.estimation import DEFAULT_DELTA
+from mumimo.estimation import _BLOCK, DEFAULT_DELTA
 
 
 def qpsk_block(rng, n_streams, n, power=1.0):
@@ -478,6 +478,48 @@ def test_jio_bank_equals_complex_arithmetic_step(rng, monkeypatch, warmup, block
             assert np.array_equal(p, np.conj(np.swapaxes(p, -1, -2))), (delta, name)
 
 
+B = _BLOCK
+
+
+@pytest.mark.parametrize("warmup,calls", [
+    (0, (1, B - 1, B, B + 1, 2 * B + 3)),
+    (0, (B + 1, 1, B - 1, 2 * B + 3, B)),
+    (20, (19, 2, B + 1, 2 * B + 3)),
+    (20, (20, 1, B, B - 1)),
+    (20, (7, 2 * B + 3)),
+], ids=["from-start", "reordered", "hand-off-inside", "hand-off-at-end", "hand-off-in-long"])
+def test_jio_bank_block_lengths_equal_complex_arithmetic_step(rng, monkeypatch, warmup,
+                                                              calls):
+    # update calls of every length around the block size, some straddling
+    # the hand-off, each within 10x of the per-sample oracle's own one-ulp
+    # sensitivity, as in test_jio_bank_equals_complex_arithmetic_step, at a
+    # forgetting factor whose lam^-b scaling shows; a last call takes the
+    # rest of the 150 samples
+    starts = np.cumsum((0,) + calls)
+    recv, desired = training_block(rng, 64, 8, 150)
+    nudged = np.nextafter(recv.real, np.inf) + 1j * np.nextafter(recv.imag, np.inf)
+
+    def train(received, delta, oracle):
+        bank = m.JioFilterBank(64, 8, rank=5, lam=0.99, delta=delta, warmup=warmup)
+        if oracle:
+            monkeypatch.setattr(bank, "_joint_step",
+                                lambda r, d: reference_joint_step(bank, r, d))
+        for lo, hi in zip(starts, list(starts[1:]) + [150]):
+            bank.update(received[:, lo:hi], desired[:, lo:hi])
+        assert bank.n_updates == 150
+        return bank
+
+    for delta in (1e-6, 0.01):
+        got, ref, ref_nudged = (train(recv, delta, False), train(recv, delta, True),
+                                train(nudged, delta, True))
+        for name in ("weights", "basis"):
+            floor = _relative_distance(getattr(ref_nudged, name), getattr(ref, name))
+            assert floor > 0.0, (delta, name)
+            assert _relative_distance(getattr(got, name), getattr(ref, name)) <= 10 * floor, \
+                (delta, name)
+        assert np.array_equal(got.p_full, np.conj(np.swapaxes(got.p_full, -1, -2)))
+
+
 @pytest.mark.parametrize("c", [0.97, 0.98, 0.999, 1.0])
 def test_numpy_complex_scaling_equals_real_view_scaling(rng, c):
     # the JIO step and _hermitize rely on numpy rounding complex ``x / c``
@@ -512,11 +554,34 @@ def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
     basis = _complex(rng, n_pkt, n_streams, n_dim, rank)
     p_bar = _complex(rng, n_pkt, n_streams, rank, rank)
     r_bar, w_bar = _complex(rng, n_pkt, n_streams, rank), _complex(rng, n_pkt, n_streams, rank)
-    row = _complex(rng, n_pkt, 1, n_streams * rank)
     corr = np.eye(n_dim) + block @ np.swapaxes(block.conj(), -1, -2)
+    # a JIO block: samples sliced from a longer run, their Z = P R, the
+    # Cholesky factor of R^H Z + diag, F^H = L^-1 Z^H, and basis-step rows
+    run = _complex(rng, n_pkt, n_dim, 3 * n_samples)
+    samples = run[..., n_samples:2 * n_samples]
+    z = p_full @ np.swapaxes(p_full.conj(), -1, -2) @ samples
+    gram = np.swapaxes(samples.conj(), -1, -2) @ z + 0.5 * np.eye(n_samples)
+    chol = np.linalg.cholesky(gram)
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real
+    f_h = np.linalg.solve(chol, np.swapaxes(z.conj(), -1, -2))
+    rows = _complex(rng, n_pkt, n_samples, n_streams * rank)
+    j = n_samples // 2
+
+    def jio_block(p_full, samples, z, gram, chol, pivots, f_h, rows):
+        f = np.swapaxes(f_h.conj(), -1, -2)
+        return {
+            "P R": p_full @ samples,
+            "R^H Z": np.swapaxes(samples.conj(), -1, -2) @ z,
+            "chol": np.linalg.cholesky(gram),
+            "L^-1 Z^H": np.linalg.solve(chol, np.swapaxes(z.conj(), -1, -2)),
+            "F F^H": f @ f_h,
+            "L_j rows": ((chol / pivots[..., None, :])[..., j:j + 1, :j]
+                         @ rows[..., :j, :])[..., 0, :],
+            "F rows": f @ (rows / pivots[..., None]),
+        }
+
     stacked = {
-        "P r": (p_full @ r[..., None])[..., 0],
-        "r^H p": np.einsum('...n,...n->...', r.conj(), pf),
+        **jio_block(p_full, samples, z, gram, chol, pivots, f_h, rows),
         "G s": (est @ s[..., None])[..., 0],
         "R R^H": block @ np.swapaxes(block.conj(), -1, -2),
         "inv": np.linalg.inv(corr),
@@ -526,13 +591,12 @@ def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
         "|w|^2": np.einsum('...i,...i->...', w_bar.view(float), w_bar.view(float)),
         "g p^H": r[..., :, None] * pf.conj()[..., None, :],
         "g_bar p_bar^H": r_bar[..., :, None] * w_bar.conj()[..., None, :],
-        "g row": r[..., :, None] * row,
         "T w": np.einsum('...knd,...kd->...nk', basis, w_bar),
     }
     for i in range(n_pkt):
         alone = {
-            "P r": p_full[i] @ r[i],
-            "r^H p": np.einsum('n,n->', r[i].conj(), pf[i]),
+            **jio_block(p_full[i], run[i][:, n_samples:2 * n_samples], z[i], gram[i],
+                        chol[i], pivots[i], f_h[i], rows[i]),
             "G s": est[i] @ s[i],
             "R R^H": block[i] @ block[i].conj().T,
             "inv": np.linalg.inv(corr[i]),
@@ -542,7 +606,6 @@ def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
             "|w|^2": np.einsum('...i,...i->...', w_bar[i].view(float), w_bar[i].view(float)),
             "g p^H": np.outer(r[i], pf[i].conj()),
             "g_bar p_bar^H": r_bar[i][:, :, None] * w_bar[i].conj()[:, None, :],
-            "g row": np.outer(r[i], row[i]),
             "T w": np.einsum('knd,kd->nk', basis[i], w_bar[i]),
         }
         for name, value in alone.items():

@@ -623,8 +623,8 @@ def test_filter_training_channel_matches_trial_draw(monkeypatch):
     m.filter_training_experiment(cfg, 10.0, "rls", 2, 1.0, 20, (20,), 10, seed=9)
     from mumimo import rng as rmod
     large = m.draw_large_scale(cfg, rmod.substream(9, 0, 0, rmod.LARGE_SCALE))
-    small = [m.draw_small_scale(cfg, rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k))
-             for k in range(3)]
+    small = m.draw_small_scale(cfg, [rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k)
+                                     for k in range(3)])
     expected = m.compose_channel(cfg, small, large)
     assert len(seen) == 2
     for chan in seen:

@@ -214,18 +214,20 @@ def reference_channel_transmit(chan, symbols, noise_var, rng):
     return clean + noise
 
 
-@pytest.mark.parametrize("kind", ["complex", "real", "noiseless"])
-@pytest.mark.parametrize("n_rx,n_streams,n", [(16, 8, 500), (128, 32, 7), (256, 64, 30)])
+@pytest.mark.parametrize("kind", ["complex", "real", "noiseless", "real-noiseless"])
+@pytest.mark.parametrize("n_rx,n_streams,n", [(16, 8, 500), (128, 32, 7), (256, 64, 30),
+                                              (17, 4, 33), (130, 8, 9), (3, 2, 5)])
 def test_channel_transmit_equals_out_of_place_noise(kind, n_rx, n_streams, n):
+    # row counts above, below and off a multiple of the noise slab
     draw = np.random.default_rng(n_rx)
     chan = draw.standard_normal((n_rx, n_streams))
     sym = m.qpsk_map(draw.integers(0, 2, (n_streams, 2 * n)), 2.0)
-    if kind == "real":
+    if kind.startswith("real"):
         # a real G s must still come back complex
         sym = sym.real.copy()
     else:
         chan = chan + 1j * draw.standard_normal((n_rx, n_streams))
-    noise_var = 0.0 if kind == "noiseless" else 0.37
+    noise_var = 0.0 if kind.endswith("noiseless") else 0.37
     got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = m.channel_transmit(chan, sym, noise_var, got_rng)
     ref = reference_channel_transmit(chan, sym, noise_var, ref_rng)
