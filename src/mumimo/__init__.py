@@ -19,9 +19,9 @@ from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
                       deinterleave, interleave, labels_to_bits,
                       qpsk_constellation, qpsk_map, qpsk_slice_labels,
                       trellis_tables)
-from .detectors import (DetectorOutput, compute_ordering, compute_receive_filter,
-                        df_detect, linear_detect, mb_sic_detect,
-                        ml_detect_oracle, sic_detect)
+from .detectors import (compute_ordering, compute_receive_filter, df_detect,
+                        linear_detect, mb_sic_detect, ml_detect_oracle,
+                        sic_detect)
 from .idd import (BcjrResult, IddResult, bcjr_decode, extrinsic_llr,
                   idd_receive, soft_mmse_sic_detect, soft_symbol_stats)
 from .estimation import (JioFilterBank, LmsChannelEstimator,
@@ -46,9 +46,8 @@ __all__ = [
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
     "labels_to_bits", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",
     "trellis_tables",
-    "DetectorOutput", "compute_ordering", "compute_receive_filter",
-    "df_detect", "linear_detect", "mb_sic_detect", "ml_detect_oracle",
-    "sic_detect",
+    "compute_ordering", "compute_receive_filter", "df_detect",
+    "linear_detect", "mb_sic_detect", "ml_detect_oracle", "sic_detect",
     "BcjrResult", "IddResult", "bcjr_decode", "extrinsic_llr", "idd_receive",
     "soft_mmse_sic_detect", "soft_symbol_stats",
     "JioFilterBank", "LmsChannelEstimator", "ReducedRankFilterBank",

@@ -1,12 +1,14 @@
-"""Multiuser detection: linear filters, SIC, multi-branch SIC, decision feedback.
+"""Multiuser detection in the matched-filter domain: linear filters, SIC,
+multi-branch SIC, decision feedback and the ML oracle.
 
-All detectors accept a received block ``r`` of shape (N_A,) for a single
-symbol vector or (N_A, T) for a batch sharing one channel realization; the
-batch form is what the Monte Carlo harness uses, since filters and
-orderings depend only on the channel.
+A block of T received vectors ``r`` (N_A, T) that share one channel G (N_A,
+M) reaches the detectors as its sufficient statistic (Verdú, *Multiuser
+Detection*, 1998, ch. 2): the Gram matrix ``A = G^H G`` (M, M) and the
+matched-filter outputs ``y = G^H r`` (M, T).  The harness forms both once
+per packet, so no detector sees the N_A receive antennas.  Every detector
+returns the decided QPSK labels (M, T) and builds its points from
+``symbol_power``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,84 +20,63 @@ ORDERING_CRITERIA = ("norm", "snr", "sinr")
 ML_CANDIDATE_GUARD = 10 ** 6
 
 
-@dataclass
-class DetectorOutput:
-    """Hard decisions plus any branch bookkeeping a detector produced.
-
-    ``labels`` carries constellation indices with the same trailing shape as
-    the input block; ``symbols`` the corresponding points in natural stream
-    order.  Multi-branch detectors also report per-branch Euclidean
-    distances and the selected branch per symbol vector.
-    """
-
-    labels: np.ndarray
-    symbols: np.ndarray
-    branch_distances: np.ndarray = None
-    selected_branch: np.ndarray = None
+def _stream_count(gram):
+    """Stream count M of a Gram matrix, which must be (M, M)."""
+    m = len(gram)
+    if np.shape(gram) != (m, m):
+        raise StructuralError(f"Gram matrix must be (M, M), got shape {np.shape(gram)}")
+    return m
 
 
-def _as_block(r, n_rx):
-    r = np.asarray(r, dtype=complex)
-    if r.ndim == 1:
-        if r.shape[0] != n_rx:
-            raise StructuralError(f"received vector has length {r.shape[0]}, expected {n_rx}")
-        return r[:, None], True
-    if r.ndim != 2 or r.shape[0] != n_rx:
-        raise StructuralError(f"received block shape {r.shape} does not match {n_rx} antennas")
-    return r, False
+def _check_matched(gram, matched):
+    """Stream count M of a Gram matrix (M, M) and matched outputs (M, T)."""
+    m = _stream_count(gram)
+    if np.ndim(matched) != 2 or len(matched) != m:
+        raise StructuralError(f"matched outputs must be ({m}, T), got shape "
+                              f"{np.shape(matched)}")
+    return m
 
 
-def _inverse_gram(chan, gram, symbol_power, noise_var, design):
-    """Inverse of the Gram matrix a linear design filters with, after checking
-    the design; None for rmf, which needs no inverse.
+def compute_receive_filter(gram: np.ndarray, symbol_power: float, noise_var: float,
+                           design: str):
+    """Inverse Gram matrix P (M, M) of a linear design, from ``A = G^H G``; its
+    filter bank is ``W = G P``, whose outputs ``W^H r`` are ``P^H y``.  None
+    for rmf, whose bank is G itself.
 
-    zf    (G^H G)^{-1}
-    mmse  (G^H G + (sigma_n^2 / sigma_s^2) I)^{-1}
+    zf    P = A^{-1}
+    mmse  P = (A + (sigma_n^2 / sigma_s^2) I)^{-1}
+
+    zf raises :class:`SingularMatrixError` when ``A`` is numerically rank
+    deficient: its smallest eigenvalue is at most ``M eps lambda_max``
+    (numpy's ``matrix_rank`` tolerance).  The eigenvalues of A are the
+    squared singular values of G, so a channel passes while its condition
+    number stays below about ``1 / sqrt(M eps)``, 3.4e7 at M = 4.
     """
     if design not in LINEAR_DESIGNS:
         raise ParameterError(f"unknown filter design {design!r}")
     if symbol_power <= 0.0:
         raise ParameterError("symbol_power must be > 0")
+    m = _stream_count(gram)
     if design == "rmf":
         return None
     if design == "zf":
-        if np.linalg.matrix_rank(chan) < chan.shape[1]:
+        if np.linalg.matrix_rank(gram, hermitian=True) < m:
             raise SingularMatrixError("zf filter: channel is rank deficient")
         return np.linalg.inv(gram)
     if noise_var <= 0.0:
         raise ParameterError("mmse filter requires noise_var > 0")
-    return np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(gram.shape[0]))
+    return np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(m))
 
 
-def compute_receive_filter(chan: np.ndarray, symbol_power: float, noise_var: float,
-                           design: str) -> np.ndarray:
-    """Linear receive filter bank W (N_A, M) for the stacked channel;
-    estimates are ``W.conj().T @ r``.
-
-    rmf   W = G
-    zf    W = G (G^H G)^{-1}
-    mmse  W = G (G^H G + (sigma_n^2 / sigma_s^2) I)^{-1}
-    """
-    chan = np.asarray(chan, dtype=complex)
-    if chan.ndim != 2:
-        raise StructuralError(f"channel must be 2-D, got shape {chan.shape}")
-    gram = None if design == "rmf" else chan.conj().T @ chan
-    inv = _inverse_gram(chan, gram, symbol_power, noise_var, design)
-    return chan.copy() if inv is None else chan @ inv
-
-
-def linear_detect(filters: np.ndarray, r, constellation=None) -> DetectorOutput:
-    """Filter with the bank W (N_A, M), then slice each stream independently."""
-    w = np.asarray(filters)
-    block, single = _as_block(r, w.shape[0])
-    if constellation is None:
-        constellation = qpsk_constellation()
-    soft = w.conj().T @ block
-    labels = qpsk_slice_labels(soft)
-    symbols = constellation[labels]
-    if single:
-        labels, symbols = labels[:, 0], symbols[:, 0]
-    return DetectorOutput(labels=labels, symbols=symbols)
+def linear_detect(inv, matched: np.ndarray) -> np.ndarray:
+    """Slice the linear filter outputs ``P^H y`` of the inverse Gram matrix
+    ``inv`` from :func:`compute_receive_filter`; with ``inv`` None (rmf)
+    ``matched`` are the filter outputs themselves, such as a trained bank's
+    ``W^H r``."""
+    if inv is not None:
+        _check_matched(inv, matched)
+        matched = inv.conj().T @ matched
+    return qpsk_slice_labels(matched)
 
 
 def _sinr_ordering(gram, mmse_inv, symbol_power, noise_var):
@@ -110,18 +91,18 @@ def _sinr_ordering(gram, mmse_inv, symbol_power, noise_var):
     return np.argsort(-keys, kind="stable")
 
 
-def compute_ordering(chan: np.ndarray, symbol_power: float, noise_var: float,
+def compute_ordering(gram: np.ndarray, symbol_power: float, noise_var: float,
                      criterion: str = "norm") -> np.ndarray:
-    """Detection order over streams, first entry detected first (descending
-    key, ties by stream index)."""
-    chan = np.asarray(chan, dtype=complex)
+    """Detection order over streams from ``A = G^H G``, first entry detected
+    first (descending key, ties by stream index).  norm and snr rank the
+    column energies ``diag(A)``, sinr the one-shot MMSE output SINR."""
     if criterion not in ORDERING_CRITERIA:
         raise ParameterError(f"unknown ordering criterion {criterion!r}")
     if criterion == "sinr":
-        gram = chan.conj().T @ chan
-        return _sinr_ordering(gram, _inverse_gram(chan, gram, symbol_power, noise_var, "mmse"),
-                              symbol_power, noise_var)
-    keys = np.sum(np.abs(chan) ** 2, axis=0)
+        mmse_inv = compute_receive_filter(gram, symbol_power, noise_var, "mmse")
+        return _sinr_ordering(gram, mmse_inv, symbol_power, noise_var)
+    _stream_count(gram)
+    keys = np.diagonal(gram).real
     if criterion == "snr":
         if noise_var <= 0.0:
             raise ParameterError("snr ordering requires noise_var > 0")
@@ -129,13 +110,12 @@ def compute_ordering(chan: np.ndarray, symbol_power: float, noise_var: float,
     return np.argsort(-keys, kind="stable")
 
 
-def _sic_setup(chan, block, filter_design, symbol_power, noise_var):
-    """What every SIC ordering shares, in natural stream order: the Gram
-    matrix ``G^H G``, its inverse under the design (None for rmf) and the
-    matched-filter outputs ``G^H r`` (M, T)."""
-    gram = chan.conj().T @ chan
-    inv = _inverse_gram(chan, gram, symbol_power, noise_var, filter_design)
-    return gram, inv, chan.conj().T @ block
+def _sic_ordering(gram, inv, criterion, filter_design, symbol_power, noise_var):
+    """:func:`compute_ordering` for a SIC block whose inverse Gram matrix
+    ``inv`` is at hand: the sinr keys read it when it is the mmse one."""
+    if criterion == "sinr" and filter_design == "mmse":
+        return _sinr_ordering(gram, inv, symbol_power, noise_var)
+    return compute_ordering(gram, symbol_power, noise_var, criterion)
 
 
 def _sic_labels(gram, inv, matched, perm, constellation):
@@ -161,143 +141,102 @@ def _sic_labels(gram, inv, matched, perm, constellation):
     return labels
 
 
-def _setup_ordering(chan, setup, criterion, filter_design, symbol_power, noise_var):
-    """Detection order for ``criterion`` with a SIC set-up at hand: the sinr
-    keys read the set-up's inverse when it is the mmse one."""
-    if criterion != "sinr":
-        return compute_ordering(chan, symbol_power, noise_var, criterion)
-    gram, inv, _ = setup
-    mmse_inv = (inv if filter_design == "mmse"
-                else _inverse_gram(chan, gram, symbol_power, noise_var, "mmse"))
-    return _sinr_ordering(gram, mmse_inv, symbol_power, noise_var)
-
-
-def sic_detect(chan: np.ndarray, r, ordering, filter_design: str = "mmse",
-               symbol_power: float = 1.0, noise_var: float = 1.0,
-               constellation=None) -> DetectorOutput:
+def sic_detect(gram: np.ndarray, matched: np.ndarray, ordering,
+               filter_design: str = "mmse", symbol_power: float = 1.0,
+               noise_var: float = 1.0) -> np.ndarray:
     """Successive interference cancellation with per-stage refiltering.
 
     ``ordering`` is a permutation of the streams, or the name of a
-    criterion of :func:`compute_ordering`, which then orders the streams
-    from this block's own set-up (sinr with the mmse design costs no
-    second inversion).  Stage k detects stream ``ordering[k]`` with the
-    ``filter_design`` filter of the deflated channel G_R, whose columns R
-    are the streams not yet detected, applied to the residual left by
-    cancelling the streams already decided.  The work happens in the
-    matched-filter domain ``y = G^H r`` (M, T), which is never deflated:
-    with P_R the inverse (regularised) Gram matrix of G_R, the estimate is
-    ``P_R[0] @ (y_R - A[R, D] x_D)`` for the decided streams D and their
-    symbols x_D, formed as ``P_R[0] @ y_R - (P_R[0] @ A[R, D]) @ x_D``, and
-    P_R shrinks by a rank-one downdate, so the block costs one M x M
-    inversion in all rather than one per stage.
+    criterion of :func:`compute_ordering` (sinr with the mmse design reads
+    the block's own inverse, so it costs no second inversion).  Stage k
+    detects stream ``ordering[k]`` with the ``filter_design`` filter of the
+    deflated channel G_R, whose columns R are the streams not yet detected,
+    applied to the residual left by cancelling the streams already decided.
+    The matched outputs ``y`` are never deflated: with P_R the inverse
+    (regularised) Gram matrix of G_R, the estimate is ``P_R[0] @ (y_R -
+    A[R, D] x_D)`` for the decided streams D and their symbols x_D, formed
+    as ``P_R[0] @ y_R - (P_R[0] @ A[R, D]) @ x_D``, and P_R shrinks by a
+    rank-one downdate, so the block costs one M x M inversion in all rather
+    than one per stage.
     """
-    chan = np.asarray(chan, dtype=complex)
-    block, single = _as_block(r, chan.shape[0])
-    m = chan.shape[1]
+    m = _check_matched(gram, matched)
     named = isinstance(ordering, str)
     if not named:
         perm = np.asarray(ordering, dtype=np.int64)
         if sorted(perm.tolist()) != list(range(m)):
             raise StructuralError(f"ordering {perm} is not a permutation of {m} streams")
-    if constellation is None:
-        constellation = qpsk_constellation(symbol_power)
-    setup = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
+    inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     if named:
-        perm = _setup_ordering(chan, setup, ordering, filter_design, symbol_power,
-                               noise_var)
-    labels = _sic_labels(*setup, perm, constellation)
-    symbols = constellation[labels]
-    if single:
-        labels, symbols = labels[:, 0], symbols[:, 0]
-    return DetectorOutput(labels=labels, symbols=symbols)
+        perm = _sic_ordering(gram, inv, ordering, filter_design, symbol_power, noise_var)
+    return _sic_labels(gram, inv, matched, perm, qpsk_constellation(symbol_power))
 
 
-def mb_sic_detect(chan: np.ndarray, r, n_branches: int = 4,
+def _branch_distance(gram, matched, symbols):
+    """``s^H A s - 2 Re(s^H y)`` per column: ``||r - G s||^2 - ||r||^2``."""
+    return np.einsum('mt,mt->t', symbols.conj(), gram @ symbols - 2.0 * matched).real
+
+
+def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
                   filter_design: str = "mmse", symbol_power: float = 1.0,
-                  noise_var: float = 1.0, base_criterion: str = "norm",
-                  constellation=None) -> DetectorOutput:
+                  noise_var: float = 1.0, base_criterion: str = "norm") -> np.ndarray:
     """Multi-branch SIC: parallel SIC branches under shifted orderings.
 
     Branch 1 uses the base ordering; branch l applies a circular left shift
-    by l - 1.  Every branch produces a full decision vector and the branch
-    with the smallest Euclidean distance ``||r - G s_l||`` wins, per
-    received vector.  The branches share one SIC set-up (Gram matrix, its
-    inverse, matched outputs), each reading it in its own order; the
-    ``sinr`` base ordering is read from the same set-up.
+    by l - 1.  Every branch produces a full decision vector ``s_l`` and the
+    branch nearest the received vector wins, per vector: the smallest
+    ``s_l^H A s_l - 2 Re(s_l^H y)``, which is ``||r - G s_l||^2`` less the
+    ``||r||^2`` all branches share.  The branches share one inverse Gram
+    matrix, each reading it in its own order.
     """
-    chan = np.asarray(chan, dtype=complex)
-    block, single = _as_block(r, chan.shape[0])
-    m = chan.shape[1]
+    m = _check_matched(gram, matched)
     if not 1 <= n_branches <= m:
         raise ParameterError(
             f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
-    if constellation is None:
-        constellation = qpsk_constellation(symbol_power)
-    setup = _sic_setup(chan, block, filter_design, symbol_power, noise_var)
-    base = _setup_ordering(chan, setup, base_criterion, filter_design, symbol_power,
-                           noise_var)
-    n_vec = block.shape[1]
+    constellation = qpsk_constellation(symbol_power)
+    inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
+    base = _sic_ordering(gram, inv, base_criterion, filter_design, symbol_power, noise_var)
+    n_vec = matched.shape[1]
     all_labels = np.empty((n_branches, m, n_vec), dtype=np.int64)
     dists = np.empty((n_branches, n_vec))
     for li in range(n_branches):
-        all_labels[li] = _sic_labels(*setup, np.roll(base, -li), constellation)
-        dists[li] = np.linalg.norm(block - chan @ constellation[all_labels[li]], axis=0)
-    selected = np.argmin(dists, axis=0)
-    labels = all_labels[selected, :, np.arange(n_vec)].T
-    symbols = constellation[labels]
-    if single:
-        return DetectorOutput(labels=labels[:, 0], symbols=symbols[:, 0],
-                              branch_distances=dists[:, 0],
-                              selected_branch=int(selected[0]))
-    return DetectorOutput(labels=labels, symbols=symbols,
-                          branch_distances=dists, selected_branch=selected)
+        all_labels[li] = _sic_labels(gram, inv, matched, np.roll(base, -li), constellation)
+        dists[li] = _branch_distance(gram, matched, constellation[all_labels[li]])
+    return all_labels[np.argmin(dists, axis=0), :, np.arange(n_vec)].T
 
 
-def df_detect(chan: np.ndarray, r, mode: str = "s-df",
+def df_detect(gram: np.ndarray, matched: np.ndarray, mode: str = "s-df",
               filter_design: str = "mmse", symbol_power: float = 1.0,
-              noise_var: float = 1.0, constellation=None) -> DetectorOutput:
+              noise_var: float = 1.0) -> np.ndarray:
     """Decision feedback detection seeded by a linear first pass.
 
-    The feedback matrix is ``W^H G`` with the diagonal zeroed (parallel
-    mode, "p-df") or with only the strictly lower triangle kept
-    (successive mode, "s-df"), so exactly the cross-stream response of the
-    linear stage is cancelled using the first-pass decisions.
+    The feedback matrix is the linear stage's response ``W^H G = P^H A``
+    (rmf: ``A``) with the diagonal zeroed (parallel mode, "p-df") or with
+    only the strictly lower triangle kept (successive mode, "s-df"), so
+    exactly the cross-stream response of the linear stage is cancelled
+    using the first-pass decisions.
     """
     if mode not in ("s-df", "p-df"):
         raise ParameterError(f"unknown decision-feedback mode {mode!r}")
-    chan = np.asarray(chan, dtype=complex)
-    block, single = _as_block(r, chan.shape[0])
-    if constellation is None:
-        constellation = qpsk_constellation(symbol_power)
-    w = compute_receive_filter(chan, symbol_power, noise_var, filter_design)
-    soft = w.conj().T @ block
-    first = constellation[qpsk_slice_labels(soft)]
-    feedback = w.conj().T @ chan
-    if mode == "p-df":
-        np.fill_diagonal(feedback, 0.0)
-    else:
-        feedback = np.tril(feedback, k=-1)
-    labels = qpsk_slice_labels(soft - feedback @ first)
-    symbols = constellation[labels]
-    if single:
-        labels, symbols = labels[:, 0], symbols[:, 0]
-    return DetectorOutput(labels=labels, symbols=symbols)
+    m = _check_matched(gram, matched)
+    inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
+    soft, feedback = ((matched, gram) if inv is None
+                      else (inv.conj().T @ matched, inv.conj().T @ gram))
+    first = qpsk_constellation(symbol_power)[qpsk_slice_labels(soft)]
+    keep = np.tri(m, k=-1, dtype=bool) if mode == "s-df" else ~np.eye(m, dtype=bool)
+    return qpsk_slice_labels(soft - (feedback * keep) @ first)
 
 
-def ml_detect_oracle(chan: np.ndarray, r, constellation=None,
-                     chunk: int = 512) -> DetectorOutput:
+def ml_detect_oracle(gram: np.ndarray, matched: np.ndarray, symbol_power: float = 1.0,
+                     chunk: int = 512) -> np.ndarray:
     """Brute-force maximum-likelihood detection (reference oracle).
 
-    Enumerates every candidate stream vector in lexicographic label order
-    and returns the minimum-distance one (first hit wins ties).  Guarded to
+    Enumerates every candidate stream vector ``c`` in lexicographic label
+    order and returns the one of least ``c^H A c - 2 Re(c^H y)``, which is
+    ``||r - G c||^2`` less ``||r||^2`` (first hit wins ties).  Guarded to
     ``ML_CANDIDATE_GUARD`` candidates.
     """
-    chan = np.asarray(chan, dtype=complex)
-    block, single = _as_block(r, chan.shape[0])
-    if constellation is None:
-        constellation = qpsk_constellation()
-    constellation = np.asarray(constellation)
-    m = chan.shape[1]
+    m = _check_matched(gram, matched)
+    constellation = qpsk_constellation(symbol_power)
     n_cand = len(constellation) ** m
     if n_cand > ML_CANDIDATE_GUARD:
         raise CapacityError(
@@ -305,17 +244,11 @@ def ml_detect_oracle(chan: np.ndarray, r, constellation=None,
     # first stream varies slowest -> row i of cand_labels is lexicographic
     cand_labels = np.array(np.unravel_index(np.arange(n_cand),
                                             (len(constellation),) * m))
-    cand_points = chan @ constellation[cand_labels]  # (N_A, n_cand)
-    cand_energy = np.sum(np.abs(cand_points) ** 2, axis=0)
-    n_vec = block.shape[1]
-    best = np.empty(n_vec, dtype=np.int64)
-    for start in range(0, n_vec, chunk):
-        seg = block[:, start:start + chunk]
-        # ||r - c||^2 = ||r||^2 - 2 Re(c^H r) + ||c||^2; drop the ||r||^2 term
-        score = cand_energy[:, None] - 2.0 * (cand_points.conj().T @ seg).real
+    cand = constellation[cand_labels]  # (M, n_cand)
+    cand_energy = np.einsum('mc,mc->c', cand.conj(), gram @ cand).real
+    best = np.empty(matched.shape[1], dtype=np.int64)
+    for start in range(0, matched.shape[1], chunk):
+        seg = matched[:, start:start + chunk]
+        score = cand_energy[:, None] - 2.0 * (cand.conj().T @ seg).real
         best[start:start + chunk] = np.argmin(score, axis=0)
-    labels = cand_labels[:, best]
-    symbols = constellation[labels]
-    if single:
-        labels, symbols = labels[:, 0], symbols[:, 0]
-    return DetectorOutput(labels=labels, symbols=symbols)
+    return cand_labels[:, best]

@@ -394,23 +394,20 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
     return list(trained.reshape((-1,) + trained.shape[-2:]))
 
 
-def _hard_detect(spec: ScenarioSpec, chan, block, noise_var, constellation):
+def _hard_detect(spec: ScenarioSpec, gram, matched, noise_var):
     sp = spec.system.symbol_power
     name = spec.detector
     if name in ("rmf", "zf", "mmse"):
-        return linear_detect(compute_receive_filter(chan, sp, noise_var, name),
-                             block, constellation)
+        return linear_detect(compute_receive_filter(gram, sp, noise_var, name), matched)
     if name == "sic":
-        return sic_detect(chan, block, spec.ordering, spec.filter_design, sp, noise_var,
-                          constellation)
+        return sic_detect(gram, matched, spec.ordering, spec.filter_design, sp, noise_var)
     if name == "mb-sic":
-        return mb_sic_detect(chan, block, spec.branches, spec.filter_design, sp,
-                             noise_var, spec.ordering, constellation)
+        return mb_sic_detect(gram, matched, spec.branches, spec.filter_design, sp,
+                             noise_var, spec.ordering)
     if name == "df-s" or name == "df-p":
         mode = "s-df" if name == "df-s" else "p-df"
-        return df_detect(chan, block, mode, spec.filter_design, sp, noise_var,
-                         constellation)
-    return ml_detect_oracle(chan, block, constellation)
+        return df_detect(gram, matched, mode, spec.filter_design, sp, noise_var)
+    return ml_detect_oracle(gram, matched, sp)
 
 
 def _draw_packet(spec: ScenarioSpec, snr_index: int, trial_index: int,
@@ -442,14 +439,21 @@ def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
     return frames, [r[:, n_pilots:] for r in received], chans
 
 
+def _matched_filter(chan, rx_data):
+    """A packet's front end: the statistic ``(G^H G, G^H r)`` that every
+    channel-based receiver takes, for its true or estimated channel G."""
+    adjoint = chan.conj().T
+    return adjoint @ chan, adjoint @ rx_data
+
+
 def _detect_uncoded(spec: ScenarioSpec, frame, rx_data, chan_or_filters,
                     noise_var: float) -> TrialResult:
-    constellation = qpsk_constellation(spec.system.symbol_power)
     if spec.estimator.startswith("rr-"):
-        out = linear_detect(chan_or_filters, rx_data, constellation)
+        # the rmf case of the trained bank W: slice its outputs W^H r
+        labels = linear_detect(None, chan_or_filters.conj().T @ rx_data)
     else:
-        out = _hard_detect(spec, chan_or_filters, rx_data, noise_var, constellation)
-    decided = labels_to_bits(out.labels)
+        labels = _hard_detect(spec, *_matched_filter(chan_or_filters, rx_data), noise_var)
+    decided = labels_to_bits(labels)
     reference = frame.channel_bits.reshape(decided.shape)
     return TrialResult(bits=reference.size, errors=int(np.sum(decided != reference)))
 
@@ -457,14 +461,14 @@ def _detect_uncoded(spec: ScenarioSpec, frame, rx_data, chan_or_filters,
 def _decode_coded(spec: ScenarioSpec, snr_index: int, block: range,
                   noise_var: float) -> list:
     """Draw the coded packets of ``block`` and decode them in one
-    :func:`idd_receive` call."""
+    :func:`idd_receive` call on their stacked matched-filter statistics."""
     frames, rx_data, chans = _receive_block(spec, snr_index, block, noise_var)
     info_bits = [f.info_bits for f in frames]
-    # the stacks replace the per-packet arrays for the length of the decode
-    rx_data, chans = np.stack(rx_data), np.stack(chans)
     perms = np.stack([f.perms for f in frames])
-    del frames
-    result = idd_receive(rx_data, chans, noise_var, perms,
+    grams, matched = map(np.stack, zip(*map(_matched_filter, chans, rx_data)))
+    # the (M, T) stacks replace the (N_A, T) received blocks for the decode
+    del frames, rx_data, chans
+    result = idd_receive(grams, matched, noise_var, perms,
                          symbol_power=spec.system.symbol_power,
                          n_outer=spec.idd_iterations)
     results = []
@@ -668,6 +672,6 @@ def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
     bers = np.empty(len(checkpoints))
     for i, (lo, hi) in enumerate(zip([0] + checkpoints[:-1], checkpoints)):
         bank.update(train_rx[:, lo:hi], train_syms[:, lo:hi])
-        out = linear_detect(bank.weights, eval_rx, constellation)
-        bers[i] = np.mean(labels_to_bits(out.labels) != eval_bits)
+        labels = linear_detect(None, bank.weights.conj().T @ eval_rx)
+        bers[i] = np.mean(labels_to_bits(labels) != eval_bits)
     return bers

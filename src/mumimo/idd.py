@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detectors import _check_matched
 from .errors import NumericalError, ParameterError, StructuralError
 from .txchain import (LLR_CLIP, TrellisSpec, deinterleave, interleave,
                       qpsk_constellation, trellis_predecessors,
@@ -59,7 +60,7 @@ def soft_symbol_stats(priors: np.ndarray, constellation=None,
     return means, variances
 
 
-def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
+def soft_mmse_sic_detect(gram: np.ndarray, matched: np.ndarray,
                          means: np.ndarray, variances: np.ndarray,
                          noise_var: float, symbol_power: float = 1.0):
     """Soft MMSE detection with parallel soft interference cancellation.
@@ -67,37 +68,33 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
     For each stream j the soft means of all other streams are subtracted
     and an MMSE filter built against the residual covariance
     ``sum_{m != j} v_m g_m g_m^H + noise_var I`` is applied (Wang and Poor,
-    1999).  With ``A = G^H G``, the push-through identity ``G^H C_t^-1 =
-    (A V_t + noise_var I)^-1 G^H`` turns each symbol's covariance ``C_t =
-    G V_t G^H + noise_var I`` into one M x M solve against ``[A | G^H
-    residual_t]``; no N_A x N_A matrix is formed.  When every symbol has
-    the same prior variances (zero priors) the systems coincide and one
-    solve serves them all.  Returns the filter outputs ``z`` (M, T) and the
-    model-implied effective amplitude and residual variance per (stream,
-    symbol) of the scalar model ``z = V s + xi``.
+    1999).  The block reaches it in the matched-filter domain, as ``A =
+    G^H G`` (M, M) and ``y = G^H r`` (M, T): the push-through identity
+    ``G^H C_t^-1 = (A V_t + noise_var I)^-1 G^H`` turns each symbol's
+    covariance ``C_t = G V_t G^H + noise_var I`` into one M x M solve
+    against ``[A | y_t - A means_t]``; no N_A x N_A matrix is formed.  When
+    every symbol has the same prior variances (zero priors) the systems
+    coincide and one solve serves them all.  Returns the filter outputs
+    ``z`` (M, T) and the model-implied effective amplitude and residual
+    variance per (stream, symbol) of the scalar model ``z = V s + xi``.
     """
-    chan = np.asarray(chan, dtype=complex)
-    r_block = np.asarray(r_block, dtype=complex)
     means = np.asarray(means, dtype=complex)
     variances = np.asarray(variances, dtype=float)
-    n_rx, m = chan.shape
-    if r_block.shape[0] != n_rx:
-        raise StructuralError("received block does not match channel row count")
-    if means.shape != variances.shape or means.shape[0] != m:
-        raise StructuralError("soft statistics must be (M, T) matching the channel")
+    m = _check_matched(gram, matched)
+    if means.shape != variances.shape or means.shape != matched.shape:
+        raise StructuralError("soft statistics must be (M, T) matching the matched outputs")
     if noise_var <= 0.0:
         raise ParameterError("soft MMSE detection requires noise_var > 0")
     if np.any(variances < 0):
         raise ParameterError("prior variances must be non-negative")
 
-    gram = chan.conj().T @ chan  # A, (M, M)
-    matched = chan.conj().T @ (r_block - chan @ means)  # G^H residual, (M, T)
+    residual = matched - gram @ means  # G^H (r - G means), (M, T)
     try:
         if np.all(variances == variances[:, :1]):
             # equal priors for every symbol (the zero-prior first IDD pass):
             # all T systems are one, so one solve takes every right-hand side
             system = gram * variances[:, 0] + noise_var * np.eye(m)
-            x = np.linalg.solve(system, np.concatenate([gram, matched], axis=1))
+            x = np.linalg.solve(system, np.concatenate([gram, residual], axis=1))
             q = np.broadcast_to(np.diagonal(x).real[:, None], means.shape)
             u = x[:, m:] + means * q
         else:
@@ -108,7 +105,7 @@ def soft_mmse_sic_detect(r_block: np.ndarray, chan: np.ndarray,
                 system = gram * variances.T[span, None, :]  # A V_t, (chunk, M, M)
                 system += noise_var * np.eye(m)
                 rhs = np.concatenate([np.broadcast_to(gram, system.shape),
-                                      matched.T[span, :, None]], axis=2)
+                                      residual.T[span, :, None]], axis=2)
                 x = np.linalg.solve(system, rhs)  # (chunk, M, M + 1)
                 q[:, span] = np.diagonal(x, axis1=1, axis2=2).real.T
                 u[:, span] = x[:, :, m].T + means[:, span] * q[:, span]
@@ -293,10 +290,10 @@ class IddResult:
     xi_var: np.ndarray
 
 
-def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
+def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
                 perms: np.ndarray, trellis: TrellisSpec = TrellisSpec(),
                 symbol_power: float = 1.0, n_outer: int = 4) -> IddResult:
-    """Iterative detection and decoding of one coded frame or a block of them.
+    """Iterative detection and decoding of a block of P coded frames.
 
     Each outer iteration forms soft symbols from the decoders' extrinsic
     LLRs, runs the soft MMSE detector, sets the scalar model ``z = V s +
@@ -305,26 +302,23 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
     the outputs to extrinsic bit LLRs, deinterleaves them into the
     decoders, and feeds the decoder extrinsics back as the next priors.
 
-    One frame is ``r_block`` (N_A, T), ``chan`` (N_A, M) and ``perms``
-    (M, 2T).  A block of P frames stacks them on a leading axis; the soft
-    detector runs per frame, while the soft statistics, demapping,
-    (de)interleaving and BCJR decoding run once on all P * M streams.
-    Every frame of a block decodes exactly as it would alone, and the
-    results keep the leading axis.
+    Frame k arrives in the matched-filter domain of its channel G_k: the
+    Gram matrix ``grams[k] = G_k^H G_k`` of the stack (P, M, M), the
+    matched outputs ``matched[k] = G_k^H r_k`` of the stack (P, M, T), and
+    its interleavers ``perms[k]`` (M, 2T).  The soft detector runs per
+    frame, while the soft statistics, demapping, (de)interleaving and BCJR
+    decoding run once on all P * M streams.  Every frame of a block decodes
+    exactly as it would alone, and the results keep the leading axis.
     """
     if n_outer < 1:
         raise ParameterError("n_outer must be >= 1")
-    chan = np.asarray(chan, dtype=complex)
-    r_block = np.asarray(r_block, dtype=complex)
     perms = np.asarray(perms)
-    single = chan.ndim == 2
-    if single:
-        chan, r_block, perms = chan[None], r_block[None], perms[None]
-    n_pkt, _, m = chan.shape
-    n_sym = r_block.shape[-1]
-    if r_block.shape[0] != n_pkt or perms.shape != (n_pkt, m, 2 * n_sym):
-        raise StructuralError("permutations must be (M, 2 * n_symbols) for QPSK, "
-                              "one set per frame")
+    shape = np.shape(matched)  # (P, M, T)
+    if (len(shape) != 3 or np.shape(grams) != shape[:2] + shape[1:2]
+            or perms.shape != shape[:2] + (2 * shape[2],)):
+        raise StructuralError("a block of P frames needs Gram matrices (P, M, M), "
+                              "matched outputs (P, M, T) and permutations (P, M, 2T)")
+    n_pkt, m, n_sym = shape
     perms = perms.reshape(n_pkt * m, -1)
     constellation = qpsk_constellation(symbol_power)
 
@@ -337,7 +331,7 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
         means, variances = soft_symbol_stats(priors, constellation)
         for k in range(n_pkt):
             z[k], v_model, xi_model = soft_mmse_sic_detect(
-                r_block[k], chan[k], means[k], variances[k], noise_var, symbol_power)
+                grams[k], matched[k], means[k], variances[k], noise_var, symbol_power)
             v_hat[k] = v_model.mean(axis=1)
             xi_var[k] = xi_model.mean(axis=1)
         lam1 = extrinsic_llr(z, v_hat[..., None], xi_var[..., None],
@@ -349,7 +343,5 @@ def idd_receive(r_block: np.ndarray, chan: np.ndarray, noise_var: float,
         per_iter.append(decoded.info_bits.reshape(n_pkt, m, -1))
         # the next pass's working set starts from the priors and bits alone
         del means, variances, lam1, decoded, feedback
-    if single:
-        per_iter, v_hat, xi_var = [bits[0] for bits in per_iter], v_hat[0], xi_var[0]
     return IddResult(info_bits=per_iter[-1], per_iteration_bits=per_iter,
                      v_hat=v_hat, xi_var=xi_var)

@@ -20,6 +20,12 @@ def random_channel(rng, n_rx, n_streams, scale=1.0):
                     + 1j * rng.standard_normal((n_rx, n_streams))) / np.sqrt(2.0)
 
 
+def matched(chan, r):
+    """The matched-filter statistic ``(G^H G, G^H r)`` every detector takes."""
+    adjoint = np.asarray(chan, dtype=complex).conj().T
+    return adjoint @ chan, adjoint @ r
+
+
 def reference_encode(bits, generators=(0b111, 0b101), memory=2):
     """Independent shift-register convolutional encoder (zero-terminated)."""
     reg = [0] * memory

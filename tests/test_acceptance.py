@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 import mumimo as m
-from conftest import random_channel, reference_encode
+from conftest import matched, random_channel, reference_encode
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -74,10 +74,12 @@ def _app_oracle(channel_llrs, k_info):
 def test_criterion_1_oracle_equivalences():
     rng = np.random.default_rng(2024)
 
-    # zero-forcing filter inverts the channel
+    # zero-forcing filter inverts the channel: its outputs for the columns
+    # of G, the matched outputs G^H G, are the identity
     chan = random_channel(rng, 8, 4)
-    filt = m.compute_receive_filter(chan, 1.0, 0.3, "zf")
-    zf_resid = np.max(np.abs(filt.conj().T @ chan - np.eye(4)))
+    gram, response = matched(chan, chan)
+    inv = m.compute_receive_filter(gram, 1.0, 0.3, "zf")
+    zf_resid = np.max(np.abs(inv.conj().T @ response - np.eye(4)))
 
     # unit-forgetting RLS reproduces the batch least-squares estimate
     true = random_channel(rng, 6, 3)
@@ -115,7 +117,7 @@ def test_criterion_1_oracle_equivalences():
     labels = rng.integers(0, 4, size=(4, 30))
     r = chan @ const[labels] + 0.8 * (rng.standard_normal((6, 30))
                                       + 1j * rng.standard_normal((6, 30)))
-    out = m.ml_detect_oracle(chan, r, const)
+    out = m.ml_detect_oracle(*matched(chan, r))
     ml_mismatches = 0
     for t in range(30):
         best, best_d = None, np.inf
@@ -123,7 +125,7 @@ def test_criterion_1_oracle_equivalences():
             d = np.sum(np.abs(r[:, t] - chan @ const[list(cand)]) ** 2)
             if d < best_d - 1e-15:
                 best, best_d = cand, d
-        ml_mismatches += int(not np.array_equal(out.labels[:, t], best))
+        ml_mismatches += int(not np.array_equal(out[:, t], best))
 
     ok = (zf_resid < 1e-8 and rls_err < 1e-6 and llr_err < 1e-10
           and bcjr_err < 1e-8 and ml_mismatches == 0)

@@ -1,5 +1,6 @@
 """Harness tests: config parsing, trial/sweep determinism, CSV, CLI, README."""
 
+import collections
 import dataclasses
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from mumimo import cli, harness
+from mumimo import cli, detectors, harness, idd
 from mumimo.errors import ConfigError, NumericalError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -325,6 +326,45 @@ def test_sweep_marks_failed_points(monkeypatch):
     assert 4.0 in result.failures
 
 
+# every receiver function and whether it also takes matched outputs after
+# the Gram matrix (an inverse of it for linear_detect, or stacks of both
+# for idd_receive)
+_RECEIVERS = {"compute_receive_filter": False, "compute_ordering": False,
+              "linear_detect": True, "sic_detect": True, "mb_sic_detect": True,
+              "df_detect": True, "ml_detect_oracle": True,
+              "soft_mmse_sic_detect": True, "idd_receive": True}
+
+
+def test_receivers_see_only_the_matched_domain(monkeypatch):
+    # the harness reduces every packet to (A, y) before a receiver runs:
+    # A is (M, M) and y is (M, T), never an array with N_A rows
+    system = m.SystemConfig(n_users=2, n_bs=6)  # M = 2 streams, N_A = 6 antennas
+    n_streams, n_sym = system.n_streams, 100
+    calls = collections.Counter()
+
+    def guard(name, fn):
+        def receiver(*args, **kwargs):
+            if args[0] is not None or name != "linear_detect":
+                assert np.shape(args[0])[-2:] == (n_streams, n_streams), name
+            if _RECEIVERS[name]:
+                assert np.shape(args[1])[-2:] == (n_streams, n_sym), name
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return receiver
+
+    for module in (harness, detectors, idd):
+        for name in _RECEIVERS.keys() & vars(module).keys():
+            monkeypatch.setattr(module, name, guard(name, getattr(module, name)))
+    specs = [dict(detector=det) for det in harness.DETECTORS]
+    specs += [dict(estimator=est, pilot_len=24) for est in ("ls", "lms")]
+    specs += [dict(estimator="rr-krylov", pilot_len=24, rank=2, forgetting=0.998),
+              dict(coded=True, idd_iterations=2)]
+    for extra in specs:
+        m.run_sweep(small_spec(system=system, packet_symbols=n_sym, packets=3, branches=2,
+                               **extra))
+    assert calls.keys() == _RECEIVERS.keys()
+
+
 @pytest.mark.parametrize("extra", [dict(coded=True, packet_symbols=100),
                                    dict(estimator="lms", pilot_len=16), dict()],
                          ids=["coded", "lms", "mmse"])
@@ -390,15 +430,15 @@ def test_coded_sweep_csv_matches_per_packet_receiver(monkeypatch, workers):
     blocked = m.run_sweep(spec, workers=workers)
     real = harness.idd_receive
 
-    def per_packet(r, chans, noise_var, perms, **kwargs):
-        outs = [real(r[k], chans[k], noise_var, perms[k], **kwargs)
-                for k in range(len(r))]
+    def per_packet(grams, y, noise_var, perms, **kwargs):
+        outs = [real(grams[k:k + 1], y[k:k + 1], noise_var, perms[k:k + 1], **kwargs)
+                for k in range(len(y))]
         return m.IddResult(
-            info_bits=np.stack([o.info_bits for o in outs]),
-            per_iteration_bits=[np.stack(b) for b in
+            info_bits=np.concatenate([o.info_bits for o in outs]),
+            per_iteration_bits=[np.concatenate(b) for b in
                                 zip(*(o.per_iteration_bits for o in outs))],
-            v_hat=np.stack([o.v_hat for o in outs]),
-            xi_var=np.stack([o.xi_var for o in outs]))
+            v_hat=np.concatenate([o.v_hat for o in outs]),
+            xi_var=np.concatenate([o.xi_var for o in outs]))
 
     monkeypatch.setattr(harness, "idd_receive", per_packet)
     alone = m.run_sweep(spec, workers=workers)
@@ -433,15 +473,15 @@ def test_failure_in_one_packet_of_a_block_fails_only_its_point(monkeypatch, work
 
 def _failing_packets(monkeypatch, spec, chosen):
     # the mmse filter raises on the chosen (snr index, trial index) packets,
-    # which it recognises by their true channels
-    chans = {harness._draw_trial_channel(spec.system, spec.seed, *key).tobytes()
-             for key in chosen}
+    # which it recognises by the Gram matrices of their true channels
+    chans = [harness._draw_trial_channel(spec.system, spec.seed, *key) for key in chosen]
+    grams = {(chan.conj().T @ chan).tobytes() for chan in chans}
     real = harness.compute_receive_filter
 
-    def raising(chan, *args):
-        if chan.tobytes() in chans:
+    def raising(gram, *args):
+        if gram.tobytes() in grams:
             raise NumericalError("synthetic failure")
-        return real(chan, *args)
+        return real(gram, *args)
 
     monkeypatch.setattr(harness, "compute_receive_filter", raising)
 
@@ -482,10 +522,10 @@ def test_sweep_maps_raw_linalg_error_to_failed_point(monkeypatch):
     spec = small_spec(snr_db=(4.0, 10.0), packets=2)
     real = harness.compute_receive_filter
 
-    def singular_at_low_snr(chan, symbol_power, noise_var, kind):
+    def singular_at_low_snr(gram, symbol_power, noise_var, kind):
         if noise_var > harness.trial_noise_variance(spec, 10.0):
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(chan, symbol_power, noise_var, kind)
+        return real(gram, symbol_power, noise_var, kind)
 
     monkeypatch.setattr(harness, "compute_receive_filter", singular_at_low_snr)
     result = m.run_sweep(spec)

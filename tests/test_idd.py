@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import random_channel, reference_encode, same_bytes
+from conftest import matched, random_channel, reference_encode, same_bytes
 from mumimo import harness, idd
 from mumimo.errors import NumericalError, ParameterError, StructuralError
 from mumimo.idd import BcjrResult
@@ -173,7 +173,7 @@ def test_soft_mmse_matches_naive_computation(rng, uniform):
     else:
         priors = rng.normal(0.0, 2.0, size=(3, 5, 2))
     means, variances = m.soft_symbol_stats(priors, const, sp)
-    z, v, xi = m.soft_mmse_sic_detect(r, chan, means, variances, 0.4, sp)
+    z, v, xi = m.soft_mmse_sic_detect(*matched(chan, r), means, variances, 0.4, sp)
     z_ref, v_ref, xi_ref = naive_soft_mmse(r, chan, means, variances, 0.4, sp)
     np.testing.assert_allclose(z, z_ref, atol=1e-10)
     np.testing.assert_allclose(v, v_ref, atol=1e-10)
@@ -186,11 +186,12 @@ def test_soft_mmse_zero_priors_equals_linear_mmse(rng):
     r = rng.standard_normal((8, 11)) + 1j * rng.standard_normal((8, 11))
     means = np.zeros((4, 11), dtype=complex)
     variances = np.full((4, 11), sp)
-    z, v, _ = m.soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
-    filt = m.compute_receive_filter(chan, sp, nv, "mmse")
-    np.testing.assert_allclose(z, filt.conj().T @ r, atol=1e-10)
+    gram, y = matched(chan, r)
+    z, v, _ = m.soft_mmse_sic_detect(gram, y, means, variances, nv, sp)
+    inv = m.compute_receive_filter(gram, sp, nv, "mmse")
+    np.testing.assert_allclose(z, inv.conj().T @ y, atol=1e-10)
     # effective amplitude equals the diagonal of the linear filter response
-    diag = np.diag(filt.conj().T @ chan).real
+    diag = np.diag(inv.conj().T @ gram).real
     np.testing.assert_allclose(v, np.broadcast_to(diag[:, None], v.shape), atol=1e-10)
 
 
@@ -205,21 +206,22 @@ def test_soft_mmse_perfect_priors_cancel_interference(rng):
                                          + 1j * rng.standard_normal((6, 200)))
     means = syms.copy()
     variances = np.full((3, 200), 1e-9)
-    z, v, xi = m.soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
+    z, v, xi = m.soft_mmse_sic_detect(*matched(chan, r), means, variances, nv, sp)
     # with interference removed, z / v should sit on the transmitted points
     np.testing.assert_allclose(z / v, syms, atol=0.2)
 
 
 def test_soft_mmse_validates(rng):
-    chan = random_channel(rng, 4, 2)
+    r = np.zeros((4, 2), dtype=complex)
+    gram, y = matched(random_channel(rng, 4, 2), r)
     with pytest.raises(ParameterError):
-        m.soft_mmse_sic_detect(np.zeros((4, 1), dtype=complex), chan,
-                               np.zeros((2, 1)), np.ones((2, 1)), 0.0)
+        m.soft_mmse_sic_detect(gram, y, np.zeros((2, 2)), np.ones((2, 2)), 0.0)
+    with pytest.raises(StructuralError):  # the antenna-domain block
+        m.soft_mmse_sic_detect(gram, r, np.zeros((2, 2)), np.ones((2, 2)), 0.1)
     with pytest.raises(StructuralError):
-        m.soft_mmse_sic_detect(np.zeros((3, 1), dtype=complex), chan,
-                               np.zeros((2, 1)), np.ones((2, 1)), 0.1)
+        m.soft_mmse_sic_detect(gram, y, np.zeros((2, 1)), np.ones((2, 1)), 0.1)
     with pytest.raises(ParameterError, match="non-negative"):
-        m.soft_mmse_sic_detect(np.zeros((4, 2), dtype=complex), chan, np.zeros((2, 2)),
+        m.soft_mmse_sic_detect(gram, y, np.zeros((2, 2)),
                                np.array([[1.0, 0.5], [0.2, -1e-12]]), 0.1)
 
 
@@ -228,7 +230,7 @@ def test_soft_mmse_singular_system_is_numerical_error():
     # roundoff of A leaves A V + noise_var I exactly singular in floating point
     chan = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(NumericalError, match="singular"):
-        m.soft_mmse_sic_detect(np.zeros((2, 3), dtype=complex), chan,
+        m.soft_mmse_sic_detect(*matched(chan, np.zeros((2, 3))),
                                np.zeros((2, 3)), np.ones((2, 3)), 1e-20)
 
 
@@ -273,7 +275,7 @@ def test_soft_mmse_matches_covariance_inversion_oracle(rng, uniform, n_streams,
     else:
         priors = rng.normal(0.0, 2.0, size=(n_streams, n_sym, 2))
     means, variances = m.soft_symbol_stats(priors, const, sp)
-    got = m.soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
+    got = m.soft_mmse_sic_detect(*matched(chan, r), means, variances, nv, sp)
     ref = reference_soft_mmse_sic_detect(r, chan, means, variances, nv, sp)
     for g, want in zip(got, ref):
         np.testing.assert_allclose(g, want, rtol=1e-10, atol=0)
@@ -289,13 +291,12 @@ def test_soft_mmse_equal_priors_take_one_solve(rng, n_streams, n_rx):
          + 1j * rng.standard_normal((n_rx, n_sym)))
     means, variances = m.soft_symbol_stats(np.zeros((n_streams, n_sym, 2)))
     nv = 0.3
-    gram = chan.conj().T @ chan
-    matched = chan.conj().T @ r
+    gram, y = matched(chan, r)
     system = gram * variances.T[:, None, :] + nv * np.eye(n_streams)
     x = np.linalg.solve(system, np.concatenate(
-        [np.broadcast_to(gram, system.shape), matched.T[:, :, None]], axis=2))
+        [np.broadcast_to(gram, system.shape), y.T[:, :, None]], axis=2))
     q = np.diagonal(x, axis1=1, axis2=2).real.T
-    z, v_model, _ = m.soft_mmse_sic_detect(r, chan, means, variances, nv)
+    z, v_model, _ = m.soft_mmse_sic_detect(gram, y, means, variances, nv)
     assert np.array_equal(v_model, q / (1.0 + (1.0 - variances) * q))
     assert np.array_equal(z, x[:, :, n_streams].T / (1.0 + (1.0 - variances) * q))
 
@@ -306,7 +307,24 @@ def test_coded_sweep_csv_matches_covariance_inversion_oracle(monkeypatch):
                           snr_db=(2.0, 6.0, 10.0), packets=3, seed=5).validate()
     fast = m.run_sweep(spec)
     assert sum(row.errors for row in fast.rows) > 0
-    monkeypatch.setattr(idd, "soft_mmse_sic_detect", reference_soft_mmse_sic_detect)
+    # the oracle works from each packet's channel and received block, which
+    # the harness reduces to (A, y) before decoding; a packet is known by A
+    packets = []
+    receive_block = harness._receive_block
+
+    def remember(*args):
+        frames, rx_data, chans = receive_block(*args)
+        packets.extend(zip(chans, rx_data))
+        return frames, rx_data, chans
+
+    def in_antenna_domain(gram, y, *args):
+        chan, r = next((chan, r) for chan, r in packets
+                       if same_bytes(matched(chan, r)[0], gram))
+        assert same_bytes(matched(chan, r)[1], y)
+        return reference_soft_mmse_sic_detect(r, chan, *args)
+
+    monkeypatch.setattr(harness, "_receive_block", remember)
+    monkeypatch.setattr(idd, "soft_mmse_sic_detect", in_antenna_domain)
     assert m.format_csv(m.run_sweep(spec)) == m.format_csv(fast)
 
 
@@ -740,45 +758,48 @@ def test_bcjr_rejects_bad_lengths():
 # -- full receiver loop -------------------------------------------------------
 
 def _coded_setup(rng, snr_scale, n_sym=60):
+    """One coded frame as the block of one that ``idd_receive`` takes: its
+    frame, Gram matrix (1, M, M), matched outputs (1, M, T), noise variance
+    and permutations (1, M, 2T)."""
     cfg = m.SystemConfig(n_users=3, n_bs=6)
     k_info = m.coded_payload_length(n_sym)
     payload = rng.integers(0, 2, size=(3, k_info))
     frame = m.assemble_frame(cfg, payload, 0, rng, coded=True)
     chan = random_channel(rng, 6, 3)
     nv = snr_scale
-    r = m.channel_transmit(chan, frame.data_symbols, nv, rng)
-    return frame, chan, r, nv
+    gram, y = matched(chan, m.channel_transmit(chan, frame.data_symbols, nv, rng))
+    return frame, gram[None], y[None], nv, frame.perms[None]
 
 
 def test_idd_receive_decodes_at_high_snr(rng):
-    frame, chan, r, nv = _coded_setup(rng, 1e-3)
-    out = m.idd_receive(r, chan, nv, frame.perms)
-    np.testing.assert_array_equal(out.info_bits, frame.info_bits)
+    frame, gram, y, nv, perms = _coded_setup(rng, 1e-3)
+    out = m.idd_receive(gram, y, nv, perms)
+    np.testing.assert_array_equal(out.info_bits[0], frame.info_bits)
     assert len(out.per_iteration_bits) == 4
-    assert out.v_hat.shape == (3,)
+    assert out.v_hat.shape == (1, 3)
 
 
 def test_idd_receive_iterations_help_on_average(rng):
     total_first, total_last = 0, 0
     for _ in range(12):
-        frame, chan, r, nv = _coded_setup(rng, 0.35)
-        out = m.idd_receive(r, chan, nv, frame.perms, n_outer=4)
-        total_first += np.sum(out.per_iteration_bits[0] != frame.info_bits)
-        total_last += np.sum(out.per_iteration_bits[-1] != frame.info_bits)
+        frame, gram, y, nv, perms = _coded_setup(rng, 0.35)
+        out = m.idd_receive(gram, y, nv, perms, n_outer=4)
+        total_first += np.sum(out.per_iteration_bits[0][0] != frame.info_bits)
+        total_last += np.sum(out.per_iteration_bits[-1][0] != frame.info_bits)
     assert total_last <= total_first
 
 
 def test_idd_receive_model_stats_fallback(rng):
-    frame, chan, r, nv = _coded_setup(rng, 1e-3)
-    out = m.idd_receive(r, chan, nv, frame.perms)
-    np.testing.assert_array_equal(out.info_bits, frame.info_bits)
+    frame, gram, y, nv, perms = _coded_setup(rng, 1e-3)
+    out = m.idd_receive(gram, y, nv, perms)
+    np.testing.assert_array_equal(out.info_bits[0], frame.info_bits)
     # the scalar model is the packet average of the detector's statistics,
     # here for the first iteration, which starts from zero priors
-    first = m.idd_receive(r, chan, nv, frame.perms, n_outer=1)
-    means, variances = m.soft_symbol_stats(np.zeros((3, r.shape[1], 2)))
-    _, v_model, xi_model = m.soft_mmse_sic_detect(r, chan, means, variances, nv)
-    np.testing.assert_array_equal(first.v_hat, v_model.mean(axis=1))
-    np.testing.assert_array_equal(first.xi_var, xi_model.mean(axis=1))
+    first = m.idd_receive(gram, y, nv, perms, n_outer=1)
+    means, variances = m.soft_symbol_stats(np.zeros((3, y.shape[-1], 2)))
+    _, v_model, xi_model = m.soft_mmse_sic_detect(gram[0], y[0], means, variances, nv)
+    np.testing.assert_array_equal(first.v_hat[0], v_model.mean(axis=1))
+    np.testing.assert_array_equal(first.xi_var[0], xi_model.mean(axis=1))
 
 
 def _received_block(estimator, n_pkt):
@@ -787,27 +808,31 @@ def _received_block(estimator, n_pkt):
                           snr_db=(6.0,), packets=n_pkt, seed=7).validate()
     nv = harness.trial_noise_variance(spec, 6.0)
     frames, rx, chans = harness._receive_block(spec, 0, range(n_pkt), nv)
-    return np.stack(rx), np.stack(chans), nv, np.stack([f.perms for f in frames])
+    grams, ys = zip(*(matched(chan, r) for chan, r in zip(chans, rx)))
+    return np.stack(grams), np.stack(ys), nv, np.stack([f.perms for f in frames])
 
 
 @pytest.mark.parametrize("estimator", ["perfect", "lms"])
 @pytest.mark.parametrize("n_pkt", [1, 3])
 def test_stacked_idd_equals_per_packet_calls(estimator, n_pkt):
-    r, chans, nv, perms = _received_block(estimator, n_pkt)
-    block = m.idd_receive(r, chans, nv, perms, n_outer=3)
+    grams, y, nv, perms = _received_block(estimator, n_pkt)
+    block = m.idd_receive(grams, y, nv, perms, n_outer=3)
     assert block.info_bits.shape == (n_pkt, 3, m.coded_payload_length(80))
     for k in range(n_pkt):
-        alone = m.idd_receive(r[k], chans[k], nv, perms[k], n_outer=3)
+        one = slice(k, k + 1)
+        alone = m.idd_receive(grams[one], y[one], nv, perms[one], n_outer=3)
         for stacked, bits in zip(block.per_iteration_bits, alone.per_iteration_bits,
                                  strict=True):
-            assert same_bytes(stacked[k], bits)
+            assert same_bytes(stacked[one], bits)
         for name in ("info_bits", "v_hat", "xi_var"):
-            assert same_bytes(getattr(block, name)[k], getattr(alone, name)), name
+            assert same_bytes(getattr(block, name)[one], getattr(alone, name)), name
 
 
 def test_idd_receive_validates(rng):
-    frame, chan, r, nv = _coded_setup(rng, 0.1)
+    frame, gram, y, nv, perms = _coded_setup(rng, 0.1)
     with pytest.raises(ParameterError):
-        m.idd_receive(r, chan, nv, frame.perms, n_outer=0)
+        m.idd_receive(gram, y, nv, perms, n_outer=0)
     with pytest.raises(StructuralError):
-        m.idd_receive(r, chan, nv, frame.perms[:, :10])
+        m.idd_receive(gram, y, nv, perms[:, :, :10])
+    with pytest.raises(StructuralError):  # one frame, not a block of one
+        m.idd_receive(gram[0], y[0], nv, perms[0])
