@@ -12,8 +12,8 @@ from .errors import (CapacityError, ConfigError, NumericalError,
                      ParameterError, ParameterWarning, RankError,
                      SingularMatrixError, StructuralError)
 from .channel import (LargeScaleDraw, compose_channel, correlation_matrix,
-                      draw_large_scale, draw_small_scale, gain_diagonal,
-                      matrix_sqrt, snr_to_noise_variance)
+                      draw_large_scale, draw_small_scale, matrix_sqrt,
+                      snr_to_noise_variance)
 from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
                       channel_transmit, coded_payload_length, conv_encode,
                       deinterleave, interleave, labels_to_bits,
@@ -28,10 +28,9 @@ from .estimation import (JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, RlsChannelEstimator,
                          build_projection, ls_channel_estimate)
 from .harness import (ScenarioSpec, SweepResult, SweepRow, TrialResult,
-                      confidence_interval, filter_training_experiment,
-                      format_csv, mean_gamma_sq, parse_config, parse_snr_spec,
-                      run_sweep, run_trial, serialize_config, trial_noise_variance,
-                      write_csv)
+                      confidence_interval, format_csv, mean_gamma_sq,
+                      parse_config, parse_snr_spec, run_sweep, run_trial,
+                      serialize_config, trial_noise_variance, write_csv)
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,7 @@ __all__ = [
     "CapacityError", "ConfigError", "NumericalError", "ParameterError",
     "ParameterWarning", "RankError", "SingularMatrixError", "StructuralError",
     "LargeScaleDraw", "compose_channel", "correlation_matrix",
-    "draw_large_scale", "draw_small_scale", "gain_diagonal", "matrix_sqrt",
+    "draw_large_scale", "draw_small_scale", "matrix_sqrt",
     "snr_to_noise_variance",
     "SymbolFrame", "TrellisSpec", "assemble_frame", "channel_transmit",
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
@@ -53,7 +52,7 @@ __all__ = [
     "JioFilterBank", "LmsChannelEstimator", "ReducedRankFilterBank",
     "RlsChannelEstimator", "build_projection", "ls_channel_estimate",
     "ScenarioSpec", "SweepResult", "SweepRow", "TrialResult",
-    "confidence_interval", "filter_training_experiment", "format_csv",
-    "mean_gamma_sq", "parse_config", "parse_snr_spec", "run_sweep",
-    "run_trial", "serialize_config", "trial_noise_variance", "write_csv",
+    "confidence_interval", "format_csv", "mean_gamma_sq", "parse_config",
+    "parse_snr_spec", "run_sweep", "run_trial", "serialize_config",
+    "trial_noise_variance", "write_csv",
 ]

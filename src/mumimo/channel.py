@@ -139,18 +139,13 @@ def draw_large_scale(cfg: SystemConfig, rng: np.random.Generator) -> LargeScaleD
                           * 10.0 ** (cfg.shadow_spread_db * v / 10.0))
 
 
-def gain_diagonal(cfg: SystemConfig, large: LargeScaleDraw, user: int) -> np.ndarray:
-    """Per-receive-antenna large-scale gain vector for one user (length N_A)."""
-    reps = cfg.receive_blocks()
-    return np.repeat(large.gains[user], reps)
-
-
 def compose_channel(cfg: SystemConfig, small: np.ndarray, large: LargeScaleDraw) -> np.ndarray:
     """Scale every user's fading columns by its large-scale gains.
 
     ``small`` is the stacked (N_A, K * N_U) fading of
-    :func:`draw_small_scale`; row n of user k's columns is scaled by
-    ``gain_diagonal(cfg, large, k)[n]``, all users in one broadcast.
+    :func:`draw_small_scale`; row n of user k's columns is scaled by the
+    gain of user k's link to the receive block that holds antenna n, all
+    users in one broadcast.
     """
     small = np.asarray(small)
     shape = (cfg.n_rx_total, cfg.n_streams)

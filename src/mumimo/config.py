@@ -102,11 +102,6 @@ class SystemConfig:
         """Total transmit streams K * N_U."""
         return self.n_users * self.antennas_per_user
 
-    @property
-    def architecture(self) -> str:
-        """``"CAS"`` for a centralized deployment, ``"DAS"`` otherwise."""
-        return "CAS" if self.n_heads == 0 else "DAS"
-
     def receive_blocks(self):
         """Sizes of the co-located receive antenna groups.
 

@@ -17,11 +17,11 @@ projection and short filter, and the :class:`RlsChannelEstimator` oracle of
 the batch channel solve remain per-sample recursions; JIO's full-dimension
 RLS and its basis step move once per block of samples.
 
-The LMS tracker and both filter banks take ``packets=P`` to train P
-independent packets at once: every array gains a leading packet axis, and
-LMS and JIO step all P in one per-sample loop.  Each operation is
-elementwise or one BLAS or LAPACK call per packet, so a packet's estimate is
-bitwise what its 2-D (``packets=None``) tracker or bank would give.
+The LMS tracker and both filter banks train ``packets=P`` independent
+packets at once: every array has a leading packet axis, a lone packet is a
+block of one, and LMS and JIO step all P in one per-sample loop.  Each
+operation is elementwise or one BLAS or LAPACK call per packet, so a
+packet's estimate is bitwise what a block of that packet alone would give.
 
 ``delta`` starts the correlation at ``delta * I`` (``P[0] = I / delta`` for
 the recursions).  The default ``delta = 1e-6`` keeps the solutions within
@@ -54,13 +54,11 @@ def _check_delta(delta):
         raise ParameterError("delta must be > 0")
 
 
-def _lead(packets):
-    # the leading packet axis of a tracker's or bank's arrays, if it has one
-    if packets is None:
-        return ()
+def _check_packets(packets):
+    # the length of the leading packet axis of a tracker's or bank's arrays
     if packets < 1:
         raise ParameterError(f"packets must be >= 1, got {packets}")
-    return (int(packets),)
+    return int(packets)
 
 
 def _weights(n, lam):
@@ -157,12 +155,12 @@ class RlsChannelEstimator:
 class LmsChannelEstimator:
     """Least-mean-squares tracker of the stacked channel matrix.
 
-    With ``packets=P`` it tracks P packets' channels at once: ``estimate``
-    is (P, N_A, M) and one update steps every packet per pilot.
+    It tracks the channels of ``packets`` packets at once: ``estimate`` is
+    (P, N_A, M) and one update steps every packet per pilot.
     """
 
     def __init__(self, n_streams: int, n_rx: int, mu: float = 0.05,
-                 symbol_power: float = 1.0, packets: int = None):
+                 symbol_power: float = 1.0, packets: int = 1):
         if mu <= 0.0:
             raise ParameterError("step size must be > 0")
         # stability heuristic: mu < 2 / tr(R) with white pilots
@@ -171,13 +169,13 @@ class LmsChannelEstimator:
                 f"LMS step size {mu} exceeds 2 / tr(R) = {2.0 / (n_streams * symbol_power):.4g}; "
                 "the recursion may diverge", ParameterWarning, stacklevel=2)
         self.mu = mu
-        self.estimate = np.zeros(_lead(packets) + (n_rx, n_streams), dtype=complex)
+        self.estimate = np.zeros((_check_packets(packets), n_rx, n_streams),
+                                 dtype=complex)
 
     def update(self, pilots: np.ndarray, received: np.ndarray):
-        """Run the recursion over a block: pilots (M, n) or (M,), received
-        (N_A, n) or (N_A,), each behind the packet axis if there is one."""
-        *lead, n_rx, m = self.estimate.shape
-        s, r = _snapshots((pilots, received), tuple(lead), (m, n_rx),
+        """Run the recursion over a block: pilots (P, M, n), received (P, N_A, n)."""
+        packets, n_rx, m = self.estimate.shape
+        s, r = _snapshots((pilots, received), packets, (m, n_rx),
                           ("pilots", "received vectors"))
         for s_i, r_i in zip(_samples(s), _samples(r)):
             err = r_i - (self.estimate @ s_i[..., None])[..., 0]
@@ -237,17 +235,16 @@ def _projected_solve(corr, basis, cross):
 
 # -- receive-filter banks (shared statistics) --------------------------------
 
-def _snapshots(blocks, lead, rows, names=("received vectors", "desired vectors")):
-    # two blocks read together, a snapshot (column) of each at a time: a
-    # single vector is a block of one column; ``lead`` is the packet axis
+def _snapshots(blocks, packets, rows, names=("received vectors", "desired vectors")):
+    # two (P, rows, n) blocks read together, a snapshot (column) of each at
+    # a time
     out = []
     for block, n in zip(blocks, rows):
         block = np.asarray(block, dtype=complex)
-        if block.ndim > len(lead) + 2 or block.shape[:len(lead) + 1] != lead + (n,):
-            shape = ", ".join(map(str, lead + (n,)))
-            raise StructuralError(f"expected ({shape}) or ({shape}, n) snapshots, "
+        if block.ndim != 3 or block.shape[:2] != (packets, n):
+            raise StructuralError(f"expected ({packets}, {n}, n) snapshots, "
                                   f"got {block.shape}")
-        out.append(block.reshape(lead + (n, -1)))
+        out.append(block)
     if out[0].shape[-1] != out[1].shape[-1]:
         raise StructuralError(f"{out[0].shape[-1]} {names[0]} but {out[1].shape[-1]} {names[1]}")
     return out
@@ -255,7 +252,7 @@ def _snapshots(blocks, lead, rows, names=("received vectors", "desired vectors")
 
 def _samples(block):
     # the snapshots one at a time, each contiguous, so that a step sees the
-    # operands a single-vector update would
+    # operands a block of one snapshot would
     return np.ascontiguousarray(np.moveaxis(block, -1, 0))
 
 
@@ -267,13 +264,13 @@ class ReducedRankFilterBank:
     ``weights`` solves the projected normal equations on demand, with the
     basis rebuilt from the current statistics (principal components are
     shared, Krylov ladders are per stream).  With ``rank == n_dim`` the bank
-    is the full-rank RLS filter.  With ``packets=P`` the statistics and
-    the weights gain a leading packet axis, and each packet is solved alone.
+    is the full-rank RLS filter.  The statistics and the weights have a
+    leading axis of ``packets``, and each packet is solved alone.
     """
 
     def __init__(self, n_dim: int, n_streams: int, method: str = "krylov",
                  rank: int = 5, lam: float = 1.0, delta: float = DEFAULT_DELTA,
-                 packets: int = None):
+                 packets: int = 1):
         if method not in ("pc", "krylov"):
             raise ParameterError(f"unknown reduced-rank method {method!r}")
         if not 1 <= rank <= n_dim:
@@ -283,17 +280,16 @@ class ReducedRankFilterBank:
         self.method = method
         self.rank = rank
         self.lam = lam
-        lead = _lead(packets)
+        packets = _check_packets(packets)
         self.corr = np.broadcast_to(np.eye(n_dim, dtype=complex) * delta,
-                                    lead + (n_dim, n_dim)).copy()
-        self.cross = np.zeros(lead + (n_dim, n_streams), dtype=complex)
+                                    (packets, n_dim, n_dim)).copy()
+        self.cross = np.zeros((packets, n_dim, n_streams), dtype=complex)
         self.n_updates = 0
 
     def update(self, received: np.ndarray, desired: np.ndarray):
-        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,),
-        each behind the packet axis if there is one."""
-        lead = self.corr.shape[:-2]
-        r, d = _snapshots((received, desired), lead, self.cross.shape[-2:])
+        """Fold in a block: received (P, N_A, n), desired (P, M, n)."""
+        packets, *rows = self.cross.shape
+        r, d = _snapshots((received, desired), packets, rows)
         n = r.shape[-1]
         decay = self.lam ** n
         rw = r * _weights(n, self.lam)
@@ -303,9 +299,7 @@ class ReducedRankFilterBank:
 
     @property
     def weights(self) -> np.ndarray:
-        if self.corr.ndim > 2:
-            return np.stack([self._solve(c, x) for c, x in zip(self.corr, self.cross)])
-        return self._solve(self.corr, self.cross)
+        return np.stack([self._solve(c, x) for c, x in zip(self.corr, self.cross)])
 
     def _solve(self, corr, cross):
         if self.rank == corr.shape[0]:
@@ -366,13 +360,6 @@ class JioFilterBank:
     at the pace of its ``D``-dimensional recursion.  With ``w_bar = 0`` the
     projection step is a no-op (zero gradient).
 
-    Because the basis step needs a usable short filter to define its
-    direction, an optional ``warmup`` window defers it: the first ``warmup``
-    samples fold into a Krylov-ladder :class:`ReducedRankFilterBank` (an
-    alternating scheme wants a subspace-aware starting point, and the
-    pooled ladder is the natural one), whose basis, projected solution and
-    inverse statistics then seed the joint recursions.
-
     The K bases are stored side by side as one (N_A, K*D) array and
     ``basis`` is its (K, N_A, D) view, so a step projects the sample onto
     every stream with one product.  Only the short filters step per sample.
@@ -381,71 +368,38 @@ class JioFilterBank:
     projection adds the moves of the block's earlier samples to its
     projection onto the block's starting basis.
 
-    With ``packets=P`` every iterate gains a leading packet axis (``basis``
-    (P, K, N_A, D), ``p_bar`` (P, K, D, D), ``p_full`` (P, N_A, N_A)) and
-    one joint step advances all P packets.
+    Every iterate has a leading axis of ``packets`` (``basis`` (P, K, N_A,
+    D), ``p_bar`` (P, K, D, D), ``p_full`` (P, N_A, N_A)), and one joint
+    step advances all P packets.
     """
 
     def __init__(self, n_dim: int, n_streams: int, rank: int = 5,
-                 lam: float = 1.0, delta: float = DEFAULT_DELTA,
-                 warmup: int = 0, packets: int = None):
+                 lam: float = 1.0, delta: float = DEFAULT_DELTA, packets: int = 1):
         if not 1 <= rank <= n_dim:
             raise ParameterError(f"rank must lie in [1, {n_dim}], got {rank}")
-        if warmup < 0:
-            raise ParameterError(f"warmup must be >= 0, got {warmup}")
         _check_forgetting(lam)
         _check_delta(delta)
         self.lam = lam
         self.rank = rank
-        self.warmup = int(warmup)
-        self.n_updates = 0
-        lead = _lead(packets)
+        packets = _check_packets(packets)
         # stream k's basis is columns k*D..(k+1)*D - 1
         self._columns = np.broadcast_to(np.tile(np.eye(n_dim, rank, dtype=complex),
                                                 n_streams),
-                                        lead + (n_dim, n_streams * rank)).copy()
+                                        (packets, n_dim, n_streams * rank)).copy()
         self.basis = np.moveaxis(
-            self._columns.reshape(lead + (n_dim, n_streams, rank)), -3, -2)
-        self.w_bar = np.zeros(lead + (n_streams, rank), dtype=complex)
+            self._columns.reshape(packets, n_dim, n_streams, rank), -3, -2)
+        self.w_bar = np.zeros((packets, n_streams, rank), dtype=complex)
         self.p_bar = np.broadcast_to(np.eye(rank, dtype=complex) / delta,
-                                     lead + (n_streams, rank, rank)).copy()
+                                     (packets, n_streams, rank, rank)).copy()
         self.p_full = np.broadcast_to(np.eye(n_dim, dtype=complex) / delta,
-                                      lead + (n_dim, n_dim)).copy()
-        if self.warmup > 0:
-            self.pooled = ReducedRankFilterBank(n_dim, n_streams, "krylov", rank,
-                                                lam, delta, packets)
+                                      (packets, n_dim, n_dim)).copy()
         self._block = None  # the open block of the full-dimension RLS
 
-    def _hand_off(self):
-        # seed the joint recursions from the pooled statistics; a collapsed
-        # ladder leaves its padded coordinates inert (zero basis columns)
-        corr, cross = self.pooled.corr, self.pooled.cross
-        for i in np.ndindex(corr.shape[:-2]):  # each packet, or () for none
-            for k in np.flatnonzero(np.any(cross[i], axis=0)):
-                b = build_projection("krylov", corr[i], cross[i][:, k], self.rank)
-                small = b.conj().T @ corr[i] @ b
-                depth = b.shape[1]
-                basis, w_bar, p_bar = self.basis[i][k], self.w_bar[i][k], self.p_bar[i][k]
-                basis[...] = 0.0
-                basis[:, :depth] = b
-                w_bar[...] = 0.0
-                w_bar[:depth] = np.linalg.solve(small, b.conj().T @ cross[i][:, k])
-                p_bar[...] = np.eye(self.rank)
-                p_bar[:depth, :depth] = _hermitize(np.linalg.inv(small))
-        self.p_full = _hermitize(np.linalg.inv(corr))
-
     def update(self, received: np.ndarray, desired: np.ndarray):
-        """Fold in a block: received (N_A, n) or (N_A,), desired (M, n) or (M,),
-        each behind the packet axis if there is one."""
-        *lead, n_streams, n_dim, _ = self.basis.shape
-        r, d = _snapshots((received, desired), tuple(lead), (n_dim, n_streams))
-        head = max(0, min(r.shape[-1], self.warmup - self.n_updates))
-        if head:
-            self.pooled.update(r[..., :head], d[..., :head])
-            self.n_updates += head
-            if self.n_updates == self.warmup:
-                self._hand_off()
-        for lo in range(head, r.shape[-1], _BLOCK):
+        """Fold in a block: received (P, N_A, n), desired (P, M, n)."""
+        packets, n_streams, n_dim, _ = self.basis.shape
+        r, d = _snapshots((received, desired), packets, (n_dim, n_streams))
+        for lo in range(0, r.shape[-1], _BLOCK):
             r_blk, d_blk = r[..., lo:lo + _BLOCK], d[..., lo:lo + _BLOCK]
             self._block = _RlsBlock(self.p_full, r_blk, self.lam, self._columns.shape[-1])
             for r_i, d_i in zip(_samples(r_blk), _samples(d_blk)):
@@ -453,13 +407,12 @@ class JioFilterBank:
             self._close_block()
 
     def _joint_step(self, r, d):
-        # r (..., N_A) and d (..., K): the next sample of every packet in the
+        # r (P, N_A) and d (P, K): the next sample of every packet in the
         # open block.  The short filters step here; the block's close moves
         # the full-dimension iterates, by the rows this step leaves
         blk = self._block
         j = blk.steps
         blk.steps += 1
-        self.n_updates += 1
         ilam = 1.0 / self.lam
         # conj(r_bar) of all K streams against the basis as the block's
         # earlier samples left it: r^H C_0 plus (r^H g_i) row_i over i < j
@@ -510,6 +463,4 @@ class JioFilterBank:
 
     @property
     def weights(self) -> np.ndarray:
-        if self.n_updates < self.warmup:
-            return self.pooled.weights
         return np.einsum('...knd,...kd->...nk', self.basis, self.w_bar)

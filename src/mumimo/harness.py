@@ -30,8 +30,7 @@ from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, ls_channel_estimate)
 from .idd import idd_receive
 from .txchain import (TrellisSpec, assemble_frame, channel_transmit,
-                      coded_payload_length, labels_to_bits,
-                      qpsk_constellation)
+                      coded_payload_length, labels_to_bits)
 
 DETECTORS = ("rmf", "zf", "mmse", "sic", "mb-sic", "df-s", "df-p", "ml")
 ESTIMATORS = ("perfect", "ls", "rls", "lms", "rr-pc", "rr-krylov", "rr-jio")
@@ -43,8 +42,10 @@ _Z95 = 1.959963984540054
 #: most points an ``a:b:step`` SNR range may expand to
 MAX_SNR_POINTS = 1000
 
-#: most streams (packets x streams per packet) one trial block decodes
-#: together; 24 keeps a coded block's working set near one packet's
+#: most streams (packets x streams per packet) one trial block trains and
+#: decodes together.  It bounds the coded decode's (P, M, T) stacks to 24
+#: streams; it does not bound the draw phase, which holds each packet's
+#: (N_A, T) received block until the matched filter replaces it
 MAX_BLOCK_STREAMS = 24
 
 #: a comment starts a line or follows whitespace
@@ -366,8 +367,8 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
     ``pilots`` lists each packet's known (M, n) pilot block and
     ``rx_pilots`` its received (N_A, n) one.  Returns, per packet, the
     channel estimate (ls, rls, lms) or the receive filters (rr-*), (N_A, M).
-    LMS and JIO step every packet of the block in one per-sample loop; a
-    block of one packet trains on its own 2-D arrays, which is the same code.
+    LMS and the filter banks train the block's stacked pilots in one call,
+    and LMS and JIO step every packet in one per-sample loop.
     """
     cfg = spec.system
     if spec.estimator in ("ls", "rls"):
@@ -375,9 +376,8 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
         delta = DEFAULT_DELTA if spec.estimator == "rls" else 0.0
         return [ls_channel_estimate(s, r, spec.forgetting, delta)
                 for s, r in zip(pilots, rx_pilots)]
-    packets = len(pilots) if len(pilots) > 1 else None
-    s, r = ((np.stack(pilots), np.stack(rx_pilots)) if packets
-            else (pilots[0], rx_pilots[0]))
+    packets = len(pilots)
+    s, r = np.stack(pilots), np.stack(rx_pilots)
     kind = spec.estimator.removeprefix("rr-")
     if kind == "lms":
         trained = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
@@ -391,7 +391,7 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
                                          spec.rank, spec.forgetting, packets=packets)
         bank.update(r, s)
         trained = bank.weights
-    return list(trained.reshape((-1,) + trained.shape[-2:]))
+    return list(trained)
 
 
 def _hard_detect(spec: ScenarioSpec, gram, matched, noise_var):
@@ -613,65 +613,3 @@ def write_csv(result: SweepResult, path):
             os.unlink(tmp)
         raise
     return text
-
-
-# -- receive-filter training experiment --------------------------------------
-
-def filter_training_experiment(cfg: SystemConfig, snr_db: float, method: str,
-                               rank: int, lam: float, n_train: int,
-                               checkpoints, n_eval: int, seed: int,
-                               delta: float = DEFAULT_DELTA) -> np.ndarray:
-    """BER of linear detection with trained filters, at training checkpoints.
-
-    One channel realization per seed; filters adapt over ``n_train`` known
-    symbol vectors at the given SNR and are frozen at each checkpoint to
-    detect a held-out block of ``n_eval`` vectors (fresh symbols and
-    noise).  Methods: ``rls`` (full rank), ``krylov``, ``pc``, ``jio``.
-    The substreams depend only on (seed, purpose), so different methods
-    see identical data.
-    """
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_train:
-        raise ConfigError("checkpoints must list at least one point in [1, n_train]")
-    if n_eval < 1:
-        raise ConfigError(f"n_eval must be >= 1, got {n_eval}")
-    if delta <= 0.0:
-        raise ConfigError(f"delta must be > 0, got {delta}")
-    m = cfg.n_streams
-    if method == "rls":
-        # at full rank the bank solves the delta-regularized normal equations,
-        # where the RLS recursion started from P = I / delta stands
-        bank = ReducedRankFilterBank(cfg.n_rx_total, m, "krylov", cfg.n_rx_total,
-                                     lam, delta)
-    elif method == "jio":
-        # joint refinement starts once the pooled covariance has ~4 snapshots
-        # per dimension; before that the bank runs on the Krylov ladder
-        bank = JioFilterBank(cfg.n_rx_total, m, rank, lam, delta,
-                             warmup=4 * cfg.n_rx_total)
-    elif method in ("krylov", "pc"):
-        bank = ReducedRankFilterBank(cfg.n_rx_total, m, method, rank, lam, delta)
-    else:
-        raise ConfigError(f"unknown training method {method!r}")
-
-    noise_var = snr_to_noise_variance(snr_db, cfg, 1.0, 2, mean_gamma_sq(cfg))
-    chan = _draw_trial_channel(cfg, seed, 0, 0)
-    constellation = qpsk_constellation(cfg.symbol_power)
-
-    payload_rng = rngmod.substream(seed, 0, 0, rngmod.PAYLOAD)
-    train_labels = payload_rng.integers(0, 4, size=(m, n_train))
-    train_syms = constellation[train_labels]
-    train_rx = channel_transmit(chan, train_syms, noise_var,
-                                rngmod.substream(seed, 0, 0, rngmod.NOISE))
-    eval_rng = rngmod.substream(seed, 0, 0, rngmod.EVAL)
-    eval_labels = eval_rng.integers(0, 4, size=(m, n_eval))
-    eval_syms = constellation[eval_labels]
-    eval_rx = channel_transmit(chan, eval_syms, noise_var,
-                               rngmod.substream(seed, 0, 0, rngmod.EVAL, 1))
-
-    eval_bits = labels_to_bits(eval_labels)
-    bers = np.empty(len(checkpoints))
-    for i, (lo, hi) in enumerate(zip([0] + checkpoints[:-1], checkpoints)):
-        bank.update(train_rx[:, lo:hi], train_syms[:, lo:hi])
-        labels = linear_detect(None, bank.weights.conj().T @ eval_rx)
-        bers[i] = np.mean(labels_to_bits(labels) != eval_bits)
-    return bers

