@@ -91,12 +91,13 @@ def draw_small_scale(cfg: SystemConfig, rngs) -> np.ndarray:
     if len(rngs) != cfg.n_users:
         raise StructuralError(f"expected {cfg.n_users} generators, one per user, "
                               f"got {len(rngs)}")
-    # an entry's real and imaginary parts side by side: the real product
-    # is the complex fading matrix's real view
+    normals = np.empty((cfg.n_users, 2, n_rx, n_u))
+    for rng, user in zip(rngs, normals):
+        rng.standard_normal(out=user)
+    # scaled once into the product's layout, an entry's real and imaginary
+    # parts side by side: the real product is the complex fading's real view
     white = np.empty((n_rx, cfg.n_users, n_u, 2))
-    for k, rng in enumerate(rngs):
-        white[:, k] = np.moveaxis(rng.standard_normal((2, n_rx, n_u)), 0, -1)
-    white *= 1.0 / np.sqrt(2.0)
+    np.multiply(normals.transpose(2, 0, 3, 1), 1.0 / np.sqrt(2.0), out=white)
     rx_root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
     fading = (rx_root @ white.reshape(n_rx, -1)).view(complex)
     tx_root = _cached_corr_sqrt(n_u, cfg.rho)
@@ -116,10 +117,14 @@ class LargeScaleDraw:
     gains: np.ndarray  # gamma = sqrt(link / d^tau) * 10^(sigma v / 10)
 
 
-def _distance_grid(distance_range) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _distance_grid(distance_range: tuple) -> np.ndarray:
+    """The distance grid over ``distance_range``, shared and read-only."""
     lo, hi = distance_range
     n = int(round((hi - lo) / DISTANCE_GRID_STEP)) + 1
-    return np.linspace(lo, hi, max(n, 1))
+    grid = np.linspace(lo, hi, max(n, 1))
+    grid.setflags(write=False)
+    return grid
 
 
 def draw_large_scale(cfg: SystemConfig, rng: np.random.Generator) -> LargeScaleDraw:

@@ -32,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (ParameterError, ParameterWarning, RankError,
+from .errors import (NumericalError, ParameterError, ParameterWarning, RankError,
                      StructuralError)
 
 DEFAULT_DELTA = 1e-6
@@ -401,7 +401,16 @@ class JioFilterBank:
         r, d = _snapshots((received, desired), packets, (n_dim, n_streams))
         for lo in range(0, r.shape[-1], _BLOCK):
             r_blk, d_blk = r[..., lo:lo + _BLOCK], d[..., lo:lo + _BLOCK]
-            self._block = _RlsBlock(self.p_full, r_blk, self.lam, self._columns.shape[-1])
+            try:
+                self._block = _RlsBlock(self.p_full, r_blk, self.lam,
+                                        self._columns.shape[-1])
+            except np.linalg.LinAlgError:
+                window = 1.0 / (1.0 - self.lam) if self.lam < 1.0 else np.inf
+                raise NumericalError(
+                    f"JIO's full-dimension RLS iterate is no longer positive definite: "
+                    f"forgetting factor lambda = {self.lam} keeps a window of "
+                    f"1/(1 - lambda) = {window:.3g} samples against N_A = {n_dim} "
+                    f"dimensions") from None
             for r_i, d_i in zip(_samples(r_blk), _samples(d_blk)):
                 self._joint_step(r_i, d_i)
             self._close_block()

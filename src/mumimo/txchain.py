@@ -135,11 +135,13 @@ def deinterleave(x, perm) -> np.ndarray:
 
 # -- QPSK -----------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def qpsk_constellation(symbol_power: float = 1.0) -> np.ndarray:
     """Gray QPSK points indexed by the 2-bit label (b0 b1).
 
     b0 selects the real sign, b1 the imaginary sign; bit 0 maps to +.
-    Every point has energy ``symbol_power``.
+    Every point has energy ``symbol_power``.  The array is cached per
+    symbol power and shared by every caller, so it is read-only.
     """
     if symbol_power <= 0.0:
         raise ParameterError("symbol_power must be > 0")
@@ -147,7 +149,9 @@ def qpsk_constellation(symbol_power: float = 1.0) -> np.ndarray:
     labels = np.arange(4)
     re = 1.0 - 2.0 * (labels >> 1)
     im = 1.0 - 2.0 * (labels & 1)
-    return amp * (re + 1j * im)
+    points = amp * (re + 1j * im)
+    points.setflags(write=False)
+    return points
 
 
 def qpsk_map(bits, symbol_power: float = 1.0) -> np.ndarray:

@@ -96,6 +96,10 @@ class WarmStartJio:
         return (self.pooled if self.left else self.jio).weights
 
 
+# substream purpose of the held-out evaluation block, beside rng's purpose codes
+EVAL = 6  # not 5: renumbering would move every EVAL substream
+
+
 def filter_training_experiment(cfg, snr_db, method, rank, lam, n_train, checkpoints,
                                n_eval, seed, delta=DEFAULT_DELTA):
     """BER of linear detection with trained filters, at training checkpoints.
@@ -141,7 +145,7 @@ def filter_training_experiment(cfg, snr_db, method, rank, lam, n_train, checkpoi
         return labels, symbols, received
 
     _, train_syms, train_rx = transmit(n_train, (rngmod.PAYLOAD,), (rngmod.NOISE,))
-    eval_labels, _, eval_rx = transmit(n_eval, (rngmod.EVAL,), (rngmod.EVAL, 1))
+    eval_labels, _, eval_rx = transmit(n_eval, (EVAL,), (EVAL, 1))
     eval_bits = m.labels_to_bits(eval_labels)
     bers = np.empty(len(checkpoints))
     for i, (lo, hi) in enumerate(zip([0] + checkpoints[:-1], checkpoints)):

@@ -173,6 +173,8 @@ def test_distance_grid_step_and_endpoints():
     assert len(grid) == 18
     np.testing.assert_allclose(np.diff(grid), 0.05, atol=1e-12)
     assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(0.95)
+    # cached and shared by every draw, so read-only
+    assert grid is _distance_grid((0.1, 0.95)) and not grid.flags.writeable
 
 
 def test_large_scale_draw_consistency():

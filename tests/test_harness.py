@@ -536,6 +536,20 @@ def test_sweep_maps_raw_linalg_error_to_failed_point(monkeypatch):
     assert not result.rows[1].failed and result.rows[1].bits > 0
 
 
+def test_jio_short_forgetting_window_fails_its_point_naming_the_regime():
+    # a window of 1/(1 - 0.7) ~ 3 samples against 64 dimensions: the
+    # full-dimension iterate loses positive definiteness mid-training
+    spec = small_spec(system=m.SystemConfig(n_users=8, n_bs=64), detector="mmse",
+                      estimator="rr-jio", pilot_len=300, rank=5, forgetting=0.7,
+                      packet_symbols=20, packets=1, snr_db=(12.0,))
+    result = m.run_sweep(spec)
+    assert result.rows[0].failed
+    message = result.failures[12.0]
+    assert message.startswith("NumericalError: ")
+    for part in ("lambda = 0.7", "1/(1 - lambda) = 3.33", "N_A = 64"):
+        assert part in message
+
+
 def test_cli_linalg_failure_still_writes_csv(tmp_path, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
