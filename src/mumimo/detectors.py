@@ -65,7 +65,11 @@ def compute_receive_filter(gram: np.ndarray, symbol_power: float, noise_var: flo
         return np.linalg.inv(gram)
     if noise_var <= 0.0:
         raise ParameterError("mmse filter requires noise_var > 0")
-    return np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(m))
+    try:
+        return np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(m))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(f"mmse filter: the regularised Gram matrix of M = {m} "
+                                  f"streams is singular (noise_var = {noise_var:.3g})") from None
 
 
 def linear_detect(inv, matched: np.ndarray) -> np.ndarray:
@@ -118,27 +122,43 @@ def _sic_ordering(gram, inv, criterion, filter_design, symbol_power, noise_var):
     return compute_ordering(gram, symbol_power, noise_var, criterion)
 
 
-def _sic_labels(gram, inv, matched, perm, constellation):
-    """Labels (M, T) of SIC in the order ``perm``, worked in the matched
-    domain from the undeflated outputs ``y`` and the decided symbols ``x``:
-    stage k's estimate is ``P[0] y[k:] - (P[0] A[k:, :k]) x[:k]`` (rmf:
-    ``y[k] - A[k, :k] x[:k]``), a few row-vector products per stage."""
+def _stage_filters(inv, filter_design):
+    """Every SIC stage's filter from one factor of the ordered inverse Gram
+    matrix ``P`` (Wuebben et al., VTC 2003, for the MMSE form).  With
+    ``P = L L^H`` the inverse of the trailing block ``A[k:, k:]``, a Schur
+    complement of P, is ``L[k:, k:] L[k:, k:]^H``, so its first row, stage
+    k's filter, is row k of ``F = diag(L) L^H`` (zero before k)."""
+    try:
+        chol = np.linalg.cholesky(inv)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(
+            f"{filter_design} SIC: the ordered inverse Gram matrix of M = {len(inv)} "
+            "streams is not positive definite") from None
+    return np.diagonal(chol).real[:, None] * chol.conj().T
+
+
+def _sic_symbols(gram, inv, matched, perm, constellation, filter_design):
+    """Decided points (M, T), in stream order, of SIC in the order ``perm``,
+    worked in the matched domain from the undeflated outputs ``y`` and the
+    decided symbols ``x``: with the stage filters F of
+    :func:`_stage_filters`, stage k decides ``(F y)_k - (F A)[k, :k] x[:k]``
+    (rmf: ``y_k - A[k, :k] x[:k]``), one product up front and one
+    row-vector product per stage.  A stage takes the point of its
+    estimate's quadrant, each part's sign with ties toward +, so the
+    labels are :func:`qpsk_slice_labels` of the points."""
     gram = gram[np.ix_(perm, perm)]
-    p = None if inv is None else inv[np.ix_(perm, perm)]
     y = matched[perm]
+    if inv is not None:
+        filters = _stage_filters(inv[np.ix_(perm, perm)], filter_design)
+        y, gram = filters @ y, filters @ gram
+    sides = constellation[[0, 3]].real  # a part's value for sign + and -
     decided = np.empty(matched.shape, dtype=complex)
-    labels = np.empty(matched.shape, dtype=np.int64)
     for stage in range(len(perm)):
-        # w^H residual for the deflated filter w = G_R P_R e_0
-        row = gram[stage, :stage] if p is None else p[0] @ gram[stage:, :stage]
-        est = y[stage] if p is None else p[0] @ y[stage:]
-        lab = qpsk_slice_labels(est - row @ decided[:stage])
-        labels[perm[stage]] = lab
-        decided[stage] = constellation[lab]
-        if p is not None:
-            # inverse of the trailing block: the Schur complement of P[0, 0]
-            p = p[1:, 1:] - np.outer(p[1:, 0], p[0, 1:]) / p[0, 0]
-    return labels
+        est = y[stage] - gram[stage, :stage] @ decided[:stage]
+        np.take(sides, est.view(float) < 0.0, out=decided[stage].view(float))
+    symbols = np.empty_like(decided)
+    symbols[perm] = decided
+    return symbols
 
 
 def sic_detect(gram: np.ndarray, matched: np.ndarray, ordering,
@@ -154,10 +174,11 @@ def sic_detect(gram: np.ndarray, matched: np.ndarray, ordering,
     applied to the residual left by cancelling the streams already decided.
     The matched outputs ``y`` are never deflated: with P_R the inverse
     (regularised) Gram matrix of G_R, the estimate is ``P_R[0] @ (y_R -
-    A[R, D] x_D)`` for the decided streams D and their symbols x_D, formed
-    as ``P_R[0] @ y_R - (P_R[0] @ A[R, D]) @ x_D``, and P_R shrinks by a
-    rank-one downdate, so the block costs one M x M inversion in all rather
-    than one per stage.
+    A[R, D] x_D)`` for the decided streams D and their symbols x_D.  Every
+    ``P_R[0]`` is a row of one triangular factor of the ordered inverse
+    (:func:`_stage_filters`), so the block costs one M x M inversion and one
+    Cholesky factorization in all rather than one per stage.  A factor that
+    does not exist raises :class:`SingularMatrixError`.
     """
     m = _check_matched(gram, matched)
     named = isinstance(ordering, str)
@@ -168,7 +189,8 @@ def sic_detect(gram: np.ndarray, matched: np.ndarray, ordering,
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     if named:
         perm = _sic_ordering(gram, inv, ordering, filter_design, symbol_power, noise_var)
-    return _sic_labels(gram, inv, matched, perm, qpsk_constellation(symbol_power))
+    return qpsk_slice_labels(_sic_symbols(gram, inv, matched, perm,
+                                          qpsk_constellation(symbol_power), filter_design))
 
 
 def _branch_distance(gram, matched, symbols):
@@ -186,7 +208,7 @@ def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
     branch nearest the received vector wins, per vector: the smallest
     ``s_l^H A s_l - 2 Re(s_l^H y)``, which is ``||r - G s_l||^2`` less the
     ``||r||^2`` all branches share.  The branches share one inverse Gram
-    matrix, each reading it in its own order.
+    matrix, and each factors it in its own order.
     """
     m = _check_matched(gram, matched)
     if not 1 <= n_branches <= m:
@@ -196,12 +218,13 @@ def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     base = _sic_ordering(gram, inv, base_criterion, filter_design, symbol_power, noise_var)
     n_vec = matched.shape[1]
-    all_labels = np.empty((n_branches, m, n_vec), dtype=np.int64)
+    symbols = np.empty((n_branches, m, n_vec), dtype=complex)
     dists = np.empty((n_branches, n_vec))
     for li in range(n_branches):
-        all_labels[li] = _sic_labels(gram, inv, matched, np.roll(base, -li), constellation)
-        dists[li] = _branch_distance(gram, matched, constellation[all_labels[li]])
-    return all_labels[np.argmin(dists, axis=0), :, np.arange(n_vec)].T
+        symbols[li] = _sic_symbols(gram, inv, matched, np.roll(base, -li), constellation,
+                                   filter_design)
+        dists[li] = _branch_distance(gram, matched, symbols[li])
+    return qpsk_slice_labels(symbols[np.argmin(dists, axis=0), :, np.arange(n_vec)].T)
 
 
 def df_detect(gram: np.ndarray, matched: np.ndarray, mode: str = "s-df",

@@ -28,19 +28,18 @@ the recursions).  The default ``delta = 1e-6`` keeps the solutions within
 1e-6 of unregularized least squares once the history has full rank.
 """
 
-import warnings
-
 import numpy as np
 
-from .errors import (NumericalError, ParameterError, ParameterWarning, RankError,
-                     StructuralError)
+from .errors import NumericalError, ParameterError, RankError, StructuralError
 
 DEFAULT_DELTA = 1e-6
 KRYLOV_BREAKDOWN_TOL = 1e-12
-# samples per block of JIO's full-dimension RLS.  Longer blocks round
+# samples per block of JIO's full-dimension RLS, and never more than N_A:
+# the block's Gram matrix R^H P R has rank N_A at most, so a longer block
+# leaves H conditioned by its lam^j diagonal alone.  Longer blocks round
 # further from the per-sample recursion: on 64 dimensions, 300 samples, the
-# weights sit at 2.5x, 3.1x and 7.2x the recursion's own one-ulp
-# sensitivity for blocks of 8, 16 and 32
+# weights and bases of the oracle tests sit within 2.5x, 3.5x and 7.0x the
+# recursion's own one-ulp sensitivity for blocks of 16, 24 and 32
 _BLOCK = 16
 
 
@@ -156,18 +155,14 @@ class LmsChannelEstimator:
     """Least-mean-squares tracker of the stacked channel matrix.
 
     It tracks the channels of ``packets`` packets at once: ``estimate`` is
-    (P, N_A, M) and one update steps every packet per pilot.
+    (P, N_A, M) and one update steps every packet per pilot.  A step size
+    past the stability bound is the config's to flag
+    (``ScenarioSpec.validate``), not the tracker's.
     """
 
-    def __init__(self, n_streams: int, n_rx: int, mu: float = 0.05,
-                 symbol_power: float = 1.0, packets: int = 1):
+    def __init__(self, n_streams: int, n_rx: int, mu: float = 0.05, *, packets: int = 1):
         if mu <= 0.0:
             raise ParameterError("step size must be > 0")
-        # stability heuristic: mu < 2 / tr(R) with white pilots
-        if mu >= 2.0 / (n_streams * symbol_power):
-            warnings.warn(
-                f"LMS step size {mu} exceeds 2 / tr(R) = {2.0 / (n_streams * symbol_power):.4g}; "
-                "the recursion may diverge", ParameterWarning, stacklevel=2)
         self.mu = mu
         self.estimate = np.zeros((_check_packets(packets), n_rx, n_streams),
                                  dtype=complex)
@@ -321,7 +316,8 @@ class ReducedRankFilterBank:
 
 class _RlsBlock:
     """The full-dimension RLS recursion over a block of b samples R (N_A, b),
-    started from the inverse iterate P.
+    started from the inverse iterate P, and each sample's projection onto
+    the bases C (N_A, K*D) as the block's earlier samples move them.
 
     After j samples the iterate is ``P_j = lam^-j (P - Z H_j^-1 Z^H)`` with
     ``Z = P R`` and H_j the leading j x j block of
@@ -330,22 +326,60 @@ class _RlsBlock:
     Cholesky factor ``H = L L^H``, sample i's gain is ``g_i = Z L^-H e_i / L_ii``
     and ``r_j^H g_i = L_ji / L_ii`` for i < j: the per-sample recursion
     becomes one b x b triangular factorization, and the iterate moves once,
-    by ``F F^H`` with ``F = Z L^-H``.  Every array keeps the packet axis of P.
+    by ``F F^H`` with ``F = Z L^-H``.
+
+    Step i moves the bases by ``-lam^(i+1) g_i row_i``, so sample j's
+    projection ``r_j^H C + sum_{i<j} (r_j^H g_i) (-lam^(i+1)) row_i`` is
+    row j of ``coeff @ terms``, with ``terms = [R^H C; rows]`` and ``coeff
+    = [I, -L diag(lam^(i+1) / L_ii)]``: step j reads its row before it
+    writes rows j.., which are still zero.  Every array keeps the packet
+    axis of P.
     """
 
-    def __init__(self, p_full, r, lam, width):
+    def __init__(self, p_full, r, d, lam, columns):
         self.z = p_full @ r
-        gram = np.swapaxes(r.conj(), -1, -2) @ self.z
-        b = r.shape[-1]
-        steps = np.arange(b)
-        gram[..., steps, steps] += lam ** (steps + 1.0)
+        r_h = np.swapaxes(r.conj(), -1, -2)
+        gram = r_h @ self.z
+        packets, b, n_streams = gram.shape[:-2], r.shape[-1], d.shape[-2]
+        self.powers = lam ** np.arange(1.0, b + 1.0)  # lam^(j+1)
+        gram.reshape(packets + (b * b,))[..., ::b + 1] += self.powers
         self.chol = np.linalg.cholesky(gram)
         self.pivots = np.diagonal(self.chol, axis1=-2, axis2=-1).real
-        # r_j^H g_i at [j, i] below the diagonal
-        self.cross = self.chol / self.pivots[..., None, :]
-        self.rows = np.zeros(gram.shape[:-2] + (b, width), dtype=complex)
-        self.moved = np.zeros(gram.shape[:-2], dtype=bool)
+        self.coeff = np.zeros(packets + (b, 2 * b), dtype=complex)
+        self.coeff.reshape(packets + (2 * b * b,))[..., ::2 * b + 1] = 1.0
+        np.multiply(self.chol, -self.powers / self.pivots[..., None, :],
+                    out=self.coeff[..., b:])
+        self.terms = np.zeros(packets + (2 * b, columns.shape[-1]), dtype=complex)
+        np.matmul(r_h, columns, out=self.terms[..., :b, :])
+        self.rows = self.terms[..., b:, :]
+        self.d_conj = np.moveaxis(d.conj(), -1, 0)  # sample j's conj(d) at [j]
+        # per step (b, P, K): its short filters' energies and step scales
+        self.energy = np.empty((b,) + packets + (n_streams,))
+        self.scale = np.zeros((b,) + packets + (n_streams,), dtype=complex)
         self.steps = 0
+
+
+class _StepBuffers:
+    """The operands of a joint step over (P, K) streams of rank D, as
+    preallocated arrays and views of them, so that a step allocates little
+    and slices little: ``x`` holds conj(r_bar) (P, 1, K*D) and
+    ``x_streams`` its (P, K, 1, D) view, ``y`` the product ``x S`` (P, K, 1,
+    D + 1), ``quad`` the real dot of their parts and ``outer`` the rank-one
+    update of S."""
+
+    def __init__(self, packets, n_streams, rank):
+        self.x = np.empty((packets, 1, n_streams * rank), dtype=complex)
+        self.x_streams = self.x.reshape(packets, n_streams, 1, rank)
+        self.x_parts = self.x_streams[..., 0, :].view(float)
+        self.y = np.empty((packets, n_streams, 1, rank + 1), dtype=complex)
+        self.y_parts = self.y[..., 0, :-1].view(float)
+        self.y_last = self.y[..., 0, -1]
+        self.v_head = np.swapaxes(self.y[..., :-1], -1, -2)
+        self.quad = np.empty((packets, n_streams))
+        self.u = np.empty((packets, n_streams, rank, 1), dtype=complex)
+        self.outer = np.empty((packets, n_streams, rank, rank + 1), dtype=complex)
+        self.w_conj = np.empty((packets, n_streams, rank), dtype=complex)
+        self.w_parts = self.w_conj.view(float)
 
 
 class JioFilterBank:
@@ -361,12 +395,22 @@ class JioFilterBank:
     projection step is a no-op (zero gradient).
 
     The K bases are stored side by side as one (N_A, K*D) array and
-    ``basis`` is its (K, N_A, D) view, so a step projects the sample onto
-    every stream with one product.  Only the short filters step per sample.
+    ``basis`` is its (K, N_A, D) view, so a block's open projects its
+    samples onto every stream with one product.  Only the short filters
+    step per sample.
     The full-dimension RLS iterate ``p_full`` and the bases move once per
-    block of up to ``_BLOCK`` samples (:class:`_RlsBlock`): a sample's
-    projection adds the moves of the block's earlier samples to its
-    projection onto the block's starting basis.
+    block of up to ``_BLOCK`` samples, and at most N_A
+    (:class:`_RlsBlock`): a sample's projection adds the moves of the
+    block's earlier samples to its projection onto the block's starting
+    basis.
+
+    A stream's short filter sits beside its inverse correlation in one
+    D x (D + 1) matrix ``S = [P_bar, w_bar]``; ``p_bar`` and ``w_bar`` are
+    views of it.  ``conj(r_bar)^T S`` holds ``conj(P_bar r_bar)^T`` (P_bar
+    is Hermitian) and the a priori estimate, and one rank-one update moves
+    both.  Within a block S holds ``lam^j P_bar`` after j steps, which takes
+    the per-step ``1 / lam`` out of the recursion; the block's close scales
+    it back.
 
     Every iterate has a leading axis of ``packets`` (``basis`` (P, K, N_A,
     D), ``p_bar`` (P, K, D, D), ``p_full`` (P, N_A, N_A)), and one joint
@@ -388,9 +432,11 @@ class JioFilterBank:
                                         (packets, n_dim, n_streams * rank)).copy()
         self.basis = np.moveaxis(
             self._columns.reshape(packets, n_dim, n_streams, rank), -3, -2)
-        self.w_bar = np.zeros((packets, n_streams, rank), dtype=complex)
-        self.p_bar = np.broadcast_to(np.eye(rank, dtype=complex) / delta,
-                                     (packets, n_streams, rank, rank)).copy()
+        self._short = np.zeros((packets, n_streams, rank, rank + 1), dtype=complex)
+        self.p_bar = self._short[..., :rank]
+        self.p_bar[...] = np.eye(rank) / delta
+        self.w_bar = self._short[..., rank]
+        self._step = _StepBuffers(packets, n_streams, rank)
         self.p_full = np.broadcast_to(np.eye(n_dim, dtype=complex) / delta,
                                       (packets, n_dim, n_dim)).copy()
         self._block = None  # the open block of the full-dimension RLS
@@ -399,11 +445,11 @@ class JioFilterBank:
         """Fold in a block: received (P, N_A, n), desired (P, M, n)."""
         packets, n_streams, n_dim, _ = self.basis.shape
         r, d = _snapshots((received, desired), packets, (n_dim, n_streams))
-        for lo in range(0, r.shape[-1], _BLOCK):
-            r_blk, d_blk = r[..., lo:lo + _BLOCK], d[..., lo:lo + _BLOCK]
+        width = min(_BLOCK, n_dim)
+        for lo in range(0, r.shape[-1], width):
+            r_blk, d_blk = r[..., lo:lo + width], d[..., lo:lo + width]
             try:
-                self._block = _RlsBlock(self.p_full, r_blk, self.lam,
-                                        self._columns.shape[-1])
+                self._block = _RlsBlock(self.p_full, r_blk, d_blk, self.lam, self._columns)
             except np.linalg.LinAlgError:
                 window = 1.0 / (1.0 - self.lam) if self.lam < 1.0 else np.inf
                 raise NumericalError(
@@ -411,64 +457,65 @@ class JioFilterBank:
                     f"forgetting factor lambda = {self.lam} keeps a window of "
                     f"1/(1 - lambda) = {window:.3g} samples against N_A = {n_dim} "
                     f"dimensions") from None
-            for r_i, d_i in zip(_samples(r_blk), _samples(d_blk)):
+            for r_i, d_i in zip(np.moveaxis(r_blk, -1, 0), np.moveaxis(d_blk, -1, 0)):
                 self._joint_step(r_i, d_i)
             self._close_block()
 
     def _joint_step(self, r, d):
         # r (P, N_A) and d (P, K): the next sample of every packet in the
-        # open block.  The short filters step here; the block's close moves
-        # the full-dimension iterates, by the rows this step leaves
-        blk = self._block
+        # open block, which the block's open already took in (a per-sample
+        # oracle reads them here).  The short filters step here; the
+        # block's close moves the full-dimension iterates, by the rows this
+        # step leaves
+        blk, buf = self._block, self._step
         j = blk.steps
         blk.steps += 1
-        ilam = 1.0 / self.lam
-        # conj(r_bar) of all K streams against the basis as the block's
-        # earlier samples left it: r^H C_0 plus (r^H g_i) row_i over i < j
-        rb_conj = (r.conj()[..., None, :] @ self._columns)[..., 0, :]
-        if j:
-            rb_conj += (blk.cross[..., j:j + 1, :j] @ blk.rows[..., :j, :])[..., 0, :]
-        rb_conj = rb_conj.reshape(self.w_bar.shape)
-        pr = (self.p_bar @ rb_conj.conj()[..., None])[..., 0]
-        denom = self.lam + np.einsum('...kd,...kd->...k', rb_conj, pr).real
-        gain = pr / denom[..., None]
-        d_conj = d.conj()
-        err_conj = d_conj - np.einsum('...kd,...kd->...k', self.w_bar, rb_conj)
-        self.w_bar += gain * err_conj[..., None]
-        # p_bar is Hermitian, so r^H P is (P r)^H: the downdate fills one
-        # fresh array, which the scaled, hermitized result replaces
-        p_bar = gain[..., :, None] * pr.conj()[..., None, :]
-        self.p_bar = _hermitize(_scale(np.subtract(self.p_bar, p_bar, out=p_bar), ilam))
-        err_post_conj = d_conj - np.einsum('...kd,...kd->...k', self.w_bar, rb_conj)
-        w_parts = self.w_bar.view(float)
-        w_energy = np.einsum('...i,...i->...', w_parts, w_parts)
-        active = w_energy > 0.0
-        moved = np.any(active, axis=-1)
-        if np.any(moved):
-            scale = np.where(active, err_post_conj / np.maximum(w_energy, 1e-300), 0.0)
-            # the basis step g_j row_j: every stream's scaled conj(w_bar),
-            # laid out as the basis columns
-            np.multiply(scale[..., None], self.w_bar.conj(),
-                        out=blk.rows[..., j, :].reshape(self.w_bar.shape))
-            blk.moved |= moved
+        # x = conj(r_bar) of all K streams against the bases as the block's
+        # earlier samples moved them
+        np.matmul(blk.coeff[..., j:j + 1, :], blk.terms, out=buf.x)
+        # y = x S = [conj(Q r_bar), -conj(e)] for Q = lam^j P_bar, and
+        # denom = lam^(j+1) + r_bar^H Q r_bar = lam^j (lam + r_bar^H P_bar
+        # r_bar), the first part a real dot of the parts
+        y = np.matmul(buf.x_streams, self._short, out=buf.y)
+        buf.y_last -= blk.d_conj[j]
+        root = np.sqrt(np.vecdot(buf.y_parts, buf.x_parts, out=buf.quad) + blk.powers[j])
+        # with v = y / sqrt(denom), S - conj(v[:D])^T v is
+        # [Q - Q r_bar r_bar^H Q / denom, w_bar + Q r_bar conj(e) / denom],
+        # its P block Hermitian entry by entry
+        v = np.divide(y, root[..., None, None], out=y)
+        self._short -= np.matmul(np.conjugate(buf.v_head, out=buf.u), v, out=buf.outer)
+        # the basis step g_j row_j: every stream's conj(w_bar) scaled by the
+        # conjugate a posteriori error e lam / (lam + r_bar^H P_bar r_bar) =
+        # -v_D lam^(j+1) / sqrt(denom) over |w_bar|^2, laid out as the basis
+        # columns; rows keep the factor -lam^(j+1) out, coeff and the close
+        # apply it.  A stream whose filter is zero gets a zero row
+        w_conj = np.conjugate(self.w_bar, out=buf.w_conj)
+        energy = np.vecdot(buf.w_parts, buf.w_parts, out=blk.energy[j])
+        scale = np.divide(buf.y_last, energy * root, out=blk.scale[j],
+                          where=energy > 0.0)
+        np.multiply(scale[..., None], w_conj,
+                    out=blk.rows[..., j, :].reshape(w_conj.shape))
 
     def _close_block(self):
-        # P <- lam^-b (P - F F^H), hermitized, and C <- C + F (rows / L_ii)
-        # for the b samples stepped, F^H = L^-1 Z^H; a packet whose filters
-        # never moved keeps its basis, as it would alone: adding its zero
-        # step would turn -0.0 entries into +0.0
+        # P <- lam^-b (P - F F^H), hermitized, and C <- C + F (-lam^(i+1)
+        # rows_i / L_ii) for the b samples stepped, F = Z L^-H; P_bar takes
+        # its lam^-b.  F comes from the inverse of the triangular L^H, which
+        # a block of at most N_A samples keeps well conditioned: LAPACK's
+        # solve for the N_A right-hand sides of L^-1 Z^H takes ~3x as long.
+        # A packet whose filters never moved keeps its basis, as it would
+        # alone: adding its zero step would turn -0.0 entries into +0.0
         blk, self._block = self._block, None
         b = blk.steps
-        f_h = np.linalg.solve(blk.chol[..., :b, :b],
-                              np.swapaxes(blk.z[..., :b].conj(), -1, -2))
-        f = np.swapaxes(f_h.conj(), -1, -2)
+        _scale(self.p_bar, self.lam ** -b)
+        f = blk.z[..., :b] @ np.linalg.inv(np.swapaxes(blk.chol[..., :b, :b].conj(), -1, -2))
+        f_h = np.swapaxes(f.conj(), -1, -2)
         p_full = f @ f_h
         _hermitize(_scale(np.subtract(self.p_full, p_full, out=p_full),
                           self.lam ** -b), out=self.p_full)
-        if np.any(blk.moved):
-            step = f @ (blk.rows[..., :b, :] / blk.pivots[..., :b, None])
-            np.add(self._columns, step, out=self._columns,
-                   where=blk.moved[..., None, None])
+        moved = np.any(blk.energy[:b] > 0.0, axis=(0, -1))
+        if np.any(moved):
+            step = f @ (blk.rows[..., :b, :] * (-blk.powers[:b] / blk.pivots[..., :b])[..., None])
+            np.add(self._columns, step, out=self._columns, where=moved[..., None, None])
 
     @property
     def weights(self) -> np.ndarray:

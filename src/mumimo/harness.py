@@ -13,6 +13,7 @@ import math
 import os
 import re
 import time
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
 
@@ -25,7 +26,7 @@ from .config import SystemConfig
 from .detectors import (ML_CANDIDATE_GUARD, ORDERING_CRITERIA, compute_receive_filter,
                         df_detect, linear_detect, mb_sic_detect, ml_detect_oracle,
                         sic_detect)
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ParameterWarning
 from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, ls_channel_estimate)
 from .idd import idd_receive
@@ -127,7 +128,39 @@ class ScenarioSpec:
                 or _COMMENT.search(self.out)):
             raise ConfigError(f"out {self.out!r} cannot be written as a config value: "
                               "no surrounding whitespace, line break or ' #'")
+        for message in self._estimator_regimes():
+            warnings.warn(message, ParameterWarning)
         return self
+
+    def _estimator_regimes(self):
+        """What the config alone says about a regime its estimator cannot
+        handle well.  Each is a warning, not an error: the estimate stays
+        defined, the point runs (or fails with the cause in its message), and
+        these regimes are what a study of short training or fast tracking
+        sets on purpose."""
+        system, kind = self.system, self.estimator
+        # the RLS memory 1/(1 - lambda) against the dimension of its
+        # regression (Haykin, Adaptive Filter Theory): below it the solve is
+        # held up by the delta regularisation alone, and JIO's full-dimension
+        # iterate can lose positive definiteness
+        dimension = (system.n_rx_total if kind.startswith("rr-")
+                     else system.n_streams if kind == "rls" else None)
+        if dimension and self.forgetting < 1.0 and 1.0 / (1.0 - self.forgetting) < dimension:
+            yield (f"estimator {kind!r}: lambda = {self.forgetting} keeps a window of "
+                   f"1/(1 - lambda) = {1.0 / (1.0 - self.forgetting):.3g} samples, fewer "
+                   f"than the {dimension} dimensions it regresses on")
+        # 2 / tr(R) for white pilots bounds the mean-square stable LMS steps;
+        # mean convergence alone allows up to 2 / E_s, so a larger step may
+        # still converge
+        bound = 2.0 / (system.n_streams * system.symbol_power)
+        if kind == "lms" and self.step_size >= bound:
+            yield (f"LMS step size mu = {self.step_size} is at least 2 / tr(R) = "
+                   f"{bound:.4g}; the recursion may diverge")
+        # fewer pilots than the rank leave part of each reduced-rank filter
+        # to the regularisation
+        if kind.startswith("rr-") and self.pilot_len < self.rank:
+            yield (f"estimator {kind!r}: {self.pilot_len} pilots cannot resolve a "
+                   f"rank-{self.rank} filter")
 
 
 @dataclass
@@ -380,8 +413,9 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
     s, r = np.stack(pilots), np.stack(rx_pilots)
     kind = spec.estimator.removeprefix("rr-")
     if kind == "lms":
+        # ScenarioSpec.validate warns about a step size past the LMS bound
         trained = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
-                                      cfg.symbol_power, packets).update(s, r).estimate
+                                      packets=packets).update(s, r).estimate
     else:
         if kind == "jio":
             bank = JioFilterBank(cfg.n_rx_total, cfg.n_streams, spec.rank,

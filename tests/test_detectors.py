@@ -503,8 +503,95 @@ def test_sic_labels_equal_deflating_stages(system, design):
             setup = (gram, m.compute_receive_filter(gram, 1.0, nv, design), y)
             orders = [m.compute_ordering(gram, 1.0, nv, c) for c in ("norm", "sinr")]
             for perm in orders + [perms.permutation(chan.shape[1])]:
-                assert np.array_equal(detectors._sic_labels(*setup, perm, const),
+                fast = detectors._sic_symbols(*setup, perm, const, design)
+                assert np.array_equal(qpsk_slice_labels(fast),
                                       reference_deflating_sic_labels(*setup, perm, const))
+
+
+def reference_schur_stage_filters(inv):
+    """Every SIC stage's filter from the ordered inverse Gram matrix by
+    Schur downdates: row k holds ``P_k[0]``, the first row of the inverse of
+    the trailing block, and ``P_(k+1)`` is the Schur complement of
+    ``P_k[0, 0]``."""
+    p, rows = inv, np.zeros(inv.shape, dtype=complex)
+    for stage in range(len(inv)):
+        rows[stage, stage:] = p[0]
+        p = p[1:, 1:] - np.outer(p[1:, 0], p[0, 1:]) / p[0, 0]
+    return rows
+
+
+def reference_schur_sic_labels(gram, inv, matched, perm, constellation):
+    """SIC from the undeflated ``y`` with the Schur-downdate stage filters:
+    stage k decides ``P_k[0] y[k:] - (P_k[0] A[k:, :k]) x[:k]`` (rmf:
+    ``y_k - A[k, :k] x[:k]``)."""
+    gram = gram[np.ix_(perm, perm)]
+    p = None if inv is None else inv[np.ix_(perm, perm)]
+    y = matched[perm]
+    decided = np.empty(matched.shape, dtype=complex)
+    labels = np.empty(matched.shape, dtype=np.int64)
+    for stage in range(len(perm)):
+        row = gram[stage, :stage] if p is None else p[0] @ gram[stage:, :stage]
+        est = y[stage] if p is None else p[0] @ y[stage:]
+        lab = qpsk_slice_labels(est - row @ decided[:stage])
+        labels[perm[stage]] = lab
+        decided[stage] = constellation[lab]
+        if p is not None:
+            p = p[1:, 1:] - np.outer(p[1:, 0], p[0, 1:]) / p[0, 0]
+    return labels
+
+
+def schur_rounding_bound(inv):
+    """Elementwise bound on how far two backward-stable computations of the
+    stage filters of a Hermitian positive definite ``inv`` may lie apart.
+
+    The Cholesky rows are the exact Schur rows of ``P + E1`` and the
+    downdate's, Gaussian elimination without pivoting, those of ``P + E2``,
+    each with ``|E| <= gamma_(M+1) |L| |L^H|`` for the Cholesky factor L
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, Thms 9.3
+    and 10.3).  To first order the Schur complement ``P22 - X^H P12`` of the
+    leading k x k block, with ``X = P11^-1 P12``, moves by ``dP22 - dP21 X -
+    X^H dP12 + X^H dP11 X``, so its first row moves by at most
+    ``[|X[:, 0]|^T, 1] |dP| [|X|; I]`` over rows ``:k+1`` of ``|dP| <= 2
+    gamma_(M+1) |L| |L^H|``.
+    """
+    n = len(inv)
+    chol = np.abs(np.linalg.cholesky(inv))
+    gamma = (n + 1) * np.finfo(float).eps / (1.0 - (n + 1) * np.finfo(float).eps)
+    moved = 2.0 * gamma * chol @ chol.T
+    bound = np.zeros((n, n))
+    for k in range(n):
+        x = np.abs(np.linalg.solve(inv[:k, :k], inv[:k, k:])) if k else np.zeros((0, n))
+        left = np.append(x[:, 0], 1.0)
+        right = np.concatenate([x, np.eye(n - k)])
+        bound[k, k:] = left @ moved[:k + 1] @ right
+    return bound
+
+
+@pytest.mark.parametrize("system", SIC_SYSTEMS)
+@pytest.mark.parametrize("design", ["zf", "mmse"])
+def test_stage_filters_equal_schur_downdate(system, design):
+    # every stage filter is a row of one Cholesky factor of the ordered
+    # inverse; the Schur downdate stage by stage is the oracle, for the
+    # filters within the derived bound and for the labels exactly
+    perms = np.random.default_rng(11)
+    const = m.qpsk_constellation()
+    for snr_db in (0.0, 15.0):
+        for chan, r, nv in sic_trials(SIC_SYSTEMS[system], snr_db,
+                                      SIC_DRAWS.get(system, 3)):
+            gram, y = matched(chan, r)
+            inv = m.compute_receive_filter(gram, 1.0, nv, design)
+            orders = [m.compute_ordering(gram, 1.0, nv, c) for c in ("norm", "sinr")]
+            for perm in orders + [perms.permutation(chan.shape[1])]:
+                fast = detectors._sic_symbols(gram, inv, y, perm, const, design)
+                assert np.array_equal(qpsk_slice_labels(fast),
+                                      reference_schur_sic_labels(gram, inv, y, perm, const))
+                # both from one Hermitian matrix: inv is Hermitian only to
+                # rounding, and the factor reads its lower triangle
+                ordered = inv[np.ix_(perm, perm)]
+                ordered = 0.5 * (ordered + ordered.conj().T)
+                gap = np.abs(detectors._stage_filters(ordered, design)
+                             - reference_schur_stage_filters(ordered))
+                assert np.all(gap <= schur_rounding_bound(ordered)), (snr_db, perm)
 
 
 def test_sic_single_vector_equals_oracle(rng):
@@ -593,6 +680,79 @@ def test_sic_inverts_once_per_block(monkeypatch, rng):
     # the sinr keys come from one M x M inverse, not from the filter bank
     m.compute_ordering(gram, 1.0, 0.1, "sinr")
     assert calls == [(32, 32)]
+
+
+FACTORIZATIONS = ("inv", "cholesky", "solve", "eig", "eigh", "eigvals", "eigvalsh", "svd",
+                  "qr", "lstsq", "pinv", "det", "slogdet", "matrix_rank")
+
+
+def counting_factorizations(monkeypatch):
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in FACTORIZATIONS:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+@pytest.mark.parametrize("design, check", [("mmse", []), ("zf", ["matrix_rank"])])
+def test_sic_factors_once_per_packet(monkeypatch, rng, design, check):
+    # one inverse and one Cholesky factor per SIC packet, one factor per
+    # MB-SIC branch, whatever M is: a per-stage factorization would count M
+    for n_rx, n_streams in ((16, 8), (128, 32)):
+        gram, y = matched(random_channel(rng, n_rx, n_streams), random_channel(rng, n_rx, 30))
+        calls = counting_factorizations(monkeypatch)
+        for ordering in ("norm", "sinr", list(range(n_streams))[::-1]):
+            m.sic_detect(gram, y, ordering, design, 1.0, 0.1)
+            # zf's sinr keys invert the mmse Gram matrix on their own
+            keys = ["inv"] if ordering == "sinr" and design == "zf" else []
+            assert sorted(calls) == sorted(check + ["inv"] + keys + ["cholesky"]), ordering
+            calls.clear()
+        for branches in (1, 4):
+            m.mb_sic_detect(gram, y, branches, design, 1.0, 0.1)
+            assert sorted(calls) == sorted(check + ["inv"] + ["cholesky"] * branches)
+            calls.clear()
+        monkeypatch.undo()
+
+
+SINGULAR_SIC = {
+    # rank one with a noise variance below the roundoff of A: the
+    # regularised Gram matrix itself is singular
+    "inverse": (np.array([[1, 1], [2, 2]], dtype=complex), 1e-20),
+    # three streams on two antennas: the inverse exists, but rounding has
+    # left it indefinite, so its Cholesky factor does not
+    "factor": (np.array([[1, 2, 3], [2, 4, 6]], dtype=complex), 1e-13),
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR_SIC)
+def test_failed_sic_factorization_names_itself(case):
+    chan, nv = SINGULAR_SIC[case]
+    gram, y = matched(chan, np.ones((2, 3), dtype=complex))
+    n_streams = chan.shape[1]
+    for detect in (lambda: m.sic_detect(gram, y, "norm", "mmse", 1.0, nv),
+                   lambda: m.mb_sic_detect(gram, y, n_streams, "mmse", 1.0, nv)):
+        with pytest.raises(SingularMatrixError, match=f"mmse .*M = {n_streams} streams"):
+            detect()
+
+
+def test_failed_sic_factorization_marks_its_point(monkeypatch):
+    # through the sweep, the named failure is a marked row, not a traceback
+    chan, nv = SINGULAR_SIC["factor"]
+    chan = np.vstack([chan, np.zeros(3)])  # a silent third antenna: the same A
+    monkeypatch.setattr(harness, "_draw_trial_channel", lambda *args: chan)
+    monkeypatch.setattr(harness, "trial_noise_variance", lambda *args: nv)
+    spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=3), detector="sic",
+                          snr_db=(4.0, 12.0), packets=2, packet_symbols=20).validate()
+    result = m.run_sweep(spec)
+    assert all(row.failed for row in result.rows)
+    assert result.failures[4.0].startswith("SingularMatrixError: mmse SIC: ")
+    assert "M = 3 streams" in result.failures[4.0]
 
 
 @pytest.mark.parametrize("design", ["rmf", "zf", "mmse"])

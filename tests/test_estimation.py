@@ -1,5 +1,7 @@
 """Adaptive estimation tests: LS/RLS/LMS trackers, projections, filter banks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,21 @@ def test_lms_block_update_equals_single_updates(rng):
 
 
 def test_lms_channel_step_size_warning():
-    with pytest.warns(ParameterWarning):
-        m.LmsChannelEstimator(4, 8, mu=0.6)  # 2 / tr(R) = 0.5
+    # the bound 2 / tr(R) = 2 / (M E_s) is the config's to flag, before the
+    # sweep: validation warns from the bound on, and the tracker is quiet
+    def lms(mu, symbol_power=1.0):
+        system = m.SystemConfig(n_users=4, n_bs=8, symbol_power=symbol_power)
+        return m.ScenarioSpec(system=system, estimator="lms", pilot_len=20, step_size=mu)
+
+    for mu in (0.6, 0.5):  # 2 / tr(R) = 0.5
+        with pytest.warns(ParameterWarning, match=r"2 / tr\(R\) = 0\.5;"):
+            lms(mu).validate()
+    with pytest.warns(ParameterWarning, match=r"2 / tr\(R\) = 0\.25;"):
+        lms(0.3, symbol_power=2.0).validate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ParameterWarning)
+        lms(0.49).validate()
+        m.LmsChannelEstimator(4, 8, mu=0.6)
 
 
 # -- per-sample oracles for the receive-filter banks ------------------------
@@ -537,7 +552,7 @@ def _complex(rng, *shape):
 def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
     # the stacked LMS and JIO steps and the stacked bank statistics rely on
     # numpy computing each item of a stacked product as the product of that
-    # item alone (one BLAS call per item, the same einsum loop order); a
+    # item alone (one BLAS call per item, the same einsum or vecdot loop); a
     # numpy or BLAS that rounds otherwise fails here, not as a moved CSV
     n_pkt, n_streams, n_pilot_streams, n_samples = 3, 4, 3, 7
     p_full = _complex(rng, n_pkt, n_dim, n_dim)
@@ -546,64 +561,75 @@ def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
     block = _complex(rng, n_pkt, n_dim, n_samples)
     columns = _complex(rng, n_pkt, n_dim, n_streams * rank)
     basis = _complex(rng, n_pkt, n_streams, n_dim, rank)
-    p_bar = _complex(rng, n_pkt, n_streams, rank, rank)
-    r_bar, w_bar = _complex(rng, n_pkt, n_streams, rank), _complex(rng, n_pkt, n_streams, rank)
+    w_bar = _complex(rng, n_pkt, n_streams, rank)
     corr = np.eye(n_dim) + block @ np.swapaxes(block.conj(), -1, -2)
     # a JIO block: samples sliced from a longer run, their Z = P R, the
-    # Cholesky factor of R^H Z + diag, F^H = L^-1 Z^H, and basis-step rows
+    # Cholesky factor of R^H Z + diag, F = Z L^-H, the coefficient rows
+    # and [R^H C; rows] terms of the samples' projections, and a step's
+    # short-filter products: x S, the real dot of parts, and u [u^H, v_D]
     run = _complex(rng, n_pkt, n_dim, 3 * n_samples)
     samples = run[..., n_samples:2 * n_samples]
     z = p_full @ np.swapaxes(p_full.conj(), -1, -2) @ samples
     gram = np.swapaxes(samples.conj(), -1, -2) @ z + 0.5 * np.eye(n_samples)
     chol = np.linalg.cholesky(gram)
-    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real
-    f_h = np.linalg.solve(chol, np.swapaxes(z.conj(), -1, -2))
-    rows = _complex(rng, n_pkt, n_samples, n_streams * rank)
+    f = z @ np.linalg.inv(np.swapaxes(chol.conj(), -1, -2))
+    coeff = _complex(rng, n_pkt, n_samples, 2 * n_samples)
+    terms = _complex(rng, n_pkt, 2 * n_samples, n_streams * rank)
+    x, short = _complex(rng, n_pkt, n_streams, 1, rank), _complex(rng, n_pkt, n_streams, rank,
+                                                                  rank + 1)
+    v = _complex(rng, n_pkt, n_streams, 1, rank + 1)
     j = n_samples // 2
 
-    def jio_block(p_full, samples, z, gram, chol, pivots, f_h, rows):
-        f = np.swapaxes(f_h.conj(), -1, -2)
+    def jio_block(p_full, samples, z, gram, chol, f, columns, coeff, terms, x, short, v):
+        f_h = np.swapaxes(f.conj(), -1, -2)
+        r_h = np.swapaxes(samples.conj(), -1, -2)
+        u = np.swapaxes(v[..., :-1], -1, -2).conj()
         return {
             "P R": p_full @ samples,
-            "R^H Z": np.swapaxes(samples.conj(), -1, -2) @ z,
+            "R^H Z": r_h @ z,
+            "R^H C": r_h @ columns,
             "chol": np.linalg.cholesky(gram),
-            "L^-1 Z^H": np.linalg.solve(chol, np.swapaxes(z.conj(), -1, -2)),
+            "Z L^-H": z @ np.linalg.inv(np.swapaxes(chol.conj(), -1, -2)),
             "F F^H": f @ f_h,
-            "L_j rows": ((chol / pivots[..., None, :])[..., j:j + 1, :j]
-                         @ rows[..., :j, :])[..., 0, :],
-            "F rows": f @ (rows / pivots[..., None]),
+            "coeff_j terms": coeff[..., j:j + 1, :] @ terms,
+            "F terms": f @ terms[..., :n_samples, :],
+            "x S": x @ short,
+            "x . y": np.vecdot(x[..., 0, :].view(float), (x @ short)[..., 0, :-1].view(float)),
+            "u v": u @ v,
         }
 
     stacked = {
-        **jio_block(p_full, samples, z, gram, chol, pivots, f_h, rows),
+        **jio_block(p_full, samples, z, gram, chol, f, columns, coeff, terms, x, short, v),
         "G s": (est @ s[..., None])[..., 0],
         "R R^H": block @ np.swapaxes(block.conj(), -1, -2),
         "inv": np.linalg.inv(corr),
-        "r^H T": (r.conj()[..., None, :] @ columns)[..., 0, :],
-        "P_bar r_bar": (p_bar @ r_bar[..., None])[..., 0],
-        "r_bar^H w": np.einsum('...kd,...kd->...k', r_bar, w_bar),
-        "|w|^2": np.einsum('...i,...i->...', w_bar.view(float), w_bar.view(float)),
         "g p^H": r[..., :, None] * pf.conj()[..., None, :],
-        "g_bar p_bar^H": r_bar[..., :, None] * w_bar.conj()[..., None, :],
         "T w": np.einsum('...knd,...kd->...nk', basis, w_bar),
     }
     for i in range(n_pkt):
         alone = {
-            **jio_block(p_full[i], run[i][:, n_samples:2 * n_samples], z[i], gram[i],
-                        chol[i], pivots[i], f_h[i], rows[i]),
+            **jio_block(p_full[i], run[i][:, n_samples:2 * n_samples], z[i], gram[i], chol[i],
+                        f[i], columns[i], coeff[i], terms[i], x[i], short[i], v[i]),
             "G s": est[i] @ s[i],
             "R R^H": block[i] @ block[i].conj().T,
             "inv": np.linalg.inv(corr[i]),
-            "r^H T": (r[i].conj()[None, :] @ columns[i])[0],
-            "P_bar r_bar": (p_bar[i] @ r_bar[i][..., None])[..., 0],
-            "r_bar^H w": np.einsum('kd,kd->k', r_bar[i], w_bar[i]),
-            "|w|^2": np.einsum('...i,...i->...', w_bar[i].view(float), w_bar[i].view(float)),
             "g p^H": np.outer(r[i], pf[i].conj()),
-            "g_bar p_bar^H": r_bar[i][:, :, None] * w_bar[i].conj()[:, None, :],
             "T w": np.einsum('knd,kd->nk', basis[i], w_bar[i]),
         }
         for name, value in alone.items():
             assert same_bytes(stacked[name][i], value), (name, i)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5, 8])
+def test_numpy_outer_product_is_hermitian_entry_by_entry(rng, rank):
+    # JIO's short-filter downdate keeps p_bar exactly Hermitian only if the
+    # product ``u [u^H, c]`` rounds entry (i, j) of ``u u^H`` as the
+    # conjugate of entry (j, i): numpy's matmul does, while a fused
+    # multiply-add, as in its broadcasting complex multiply, need not
+    v = _complex(rng, 3, 8, 1, rank + 1) * 10.0 ** rng.uniform(-8, 8, size=(3, 8, 1, 1))
+    u = np.ascontiguousarray(np.swapaxes(v[..., :-1], -1, -2).conj())
+    outer = (u @ v)[..., :rank]
+    assert np.array_equal(outer, np.conj(np.swapaxes(outer, -1, -2)))
 
 
 def _packet_blocks(rng, n_pkt, n_dim, n_streams, n):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import conftest
 import mumimo as m
 from conftest import filter_training_experiment
 from mumimo import cli, detectors, harness, idd
-from mumimo.errors import ConfigError, NumericalError
+from mumimo.errors import ConfigError, NumericalError, ParameterWarning
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -548,6 +549,41 @@ def test_jio_short_forgetting_window_fails_its_point_naming_the_regime():
     assert message.startswith("NumericalError: ")
     for part in ("lambda = 0.7", "1/(1 - lambda) = 3.33", "N_A = 64"):
         assert part in message
+
+
+def _regime_warnings(**overrides):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m.ScenarioSpec(**overrides).validate()
+    return [str(w.message) for w in caught if issubclass(w.category, ParameterWarning)]
+
+
+@pytest.mark.parametrize("estimator, n_bs, lam, warns", [
+    # rr-*: the window against N_A = 64
+    ("rr-jio", 64, 0.9, True), ("rr-jio", 64, 0.99, False), ("rr-krylov", 64, 0.98, True),
+    ("rr-pc", 64, 0.985, False), ("rr-jio", 64, 1.0, False),
+    ("rr-jio", 64, 1 - 1 / 64, False),  # a window of exactly N_A
+    # rls: against M = 8 streams, whatever N_A is
+    ("rls", 64, 0.8, True), ("rls", 16, 0.9, False), ("rls", 16, 0.875, False),
+    # the other estimators have no forgetting window to check
+    ("ls", 16, 0.5, False), ("lms", 16, 0.5, False), ("perfect", 16, 0.5, False),
+])
+def test_validate_warns_forgetting_window_below_dimension(estimator, n_bs, lam, warns):
+    dimension = n_bs if estimator.startswith("rr-") else 8
+    found = _regime_warnings(system=m.SystemConfig(n_users=8, n_bs=n_bs), estimator=estimator,
+                             pilot_len=300, forgetting=lam)
+    window = f"1/(1 - lambda) = {1.0 / (1.0 - lam):.3g} samples" if lam < 1.0 else ""
+    assert found == ([f"estimator {estimator!r}: lambda = {lam} keeps a window of {window}, "
+                      f"fewer than the {dimension} dimensions it regresses on"]
+                     if warns else [])
+
+
+@pytest.mark.parametrize("estimator", ["rr-pc", "rr-krylov", "rr-jio"])
+def test_validate_warns_fewer_pilots_than_rank(estimator):
+    system = m.SystemConfig(n_users=2, n_bs=16)
+    assert _regime_warnings(system=system, estimator=estimator, rank=5, pilot_len=4) == [
+        f"estimator {estimator!r}: 4 pilots cannot resolve a rank-5 filter"]
+    assert _regime_warnings(system=system, estimator=estimator, rank=5, pilot_len=5) == []
 
 
 def test_cli_linalg_failure_still_writes_csv(tmp_path, monkeypatch):
