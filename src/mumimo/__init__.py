@@ -17,7 +17,7 @@ from .channel import (LargeScaleDraw, compose_channel, correlation_matrix,
 from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
                       channel_transmit, coded_payload_length, conv_encode,
                       deinterleave, interleave, labels_to_bits,
-                      qpsk_constellation, qpsk_map, qpsk_slice_labels,
+                      matched_transmit, qpsk_constellation, qpsk_map, qpsk_slice_labels,
                       trellis_tables)
 from .detectors import (compute_ordering, compute_receive_filter, df_detect,
                         linear_detect, mb_sic_detect, ml_detect_oracle,
@@ -43,7 +43,7 @@ __all__ = [
     "snr_to_noise_variance",
     "SymbolFrame", "TrellisSpec", "assemble_frame", "channel_transmit",
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
-    "labels_to_bits", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",
+    "labels_to_bits", "matched_transmit", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",
     "trellis_tables",
     "compute_ordering", "compute_receive_filter", "df_detect",
     "linear_detect", "mb_sic_detect", "ml_detect_oracle", "sic_detect",

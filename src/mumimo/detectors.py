@@ -4,10 +4,10 @@ multi-branch SIC, decision feedback and the ML oracle.
 A block of T received vectors ``r`` (N_A, T) that share one channel G (N_A,
 M) reaches the detectors as its sufficient statistic (Verdú, *Multiuser
 Detection*, 1998, ch. 2): the Gram matrix ``A = G^H G`` (M, M) and the
-matched-filter outputs ``y = G^H r`` (M, T).  The harness forms both once
-per packet, so no detector sees the N_A receive antennas.  Every detector
-returns the decided QPSK labels (M, T) and builds its points from
-``symbol_power``.
+matched-filter outputs ``y = G^H r`` (M, T).  The harness draws both for
+each packet (``txchain.matched_transmit``), so no detector sees the N_A
+receive antennas.  Every detector returns the decided QPSK labels (M, T)
+and builds its points from ``symbol_power``.
 """
 
 import numpy as np

@@ -31,7 +31,7 @@ from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, ls_channel_estimate)
 from .idd import idd_receive
 from .txchain import (TrellisSpec, assemble_frame, channel_transmit,
-                      coded_payload_length, labels_to_bits)
+                      coded_payload_length, labels_to_bits, matched_transmit)
 
 DETECTORS = ("rmf", "zf", "mmse", "sic", "mb-sic", "df-s", "df-p", "ml")
 ESTIMATORS = ("perfect", "ls", "rls", "lms", "rr-pc", "rr-krylov", "rr-jio")
@@ -45,8 +45,9 @@ MAX_SNR_POINTS = 1000
 
 #: most streams (packets x streams per packet) one trial block trains and
 #: decodes together.  It bounds the coded decode's (P, M, T) stacks to 24
-#: streams; it does not bound the draw phase, which holds each packet's
-#: (N_A, T) received block until the matched filter replaces it
+#: streams.  A packet's data is drawn straight into its (M, T) statistic,
+#: so what a block holds at the N_A antennas is its packets' (N_A, M)
+#: channels and front ends and the pilot blocks its training reads
 MAX_BLOCK_STREAMS = 24
 
 #: a comment starts a line or follows whitespace
@@ -446,47 +447,40 @@ def _hard_detect(spec: ScenarioSpec, gram, matched, noise_var):
 
 def _draw_packet(spec: ScenarioSpec, snr_index: int, trial_index: int,
                  noise_var: float):
-    """Draw one packet from its own substreams: its true channel, its frame
-    and the received block of pilots and data."""
+    """Draw one packet from its own substreams: its true channel, its frame,
+    its received pilots and its noise generator, left where the pilots end."""
     chan = _draw_trial_channel(spec.system, spec.seed, snr_index, trial_index)
     frame = _build_trial_frame(spec, snr_index, trial_index)
-    received = channel_transmit(
-        chan, frame.symbols(), noise_var,
-        rngmod.substream(spec.seed, snr_index, trial_index, rngmod.NOISE))
-    return chan, frame, received
+    noise = rngmod.substream(spec.seed, snr_index, trial_index, rngmod.NOISE)
+    return chan, frame, channel_transmit(chan, frame.pilots, noise_var, noise), noise
 
 
 def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
                    noise_var: float):
-    """Draw the packets of ``block`` and train their receivers in one call.
+    """Draw the packets of ``block``, train their receivers in one call and
+    draw each packet's data as its receiver's front end sees it.
 
-    Returns the frames, the received data blocks and, per packet, what its
-    detector works from: the true channel, the estimated one or the
-    trained receive filters.
+    The front end F is the true channel, the estimated one or the trained
+    receive filters.  Returns the frames and, per packet, the statistic
+    ``(A, y)`` of :func:`matched_transmit`; nothing of the data is drawn at
+    the N_A antennas.
     """
-    chans, frames, received = zip(*(_draw_packet(spec, snr_index, t, noise_var)
-                                    for t in block))
-    n_pilots = frames[0].n_pilots
+    chans, frames, rx_pilots, noises = zip(*(_draw_packet(spec, snr_index, t, noise_var)
+                                             for t in block))
+    fronts = chans
     if spec.estimator != "perfect":
-        chans = _train(spec, [f.pilots for f in frames],
-                       [r[:, :n_pilots] for r in received])
-    return frames, [r[:, n_pilots:] for r in received], chans
+        fronts = _train(spec, [f.pilots for f in frames], rx_pilots)
+    return frames, [matched_transmit(front, chan, frame.data_symbols, noise_var, noise)
+                    for front, chan, frame, noise in zip(fronts, chans, frames, noises)]
 
 
-def _matched_filter(chan, rx_data):
-    """A packet's front end: the statistic ``(G^H G, G^H r)`` that every
-    channel-based receiver takes, for its true or estimated channel G."""
-    adjoint = chan.conj().T
-    return adjoint @ chan, adjoint @ rx_data
-
-
-def _detect_uncoded(spec: ScenarioSpec, frame, rx_data, chan_or_filters,
-                    noise_var: float) -> TrialResult:
+def _detect_uncoded(spec: ScenarioSpec, frame, stats, noise_var: float) -> TrialResult:
+    gram, matched = stats
     if spec.estimator.startswith("rr-"):
         # the rmf case of the trained bank W: slice its outputs W^H r
-        labels = linear_detect(None, chan_or_filters.conj().T @ rx_data)
+        labels = linear_detect(None, matched)
     else:
-        labels = _hard_detect(spec, *_matched_filter(chan_or_filters, rx_data), noise_var)
+        labels = _hard_detect(spec, gram, matched, noise_var)
     decided = labels_to_bits(labels)
     reference = frame.channel_bits.reshape(decided.shape)
     return TrialResult(bits=reference.size, errors=int(np.sum(decided != reference)))
@@ -496,12 +490,12 @@ def _decode_coded(spec: ScenarioSpec, snr_index: int, block: range,
                   noise_var: float) -> list:
     """Draw the coded packets of ``block`` and decode them in one
     :func:`idd_receive` call on their stacked matched-filter statistics."""
-    frames, rx_data, chans = _receive_block(spec, snr_index, block, noise_var)
+    frames, stats = _receive_block(spec, snr_index, block, noise_var)
     info_bits = [f.info_bits for f in frames]
     perms = np.stack([f.perms for f in frames])
-    grams, matched = map(np.stack, zip(*map(_matched_filter, chans, rx_data)))
-    # the (M, T) stacks replace the (N_A, T) received blocks for the decode
-    del frames, rx_data, chans
+    grams, matched = map(np.stack, zip(*stats))
+    # the stacks are the decode's only copy of the statistics
+    del frames, stats
     result = idd_receive(grams, matched, noise_var, perms,
                          symbol_power=spec.system.symbol_power,
                          n_outer=spec.idd_iterations)

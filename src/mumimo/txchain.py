@@ -11,11 +11,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import matrix_sqrt
 from .config import SystemConfig
 from .errors import ParameterError, StructuralError
 
 LLR_CLIP = 50.0  # feedback log-likelihood ratios are clipped to +/- this
-_NOISE_SLAB_ROWS = 16  # receive rows of AWGN drawn per generator call
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,8 @@ def labels_to_bits(labels) -> np.ndarray:
 class SymbolFrame:
     """Everything one trial transmits, per stream.
 
-    ``data_symbols`` has shape (M, P) for M = K * N_U streams; pilots, if
-    any, are prepended on the air interface (see :meth:`symbols`).
+    ``data_symbols`` has shape (M, P) for M = K * N_U streams; ``pilots``
+    (M, N_p), if any, precede them on the air interface.
     ``channel_bits`` holds the bits in transmitted symbol order, which for
     coded frames is the interleaved code stream.
     """
@@ -195,14 +195,6 @@ class SymbolFrame:
     data_symbols: np.ndarray
     coded_bits: np.ndarray = None
     perms: np.ndarray = None
-
-    @property
-    def n_pilots(self) -> int:
-        return self.pilots.shape[1]
-
-    def symbols(self) -> np.ndarray:
-        """Pilot symbols followed by data symbols, shape (M, N_p + P)."""
-        return np.concatenate([self.pilots, self.data_symbols], axis=1)
 
 
 def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int,
@@ -269,11 +261,11 @@ def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
                      rng: np.random.Generator) -> np.ndarray:
     """Pass stacked stream symbols through the channel and add CN(0, noise_var).
 
-    ``chan`` is (N_A, M), ``symbols`` (M, T); the result is (N_A, T) and
-    always complex.  The noise is drawn into one reused slab of
-    ``_NOISE_SLAB_ROWS`` rows at a time, every real part before any
-    imaginary part: the same normals, in the same generator order, as two
-    ``standard_normal((N_A, T))`` calls, without their (2, N_A, T) buffer.
+    ``chan`` is (N_A, M), ``symbols`` (M, n); the result is (N_A, n) and
+    always complex.  The noise is one ``standard_normal((2, N_A, n))``
+    draw, every real part before any imaginary part.  The harness sends a
+    packet's pilots through here, because estimators read them at the
+    antennas; its data is drawn by :func:`matched_transmit`.
     """
     chan = np.asarray(chan)
     symbols = np.asarray(symbols)
@@ -285,13 +277,61 @@ def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
     out = (chan @ symbols).astype(complex, copy=False)
     if noise_var == 0.0:
         return out
-    scale = np.sqrt(noise_var / 2.0)
-    n_rows = out.shape[0]
-    slab = np.empty((min(_NOISE_SLAB_ROWS, n_rows), out.shape[1]))
-    for part in (out.real, out.imag):
-        for lo in range(0, n_rows, _NOISE_SLAB_ROWS):
-            noise = slab[:n_rows - lo]
-            rng.standard_normal(out=noise)
-            noise *= scale
-            part[lo:lo + len(noise)] += noise
+    noise = rng.standard_normal((2,) + out.shape)
+    noise *= np.sqrt(noise_var / 2.0)
+    out.real += noise[0]
+    out.imag += noise[1]
     return out
+
+
+def gram_root(gram: np.ndarray) -> np.ndarray:
+    """A factor L with ``L L^H = gram`` for a Gram matrix ``F^H F``.
+
+    The Cholesky factor, unless F is rank deficient (LMS trained on fewer
+    pilots than streams, say): then the factorization raises, or leaves a
+    pivot ``l_ii^2`` within its own backward error ``gamma_{M+1} a_ii``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3),
+    a zero that rounding left positive.  Either way the Hermitian square
+    root of :func:`channel.matrix_sqrt` stands in, so two front ends equal
+    to rounding get the same kind of factor.
+    """
+    try:
+        root = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return matrix_sqrt(gram)
+    floor = (len(gram) + 1) * np.finfo(float).eps * np.diagonal(gram).real
+    if np.all(np.diagonal(root).real ** 2 > floor):
+        return root
+    return matrix_sqrt(gram)
+
+
+def matched_transmit(front: np.ndarray, chan: np.ndarray, symbols: np.ndarray,
+                     noise_var: float, rng: np.random.Generator):
+    """Draw a block of data as the front end ``front`` sees it.
+
+    A receive front end F (N_A, M) reduces ``r = G s + n``, with n white
+    CN(0, noise_var) at the N_A antennas, to ``A = F^H F`` and
+    ``y = F^H r = F^H G s + F^H n``.  ``F^H n`` is CN(0, noise_var A), so
+    it is drawn as ``sqrt(noise_var) L w`` with ``L L^H = A``
+    (:func:`gram_root`) and w ~ CN(0, I) of shape (M, T): M x T normals
+    instead of N_A x T, with the statistic's exact distribution.  w takes
+    its real and imaginary parts interleaved from one
+    ``standard_normal((M, 2 T))`` draw.  ``chan`` is the true G (N_A, M)
+    and ``symbols`` (M, T).  Returns ``(A, y)``; y is always complex.
+    """
+    front, chan, symbols = np.asarray(front), np.asarray(chan), np.asarray(symbols)
+    if front.shape != chan.shape or chan.shape[1] != symbols.shape[0]:
+        raise StructuralError(
+            f"front end {front.shape} and channel {chan.shape} must match, with "
+            f"one symbol row per stream, got {symbols.shape[0]}")
+    if noise_var < 0.0:
+        raise ParameterError("noise_var must be >= 0")
+    adjoint = front.conj().T
+    gram = adjoint @ front
+    cross = gram if front is chan else adjoint @ chan
+    matched = (cross @ symbols).astype(complex, copy=False)
+    if noise_var == 0.0:
+        return gram, matched
+    white = rng.standard_normal((len(gram), 2 * matched.shape[1])).view(complex)
+    matched += (np.sqrt(noise_var / 2.0) * gram_root(gram)) @ white
+    return gram, matched

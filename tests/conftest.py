@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mumimo as m
+from mumimo import harness
 from mumimo import rng as rngmod
 from mumimo.errors import ConfigError
 from mumimo.estimation import DEFAULT_DELTA, _hermitize
@@ -31,6 +32,34 @@ def matched(chan, r):
     """The matched-filter statistic ``(G^H G, G^H r)`` every detector takes."""
     adjoint = np.asarray(chan, dtype=complex).conj().T
     return adjoint @ chan, adjoint @ r
+
+
+def antenna_domain_receive_block(spec, snr_index, block, noise_var, seen=None):
+    """The draw that ``harness._receive_block`` replaced, kept as its oracle.
+
+    Each packet's whole frame, pilots and data, goes through
+    ``channel_transmit`` at the N_A antennas from the packet's noise
+    substream; the block trains on the received pilots, and each front end
+    F (true channel, estimate or trained filters) reduces the received data
+    r to ``matched(F, r)``.  Returns the frames and the ``(A, y)`` per
+    packet, as ``_receive_block`` does; ``seen``, if given, collects each
+    packet's ``(F, r)``.
+    """
+    chans = [_draw_trial_channel(spec.system, spec.seed, snr_index, t) for t in block]
+    frames = [harness._build_trial_frame(spec, snr_index, t) for t in block]
+    received = [channel_transmit(chan, np.concatenate([f.pilots, f.data_symbols], axis=1),
+                                 noise_var,
+                                 rngmod.substream(spec.seed, snr_index, t, rngmod.NOISE))
+                for chan, f, t in zip(chans, frames, block)]
+    n_pilots = spec.pilot_len
+    fronts = chans
+    if spec.estimator != "perfect":
+        fronts = harness._train(spec, [f.pilots for f in frames],
+                                [r[:, :n_pilots] for r in received])
+    data = [r[:, n_pilots:] for r in received]
+    if seen is not None:
+        seen.extend(zip(fronts, data))
+    return frames, [matched(front, r) for front, r in zip(fronts, data)]
 
 
 def reference_encode(bits, generators=(0b111, 0b101), memory=2):

@@ -5,13 +5,14 @@ The detectors take the matched-filter statistic ``(A, y) = (G^H G, G^H r)``
 antenna domain from ``G`` and ``r``.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import matched, random_channel, same_bytes
+from conftest import antenna_domain_receive_block, matched, random_channel, same_bytes
 from mumimo import detectors, harness
 from mumimo.detectors import ORDERING_CRITERIA
 from mumimo.errors import (CapacityError, ParameterError, SingularMatrixError,
@@ -615,25 +616,22 @@ def test_sic_sweep_csv_matches_per_stage_oracle(monkeypatch, detector, extra):
         system=m.SystemConfig(n_users=4, n_bs=4, n_heads=4, antennas_per_head=1),
         detector=detector, snr_db=(0.0, 6.0, 12.0), packets=3, packet_symbols=200,
         seed=21, **extra).validate()
+    # the oracles work from the packet's channel and received block, so
+    # both runs draw the data at the antennas; a packet is known by its A
+    packets = []
+    monkeypatch.setattr(harness, "_receive_block",
+                        functools.partial(antenna_domain_receive_block, seen=packets))
     fast = m.run_sweep(spec)
     assert all(row.errors > 0 for row in fast.rows)
-    # the oracles work from the packet's channel and received block, which
-    # the harness reduces to (A, y) before it calls a detector
-    packet = {}
-    detect_uncoded = harness._detect_uncoded
-
-    def remember(spec, frame, rx_data, chan, noise_var):
-        packet.update(chan=chan, r=rx_data)
-        return detect_uncoded(spec, frame, rx_data, chan, noise_var)
 
     def in_antenna_domain(oracle):
         def detect(gram, y, *args):
-            want = matched(packet["chan"], packet["r"])
-            assert same_bytes(gram, want[0]) and same_bytes(y, want[1])
-            return oracle(packet["chan"], packet["r"], *args)
+            chan, r = next((chan, r) for chan, r in packets
+                           if same_bytes(matched(chan, r)[0], gram))
+            assert same_bytes(matched(chan, r)[1], y)
+            return oracle(chan, r, *args)
         return detect
 
-    monkeypatch.setattr(harness, "_detect_uncoded", remember)
     monkeypatch.setattr(harness, "sic_detect", in_antenna_domain(reference_sic_detect))
     monkeypatch.setattr(harness, "mb_sic_detect", in_antenna_domain(
         lambda *args: reference_mb_sic_detect(*args)[0]))

@@ -4,7 +4,11 @@ The set holds every spec of the benchmark's three spec sets (built by
 ``perfbench/workloads.build_specs`` at 2 packets, seed 17) and the sweeps
 that pin the exact behaviour of the SIC family, estimated-channel IDD and
 LMS and JIO training, in blocks of several packets and of one.  A change
-that moves a CSV fails here by name.  The hashes
+that moves a CSV fails here by name.  A second table holds the same sweeps
+with each packet's data drawn at the N_A antennas by the test oracle
+(``conftest.antenna_domain_receive_block``); its digests are the ones the
+program gave before it drew the data in the matched domain, so everything
+after the draw still decides as it did then.  The hashes
 hold for one numpy and one BLAS build; any other build skips.
 
 Record the hashes of the current build with::
@@ -21,7 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 import mumimo as m
+from mumimo import harness
 
 _ROOT = Path(__file__).resolve().parent.parent
 _GOLDEN = Path(__file__).resolve().parent / "golden_csv.json"
@@ -76,12 +82,20 @@ def golden_specs():
     return {label: spec.validate() for label, spec in specs.items()}
 
 
+#: each table's data draw
+DRAWS = {"matched": harness._receive_block,
+         "antenna": conftest.antenna_domain_receive_block}
+
+
 def csv_digest(spec):
     return hashlib.sha256(m.format_csv(m.run_sweep(spec)).encode()).hexdigest()
 
 
-def _recorded():
-    return json.loads(_GOLDEN.read_text()).get(build_key())
+def _recorded(draw):
+    recorded = json.loads(_GOLDEN.read_text()).get(build_key())
+    if recorded is None:
+        pytest.skip(f"digests are recorded for other builds, not {build_key()}")
+    return recorded[draw]
 
 
 SPECS = golden_specs()
@@ -89,14 +103,20 @@ SPECS = golden_specs()
 
 @pytest.mark.parametrize("label", SPECS)
 def test_csv_matches_recorded_digest(label):
-    recorded = _recorded()
-    if recorded is None:
-        pytest.skip(f"digests are recorded for other builds, not {build_key()}")
-    assert csv_digest(SPECS[label]) == recorded[label], label
+    assert csv_digest(SPECS[label]) == _recorded("matched")[label], label
+
+
+@pytest.mark.parametrize("label", SPECS)
+def test_antenna_domain_oracle_matches_recorded_digest(monkeypatch, label):
+    monkeypatch.setattr(harness, "_receive_block", DRAWS["antenna"])
+    assert csv_digest(SPECS[label]) == _recorded("antenna")[label], label
 
 
 if __name__ == "__main__":
     table = json.loads(_GOLDEN.read_text()) if _GOLDEN.exists() else {}
-    table[build_key()] = {label: csv_digest(spec) for label, spec in SPECS.items()}
+    table[build_key()] = tables = {}
+    for draw, receive_block in DRAWS.items():
+        harness._receive_block = receive_block
+        tables[draw] = {label: csv_digest(spec) for label, spec in SPECS.items()}
     _GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(SPECS)} digests for {build_key()}", file=sys.stderr)
+    print(f"recorded {len(SPECS)} digests per draw for {build_key()}", file=sys.stderr)

@@ -339,11 +339,21 @@ _RECEIVERS = {"compute_receive_filter": False, "compute_ordering": False,
 
 
 def test_receivers_see_only_the_matched_domain(monkeypatch):
-    # the harness reduces every packet to (A, y) before a receiver runs:
-    # A is (M, M) and y is (M, T), never an array with N_A rows
+    # the harness draws every packet's data as (A, y) before a receiver runs:
+    # A is (M, M) and y is (M, T), never an array with N_A rows, and only
+    # the pilots pass through the antennas
     system = m.SystemConfig(n_users=2, n_bs=6)  # M = 2 streams, N_A = 6 antennas
     n_streams, n_sym = system.n_streams, 100
     calls = collections.Counter()
+    pilot_lens = []
+    transmit = harness.channel_transmit
+
+    def pilots_only(chan, symbols, *args):
+        assert np.shape(symbols) == (n_streams, pilot_lens[-1])
+        calls["channel_transmit"] += 1
+        return transmit(chan, symbols, *args)
+
+    monkeypatch.setattr(harness, "channel_transmit", pilots_only)
 
     def guard(name, fn):
         def receiver(*args, **kwargs):
@@ -363,8 +373,10 @@ def test_receivers_see_only_the_matched_domain(monkeypatch):
     specs += [dict(estimator="rr-krylov", pilot_len=24, rank=2, forgetting=0.998),
               dict(coded=True, idd_iterations=2)]
     for extra in specs:
+        pilot_lens.append(extra.get("pilot_len", 0))
         m.run_sweep(small_spec(system=system, packet_symbols=n_sym, packets=3, branches=2,
                                **extra))
+    assert calls.pop("channel_transmit") == 3 * len(specs)
     assert calls.keys() == _RECEIVERS.keys()
 
 
@@ -540,10 +552,11 @@ def test_sweep_maps_raw_linalg_error_to_failed_point(monkeypatch):
 def test_jio_short_forgetting_window_fails_its_point_naming_the_regime():
     # a window of 1/(1 - 0.7) ~ 3 samples against 64 dimensions: the
     # full-dimension iterate loses positive definiteness mid-training
-    spec = small_spec(system=m.SystemConfig(n_users=8, n_bs=64), detector="mmse",
-                      estimator="rr-jio", pilot_len=300, rank=5, forgetting=0.7,
-                      packet_symbols=20, packets=1, snr_db=(12.0,))
-    result = m.run_sweep(spec)
+    with pytest.warns(ParameterWarning, match="lambda = 0.7"):
+        spec = small_spec(system=m.SystemConfig(n_users=8, n_bs=64), detector="mmse",
+                          estimator="rr-jio", pilot_len=300, rank=5, forgetting=0.7,
+                          packet_symbols=20, packets=1, snr_db=(12.0,))
+        result = m.run_sweep(spec)
     assert result.rows[0].failed
     message = result.failures[12.0]
     assert message.startswith("NumericalError: ")

@@ -1,5 +1,6 @@
 """Iterative receiver tests: soft statistics, soft MMSE, LLRs, BCJR, loop."""
 
+import functools
 import itertools
 import warnings
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import matched, random_channel, reference_encode, same_bytes
+from conftest import (antenna_domain_receive_block, matched, random_channel,
+                      reference_encode, same_bytes)
 from mumimo import harness, idd
 from mumimo.errors import NumericalError, ParameterError, StructuralError
 from mumimo.idd import BcjrResult
@@ -302,17 +304,13 @@ def test_coded_sweep_csv_matches_covariance_inversion_oracle(monkeypatch):
     spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=6), coded=True,
                           idd_iterations=3, packet_symbols=80,
                           snr_db=(2.0, 6.0, 10.0), packets=3, seed=5).validate()
+    # the oracle works from each packet's channel and received block, so
+    # both runs draw the data at the antennas; a packet is known by its A
+    packets = []
+    monkeypatch.setattr(harness, "_receive_block",
+                        functools.partial(antenna_domain_receive_block, seen=packets))
     fast = m.run_sweep(spec)
     assert sum(row.errors for row in fast.rows) > 0
-    # the oracle works from each packet's channel and received block, which
-    # the harness reduces to (A, y) before decoding; a packet is known by A
-    packets = []
-    receive_block = harness._receive_block
-
-    def remember(*args):
-        frames, rx_data, chans = receive_block(*args)
-        packets.extend(zip(chans, rx_data))
-        return frames, rx_data, chans
 
     def in_antenna_domain(gram, y, *args):
         chan, r = next((chan, r) for chan, r in packets
@@ -320,7 +318,6 @@ def test_coded_sweep_csv_matches_covariance_inversion_oracle(monkeypatch):
         assert same_bytes(matched(chan, r)[1], y)
         return reference_soft_mmse_sic_detect(r, chan, *args)
 
-    monkeypatch.setattr(harness, "_receive_block", remember)
     monkeypatch.setattr(idd, "soft_mmse_sic_detect", in_antenna_domain)
     assert m.format_csv(m.run_sweep(spec)) == m.format_csv(fast)
 
@@ -796,8 +793,8 @@ def _received_block(estimator, n_pkt):
                           estimator=estimator, pilot_len=12, packet_symbols=80,
                           snr_db=(6.0,), packets=n_pkt, seed=7).validate()
     nv = harness.trial_noise_variance(spec, 6.0)
-    frames, rx, chans = harness._receive_block(spec, 0, range(n_pkt), nv)
-    grams, ys = zip(*(matched(chan, r) for chan, r in zip(chans, rx)))
+    frames, stats = harness._receive_block(spec, 0, range(n_pkt), nv)
+    grams, ys = zip(*stats)
     return np.stack(grams), np.stack(ys), nv, np.stack([f.perms for f in frames])
 
 

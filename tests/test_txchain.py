@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import reference_encode
+from conftest import random_channel, reference_encode, same_bytes
 from mumimo.errors import ParameterError, StructuralError
+from mumimo.txchain import gram_root
 
 
 def test_encoder_impulse_response():
@@ -146,8 +147,6 @@ def test_assemble_frame_uncoded(rng):
     assert frame.data_symbols.shape == (3, 10)
     np.testing.assert_array_equal(frame.channel_bits, payload)
     np.testing.assert_allclose(frame.data_symbols, m.qpsk_map(payload))
-    assert frame.symbols().shape == (3, 17)
-    np.testing.assert_allclose(frame.symbols()[:, :7], frame.pilots)
     np.testing.assert_allclose(np.abs(frame.pilots) ** 2, cfg.symbol_power)
 
 
@@ -218,7 +217,8 @@ def reference_channel_transmit(chan, symbols, noise_var, rng):
 @pytest.mark.parametrize("n_rx,n_streams,n", [(16, 8, 500), (128, 32, 7), (256, 64, 30),
                                               (17, 4, 33), (130, 8, 9), (3, 2, 5)])
 def test_channel_transmit_equals_out_of_place_noise(kind, n_rx, n_streams, n):
-    # row counts above, below and off a multiple of the noise slab
+    # the pilot and whole-frame shapes of 8x16, 32x128 and 64x256 arrays,
+    # odd row counts and a tiny one
     draw = np.random.default_rng(n_rx)
     chan = draw.standard_normal((n_rx, n_streams))
     sym = m.qpsk_map(draw.integers(0, 2, (n_streams, 2 * n)), 2.0)
@@ -242,3 +242,72 @@ def test_channel_transmit_validates(rng):
         m.channel_transmit(np.zeros((2, 3)), np.zeros((2, 5)), 1.0, rng)
     with pytest.raises(ParameterError):
         m.channel_transmit(np.zeros((2, 2)), np.zeros((2, 5)), -1.0, rng)
+
+
+def _matched_case(rng, n_rx=16, n_streams=4, n=40):
+    chan = random_channel(rng, n_rx, n_streams)
+    front = chan + 0.3 * random_channel(rng, n_rx, n_streams)  # an estimate of it
+    sym = m.qpsk_map(rng.integers(0, 2, (n_streams, 2 * n)))
+    return front, chan, sym
+
+
+@pytest.mark.parametrize("is_chan", [False, True], ids=["estimate", "perfect"])
+def test_matched_transmit_noiseless_is_the_clean_statistic(rng, is_chan):
+    front, chan, sym = _matched_case(rng)
+    if is_chan:
+        front = chan
+    state = rng.bit_generator.state
+    gram, y = m.matched_transmit(front, chan, sym, 0.0, rng)
+    adjoint = front.conj().T
+    assert same_bytes(gram, adjoint @ front)
+    assert same_bytes(y, (adjoint @ chan) @ sym)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+def test_matched_transmit_draws_root_times_white_noise():
+    front, chan, sym = _matched_case(np.random.default_rng(3))
+    got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    gram, y = m.matched_transmit(front, chan, sym, 0.37, got_rng)
+    # w ~ CN(0, I): real and imaginary parts interleaved in one (M, 2T) draw
+    normals = ref_rng.standard_normal((4, 80))
+    white = (normals[:, 0::2] + 1j * normals[:, 1::2]) / np.sqrt(2.0)
+    noise = np.sqrt(0.37) * np.linalg.cholesky(gram) @ white
+    clean = front.conj().T @ chan @ sym
+    np.testing.assert_allclose(y - clean, noise, rtol=0, atol=1e-13)
+    assert got_rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_matched_transmit_noise_covariance_is_noise_var_times_gram():
+    # F^H n for white CN(0, noise_var) n at the antennas has covariance
+    # noise_var F^H F; over T columns the sample covariance has standard
+    # error about noise_var |A_ij| / sqrt(T) per entry
+    rng = np.random.default_rng(11)
+    front, chan, _ = _matched_case(rng, n_rx=6, n_streams=3)
+    n = 200_000
+    gram, y = m.matched_transmit(front, chan, np.zeros((3, n)), 2.5, rng)
+    sample = y @ y.conj().T / n
+    scale = 2.5 * np.sqrt(np.outer(np.diag(gram).real, np.diag(gram).real))
+    assert np.max(np.abs(sample - 2.5 * gram) / scale) < 6.0 / np.sqrt(n)
+
+
+def test_gram_root_falls_back_to_the_hermitian_root_when_rank_deficient(rng):
+    full = random_channel(rng, 8, 3)
+    gram = full.conj().T @ full
+    assert same_bytes(gram_root(gram), np.linalg.cholesky(gram))
+    # a repeated column: Cholesky raises or keeps a pivot at rounding level
+    deficient = full[:, [0, 1, 0]]
+    gram = deficient.conj().T @ deficient
+    root = gram_root(gram)
+    assert same_bytes(root, m.matrix_sqrt(gram))
+    np.testing.assert_allclose(root @ root.conj().T, gram, rtol=0,
+                               atol=1e-12 * np.max(np.abs(gram)))
+
+
+def test_matched_transmit_validates(rng):
+    front, chan, sym = _matched_case(rng)
+    with pytest.raises(StructuralError):
+        m.matched_transmit(front[:, :3], chan, sym, 1.0, rng)
+    with pytest.raises(StructuralError):
+        m.matched_transmit(front, chan, sym[:3], 1.0, rng)
+    with pytest.raises(ParameterError):
+        m.matched_transmit(front, chan, sym, -1.0, rng)
