@@ -12,8 +12,7 @@ from .errors import (CapacityError, ConfigError, NumericalError,
                      ParameterError, ParameterWarning, RankError,
                      SingularMatrixError, StructuralError)
 from .channel import (LargeScaleDraw, compose_channel, correlation_matrix,
-                      draw_large_scale, draw_small_scale, matrix_sqrt,
-                      snr_to_noise_variance)
+                      draw_large_scale, draw_small_scale, matrix_sqrt)
 from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
                       channel_transmit, coded_payload_length, conv_encode,
                       deinterleave, interleave, labels_to_bits,
@@ -26,7 +25,7 @@ from .idd import (BcjrResult, IddResult, bcjr_decode, extrinsic_llr,
                   idd_receive, soft_mmse_sic_detect, soft_symbol_stats)
 from .estimation import (JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, RlsChannelEstimator,
-                         build_projection, ls_channel_estimate)
+                         build_projection)
 from .harness import (ScenarioSpec, SweepResult, SweepRow, TrialResult,
                       confidence_interval, format_csv, mean_gamma_sq,
                       parse_config, parse_snr_spec, run_sweep, run_trial,
@@ -40,7 +39,6 @@ __all__ = [
     "ParameterWarning", "RankError", "SingularMatrixError", "StructuralError",
     "LargeScaleDraw", "compose_channel", "correlation_matrix",
     "draw_large_scale", "draw_small_scale", "matrix_sqrt",
-    "snr_to_noise_variance",
     "SymbolFrame", "TrellisSpec", "assemble_frame", "channel_transmit",
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
     "labels_to_bits", "matched_transmit", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",
@@ -50,7 +48,7 @@ __all__ = [
     "BcjrResult", "IddResult", "bcjr_decode", "extrinsic_llr", "idd_receive",
     "soft_mmse_sic_detect", "soft_symbol_stats",
     "JioFilterBank", "LmsChannelEstimator", "ReducedRankFilterBank",
-    "RlsChannelEstimator", "build_projection", "ls_channel_estimate",
+    "RlsChannelEstimator", "build_projection",
     "ScenarioSpec", "SweepResult", "SweepRow", "TrialResult",
     "confidence_interval", "format_csv", "mean_gamma_sq", "parse_config",
     "parse_snr_spec", "run_sweep", "run_trial", "serialize_config",

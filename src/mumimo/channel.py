@@ -158,24 +158,3 @@ def compose_channel(cfg: SystemConfig, small: np.ndarray, large: LargeScaleDraw)
         raise StructuralError(f"expected stacked fading of shape {shape}, got {small.shape}")
     gains = np.repeat(large.gains, cfg.receive_blocks(), axis=1)  # (K, N_A)
     return np.repeat(gains.T, cfg.antennas_per_user, axis=1) * small
-
-
-def snr_to_noise_variance(snr_db: float, cfg: SystemConfig, code_rate: float,
-                          bits_per_symbol: int, mean_gamma_sq: float) -> float:
-    """Noise variance realizing a target SNR.
-
-    The SNR definition normalizes the total mean received symbol energy by
-    the noise energy per coded bit:
-
-        SNR = K * N_U * sigma_s^2 * E[gamma^2] / (R * C * sigma_n^2)
-
-    so ``sigma_n^2 = K * N_U * sigma_s^2 * E[gamma^2] / (R * C * 10**(SNR/10))``.
-    """
-    if code_rate <= 0.0 or code_rate > 1.0:
-        raise ParameterError(f"code_rate must lie in (0, 1], got {code_rate}")
-    if bits_per_symbol < 1:
-        raise ParameterError("bits_per_symbol must be >= 1")
-    if mean_gamma_sq <= 0.0:
-        raise ParameterError("mean_gamma_sq must be > 0")
-    signal = cfg.n_streams * cfg.symbol_power * mean_gamma_sq
-    return signal / (code_rate * bits_per_symbol * 10.0 ** (snr_db / 10.0))

@@ -4,30 +4,31 @@ Channel estimators regress the received vector on the known pilot vector
 (all streams simultaneously); filter banks adapt one receive filter per
 stream directly against the known symbols.
 
-Receive-filter training statistics are folded in blocks: a bank keeps the
-exponentially weighted received correlation and the per-stream
-cross-correlations, and a block of ``n`` snapshots enters both in one
-product.  Filters are solved from these statistics on demand.  The
-full-rank (RLS) filter is the regularized solve of the statistics, which is
-exactly where the RLS recursion started from ``P[0] = I / delta`` stands
-after the same samples.  Reduced-rank filters first project onto principal
-components or onto a Krylov ladder seeded by the cross-correlation.  Only
-LMS, the short filters of the joint iterative optimization (JIO) of
-projection and short filter, and the :class:`RlsChannelEstimator` oracle of
-the batch channel solve remain per-sample recursions; JIO's full-dimension
-RLS and its basis step move once per block of samples.
+Least-squares training statistics are folded in blocks, and a block of
+``n`` snapshots enters them in one product.  :class:`RlsChannelEstimator`
+keeps the exponentially weighted pilot autocorrelation and received/pilot
+cross-moment; a filter bank keeps the received correlation and the
+per-stream cross-correlations.  Estimates and filters are solved from these
+statistics on demand.  The RLS channel estimate and the full-rank (RLS)
+filter are regularized solves of the statistics, which is exactly where the
+RLS recursion started from ``P[0] = I / delta`` stands after the same
+samples; with ``delta = 0`` the channel solve is plain least squares.
+Reduced-rank filters first project onto principal components or onto a
+Krylov ladder seeded by the cross-correlation.  Only LMS and the short
+filters of the joint iterative optimization (JIO) of projection and short
+filter remain per-sample recursions; JIO's full-dimension RLS and its basis
+step move once per block of samples.
 
-The LMS tracker and both filter banks train ``packets=P`` independent
-packets at once: every array has a leading packet axis, a lone packet is a
-block of one, and LMS and JIO step all P in one per-sample loop.  Each
-operation is elementwise or one BLAS or LAPACK call per packet, so a
-packet's estimate is bitwise what a block of that packet alone would give.
+Every trainer takes ``packets=P`` independent packets at once: every array
+has a leading packet axis, a lone packet is a block of one, and LMS and JIO
+step all P in one per-sample loop.  Each operation is elementwise or one
+BLAS or LAPACK call per packet, so a packet's estimate is bitwise what a
+block of that packet alone would give.
 
 ``delta`` starts the correlation at ``delta * I`` (``P[0] = I / delta`` for
 the recursions).  The default ``delta = 1e-6`` keeps the solutions within
 1e-6 of unregularized least squares once the history has full rank.
 """
-
 import numpy as np
 
 from .errors import NumericalError, ParameterError, RankError, StructuralError
@@ -74,6 +75,11 @@ def _scale(x, c):
     return x
 
 
+def _adjoint(x):
+    # the conjugate transpose of each matrix of a stack
+    return np.swapaxes(x.conj(), -1, -2)
+
+
 def _hermitize(p, out=None):
     # re-symmetrize an inverse-correlation iterate: the anti-Hermitian
     # roundoff component of the conventional recursion grows like lam**-n
@@ -86,69 +92,56 @@ def _hermitize(p, out=None):
 
 # -- channel estimation -------------------------------------------------------
 
-def ls_channel_estimate(pilots: np.ndarray, received: np.ndarray,
-                        lam: float = 1.0, delta: float = 0.0) -> np.ndarray:
-    """Batch (exponentially weighted, optionally regularized) least-squares
-    channel estimate.
-
-    ``pilots`` is (M, N) holding the stacked known stream symbols and
-    ``received`` (N_A, N); the estimate solves the weighted normal
-    equations ``G_hat = Q (R + delta lam^N I)^{-1}`` with Q the
-    received/pilot cross-moment and R the pilot autocorrelation.  With
-    ``delta > 0`` this is exactly where :class:`RlsChannelEstimator`
-    started from ``P = I / delta`` stands after the same N pilots, and it
-    needs no minimum pilot count.
-    """
-    pilots = np.asarray(pilots, dtype=complex)
-    received = np.asarray(received, dtype=complex)
-    _check_forgetting(lam)
-    if delta < 0.0:
-        raise ParameterError("delta must be >= 0")
-    if pilots.ndim != 2 or received.ndim != 2 or pilots.shape[1] != received.shape[1]:
-        raise StructuralError("pilots (M, N) and received (N_A, N) must share N")
-    n = pilots.shape[1]
-    if delta == 0.0 and n < pilots.shape[0]:
-        raise RankError(
-            f"{n} pilots cannot resolve {pilots.shape[0]} streams")
-    w = _weights(n, lam)
-    q = (received * w) @ pilots.conj().T
-    r = (pilots * w) @ pilots.conj().T + delta * lam ** n * np.eye(pilots.shape[0])
-    try:
-        return np.linalg.solve(r.conj().T, q.conj().T).conj().T
-    except np.linalg.LinAlgError:
-        raise RankError(
-            f"pilot correlation is singular after {n} pilots of {pilots.shape[0]} streams"
-        ) from None
-
-
 class RlsChannelEstimator:
-    """Recursive least-squares tracker of the stacked channel matrix."""
+    """Least-squares trainer of the stacked channel matrix, from block-folded
+    pilot statistics.
+
+    Keeps the exponentially weighted pilot autocorrelation (started at
+    ``delta * I``) and received/pilot cross-moment of ``packets`` packets;
+    ``estimate`` solves the weighted normal equations
+    ``G_hat = Q (R + delta lam^n I)^{-1}`` for each, a (P, N_A, M) stack.
+    With ``delta > 0`` this is exactly where the RLS recursion started from
+    ``P = I / delta`` stands after the same n pilots, and it needs no
+    minimum pilot count; ``delta = 0`` is plain (weighted) least squares.
+    """
 
     def __init__(self, n_streams: int, n_rx: int, lam: float = 1.0,
-                 delta: float = DEFAULT_DELTA):
+                 delta: float = DEFAULT_DELTA, *, packets: int = 1):
         _check_forgetting(lam)
-        _check_delta(delta)
+        if delta < 0.0:
+            raise ParameterError("delta must be >= 0")
         self.lam = lam
-        self.p = np.eye(n_streams, dtype=complex) / delta
-        self.t = np.zeros((n_rx, n_streams), dtype=complex)
+        self.delta = delta
+        packets = _check_packets(packets)
+        self.corr = np.broadcast_to(np.eye(n_streams, dtype=complex) * delta,
+                                    (packets, n_streams, n_streams)).copy()
+        self.cross = np.zeros((packets, n_rx, n_streams), dtype=complex)
         self.n_updates = 0
+
+    def update(self, pilots: np.ndarray, received: np.ndarray):
+        """Fold in a block: pilots (P, M, n), received (P, N_A, n)."""
+        packets, n_rx, m = self.cross.shape
+        s, r = _snapshots((pilots, received), packets, (m, n_rx),
+                          ("pilots", "received vectors"))
+        n = s.shape[-1]
+        decay = self.lam ** n
+        w = _weights(n, self.lam)
+        s_h = _adjoint(s)
+        self.corr = decay * self.corr + (s * w) @ s_h
+        self.cross = decay * self.cross + (r * w) @ s_h
+        self.n_updates += n
+        return self
 
     @property
     def estimate(self) -> np.ndarray:
-        """Current channel estimate T @ P."""
-        return self.t @ self.p
-
-    def update(self, pilot: np.ndarray, received: np.ndarray):
-        """Fold in one pilot interval (pilot: (M,), received: (N_A,))."""
-        s = np.asarray(pilot, dtype=complex).ravel()
-        r = np.asarray(received, dtype=complex).ravel()
-        ilam = 1.0 / self.lam
-        ps = self.p @ s
-        denom = 1.0 + ilam * np.real(s.conj() @ ps)
-        self.p = _hermitize(ilam * self.p - (ilam ** 2 / denom) * np.outer(ps, ps.conj()))
-        self.t = self.lam * self.t + np.outer(r, s.conj())
-        self.n_updates += 1
-        return self
+        m, n = self.corr.shape[-1], self.n_updates
+        if self.delta == 0.0 and n < m:
+            raise RankError(f"{n} pilots cannot resolve {m} streams")
+        try:
+            return _adjoint(np.linalg.solve(_adjoint(self.corr), _adjoint(self.cross)))
+        except np.linalg.LinAlgError:
+            raise RankError(
+                f"pilot correlation is singular after {n} pilots of {m} streams") from None
 
 
 class LmsChannelEstimator:
@@ -288,8 +281,8 @@ class ReducedRankFilterBank:
         n = r.shape[-1]
         decay = self.lam ** n
         rw = r * _weights(n, self.lam)
-        self.corr = decay * self.corr + rw @ np.swapaxes(r.conj(), -1, -2)
-        self.cross = decay * self.cross + rw @ np.swapaxes(d.conj(), -1, -2)
+        self.corr = decay * self.corr + rw @ _adjoint(r)
+        self.cross = decay * self.cross + rw @ _adjoint(d)
         self.n_updates += n
 
     @property
@@ -338,7 +331,7 @@ class _RlsBlock:
 
     def __init__(self, p_full, r, d, lam, columns):
         self.z = p_full @ r
-        r_h = np.swapaxes(r.conj(), -1, -2)
+        r_h = _adjoint(r)
         gram = r_h @ self.z
         packets, b, n_streams = gram.shape[:-2], r.shape[-1], d.shape[-2]
         self.powers = lam ** np.arange(1.0, b + 1.0)  # lam^(j+1)
@@ -507,8 +500,8 @@ class JioFilterBank:
         blk, self._block = self._block, None
         b = blk.steps
         _scale(self.p_bar, self.lam ** -b)
-        f = blk.z[..., :b] @ np.linalg.inv(np.swapaxes(blk.chol[..., :b, :b].conj(), -1, -2))
-        f_h = np.swapaxes(f.conj(), -1, -2)
+        f = blk.z[..., :b] @ np.linalg.inv(_adjoint(blk.chol[..., :b, :b]))
+        f_h = _adjoint(f)
         p_full = f @ f_h
         _hermitize(_scale(np.subtract(self.p_full, p_full, out=p_full),
                           self.lam ** -b), out=self.p_full)

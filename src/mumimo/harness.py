@@ -21,14 +21,14 @@ import numpy as np
 
 from . import rng as rngmod
 from .channel import (_distance_grid, compose_channel, draw_large_scale,
-                      draw_small_scale, snr_to_noise_variance)
+                      draw_small_scale)
 from .config import SystemConfig
 from .detectors import (ML_CANDIDATE_GUARD, ORDERING_CRITERIA, compute_receive_filter,
                         df_detect, linear_detect, mb_sic_detect, ml_detect_oracle,
                         sic_detect)
 from .errors import ConfigError, NumericalError, ParameterWarning
 from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
-                         ReducedRankFilterBank, ls_channel_estimate)
+                         ReducedRankFilterBank, RlsChannelEstimator)
 from .idd import idd_receive
 from .txchain import (TrellisSpec, assemble_frame, channel_transmit,
                       coded_payload_length, labels_to_bits, matched_transmit)
@@ -367,9 +367,14 @@ def mean_gamma_sq(cfg: SystemConfig) -> float:
 
 
 def trial_noise_variance(spec: ScenarioSpec, snr_db: float) -> float:
+    """Noise variance realizing ``snr_db``, the total mean received symbol
+    energy over the noise energy per coded bit:
+    ``sigma_n^2 = K N_U sigma_s^2 E[gamma^2] / (R C 10^(SNR/10))``, with
+    C = 2 bits per QPSK symbol and R the code rate (1 uncoded)."""
+    cfg = spec.system
     rate = TrellisSpec().rate if spec.coded else 1.0
-    return snr_to_noise_variance(snr_db, spec.system, rate, 2,
-                                 mean_gamma_sq(spec.system))
+    signal = cfg.n_streams * cfg.symbol_power * mean_gamma_sq(cfg)
+    return signal / (rate * 2 * 10.0 ** (snr_db / 10.0))
 
 
 def _draw_trial_channel(cfg: SystemConfig, seed: int, snr_index: int,
@@ -401,19 +406,19 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
     ``pilots`` lists each packet's known (M, n) pilot block and
     ``rx_pilots`` its received (N_A, n) one.  Returns, per packet, the
     channel estimate (ls, rls, lms) or the receive filters (rr-*), (N_A, M).
-    LMS and the filter banks train the block's stacked pilots in one call,
-    and LMS and JIO step every packet in one per-sample loop.
+    Every trainer takes the block's stacked pilots in one call, and LMS and
+    JIO step every packet in one per-sample loop.
     """
     cfg = spec.system
-    if spec.estimator in ("ls", "rls"):
-        # rls is the exact solution of the recursion started from P = I / delta
-        delta = DEFAULT_DELTA if spec.estimator == "rls" else 0.0
-        return [ls_channel_estimate(s, r, spec.forgetting, delta)
-                for s, r in zip(pilots, rx_pilots)]
     packets = len(pilots)
     s, r = np.stack(pilots), np.stack(rx_pilots)
     kind = spec.estimator.removeprefix("rr-")
-    if kind == "lms":
+    if kind in ("ls", "rls"):
+        # rls is the exact solution of the recursion started from P = I / delta
+        delta = DEFAULT_DELTA if kind == "rls" else 0.0
+        trained = RlsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.forgetting,
+                                      delta, packets=packets).update(s, r).estimate
+    elif kind == "lms":
         # ScenarioSpec.validate warns about a step size past the LMS bound
         trained = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
                                       packets=packets).update(s, r).estimate

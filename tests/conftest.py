@@ -10,6 +10,13 @@ from mumimo.harness import _draw_trial_channel
 from mumimo.txchain import channel_transmit
 
 
+def pytest_configure(config):
+    # a ParameterWarning that no test expects (with pytest.warns) fails the
+    # run; pyproject's filterwarnings would also reach perfbench's tests,
+    # which run without mumimo on the path
+    config.addinivalue_line("filterwarnings", "error::mumimo.errors.ParameterWarning")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -76,6 +83,33 @@ def reference_encode(bits, generators=(0b111, 0b101), memory=2):
             out.append(acc)
         reg = [u] + reg[:-1]
     return np.array(out, dtype=np.int8)
+
+
+class ReferenceRls:
+    """The per-sample RLS recursion of the stacked channel matrix, the oracle
+    of ``RlsChannelEstimator``'s closed form: after n pilots from
+    ``P = I / delta`` it stands at the delta-regularized batch solve."""
+
+    def __init__(self, n_streams, n_rx, lam=1.0, delta=DEFAULT_DELTA):
+        self.lam = lam
+        self.p = np.eye(n_streams, dtype=complex) / delta
+        self.t = np.zeros((n_rx, n_streams), dtype=complex)
+
+    @property
+    def estimate(self):
+        """Current channel estimate T @ P."""
+        return self.t @ self.p
+
+    def run(self, pilots, received):
+        """Fold in the pilots of an (M, n) block one at a time, with the
+        received (N_A, n) block."""
+        ilam = 1.0 / self.lam
+        for s, r in zip(pilots.T, received.T):
+            ps = self.p @ s
+            denom = 1.0 + ilam * np.real(s.conj() @ ps)
+            self.p = _hermitize(ilam * self.p - (ilam ** 2 / denom) * np.outer(ps, ps.conj()))
+            self.t = self.lam * self.t + np.outer(r, s.conj())
+        return self
 
 
 class WarmStartJio:
@@ -163,7 +197,7 @@ def filter_training_experiment(cfg, snr_db, method, rank, lam, n_train, checkpoi
     else:
         raise ConfigError(f"unknown training method {method!r}")
 
-    noise_var = m.snr_to_noise_variance(snr_db, cfg, 1.0, 2, m.mean_gamma_sq(cfg))
+    noise_var = m.trial_noise_variance(m.ScenarioSpec(cfg), snr_db)
     chan = _draw_trial_channel(cfg, seed, 0, 0)
 
     def transmit(n, label_key, noise_key):

@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 import mumimo as m
-from conftest import (filter_training_experiment, matched, random_channel,
+from conftest import (ReferenceRls, filter_training_experiment, matched, random_channel,
                       reference_encode)
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -87,10 +87,8 @@ def test_criterion_1_oracle_equivalences():
     pilots = m.qpsk_constellation()[rng.integers(0, 4, size=(3, 80))]
     recv = true @ pilots + 0.2 * (rng.standard_normal((6, 80))
                                   + 1j * rng.standard_normal((6, 80)))
-    tracker = m.RlsChannelEstimator(3, 6, lam=1.0)
-    for i in range(80):
-        tracker.update(pilots[:, i], recv[:, i])
-    batch = m.ls_channel_estimate(pilots, recv)
+    tracker = ReferenceRls(3, 6, lam=1.0).run(pilots, recv)
+    batch = m.RlsChannelEstimator(3, 6, delta=0.0).update(pilots[None], recv[None]).estimate[0]
     rls_err = np.max(np.abs(tracker.estimate - batch))
 
     # demapper LLRs against four-point enumeration with priors: for Gray

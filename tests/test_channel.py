@@ -5,6 +5,7 @@ import pytest
 
 import mumimo as m
 from conftest import same_bytes
+from mumimo import harness
 from mumimo.channel import _distance_grid, _receive_corr_sqrt
 from mumimo.errors import NumericalError, ParameterError, StructuralError
 
@@ -282,28 +283,20 @@ def test_compose_channel_shape_errors():
         m.compose_channel(cfg, np.ones((3, 2)), ls)
 
 
-def test_snr_to_noise_variance_hand_value():
+def test_snr_to_noise_variance_hand_value(monkeypatch):
     cfg = m.SystemConfig(n_users=2, n_bs=4, symbol_power=1.0)
+    monkeypatch.setattr(harness, "mean_gamma_sq", lambda system: 2.0)
     # sigma_n^2 = K Nu sp E / (R C 10^(snr/10)) = 2*1*1*2 / (1*2*10^0.3)
-    got = m.snr_to_noise_variance(3.0, cfg, 1.0, 2, 2.0)
+    got = m.trial_noise_variance(m.ScenarioSpec(cfg), 3.0)
     assert got == pytest.approx(4.0 / (2.0 * 10.0 ** 0.3), rel=1e-12)
 
 
 def test_snr_to_noise_variance_coded_rate_scales():
     cfg = m.SystemConfig(n_users=2, n_bs=4)
-    full = m.snr_to_noise_variance(10.0, cfg, 1.0, 2, 1.5)
-    half = m.snr_to_noise_variance(10.0, cfg, 0.5, 2, 1.5)
+    full = m.trial_noise_variance(m.ScenarioSpec(cfg), 10.0)
+    half = m.trial_noise_variance(m.ScenarioSpec(cfg, coded=True), 10.0)
+    assert m.TrellisSpec().rate == 0.5
     assert half == pytest.approx(2.0 * full, rel=1e-12)
-
-
-def test_snr_to_noise_variance_validates():
-    cfg = m.SystemConfig(n_users=2, n_bs=4)
-    with pytest.raises(ParameterError):
-        m.snr_to_noise_variance(10.0, cfg, 0.0, 2, 1.0)
-    with pytest.raises(ParameterError):
-        m.snr_to_noise_variance(10.0, cfg, 1.0, 0, 1.0)
-    with pytest.raises(ParameterError):
-        m.snr_to_noise_variance(10.0, cfg, 1.0, 2, 0.0)
 
 
 def test_config_validation_errors():

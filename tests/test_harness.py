@@ -679,18 +679,26 @@ def test_estimators_dispatch_smoke():
 
 
 def test_rls_trial_uses_the_recursion_solution(monkeypatch):
-    # one pilot for two streams: the batch solve must stand where the
+    # one pilot for two streams: the closed form must stand where the
     # per-pilot recursion stands, with no pilot-count floor
     spec = small_spec(estimator="rls", pilot_len=1, forgetting=0.9)
     fast = m.run_trial(spec, 8.0, 0)
 
-    def recursion(pilots, received, lam, delta):
-        tracker = m.RlsChannelEstimator(pilots.shape[0], received.shape[0], lam, delta)
-        for i in range(pilots.shape[1]):
-            tracker.update(pilots[:, i], received[:, i])
-        return tracker.estimate
+    class Recursion:
+        def __init__(self, n_streams, n_rx, lam, delta, *, packets):
+            self.trackers = [conftest.ReferenceRls(n_streams, n_rx, lam, delta)
+                             for _ in range(packets)]
 
-    monkeypatch.setattr(harness, "ls_channel_estimate", recursion)
+        def update(self, pilots, received):
+            for tracker, s, r in zip(self.trackers, pilots, received):
+                tracker.run(s, r)
+            return self
+
+        @property
+        def estimate(self):
+            return np.stack([tracker.estimate for tracker in self.trackers])
+
+    monkeypatch.setattr(harness, "RlsChannelEstimator", Recursion)
     assert m.run_trial(spec, 8.0, 0) == fast
     assert fast.bits == 256
 
