@@ -11,8 +11,8 @@ from .config import SystemConfig
 from .errors import (CapacityError, ConfigError, NumericalError,
                      ParameterError, ParameterWarning, RankError,
                      SingularMatrixError, StructuralError)
-from .channel import (LargeScaleDraw, compose_channel, correlation_matrix,
-                      draw_large_scale, draw_small_scale, matrix_sqrt)
+from .channel import (compose_channel, correlation_matrix, draw_large_scale,
+                      draw_small_scale, matrix_sqrt)
 from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
                       channel_transmit, coded_payload_length, conv_encode,
                       deinterleave, interleave, labels_to_bits,
@@ -37,8 +37,8 @@ __all__ = [
     "SystemConfig",
     "CapacityError", "ConfigError", "NumericalError", "ParameterError",
     "ParameterWarning", "RankError", "SingularMatrixError", "StructuralError",
-    "LargeScaleDraw", "compose_channel", "correlation_matrix",
-    "draw_large_scale", "draw_small_scale", "matrix_sqrt",
+    "compose_channel", "correlation_matrix", "draw_large_scale",
+    "draw_small_scale", "matrix_sqrt",
     "SymbolFrame", "TrellisSpec", "assemble_frame", "channel_transmit",
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
     "labels_to_bits", "matched_transmit", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",

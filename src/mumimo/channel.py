@@ -7,7 +7,6 @@ deployment the receive correlation is block diagonal over co-located
 antenna groups and every group sees its own large-scale coefficient.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -104,19 +103,6 @@ def draw_small_scale(cfg: SystemConfig, rngs) -> np.ndarray:
     return (fading.reshape(-1, n_u) @ tx_root).reshape(n_rx, cfg.n_streams)
 
 
-@dataclass
-class LargeScaleDraw:
-    """Large-scale coefficients of one channel realization.
-
-    All arrays have shape (K, L + 1); column j is the coefficient between
-    each user and co-located group j (the central array is group 0).  For a
-    centralized system the shape degenerates to (K, 1).
-    """
-
-    distances: np.ndarray
-    gains: np.ndarray  # gamma = sqrt(link / d^tau) * 10^(sigma v / 10)
-
-
 @lru_cache(maxsize=8)
 def _distance_grid(distance_range: tuple) -> np.ndarray:
     """The distance grid over ``distance_range``, shared and read-only."""
@@ -127,12 +113,14 @@ def _distance_grid(distance_range: tuple) -> np.ndarray:
     return grid
 
 
-def draw_large_scale(cfg: SystemConfig, rng: np.random.Generator) -> LargeScaleDraw:
-    """Draw distances, link gains and shadowing for every (user, group) pair.
+def draw_large_scale(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Large-scale gains of one channel realization, (K, L + 1).
 
-    Distances are uniform on a discrete grid over ``cfg.distance_range``,
-    link gains uniform (continuous) on ``cfg.path_gain_range`` and the
-    shadowing exponent is ``10 ** (sigma * v / 10)`` with v standard normal.
+    Column j is the gain between each user and co-located group j (the
+    central array is group 0); a centralized system has one column.  The
+    gain is ``gamma = sqrt(link / d^tau) * 10^(sigma v / 10)``: distances d
+    uniform on a discrete grid over ``cfg.distance_range``, link gains
+    uniform (continuous) on ``cfg.path_gain_range`` and v standard normal.
     """
     shape = (cfg.n_users, cfg.n_heads + 1)
     grid = _distance_grid(cfg.distance_range)
@@ -140,15 +128,15 @@ def draw_large_scale(cfg: SystemConfig, rng: np.random.Generator) -> LargeScaleD
     lo, hi = cfg.path_gain_range
     link = lo + (hi - lo) * rng.random(size=shape)
     v = rng.standard_normal(shape)
-    return LargeScaleDraw(distances=d, gains=np.sqrt(link / d ** cfg.path_loss_exp)
-                          * 10.0 ** (cfg.shadow_spread_db * v / 10.0))
+    return np.sqrt(link / d ** cfg.path_loss_exp) * 10.0 ** (cfg.shadow_spread_db * v / 10.0)
 
 
-def compose_channel(cfg: SystemConfig, small: np.ndarray, large: LargeScaleDraw) -> np.ndarray:
+def compose_channel(cfg: SystemConfig, small: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Scale every user's fading columns by its large-scale gains.
 
     ``small`` is the stacked (N_A, K * N_U) fading of
-    :func:`draw_small_scale`; row n of user k's columns is scaled by the
+    :func:`draw_small_scale` and ``gains`` the (K, L + 1) draw of
+    :func:`draw_large_scale`; row n of user k's columns is scaled by the
     gain of user k's link to the receive block that holds antenna n, all
     users in one broadcast.
     """
@@ -156,5 +144,5 @@ def compose_channel(cfg: SystemConfig, small: np.ndarray, large: LargeScaleDraw)
     shape = (cfg.n_rx_total, cfg.n_streams)
     if small.shape != shape:
         raise StructuralError(f"expected stacked fading of shape {shape}, got {small.shape}")
-    gains = np.repeat(large.gains, cfg.receive_blocks(), axis=1)  # (K, N_A)
+    gains = np.repeat(gains, cfg.receive_blocks(), axis=1)  # (K, N_A)
     return np.repeat(gains.T, cfg.antennas_per_user, axis=1) * small

@@ -83,43 +83,33 @@ def linear_detect(inv, matched: np.ndarray) -> np.ndarray:
     return qpsk_slice_labels(matched)
 
 
-def _sinr_ordering(gram, mmse_inv, symbol_power, noise_var):
-    """Descending one-shot output SINR under the initial MMSE filters
-    ``W = G P``, read in the matched domain: their responses ``W^H G`` are
-    ``P A`` and their noise gains ``diag(W^H W)`` are ``diag(P A P)``."""
-    cross = mmse_inv @ gram  # (M, M): row j = responses of filter j
-    sig = np.abs(np.diagonal(cross)) ** 2
-    interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
-    noise = noise_var * np.einsum('ij,ji->i', cross, mmse_inv).real
-    keys = symbol_power * sig / (symbol_power * interf + noise)
-    return np.argsort(-keys, kind="stable")
-
-
 def compute_ordering(gram: np.ndarray, symbol_power: float, noise_var: float,
-                     criterion: str = "norm") -> np.ndarray:
+                     criterion: str = "norm", mmse_inv=None) -> np.ndarray:
     """Detection order over streams from ``A = G^H G``, first entry detected
     first (descending key, ties by stream index).  norm and snr rank the
-    column energies ``diag(A)``, sinr the one-shot MMSE output SINR."""
+    column energies ``diag(A)``.  sinr ranks the one-shot output SINR under
+    the initial MMSE filters ``W = G P``, read in the matched domain: their
+    responses ``W^H G`` are ``P A`` and their noise gains ``diag(W^H W)``
+    are ``diag(P A P)``.  ``mmse_inv`` is that P when the caller has it at
+    hand, so the sinr keys cost no second inversion."""
     if criterion not in ORDERING_CRITERIA:
         raise ParameterError(f"unknown ordering criterion {criterion!r}")
-    if criterion == "sinr":
-        mmse_inv = compute_receive_filter(gram, symbol_power, noise_var, "mmse")
-        return _sinr_ordering(gram, mmse_inv, symbol_power, noise_var)
     _stream_count(gram)
-    keys = np.diagonal(gram).real
-    if criterion == "snr":
-        if noise_var <= 0.0:
-            raise ParameterError("snr ordering requires noise_var > 0")
-        keys = symbol_power * keys / noise_var
+    if criterion == "sinr":
+        if mmse_inv is None:
+            mmse_inv = compute_receive_filter(gram, symbol_power, noise_var, "mmse")
+        cross = mmse_inv @ gram  # (M, M): row j = responses of filter j
+        sig = np.abs(np.diagonal(cross)) ** 2
+        interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
+        noise = noise_var * np.einsum('ij,ji->i', cross, mmse_inv).real
+        keys = symbol_power * sig / (symbol_power * interf + noise)
+    else:
+        keys = np.diagonal(gram).real
+        if criterion == "snr":
+            if noise_var <= 0.0:
+                raise ParameterError("snr ordering requires noise_var > 0")
+            keys = symbol_power * keys / noise_var
     return np.argsort(-keys, kind="stable")
-
-
-def _sic_ordering(gram, inv, criterion, filter_design, symbol_power, noise_var):
-    """:func:`compute_ordering` for a SIC block whose inverse Gram matrix
-    ``inv`` is at hand: the sinr keys read it when it is the mmse one."""
-    if criterion == "sinr" and filter_design == "mmse":
-        return _sinr_ordering(gram, inv, symbol_power, noise_var)
-    return compute_ordering(gram, symbol_power, noise_var, criterion)
 
 
 def _stage_filters(inv, filter_design):
@@ -188,7 +178,8 @@ def sic_detect(gram: np.ndarray, matched: np.ndarray, ordering,
             raise StructuralError(f"ordering {perm} is not a permutation of {m} streams")
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     if named:
-        perm = _sic_ordering(gram, inv, ordering, filter_design, symbol_power, noise_var)
+        perm = compute_ordering(gram, symbol_power, noise_var, ordering,
+                                inv if filter_design == "mmse" else None)
     return qpsk_slice_labels(_sic_symbols(gram, inv, matched, perm,
                                           qpsk_constellation(symbol_power), filter_design))
 
@@ -216,7 +207,8 @@ def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
             f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
     constellation = qpsk_constellation(symbol_power)
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
-    base = _sic_ordering(gram, inv, base_criterion, filter_design, symbol_power, noise_var)
+    base = compute_ordering(gram, symbol_power, noise_var, base_criterion,
+                            inv if filter_design == "mmse" else None)
     n_vec = matched.shape[1]
     symbols = np.empty((n_branches, m, n_vec), dtype=complex)
     dists = np.empty((n_branches, n_vec))

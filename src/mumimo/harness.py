@@ -23,9 +23,9 @@ from . import rng as rngmod
 from .channel import (_distance_grid, compose_channel, draw_large_scale,
                       draw_small_scale)
 from .config import SystemConfig
-from .detectors import (ML_CANDIDATE_GUARD, ORDERING_CRITERIA, compute_receive_filter,
-                        df_detect, linear_detect, mb_sic_detect, ml_detect_oracle,
-                        sic_detect)
+from .detectors import (LINEAR_DESIGNS, ML_CANDIDATE_GUARD, ORDERING_CRITERIA,
+                        compute_receive_filter, df_detect, linear_detect, mb_sic_detect,
+                        ml_detect_oracle, sic_detect)
 from .errors import ConfigError, NumericalError, ParameterWarning
 from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, RlsChannelEstimator)
@@ -104,6 +104,9 @@ class ScenarioSpec:
                 "coded reception runs the soft MMSE detector; set detector = mmse")
         if self.coded and self.estimator.startswith("rr-"):
             raise ConfigError("direct filter estimation does not feed the coded receiver")
+        if self.estimator.startswith("rr-") and self.detector != "mmse":
+            raise ConfigError(f"estimator {self.estimator!r} detects linearly with its "
+                              "trained filters; set detector = mmse")
         if self.estimator != "perfect" and self.pilot_len < 1:
             raise ConfigError(f"estimator {self.estimator!r} needs pilot_len >= 1")
         if self.coded:
@@ -400,12 +403,12 @@ def _build_trial_frame(spec: ScenarioSpec, snr_index: int, trial_index: int):
     return assemble_frame(cfg, payload, spec.pilot_len, frame_rng, coded=spec.coded)
 
 
-def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
+def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> np.ndarray:
     """Train the receivers of a block on its packets' pilots.
 
     ``pilots`` lists each packet's known (M, n) pilot block and
-    ``rx_pilots`` its received (N_A, n) one.  Returns, per packet, the
-    channel estimate (ls, rls, lms) or the receive filters (rr-*), (N_A, M).
+    ``rx_pilots`` its received (N_A, n) one.  Returns the packets' channel
+    estimates (ls, rls, lms) or receive filters (rr-*) stacked, (P, N_A, M).
     Every trainer takes the block's stacked pilots in one call, and LMS and
     JIO step every packet in one per-sample loop.
     """
@@ -416,28 +419,29 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> list:
     if kind in ("ls", "rls"):
         # rls is the exact solution of the recursion started from P = I / delta
         delta = DEFAULT_DELTA if kind == "rls" else 0.0
-        trained = RlsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.forgetting,
-                                      delta, packets=packets).update(s, r).estimate
-    elif kind == "lms":
+        return RlsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.forgetting,
+                                   delta, packets=packets).update(s, r).estimate
+    if kind == "lms":
         # ScenarioSpec.validate warns about a step size past the LMS bound
-        trained = LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
-                                      packets=packets).update(s, r).estimate
+        return LmsChannelEstimator(cfg.n_streams, cfg.n_rx_total, spec.step_size,
+                                   packets=packets).update(s, r).estimate
+    if kind == "jio":
+        bank = JioFilterBank(cfg.n_rx_total, cfg.n_streams, spec.rank,
+                             spec.forgetting, packets=packets)
     else:
-        if kind == "jio":
-            bank = JioFilterBank(cfg.n_rx_total, cfg.n_streams, spec.rank,
-                                 spec.forgetting, packets=packets)
-        else:
-            bank = ReducedRankFilterBank(cfg.n_rx_total, cfg.n_streams, kind,
-                                         spec.rank, spec.forgetting, packets=packets)
-        bank.update(r, s)
-        trained = bank.weights
-    return list(trained)
+        bank = ReducedRankFilterBank(cfg.n_rx_total, cfg.n_streams, kind,
+                                     spec.rank, spec.forgetting, packets=packets)
+    bank.update(r, s)
+    return bank.weights
 
 
-def _hard_detect(spec: ScenarioSpec, gram, matched, noise_var):
+def _detect(spec: ScenarioSpec, gram, matched, noise_var):
+    """Hard decisions (M, T) of the configured detector on one packet's
+    ``(A, y)``.  An rr-* front end is its trained bank W, whose outputs
+    ``W^H r`` are sliced as they stand: the rmf case."""
     sp = spec.system.symbol_power
-    name = spec.detector
-    if name in ("rmf", "zf", "mmse"):
+    name = "rmf" if spec.estimator.startswith("rr-") else spec.detector
+    if name in LINEAR_DESIGNS:
         return linear_detect(compute_receive_filter(gram, sp, noise_var, name), matched)
     if name == "sic":
         return sic_detect(gram, matched, spec.ordering, spec.filter_design, sp, noise_var)
@@ -466,50 +470,20 @@ def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
     draw each packet's data as its receiver's front end sees it.
 
     The front end F is the true channel, the estimated one or the trained
-    receive filters.  Returns the frames and, per packet, the statistic
-    ``(A, y)`` of :func:`matched_transmit`; nothing of the data is drawn at
-    the N_A antennas.
+    receive filters.  Returns the frames and the packets' statistics
+    ``(A, y)`` of :func:`matched_transmit`, stacked: the Gram matrices
+    (P, M, M) and the matched outputs (P, M, T).  Nothing of the data is
+    drawn at the N_A antennas.
     """
     chans, frames, rx_pilots, noises = zip(*(_draw_packet(spec, snr_index, t, noise_var)
                                              for t in block))
     fronts = chans
     if spec.estimator != "perfect":
         fronts = _train(spec, [f.pilots for f in frames], rx_pilots)
-    return frames, [matched_transmit(front, chan, frame.data_symbols, noise_var, noise)
-                    for front, chan, frame, noise in zip(fronts, chans, frames, noises)]
-
-
-def _detect_uncoded(spec: ScenarioSpec, frame, stats, noise_var: float) -> TrialResult:
-    gram, matched = stats
-    if spec.estimator.startswith("rr-"):
-        # the rmf case of the trained bank W: slice its outputs W^H r
-        labels = linear_detect(None, matched)
-    else:
-        labels = _hard_detect(spec, gram, matched, noise_var)
-    decided = labels_to_bits(labels)
-    reference = frame.channel_bits.reshape(decided.shape)
-    return TrialResult(bits=reference.size, errors=int(np.sum(decided != reference)))
-
-
-def _decode_coded(spec: ScenarioSpec, snr_index: int, block: range,
-                  noise_var: float) -> list:
-    """Draw the coded packets of ``block`` and decode them in one
-    :func:`idd_receive` call on their stacked matched-filter statistics."""
-    frames, stats = _receive_block(spec, snr_index, block, noise_var)
-    info_bits = [f.info_bits for f in frames]
-    perms = np.stack([f.perms for f in frames])
-    grams, matched = map(np.stack, zip(*stats))
-    # the stacks are the decode's only copy of the statistics
-    del frames, stats
-    result = idd_receive(grams, matched, noise_var, perms,
-                         symbol_power=spec.system.symbol_power,
-                         n_outer=spec.idd_iterations)
-    results = []
-    for k, info in enumerate(info_bits):
-        per_iter = tuple(int(np.sum(bits[k] != info)) for bits in result.per_iteration_bits)
-        results.append(TrialResult(bits=info.size, errors=per_iter[-1],
-                                   per_iteration_errors=per_iter))
-    return results
+    grams, matched = map(np.stack, zip(*(
+        matched_transmit(front, chan, frame.data_symbols, noise_var, noise)
+        for front, chan, frame, noise in zip(fronts, chans, frames, noises))))
+    return frames, grams, matched
 
 
 def run_trial(spec: ScenarioSpec, snr_db: float, trials):
@@ -518,11 +492,11 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
     ``trials`` is one trial index, which returns its :class:`TrialResult`,
     or a ``range`` of them, simulated as one block, which returns a list.
     Every packet draws its channel, frame and noise from its own
-    substreams, the block's pilots train in one call (:func:`_train`) and
-    coded packets decode exactly as they would alone, so a packet's result
-    does not depend on the block it ran in.  The coded packets of a block
-    go through one :func:`idd_receive` call; uncoded packets are detected
-    one at a time.
+    substreams and the block's pilots train in one call (:func:`_train`).
+    The block's statistics then go to one receiver: coded packets decode
+    in one :func:`idd_receive` call, uncoded ones are detected one by one
+    (:func:`_detect`).  Either decodes a packet exactly as it would alone,
+    so a packet's result does not depend on the block it ran in.
     """
     try:
         snr_index = spec.snr_db.index(float(snr_db))
@@ -530,11 +504,25 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
         raise ConfigError(f"snr_db = {snr_db} is not part of the scenario sweep") from None
     block = trials if isinstance(trials, range) else range(trials, trials + 1)
     noise_var = trial_noise_variance(spec, snr_db)
+    frames, grams, matched = _receive_block(spec, snr_index, block, noise_var)
     if spec.coded:
-        results = _decode_coded(spec, snr_index, block, noise_var)
+        sent = [f.info_bits for f in frames]
+        perms = np.stack([f.perms for f in frames])
+        # the decode holds the stacks, not the frames' symbols
+        del frames
+        decided = idd_receive(grams, matched, noise_var, perms,
+                              symbol_power=spec.system.symbol_power,
+                              n_outer=spec.idd_iterations).per_iteration_bits
     else:
-        results = [_detect_uncoded(spec, *packet, noise_var) for packet in
-                   zip(*_receive_block(spec, snr_index, block, noise_var))]
+        sent = [f.channel_bits for f in frames]
+        # one iteration: each packet's decided bits, as channel_bits lays them out
+        decided = [[labels_to_bits(_detect(spec, a, y, noise_var)).reshape(bits.shape)
+                    for a, y, bits in zip(grams, matched, sent)]]
+    results = []
+    for k, bits in enumerate(sent):
+        errors = tuple(int(np.sum(iteration[k] != bits)) for iteration in decided)
+        results.append(TrialResult(bits=bits.size, errors=errors[-1],
+                                   per_iteration_errors=errors if spec.coded else None))
     return results if isinstance(trials, range) else results[0]
 
 

@@ -186,14 +186,14 @@ class SymbolFrame:
     ``data_symbols`` has shape (M, P) for M = K * N_U streams; ``pilots``
     (M, N_p), if any, precede them on the air interface.
     ``channel_bits`` holds the bits in transmitted symbol order, which for
-    coded frames is the interleaved code stream.
+    coded frames is the code stream interleaved by ``perms``, one
+    permutation per stream.
     """
 
     info_bits: np.ndarray
     channel_bits: np.ndarray
     pilots: np.ndarray
     data_symbols: np.ndarray
-    coded_bits: np.ndarray = None
     perms: np.ndarray = None
 
 
@@ -235,14 +235,12 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int,
     else:
         if payload_bits.shape[1] % 2 != 0:
             raise StructuralError("uncoded payload length must be even for QPSK")
-        coded_bits = None
         perms = None
         channel_bits = payload_bits
 
     data_symbols = qpsk_map(channel_bits, cfg.symbol_power)
     return SymbolFrame(info_bits=payload_bits, channel_bits=channel_bits,
-                       pilots=pilots, data_symbols=data_symbols,
-                       coded_bits=coded_bits, perms=perms)
+                       pilots=pilots, data_symbols=data_symbols, perms=perms)
 
 
 def coded_payload_length(n_data_symbols: int, trellis: TrellisSpec = TrellisSpec(),

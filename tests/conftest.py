@@ -48,9 +48,9 @@ def antenna_domain_receive_block(spec, snr_index, block, noise_var, seen=None):
     ``channel_transmit`` at the N_A antennas from the packet's noise
     substream; the block trains on the received pilots, and each front end
     F (true channel, estimate or trained filters) reduces the received data
-    r to ``matched(F, r)``.  Returns the frames and the ``(A, y)`` per
-    packet, as ``_receive_block`` does; ``seen``, if given, collects each
-    packet's ``(F, r)``.
+    r to ``matched(F, r)``.  Returns the frames and the packets' ``(A, y)``
+    stacked, (P, M, M) and (P, M, T), as ``_receive_block`` does; ``seen``,
+    if given, collects each packet's ``(F, r)``.
     """
     chans = [_draw_trial_channel(spec.system, spec.seed, snr_index, t) for t in block]
     frames = [harness._build_trial_frame(spec, snr_index, t) for t in block]
@@ -66,7 +66,8 @@ def antenna_domain_receive_block(spec, snr_index, block, noise_var, seen=None):
     data = [r[:, n_pilots:] for r in received]
     if seen is not None:
         seen.extend(zip(fronts, data))
-    return frames, [matched(front, r) for front, r in zip(fronts, data)]
+    grams, ys = map(np.stack, zip(*(matched(front, r) for front, r in zip(fronts, data))))
+    return frames, grams, ys
 
 
 def reference_encode(bits, generators=(0b111, 0b101), memory=2):

@@ -182,28 +182,26 @@ def test_large_scale_draw_consistency():
     cfg = m.SystemConfig(n_users=5, n_bs=2, n_heads=3, antennas_per_head=1,
                          path_loss_exp=3.0, shadow_spread_db=2.0,
                          path_gain_range=(0.5, 0.9), distance_range=(0.2, 0.6))
-    ls = m.draw_large_scale(cfg, np.random.default_rng(5))
-    assert ls.gains.shape == ls.distances.shape == (5, 4)
-    grid = _distance_grid((0.2, 0.6))
-    assert set(np.round(ls.distances, 10).ravel()) <= set(np.round(grid, 10))
+    gains = m.draw_large_scale(cfg, np.random.default_rng(5))
+    assert gains.shape == (5, 4)
     # replay the generator: grid index, link gain, shadowing normal
     replay = np.random.default_rng(5)
+    grid = _distance_grid((0.2, 0.6))
     d = grid[replay.integers(0, len(grid), size=(5, 4))]
     link = 0.5 + (0.9 - 0.5) * replay.random(size=(5, 4))
     v = replay.standard_normal((5, 4))
-    assert np.array_equal(ls.distances, d)
     assert np.all((link >= 0.5) & (link <= 0.9))
     # gamma = sqrt(link / d^tau) * 10^(sigma v / 10)
-    np.testing.assert_allclose(ls.gains, np.sqrt(link / d ** 3.0) * 10.0 ** (2.0 * v / 10.0),
+    np.testing.assert_allclose(gains, np.sqrt(link / d ** 3.0) * 10.0 ** (2.0 * v / 10.0),
                                rtol=1e-15)
 
 
 def test_large_scale_degenerate_ranges(rng):
     cfg = m.SystemConfig(n_users=3, n_bs=4, shadow_spread_db=0.0,
                          path_gain_range=(0.5, 0.5), distance_range=(0.5, 0.5))
-    ls = m.draw_large_scale(cfg, rng)
+    gains = m.draw_large_scale(cfg, rng)
     # sqrt(0.5 / 0.5^2) = sqrt(2), and no shadowing
-    np.testing.assert_allclose(ls.gains, np.sqrt(2.0), atol=1e-12)
+    np.testing.assert_allclose(gains, np.sqrt(2.0), atol=1e-12)
 
 
 def test_shadowing_second_moment_closed_form(rng):
@@ -222,7 +220,7 @@ def test_mean_gamma_sq_matches_independent_factorization(rng):
     for cfg in (m.SystemConfig(n_users=4, n_bs=4, path_gain_range=(0.5, 0.9)),
                 m.SystemConfig(n_users=4, n_bs=2, n_heads=3, antennas_per_head=2,
                                path_loss_exp=3.0, shadow_spread_db=4.0)):
-        samples = np.concatenate([m.draw_large_scale(cfg, rng).gains.ravel() ** 2
+        samples = np.concatenate([m.draw_large_scale(cfg, rng).ravel() ** 2
                                   for _ in range(10000)])
         stderr = np.std(samples, ddof=1) / np.sqrt(samples.size)
         assert abs(np.mean(samples) - m.mean_gamma_sq(cfg)) < 5 * stderr
@@ -237,26 +235,24 @@ def test_mean_gamma_sq_hand_value():
     assert m.mean_gamma_sq(cfg) == pytest.approx(23.98231, rel=1e-6)
 
 
-def gain_diagonal(cfg, large, user):
+def gain_diagonal(cfg, gains, user):
     """Per-receive-antenna large-scale gain vector of one user (length N_A):
     the oracle of :func:`compose_channel`."""
-    return np.repeat(large.gains[user], cfg.receive_blocks())
+    return np.repeat(gains[user], cfg.receive_blocks())
 
 
 def test_gain_diagonal_repeats_over_blocks():
     cfg = m.SystemConfig(n_users=2, n_bs=2, n_heads=2, antennas_per_head=1)
-    ls = m.draw_large_scale(cfg, np.random.default_rng(0))
-    ls.gains = np.array([[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])
-    np.testing.assert_array_equal(gain_diagonal(cfg, ls, 0), [3.0, 3.0, 4.0, 5.0])
-    np.testing.assert_array_equal(gain_diagonal(cfg, ls, 1), [6.0, 6.0, 7.0, 8.0])
+    gains = np.array([[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])
+    np.testing.assert_array_equal(gain_diagonal(cfg, gains, 0), [3.0, 3.0, 4.0, 5.0])
+    np.testing.assert_array_equal(gain_diagonal(cfg, gains, 1), [6.0, 6.0, 7.0, 8.0])
 
 
 def test_compose_channel_scales_columns():
     cfg = m.SystemConfig(n_users=2, n_bs=2, n_heads=1, antennas_per_head=1)
-    ls = m.draw_large_scale(cfg, np.random.default_rng(1))
-    ls.gains = np.array([[2.0, 3.0], [4.0, 5.0]])
+    gains = np.array([[2.0, 3.0], [4.0, 5.0]])
     small = np.hstack([np.ones((3, 1), dtype=complex), np.full((3, 1), 1j)])
-    chan = m.compose_channel(cfg, small, ls)
+    chan = m.compose_channel(cfg, small, gains)
     np.testing.assert_allclose(chan[:, 0], [2.0, 2.0, 3.0])
     np.testing.assert_allclose(chan[:, 1], [4j, 4j, 5j])
     assert chan.shape == (3, 2)
@@ -265,22 +261,22 @@ def test_compose_channel_scales_columns():
 def test_compose_channel_equals_per_user_gain_diagonal(rng):
     # one broadcast scales user k's N_U columns row by row with its gains
     cfg = SMALL_SCALE_SYSTEMS["das-4x8x4-nu2"]
-    ls = m.draw_large_scale(cfg, rng)
+    gains = m.draw_large_scale(cfg, rng)
     small = rng.standard_normal((cfg.n_rx_total, cfg.n_streams)) + 1j * rng.standard_normal(
         (cfg.n_rx_total, cfg.n_streams))
     n_u = cfg.antennas_per_user
-    per_user = np.hstack([gain_diagonal(cfg, ls, k)[:, None] * small[:, k * n_u:(k + 1) * n_u]
+    per_user = np.hstack([gain_diagonal(cfg, gains, k)[:, None] * small[:, k * n_u:(k + 1) * n_u]
                           for k in range(cfg.n_users)])
-    assert same_bytes(m.compose_channel(cfg, small, ls), per_user)
+    assert same_bytes(m.compose_channel(cfg, small, gains), per_user)
 
 
 def test_compose_channel_shape_errors():
     cfg = m.SystemConfig(n_users=2, n_bs=4)
-    ls = m.draw_large_scale(cfg, np.random.default_rng(2))
+    gains = m.draw_large_scale(cfg, np.random.default_rng(2))
     with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((4, 1)), ls)
+        m.compose_channel(cfg, np.ones((4, 1)), gains)
     with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((3, 2)), ls)
+        m.compose_channel(cfg, np.ones((3, 2)), gains)
 
 
 def test_snr_to_noise_variance_hand_value(monkeypatch):

@@ -900,6 +900,21 @@ def test_cli_override_validation_error(tmp_path):
         assert cli.main(["--config", str(cfg), *flags]) == 2, flags
 
 
+@pytest.mark.parametrize("detector", [d for d in harness.DETECTORS if d != "mmse"])
+def test_reduced_rank_estimators_take_only_the_mmse_detector(tmp_path, capsys, detector):
+    # a trained rr-* bank detects linearly whatever the detector key says,
+    # so any other name would label CSV rows with a detector that never ran
+    rr = dict(estimator="rr-krylov", pilot_len=16, rank=2, branches=2)
+    with pytest.raises(ConfigError, match="set detector = mmse"):
+        small_spec(detector=detector, **rr)
+    out = tmp_path / "x.csv"
+    cfg = write_config(tmp_path, "".join(f"{key} = {value}\n" for key, value in rr.items()))
+    assert cli.main(["--config", str(cfg), "--out", str(out),
+                     "--detector", detector]) == cli.EXIT_CONFIG
+    assert "set detector = mmse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg = write_config(tmp_path)

@@ -793,9 +793,8 @@ def _received_block(estimator, n_pkt):
                           estimator=estimator, pilot_len=12, packet_symbols=80,
                           snr_db=(6.0,), packets=n_pkt, seed=7).validate()
     nv = harness.trial_noise_variance(spec, 6.0)
-    frames, stats = harness._receive_block(spec, 0, range(n_pkt), nv)
-    grams, ys = zip(*stats)
-    return np.stack(grams), np.stack(ys), nv, np.stack([f.perms for f in frames])
+    frames, grams, ys = harness._receive_block(spec, 0, range(n_pkt), nv)
+    return grams, ys, nv, np.stack([f.perms for f in frames])
 
 
 @pytest.mark.parametrize("estimator", ["perfect", "lms"])

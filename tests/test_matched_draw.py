@@ -74,11 +74,30 @@ def test_front_end_of_rank_two_takes_the_hermitian_root(monkeypatch):
     assert len(roots) == spec.packets
 
 
+@pytest.mark.parametrize("kw", [{}, LMS, KRYLOV, dict(coded=True)],
+                         ids=["perfect", "lms", "rr-krylov", "coded"])
+def test_draw_and_oracle_return_stacks_of_one_shape(kw):
+    # the program and its oracle share one interface: the frames, then the
+    # block's Gram matrices (P, M, M) and matched outputs (P, M, T)
+    spec = spec_of(12.0, **kw)
+    n_streams = spec.system.n_streams
+    noise_var = harness.trial_noise_variance(spec, 12.0)
+    draws = [receive_block(spec, 0, range(3), noise_var) for receive_block in
+             (harness._receive_block, conftest.antenna_domain_receive_block)]
+    for frames, grams, ys in draws:
+        assert len(frames) == 3
+        assert grams.shape == (3, n_streams, n_streams)
+        assert ys.shape == (3, n_streams, spec.packet_symbols)
+        assert grams.dtype == ys.dtype == complex
+    for ours, oracle in zip(*(frames for frames, _, _ in draws)):
+        assert conftest.same_bytes(ours.data_symbols, oracle.data_symbols)
+
+
 def test_noiseless_packet_is_its_clean_statistic():
     # with noise_var = 0 and perfect CSI, y = G^H G s exactly
     spec = spec_of(12.0)
-    frames, stats = harness._receive_block(spec, 0, range(3), 0.0)
-    for t, (frame, (gram, y)) in enumerate(zip(frames, stats)):
+    frames, grams, ys = harness._receive_block(spec, 0, range(3), 0.0)
+    for t, (frame, gram, y) in enumerate(zip(frames, grams, ys)):
         chan = harness._draw_trial_channel(spec.system, spec.seed, 0, t)
         assert conftest.same_bytes(gram, chan.conj().T @ chan)
         assert conftest.same_bytes(y, gram @ frame.data_symbols)

@@ -158,7 +158,6 @@ def test_assemble_frame_coded_consistency(rng):
     assert frame.data_symbols.shape == (2, 30)
     for s in range(2):
         code = m.conv_encode(payload[s])
-        np.testing.assert_array_equal(frame.coded_bits[s], code)
         np.testing.assert_array_equal(
             m.deinterleave(frame.channel_bits[s], frame.perms[s]), code)
     np.testing.assert_allclose(frame.data_symbols, m.qpsk_map(frame.channel_bits))
