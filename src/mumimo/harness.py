@@ -16,6 +16,7 @@ import time
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -356,12 +357,14 @@ def scenario_hash(spec: ScenarioSpec) -> str:
 
 # -- trial execution ----------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def mean_gamma_sq(cfg: SystemConfig) -> float:
     """Exact E[gamma^2] of the large-scale model, used by the SNR mapping.
 
     ``gamma^2 = link * d^-tau * 10^(sigma v / 5)`` with independent factors:
     a uniform link gain, a distance uniform on the grid and a standard
     normal v, whose lognormal factor has mean ``exp((sigma ln10 / 5)^2 / 2)``.
+    The value is pure in the frozen config, so it is cached per config.
     """
     grid = _distance_grid(cfg.distance_range)
     shadow = np.exp((cfg.shadow_spread_db * np.log(10.0) / 5.0) ** 2 / 2.0)
@@ -409,8 +412,8 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> np.ndarray:
     ``pilots`` lists each packet's known (M, n) pilot block and
     ``rx_pilots`` its received (N_A, n) one.  Returns the packets' channel
     estimates (ls, rls, lms) or receive filters (rr-*) stacked, (P, N_A, M).
-    Every trainer takes the block's stacked pilots in one call, and LMS and
-    JIO step every packet in one per-sample loop.
+    Every trainer takes the block's stacked pilots in one call, and JIO
+    steps every packet in one per-sample loop.
     """
     cfg = spec.system
     packets = len(pilots)
@@ -436,9 +439,10 @@ def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> np.ndarray:
 
 
 def _detect(spec: ScenarioSpec, gram, matched, noise_var):
-    """Hard decisions (M, T) of the configured detector on one packet's
-    ``(A, y)``.  An rr-* front end is its trained bank W, whose outputs
-    ``W^H r`` are sliced as they stand: the rmf case."""
+    """Hard decisions (P, M, T) of the configured detector on a block's
+    stacked ``(A, y)``, each packet decided as it would be alone.  An rr-*
+    front end is its trained bank W, whose outputs ``W^H r`` are sliced as
+    they stand: the rmf case."""
     sp = spec.system.symbol_power
     name = "rmf" if spec.estimator.startswith("rr-") else spec.detector
     if name in LINEAR_DESIGNS:
@@ -471,18 +475,21 @@ def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
 
     The front end F is the true channel, the estimated one or the trained
     receive filters.  Returns the frames and the packets' statistics
-    ``(A, y)`` of :func:`matched_transmit`, stacked: the Gram matrices
-    (P, M, M) and the matched outputs (P, M, T).  Nothing of the data is
-    drawn at the N_A antennas.
+    ``(A, y)`` of :func:`matched_transmit`, drawn straight into their
+    stacks: the Gram matrices (P, M, M) and the matched outputs (P, M, T).
+    Nothing of the data is drawn at the N_A antennas.
     """
     chans, frames, rx_pilots, noises = zip(*(_draw_packet(spec, snr_index, t, noise_var)
                                              for t in block))
     fronts = chans
     if spec.estimator != "perfect":
         fronts = _train(spec, [f.pilots for f in frames], rx_pilots)
-    grams, matched = map(np.stack, zip(*(
-        matched_transmit(front, chan, frame.data_symbols, noise_var, noise)
-        for front, chan, frame, noise in zip(fronts, chans, frames, noises))))
+    m, n_sym = frames[0].data_symbols.shape
+    grams = np.empty((len(frames), m, m), dtype=complex)
+    matched = np.empty((len(frames), m, n_sym), dtype=complex)
+    for k, (front, chan, frame, noise) in enumerate(zip(fronts, chans, frames, noises)):
+        matched_transmit(front, chan, frame.data_symbols, noise_var, noise,
+                         out=(grams[k], matched[k]))
     return frames, grams, matched
 
 
@@ -493,10 +500,11 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
     or a ``range`` of them, simulated as one block, which returns a list.
     Every packet draws its channel, frame and noise from its own
     substreams and the block's pilots train in one call (:func:`_train`).
-    The block's statistics then go to one receiver: coded packets decode
-    in one :func:`idd_receive` call, uncoded ones are detected one by one
-    (:func:`_detect`).  Either decodes a packet exactly as it would alone,
-    so a packet's result does not depend on the block it ran in.
+    The block's statistics then go to one receiver call: coded packets
+    decode in :func:`idd_receive`, uncoded ones are detected on their
+    stacks by :func:`_detect`.  Either decodes a packet exactly as it
+    would alone, so a packet's result does not depend on the block it ran
+    in.  One tally then counts every packet's errors after each iteration.
     """
     try:
         snr_index = spec.snr_db.index(float(snr_db))
@@ -506,23 +514,23 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
     noise_var = trial_noise_variance(spec, snr_db)
     frames, grams, matched = _receive_block(spec, snr_index, block, noise_var)
     if spec.coded:
-        sent = [f.info_bits for f in frames]
+        sent = np.stack([f.info_bits for f in frames], dtype=np.int8)
         perms = np.stack([f.perms for f in frames])
         # the decode holds the stacks, not the frames' symbols
         del frames
-        decided = idd_receive(grams, matched, noise_var, perms,
-                              symbol_power=spec.system.symbol_power,
-                              n_outer=spec.idd_iterations).per_iteration_bits
+        decided = np.stack(idd_receive(grams, matched, noise_var, perms,
+                                       symbol_power=spec.system.symbol_power,
+                                       n_outer=spec.idd_iterations).per_iteration_bits)
     else:
-        sent = [f.channel_bits for f in frames]
-        # one iteration: each packet's decided bits, as channel_bits lays them out
-        decided = [[labels_to_bits(_detect(spec, a, y, noise_var)).reshape(bits.shape)
-                    for a, y, bits in zip(grams, matched, sent)]]
-    results = []
-    for k, bits in enumerate(sent):
-        errors = tuple(int(np.sum(iteration[k] != bits)) for iteration in decided)
-        results.append(TrialResult(bits=bits.size, errors=errors[-1],
-                                   per_iteration_errors=errors if spec.coded else None))
+        sent = np.stack([f.channel_bits for f in frames], dtype=np.int8)
+        # one iteration: the block's decided bits, as channel_bits lays them out
+        decided = labels_to_bits(_detect(spec, grams, matched, noise_var)).reshape(
+            (1,) + sent.shape)
+    errors = np.count_nonzero(decided != sent, axis=(-2, -1)).tolist()  # (iterations, P)
+    results = [TrialResult(bits=sent[k].size, errors=errors[-1][k],
+                           per_iteration_errors=(tuple(it[k] for it in errors)
+                                                 if spec.coded else None))
+               for k in range(len(sent))]
     return results if isinstance(trials, range) else results[0]
 
 

@@ -167,14 +167,19 @@ def qpsk_map(bits, symbol_power: float = 1.0) -> np.ndarray:
 def qpsk_slice_labels(symbols) -> np.ndarray:
     """Hard decisions as 2-bit labels; boundary ties resolve toward bit 0."""
     symbols = np.asarray(symbols)
-    b0 = (symbols.real < 0).astype(np.int64)
-    b1 = (symbols.imag < 0).astype(np.int64)
-    return (b0 << 1) | b1
+    labels = (symbols.real < 0).astype(np.int64)
+    labels <<= 1
+    labels |= symbols.imag < 0
+    return labels
 
 
 def labels_to_bits(labels) -> np.ndarray:
     labels = np.asarray(labels)
-    return np.stack([(labels >> 1) & 1, labels & 1], axis=-1).astype(np.int8)
+    bits = np.empty(labels.shape + (2,), dtype=np.int8)
+    np.right_shift(labels, 1, out=bits[..., 0], casting="unsafe")
+    np.bitwise_and(labels, 1, out=bits[..., 1], casting="unsafe")
+    bits[..., 0] &= 1
+    return bits
 
 
 # -- frame assembly ---------------------------------------------------------
@@ -304,7 +309,7 @@ def gram_root(gram: np.ndarray) -> np.ndarray:
 
 
 def matched_transmit(front: np.ndarray, chan: np.ndarray, symbols: np.ndarray,
-                     noise_var: float, rng: np.random.Generator):
+                     noise_var: float, rng: np.random.Generator, out=None):
     """Draw a block of data as the front end ``front`` sees it.
 
     A receive front end F (N_A, M) reduces ``r = G s + n``, with n white
@@ -314,8 +319,10 @@ def matched_transmit(front: np.ndarray, chan: np.ndarray, symbols: np.ndarray,
     (:func:`gram_root`) and w ~ CN(0, I) of shape (M, T): M x T normals
     instead of N_A x T, with the statistic's exact distribution.  w takes
     its real and imaginary parts interleaved from one
-    ``standard_normal((M, 2 T))`` draw.  ``chan`` is the true G (N_A, M)
-    and ``symbols`` (M, T).  Returns ``(A, y)``; y is always complex.
+    ``standard_normal((M, 2 T))`` draw, made into y's own memory.  ``chan``
+    is the true G (N_A, M) and ``symbols`` (M, T).  Returns ``(A, y)``; y
+    is always complex.  ``out``, if given, is the pair of arrays, (M, M)
+    and C-contiguous complex (M, T), that receive them.
     """
     front, chan, symbols = np.asarray(front), np.asarray(chan), np.asarray(symbols)
     if front.shape != chan.shape or chan.shape[1] != symbols.shape[0]:
@@ -324,12 +331,16 @@ def matched_transmit(front: np.ndarray, chan: np.ndarray, symbols: np.ndarray,
             f"one symbol row per stream, got {symbols.shape[0]}")
     if noise_var < 0.0:
         raise ParameterError("noise_var must be >= 0")
+    gram, matched = (None, None) if out is None else out
     adjoint = front.conj().T
-    gram = adjoint @ front
+    gram = np.matmul(adjoint, front, out=gram)
     cross = gram if front is chan else adjoint @ chan
-    matched = (cross @ symbols).astype(complex, copy=False)
+    if matched is None:
+        matched = np.empty((len(gram), symbols.shape[1]), dtype=complex)
     if noise_var == 0.0:
-        return gram, matched
-    white = rng.standard_normal((len(gram), 2 * matched.shape[1])).view(complex)
-    matched += (np.sqrt(noise_var / 2.0) * gram_root(gram)) @ white
+        return gram, np.matmul(cross, symbols, out=matched)
+    rng.standard_normal(out=matched.view(float))
+    noise = (np.sqrt(noise_var / 2.0) * gram_root(gram)) @ matched
+    np.matmul(cross, symbols, out=matched)
+    matched += noise
     return gram, matched

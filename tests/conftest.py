@@ -113,6 +113,27 @@ class ReferenceRls:
         return self
 
 
+class ReferenceLms:
+    """The per-sample LMS recursion of the stacked channel matrix, the oracle
+    of ``LmsChannelEstimator``'s block form: one step per pilot,
+    ``e = r - G s`` and ``G += mu e s^H``, for every packet of the stack."""
+
+    def __init__(self, n_streams, n_rx, mu=0.05, packets=1):
+        self.mu = mu
+        self.estimate = np.zeros((packets, n_rx, n_streams), dtype=complex)
+
+    def update(self, pilots, received):
+        """Step over a block: pilots (P, M, n), received (P, N_A, n)."""
+        # each snapshot contiguous, as a block of one snapshot would be
+        for s_i, r_i in zip(*(np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=complex),
+                                                               -1, 0))
+                              for x in (pilots, received))):
+            err = r_i - (self.estimate @ s_i[..., None])[..., 0]
+            self.estimate = self.estimate + self.mu * (err[..., :, None]
+                                                       * s_i.conj()[..., None, :])
+        return self
+
+
 class WarmStartJio:
     """A JIO bank started from a Krylov warm-up.  The first ``warmup``
     samples train a Krylov bank, whose weights stand until then; its basis,

@@ -429,6 +429,120 @@ def test_detectors_reject_antenna_domain_data(rng, detect):
         detect(chan, y)  # the channel in place of its Gram matrix
 
 
+# -- stacks of blocks ---------------------------------------------------------
+
+def _stacked_block(rng, lead, n_rx, n_streams, n_sym, noise_var):
+    """``(A, y)`` stacks with the leading axes ``lead`` of noisy QPSK blocks."""
+    chans = random_channel(rng, int(np.prod(lead)) * n_rx, n_streams).reshape(
+        lead + (n_rx, n_streams))
+    labels = rng.integers(0, 4, size=lead + (n_streams, n_sym))
+    noise = random_channel(rng, int(np.prod(lead)) * n_rx, n_sym).reshape(
+        lead + (n_rx, n_sym))
+    r = chans @ m.qpsk_constellation()[labels] + np.sqrt(noise_var) * noise
+    adjoint = np.swapaxes(chans.conj(), -1, -2)
+    return adjoint @ chans, adjoint @ r
+
+
+STACKED_DETECTORS = {
+    "zf-filter": lambda a, y, nv: m.compute_receive_filter(a, 1.0, nv, "zf"),
+    "mmse-filter": lambda a, y, nv: m.compute_receive_filter(a, 1.0, nv, "mmse"),
+    **{f"linear-{d}": lambda a, y, nv, d=d: m.linear_detect(
+        m.compute_receive_filter(a, 1.0, nv, d), y) for d in ("rmf", "zf", "mmse")},
+    **{f"ordering-{c}": lambda a, y, nv, c=c: m.compute_ordering(a, 1.0, nv, c)
+       for c in ORDERING_CRITERIA},
+    **{f"sic-{d}-{c}": lambda a, y, nv, d=d, c=c: m.sic_detect(a, y, c, d, 1.0, nv)
+       for d in ("rmf", "zf", "mmse") for c in ORDERING_CRITERIA},
+    "sic-permutation": lambda a, y, nv: m.sic_detect(a, y, [2, 0, 3, 1], "mmse", 1.0, nv),
+    **{f"mb-sic-{d}-{c}": lambda a, y, nv, d=d, c=c: m.mb_sic_detect(a, y, 3, d, 1.0, nv, c)
+       for d in ("rmf", "zf", "mmse") for c in ORDERING_CRITERIA},
+    **{f"{mode}-{d}": lambda a, y, nv, mode=mode, d=d: m.df_detect(a, y, mode, d, 1.0, nv)
+       for mode in ("s-df", "p-df") for d in ("rmf", "zf", "mmse")},
+    "ml": lambda a, y, nv: m.ml_detect_oracle(a, y, chunk=16),
+}
+
+
+@pytest.mark.parametrize("detect", STACKED_DETECTORS.values(), ids=STACKED_DETECTORS)
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)], ids=["1", "3", "2x3"])
+def test_stacked_call_gives_each_item_its_own_labels(rng, detect, lead):
+    # a detector takes any leading axes and decides every item byte for
+    # byte as the item's own 2-D call does
+    nv = 0.3
+    gram, y = _stacked_block(rng, lead, 6, 4, 40, nv)
+    stacked = detect(gram, y, nv)
+    assert stacked.shape[:len(lead)] == lead
+    for item in np.ndindex(lead):
+        assert same_bytes(stacked[item], detect(gram[item], y[item], nv)), item
+
+
+def test_stacked_sic_takes_an_order_per_item(rng):
+    gram, y = _stacked_block(rng, (3,), 6, 4, 30, 0.3)
+    perms = np.array([[0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]])
+    stacked = m.sic_detect(gram, y, perms, "mmse", 1.0, 0.3)
+    for i, perm in enumerate(perms):
+        assert same_bytes(stacked[i], m.sic_detect(gram[i], y[i], perm, "mmse", 1.0, 0.3))
+    with pytest.raises(StructuralError):
+        m.sic_detect(gram, y, perms[:, :3], "mmse", 1.0, 0.3)
+    with pytest.raises(StructuralError):
+        m.sic_detect(gram, y, np.array([[0, 1, 2, 3], [3, 1, 1, 2], [2, 3, 1, 0]]))
+    with pytest.raises(StructuralError):  # the leading axes differ
+        m.linear_detect(m.compute_receive_filter(gram, 1.0, 0.3, "mmse"), y[:2])
+    with pytest.raises(StructuralError):
+        m.df_detect(gram, y[0])
+
+
+@pytest.mark.parametrize("n_rx, n_streams", [(6, 4), (16, 8), (128, 32)])
+def test_numpy_stacked_detector_operations_equal_per_item_operations(rng, n_rx, n_streams):
+    # the stacked detectors rely on numpy computing each item of a stacked
+    # inv, cholesky, leading-axis product and einsum reduction as that item
+    # alone; a numpy or BLAS that rounds otherwise fails here, not as a
+    # moved CSV
+    n_pkt, n_branches, n_sym = 3, 3, 50
+    gram, y = _stacked_block(rng, (n_pkt,), n_rx, n_streams, n_sym, 0.3)
+    reg = gram + 0.3 * np.eye(n_streams)
+    inv = np.linalg.inv(reg)
+    symbols = random_channel(rng, n_branches * n_pkt * n_streams, n_sym).reshape(
+        n_branches, n_pkt, n_streams, n_sym)
+    cand = random_channel(rng, n_streams, 64)
+    k = n_streams // 2
+
+    def ops(gram, y, reg, inv, symbols):
+        adjoint = np.swapaxes(inv.conj(), -1, -2)
+        chol = np.linalg.cholesky(inv)
+        return {
+            "inv": np.linalg.inv(reg),
+            "cholesky": chol,
+            "P^H y": adjoint @ y,
+            "P A": inv @ gram,
+            "diag(L) L^H": (np.diagonal(chol, axis1=-2, axis2=-1).real[..., None]
+                            * np.swapaxes(chol.conj(), -1, -2)),
+            "row stage": (gram[..., k:k + 1, :k] @ y[..., :k, :])[..., 0, :],
+            "A s (branches)": gram @ symbols,
+            "A c": gram @ cand,
+            "c^H y": cand.conj().T @ y,
+            "sinr noise": np.einsum('...ij,...ji->...i', inv @ gram, inv).real,
+            "branch distance": np.einsum('...mt,...mt->...t', symbols,
+                                         (gram @ symbols - 2.0 * y).conj()).real,
+            "candidate energy": np.einsum('...mc,...mc->...c', cand.conj(), gram @ cand).real,
+        }
+
+    stacked = ops(gram, y, reg, inv, symbols)
+    for i in range(n_pkt):
+        alone = ops(gram[i], y[i], reg[i], inv[i], symbols[:, i])
+        for name, value in alone.items():
+            item = stacked[name][:, i] if name in ("A s (branches)", "branch distance") \
+                else stacked[name][i]
+            assert same_bytes(item, value), (name, i)
+        for b in range(n_branches):
+            assert same_bytes(stacked["A s (branches)"][b, i], gram[i] @ symbols[b, i])
+            # the real part of s conj(v) rounds as that of conj(s) v
+            assert same_bytes(stacked["branch distance"][b, i], np.einsum(
+                'mt,mt->t', symbols[b, i].conj(), gram[i] @ symbols[b, i] - 2.0 * y[i]).real)
+            assert same_bytes(stacked["branch distance"][b, i],
+                              detectors._branch_distance(gram[i], y[i], symbols[b, i]))
+        # a 2-D row-vector product is the (1, k) product of its stack
+        assert same_bytes(stacked["row stage"][i], gram[i, k, :k] @ y[i, :k])
+
+
 # -- SIC by inverse downdate against the per-stage re-inversion ---------------
 
 SIC_SYSTEMS = {
@@ -625,11 +739,14 @@ def test_sic_sweep_csv_matches_per_stage_oracle(monkeypatch, detector, extra):
     assert all(row.errors > 0 for row in fast.rows)
 
     def in_antenna_domain(oracle):
-        def detect(gram, y, *args):
-            chan, r = next((chan, r) for chan, r in packets
-                           if same_bytes(matched(chan, r)[0], gram))
-            assert same_bytes(matched(chan, r)[1], y)
-            return oracle(chan, r, *args)
+        def detect(grams, ys, *args):
+            labels = []
+            for gram, y in zip(grams, ys):  # the block's packets
+                chan, r = next((chan, r) for chan, r in packets
+                               if same_bytes(matched(chan, r)[0], gram))
+                assert same_bytes(matched(chan, r)[1], y)
+                labels.append(oracle(chan, r, *args))
+            return np.stack(labels)
         return detect
 
     monkeypatch.setattr(harness, "sic_detect", in_antenna_domain(reference_sic_detect))
@@ -685,11 +802,12 @@ FACTORIZATIONS = ("inv", "cholesky", "solve", "eig", "eigh", "eigvals", "eigvals
 
 
 def counting_factorizations(monkeypatch):
+    # the name once per matrix factored: a stacked call counts its items
     calls = []
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.extend([name] * int(np.prod(np.shape(args[0])[:-2])))
             return func(*args, **kwargs)
         return wrapper
 
@@ -701,7 +819,8 @@ def counting_factorizations(monkeypatch):
 @pytest.mark.parametrize("design, check", [("mmse", []), ("zf", ["matrix_rank"])])
 def test_sic_factors_once_per_packet(monkeypatch, rng, design, check):
     # one inverse and one Cholesky factor per SIC packet, one factor per
-    # MB-SIC branch, whatever M is: a per-stage factorization would count M
+    # MB-SIC branch, whatever M is: a per-stage factorization would count M.
+    # A stack of packets factors each of its packets once
     for n_rx, n_streams in ((16, 8), (128, 32)):
         gram, y = matched(random_channel(rng, n_rx, n_streams), random_channel(rng, n_rx, 30))
         calls = counting_factorizations(monkeypatch)
@@ -715,6 +834,12 @@ def test_sic_factors_once_per_packet(monkeypatch, rng, design, check):
             m.mb_sic_detect(gram, y, branches, design, 1.0, 0.1)
             assert sorted(calls) == sorted(check + ["inv"] + ["cholesky"] * branches)
             calls.clear()
+        grams, ys = np.stack([gram] * 3), np.stack([y] * 3)
+        m.sic_detect(grams, ys, "norm", design, 1.0, 0.1)
+        assert sorted(calls) == sorted((check + ["inv", "cholesky"]) * 3)
+        calls.clear()
+        m.mb_sic_detect(grams, ys, 4, design, 1.0, 0.1)
+        assert sorted(calls) == sorted((check + ["inv"] + ["cholesky"] * 4) * 3)
         monkeypatch.undo()
 
 

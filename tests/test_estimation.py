@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import ReferenceRls, WarmStartJio, random_channel, same_bytes
+from conftest import ReferenceLms, ReferenceRls, WarmStartJio, random_channel, same_bytes
 from mumimo.errors import (ParameterError, ParameterWarning, RankError,
                            StructuralError)
-from mumimo.estimation import _BLOCK, DEFAULT_DELTA
+from mumimo.estimation import _BLOCK, _LMS_RUN, DEFAULT_DELTA
 
 
 def qpsk_block(rng, n_streams, n, power=1.0):
@@ -148,24 +148,50 @@ def test_lms_channel_converges_noiseless(rng):
     assert err < 1e-3
 
 
-def test_lms_block_update_equals_single_updates(rng):
-    chan = random_channel(rng, 5, 3)
-    pilots = qpsk_block(rng, 3, 17)
-    recv = chan @ pilots + 0.1 * random_channel(rng, 5, 17)
-    pilots, recv = pilots[None], recv[None]  # a lone packet: a stack of one
-    single = m.LmsChannelEstimator(3, 5, mu=0.1)
-    for i in range(17):
-        single.update(pilots[..., i:i + 1], recv[..., i:i + 1])
-    block = m.LmsChannelEstimator(3, 5, mu=0.1)
-    for lo, hi in ((0, 1), (1, 6), (6, 17)):
-        block.update(pilots[..., lo:hi], recv[..., lo:hi])
-    np.testing.assert_array_equal(block.estimate, single.estimate)
-    whole = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots, recv)
-    np.testing.assert_array_equal(whole.estimate, single.estimate)
+def _ulp_floor(oracle, received, estimate):
+    # how far the oracle's result moves, relative to its size, when every
+    # received sample moves one ulp up, or one ulp down: the larger move
+    floors = []
+    for way in (np.inf, -np.inf):
+        nudged = np.nextafter(received.real, way) + 1j * np.nextafter(received.imag, way)
+        floors.append(_relative_distance(oracle(nudged), estimate))
+    return max(floors)
+
+
+def test_lms_block_form_matches_the_recursion(rng):
+    # the block form solves each run of _LMS_RUN pilots in closed form and
+    # rounds otherwise than the per-sample recursion (conftest.ReferenceLms).
+    # However the pilots are split over update calls, on or off the run
+    # boundary, the estimate must stay within 10x of how far the recursion
+    # itself moves when every received sample moves by one ulp
+    n_pkt, n_rx, n_streams, n = 2, 16, 8, 3 * _LMS_RUN + 5
+    chans = np.stack([random_channel(rng, n_rx, n_streams) for _ in range(n_pkt)])
+    pilots = np.stack([qpsk_block(rng, n_streams, n) for _ in range(n_pkt)])
+    recv = chans @ pilots + 0.3 * np.stack([random_channel(rng, n_rx, n)
+                                            for _ in range(n_pkt)])
+    splits = {
+        "whole": ((0, n),),
+        "first pilots alone": ((0, 1), (1, 6), (6, n)),
+        "off the run boundary": ((0, _LMS_RUN - 3), (_LMS_RUN - 3, 2 * _LMS_RUN + 7),
+                                 (2 * _LMS_RUN + 7, n)),
+        "on the run boundary": ((0, _LMS_RUN), (_LMS_RUN, 3 * _LMS_RUN), (3 * _LMS_RUN, n)),
+    }
+    for mu in (0.01, 0.1):
+        def recursion(received):
+            return ReferenceLms(n_streams, n_rx, mu, n_pkt).update(pilots, received).estimate
+
+        reference = recursion(recv)
+        floor = _ulp_floor(recursion, recv, reference)
+        assert floor > 0.0
+        for name, bounds in splits.items():
+            tracker = m.LmsChannelEstimator(n_streams, n_rx, mu=mu, packets=n_pkt)
+            for lo, hi in bounds:
+                tracker.update(pilots[..., lo:hi], recv[..., lo:hi])
+            assert _relative_distance(tracker.estimate, reference) <= 10 * floor, (mu, name)
     with pytest.raises(StructuralError):
-        whole.update(pilots, recv[..., :16])
+        tracker.update(pilots, recv[..., :n - 1])
     with pytest.raises(StructuralError):
-        whole.update(np.swapaxes(pilots, 1, 2), np.swapaxes(recv, 1, 2))
+        tracker.update(np.swapaxes(pilots, 1, 2), np.swapaxes(recv, 1, 2))
 
 
 def test_lms_channel_step_size_warning():
@@ -585,7 +611,7 @@ def _complex(rng, *shape):
 
 @pytest.mark.parametrize("n_dim,rank", [(1, 1), (6, 1), (6, 6), (16, 3), (64, 5)])
 def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
-    # the stacked LMS and JIO steps and the stacked bank statistics rely on
+    # the stacked LMS runs and JIO steps and the stacked bank statistics rely on
     # numpy computing each item of a stacked product as the product of that
     # item alone (one BLAS call per item, the same einsum or vecdot loop); a
     # numpy or BLAS that rounds otherwise fails here, not as a moved CSV
@@ -633,8 +659,17 @@ def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
             "u v": u @ v,
         }
 
+    # a run of the LMS block form: S^H S, G S, (I + mu U)^-1 S^H and D X
+    pilots = _complex(rng, n_pkt, n_pilot_streams, n_samples)
+    pilots_h = np.swapaxes(pilots.conj(), -1, -2)
+    coupling = np.eye(n_samples) + 0.05 * np.triu(pilots_h @ pilots, 1)
+    gain = np.linalg.solve(coupling, pilots_h)
     stacked = {
         **jio_block(p_full, samples, z, gram, chol, f, columns, coeff, terms, x, short, v),
+        "S^H S": pilots_h @ pilots,
+        "G S": est @ pilots,
+        "T^-1 S^H": gain,
+        "D X": block @ gain,
         "G s": (est @ s[..., None])[..., 0],
         "R R^H": block @ np.swapaxes(block.conj(), -1, -2),
         "inv": np.linalg.inv(corr),
@@ -646,6 +681,10 @@ def test_numpy_stacked_products_equal_per_item_products(rng, n_dim, rank):
         alone = {
             **jio_block(p_full[i], run[i][:, n_samples:2 * n_samples], z[i], gram[i], chol[i],
                         f[i], columns[i], coeff[i], terms[i], x[i], short[i], v[i]),
+            "S^H S": pilots[i].conj().T @ pilots[i],
+            "G S": est[i] @ pilots[i],
+            "T^-1 S^H": np.linalg.solve(coupling[i], pilots[i].conj().T),
+            "D X": block[i] @ gain[i],
             "G s": est[i] @ s[i],
             "R R^H": block[i] @ block[i].conj().T,
             "inv": np.linalg.inv(corr[i]),
@@ -682,7 +721,9 @@ def test_stacked_lms_equals_independent_trackers(rng):
     for lo, hi in ((0, 1), (1, 6), (6, 17)):
         stacked.update(pilots[..., lo:hi], recv[..., lo:hi])
     for i in range(3):
-        alone = m.LmsChannelEstimator(3, 5, mu=0.1).update(pilots[i:i + 1], recv[i:i + 1])
+        alone = m.LmsChannelEstimator(3, 5, mu=0.1)
+        for lo, hi in ((0, 1), (1, 6), (6, 17)):
+            alone.update(pilots[i:i + 1, :, lo:hi], recv[i:i + 1, :, lo:hi])
         assert same_bytes(stacked.estimate[i], alone.estimate[0])
     with pytest.raises(StructuralError):
         stacked.update(pilots[0], recv[0])

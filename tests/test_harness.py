@@ -13,6 +13,7 @@ import conftest
 import mumimo as m
 from conftest import filter_training_experiment
 from mumimo import cli, detectors, harness, idd
+from mumimo.detectors import ORDERING_CRITERIA
 from mumimo.errors import ConfigError, NumericalError, ParameterWarning
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -380,14 +381,28 @@ def test_receivers_see_only_the_matched_domain(monkeypatch):
     assert calls.keys() == _RECEIVERS.keys()
 
 
-@pytest.mark.parametrize("extra", [dict(coded=True, packet_symbols=100),
-                                   dict(estimator="lms", pilot_len=16), dict()],
-                         ids=["coded", "lms", "mmse"])
+# every uncoded receiver, on four streams so that orderings and branches differ
+_FOUR = dict(system=m.SystemConfig(n_users=4, n_bs=8), branches=3)
+_ONE_PACKET_VIEW = {"coded": dict(coded=True, packet_symbols=100),
+                    "lms": dict(estimator="lms", pilot_len=16), "mmse": dict()}
+_ONE_PACKET_VIEW.update({det: dict(_FOUR, detector=det) for det in ("rmf", "zf", "ml")})
+_ONE_PACKET_VIEW.update({f"{det}-{design}": dict(_FOUR, detector=det, filter_design=design)
+                         for det in ("df-s", "df-p") for design in ("zf", "mmse")})
+_ONE_PACKET_VIEW.update({f"{det}-{design}-{order}": dict(_FOUR, detector=det,
+                                                         filter_design=design, ordering=order)
+                         for det in ("sic", "mb-sic") for design in ("zf", "mmse")
+                         for order in ORDERING_CRITERIA})
+
+
+@pytest.mark.parametrize("extra", _ONE_PACKET_VIEW.values(), ids=_ONE_PACKET_VIEW)
 def test_run_trial_is_the_one_packet_view_of_its_block(extra):
+    # a block is detected on its stacks in one call; each packet's result is
+    # what it gives alone, in blocks of one, two and three packets
     spec = small_spec(packets=5, **extra)
     block = m.run_trial(spec, 8.0, range(5))
     assert block == [m.run_trial(spec, 8.0, t) for t in range(5)]
-    assert m.run_trial(spec, 8.0, range(2, 4)) == block[2:4]
+    for n_pkt in (1, 2, 3):
+        assert m.run_trial(spec, 8.0, range(2, 2 + n_pkt)) == block[2:2 + n_pkt]
 
 
 _DAS = m.SystemConfig(n_users=2, n_bs=2, n_heads=2, antennas_per_head=1)
@@ -487,14 +502,15 @@ def test_failure_in_one_packet_of_a_block_fails_only_its_point(monkeypatch, work
 
 
 def _failing_packets(monkeypatch, spec, chosen):
-    # the mmse filter raises on the chosen (snr index, trial index) packets,
-    # which it recognises by the Gram matrices of their true channels
+    # the mmse filter raises on a block that holds a chosen (snr index,
+    # trial index) packet, which it recognises by the Gram matrix of its
+    # true channel
     chans = [harness._draw_trial_channel(spec.system, spec.seed, *key) for key in chosen]
     grams = {(chan.conj().T @ chan).tobytes() for chan in chans}
     real = harness.compute_receive_filter
 
     def raising(gram, *args):
-        if gram.tobytes() in grams:
+        if any(item.tobytes() in grams for item in np.reshape(gram, (-1,) + gram.shape[-2:])):
             raise NumericalError("synthetic failure")
         return real(gram, *args)
 
