@@ -77,30 +77,34 @@ def _receive_corr_sqrt(blocks: tuple, rho: float) -> np.ndarray:
 
 
 def draw_small_scale(cfg: SystemConfig, rngs) -> np.ndarray:
-    """Correlated Rayleigh fading of every user, stacked (N_A, K * N_U).
+    """Correlated Rayleigh fading of every user of P packets, (P, N_A, K * N_U).
 
-    User k's i.i.d. CN(0, 1) matrix comes from its own generator
-    ``rngs[k]`` (real part, then imaginary part), so its columns
-    k * N_U ... (k + 1) * N_U - 1 depend on that generator alone.  All
-    users' white matrices are colored on the receive side by one real
-    product with the (block-diagonal) correlation root, and each user's
-    on the transmit side by the per-user antenna correlation root.
+    ``rngs[p][k]`` is user k's generator in packet p.  Its i.i.d. CN(0, 1)
+    matrix (real part, then imaginary part) fills that packet's columns
+    k * N_U ... (k + 1) * N_U - 1, which depend on that generator alone.
+    Every packet's white matrices are colored on the receive side by one
+    real product with the (block-diagonal) correlation root, and each
+    user's on the transmit side by the per-user antenna correlation root;
+    both products run over the packet axis, one BLAS call per packet, so a
+    packet's fading is what a stack of that packet alone gives it.
     """
     n_rx, n_u = cfg.n_rx_total, cfg.antennas_per_user
-    if len(rngs) != cfg.n_users:
-        raise StructuralError(f"expected {cfg.n_users} generators, one per user, "
-                              f"got {len(rngs)}")
-    normals = np.empty((cfg.n_users, 2, n_rx, n_u))
-    for rng, user in zip(rngs, normals):
-        rng.standard_normal(out=user)
+    if any(len(users) != cfg.n_users for users in rngs):
+        raise StructuralError(f"expected {cfg.n_users} generators per packet, one per "
+                              f"user, got {[len(users) for users in rngs]}")
+    normals = np.empty((len(rngs), cfg.n_users, 2, n_rx, n_u))
+    for users, packet in zip(rngs, normals):
+        for rng, user in zip(users, packet):
+            rng.standard_normal(out=user)
     # scaled once into the product's layout, an entry's real and imaginary
     # parts side by side: the real product is the complex fading's real view
-    white = np.empty((n_rx, cfg.n_users, n_u, 2))
-    np.multiply(normals.transpose(2, 0, 3, 1), 1.0 / np.sqrt(2.0), out=white)
+    white = np.empty((len(rngs), n_rx, cfg.n_users, n_u, 2))
+    np.multiply(normals.transpose(0, 3, 1, 4, 2), 1.0 / np.sqrt(2.0), out=white)
     rx_root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
-    fading = (rx_root @ white.reshape(n_rx, -1)).view(complex)
+    fading = (rx_root @ white.reshape(len(rngs), n_rx, -1)).view(complex)
     tx_root = _cached_corr_sqrt(n_u, cfg.rho)
-    return (fading.reshape(-1, n_u) @ tx_root).reshape(n_rx, cfg.n_streams)
+    return (fading.reshape(len(rngs), -1, n_u) @ tx_root).reshape(
+        len(rngs), n_rx, cfg.n_streams)
 
 
 @lru_cache(maxsize=8)
@@ -113,36 +117,42 @@ def _distance_grid(distance_range: tuple) -> np.ndarray:
     return grid
 
 
-def draw_large_scale(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Large-scale gains of one channel realization, (K, L + 1).
+def draw_large_scale(cfg: SystemConfig, rngs) -> np.ndarray:
+    """Large-scale gains of P channel realizations, (P, K, L + 1).
 
-    Column j is the gain between each user and co-located group j (the
-    central array is group 0); a centralized system has one column.  The
-    gain is ``gamma = sqrt(link / d^tau) * 10^(sigma v / 10)``: distances d
-    uniform on a discrete grid over ``cfg.distance_range``, link gains
-    uniform (continuous) on ``cfg.path_gain_range`` and v standard normal.
+    Packet p's gains come from its generator ``rngs[p]``: grid indices,
+    then link gains, then shadowing normals.  Column j is the gain between
+    each user and co-located group j (the central array is group 0); a
+    centralized system has one column.  The gain is
+    ``gamma = sqrt(link / d^tau) * 10^(sigma v / 10)``: distances d uniform
+    on a discrete grid over ``cfg.distance_range``, link gains uniform
+    (continuous) on ``cfg.path_gain_range`` and v standard normal.
     """
-    shape = (cfg.n_users, cfg.n_heads + 1)
+    shape = (len(rngs), cfg.n_users, cfg.n_heads + 1)
     grid = _distance_grid(cfg.distance_range)
-    d = grid[rng.integers(0, len(grid), size=shape)]
+    index, link, v = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
+    for rng, i, u, w in zip(rngs, index, link, v):
+        i[...] = rng.integers(0, len(grid), size=shape[1:])
+        rng.random(out=u)
+        rng.standard_normal(out=w)
+    d = grid[index]
     lo, hi = cfg.path_gain_range
-    link = lo + (hi - lo) * rng.random(size=shape)
-    v = rng.standard_normal(shape)
+    link = lo + (hi - lo) * link
     return np.sqrt(link / d ** cfg.path_loss_exp) * 10.0 ** (cfg.shadow_spread_db * v / 10.0)
 
 
 def compose_channel(cfg: SystemConfig, small: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Scale every user's fading columns by its large-scale gains.
 
-    ``small`` is the stacked (N_A, K * N_U) fading of
-    :func:`draw_small_scale` and ``gains`` the (K, L + 1) draw of
-    :func:`draw_large_scale`; row n of user k's columns is scaled by the
-    gain of user k's link to the receive block that holds antenna n, all
-    users in one broadcast.
+    ``small`` is the (P, N_A, K * N_U) fading of :func:`draw_small_scale`
+    and ``gains`` the (P, K, L + 1) draw of :func:`draw_large_scale`; row n
+    of user k's columns is scaled by the gain of user k's link to the
+    receive block that holds antenna n, every packet and user in one
+    broadcast.
     """
     small = np.asarray(small)
-    shape = (cfg.n_rx_total, cfg.n_streams)
+    shape = (len(gains), cfg.n_rx_total, cfg.n_streams)
     if small.shape != shape:
         raise StructuralError(f"expected stacked fading of shape {shape}, got {small.shape}")
-    gains = np.repeat(gains, cfg.receive_blocks(), axis=1)  # (K, N_A)
-    return np.repeat(gains.T, cfg.antennas_per_user, axis=1) * small
+    gains = np.repeat(gains, cfg.receive_blocks(), axis=-1)  # (P, K, N_A)
+    return np.repeat(gains.swapaxes(-1, -2), cfg.antennas_per_user, axis=-1) * small

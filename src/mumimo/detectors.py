@@ -162,15 +162,12 @@ def _sic_symbols(gram, inv, matched, perm, constellation, filter_design, work=No
     row-vector product per stage.  A stage takes the point of its
     estimate's quadrant, each part's sign with ties toward +, so the
     labels are :func:`qpsk_slice_labels` of the points.  ``gram``, ``inv``
-    and ``matched`` broadcast against the items of ``perm``.
+    and ``matched`` are stacks with the leading axes of ``perm``.
 
     ``work`` (2, ..., M, T), complex, holds the points and the filter
     outputs, in which stage k's point overwrites row k, which no later
-    stage reads; the points are ``work[0]``.  One allocation for both
-    keeps a block's freed memory on the heap for the next block: glibc
-    hands a free heap top back to the kernel once it exceeds twice the
-    largest chunk it has mapped and freed, and every page handed back
-    faults in again."""
+    stage reads; the points are ``work[0]``.  MB-SIC passes one workspace
+    to every branch."""
     if work is None:
         work = np.empty((2,) + perm.shape + matched.shape[-1:], dtype=complex)
     points, staged = work
@@ -247,8 +244,9 @@ def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
     ``s_l^H A s_l - 2 Re(s_l^H y)``, which is ``||r - G s_l||^2`` less the
     ``||r||^2`` all branches share, the first branch on a tie.  The
     branches share one inverse Gram matrix, and each factors it in its own
-    order: the L branches of a stack of P blocks run as one SIC over L P
-    items, each under its own order.
+    order: the branches run in turn, each as one SIC over the stack in one
+    reused (2, ..., M, T) workspace, and the nearest points so far are
+    kept as they go, so the workspace does not grow with the branch count.
     """
     m = _check_matched(gram, matched)
     if not 1 <= n_branches <= m:
@@ -258,15 +256,18 @@ def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     base = compute_ordering(gram, symbol_power, noise_var, base_criterion,
                             inv if filter_design == "mmse" else None)
-    perms = np.stack([np.roll(base, -li, axis=-1) for li in range(n_branches)])
-    work = np.empty((2,) + perms.shape + matched.shape[-1:], dtype=complex)
-    symbols = _sic_symbols(gram[None], None if inv is None else inv[None], matched[None],
-                           perms, constellation, filter_design, work)
-    # the staged outputs are spent: the residuals take their place
-    best = np.argmin(_branch_distance(gram, matched, symbols, out=work[1]), axis=0)
-    nearest = symbols[0]
-    for li in range(1, n_branches):
-        np.copyto(nearest, symbols[li], where=(best == li)[..., None, :])
+    work = np.empty((2,) + matched.shape, dtype=complex)
+    for li in range(n_branches):
+        symbols = _sic_symbols(gram, inv, matched, np.roll(base, -li, axis=-1),
+                               constellation, filter_design, work)
+        # the staged outputs are spent: the residuals take their place
+        distance = _branch_distance(gram, matched, symbols, out=work[1])
+        if li == 0:
+            nearest, least = symbols.copy(), distance
+            continue
+        closer = distance < least
+        np.copyto(nearest, symbols, where=closer[..., None, :])
+        np.copyto(least, distance, where=closer)
     return qpsk_slice_labels(nearest)
 
 

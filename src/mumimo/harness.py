@@ -44,12 +44,14 @@ _Z95 = 1.959963984540054
 #: most points an ``a:b:step`` SNR range may expand to
 MAX_SNR_POINTS = 1000
 
-#: most streams (packets x streams per packet) one trial block trains and
-#: decodes together.  It bounds the coded decode's (P, M, T) stacks to 24
-#: streams.  A packet's data is drawn straight into its (M, T) statistic,
-#: so what a block holds at the N_A antennas is its packets' (N_A, M)
-#: channels and front ends and the pilot blocks its training reads
-MAX_BLOCK_STREAMS = 24
+#: most streams (packets x streams per packet) one trial block draws, trains
+#: and decodes together: a whole 8 x 16 point of up to 8 packets.  A block's
+#: draw and detection are per-block calls on its stacks, so wider blocks
+#: make fewer calls; what grows with the width is the block's (P, M, T)
+#: stacks (its symbols, statistics and decode workspace) and, at the N_A
+#: antennas, its (P, N_A, M) channels and front ends and the pilot blocks
+#: its training reads
+MAX_BLOCK_STREAMS = 64
 
 #: a comment starts a line or follows whitespace
 _COMMENT = re.compile(r"^#|\s#")
@@ -383,41 +385,17 @@ def trial_noise_variance(spec: ScenarioSpec, snr_db: float) -> float:
     return signal / (rate * 2 * 10.0 ** (snr_db / 10.0))
 
 
-def _draw_trial_channel(cfg: SystemConfig, seed: int, snr_index: int,
-                        trial_index: int):
-    large = draw_large_scale(cfg, rngmod.substream(
-        seed, snr_index, trial_index, rngmod.LARGE_SCALE))
-    small = draw_small_scale(cfg, [rngmod.substream(
-        seed, snr_index, trial_index, rngmod.SMALL_SCALE, k)
-        for k in range(cfg.n_users)])
-    return compose_channel(cfg, small, large)
-
-
-def _build_trial_frame(spec: ScenarioSpec, snr_index: int, trial_index: int):
-    cfg = spec.system
-    m = cfg.n_streams
-    payload_rng = rngmod.substream(spec.seed, snr_index, trial_index, rngmod.PAYLOAD)
-    if spec.coded:
-        k_info = coded_payload_length(spec.packet_symbols)
-        payload = payload_rng.integers(0, 2, size=(m, k_info))
-    else:
-        payload = payload_rng.integers(0, 2, size=(m, 2 * spec.packet_symbols))
-    frame_rng = rngmod.substream(spec.seed, snr_index, trial_index, rngmod.FRAME)
-    return assemble_frame(cfg, payload, spec.pilot_len, frame_rng, coded=spec.coded)
-
-
-def _train(spec: ScenarioSpec, pilots: list, rx_pilots: list) -> np.ndarray:
+def _train(spec: ScenarioSpec, s: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Train the receivers of a block on its packets' pilots.
 
-    ``pilots`` lists each packet's known (M, n) pilot block and
-    ``rx_pilots`` its received (N_A, n) one.  Returns the packets' channel
-    estimates (ls, rls, lms) or receive filters (rr-*) stacked, (P, N_A, M).
-    Every trainer takes the block's stacked pilots in one call, and JIO
-    steps every packet in one per-sample loop.
+    ``s`` is the block's known pilots (P, M, n) and ``r`` the received
+    ones (P, N_A, n).  Returns the packets' channel estimates (ls, rls,
+    lms) or receive filters (rr-*) stacked, (P, N_A, M).  Every trainer
+    takes the block's pilots in one call, and JIO steps every packet in
+    one per-sample loop.
     """
     cfg = spec.system
-    packets = len(pilots)
-    s, r = np.stack(pilots), np.stack(rx_pilots)
+    packets = len(s)
     kind = spec.estimator.removeprefix("rr-")
     if kind in ("ls", "rls"):
         # rls is the exact solution of the recursion started from P = I / delta
@@ -458,39 +436,60 @@ def _detect(spec: ScenarioSpec, gram, matched, noise_var):
     return ml_detect_oracle(gram, matched, sp)
 
 
-def _draw_packet(spec: ScenarioSpec, snr_index: int, trial_index: int,
-                 noise_var: float):
-    """Draw one packet from its own substreams: its true channel, its frame,
-    its received pilots and its noise generator, left where the pilots end."""
-    chan = _draw_trial_channel(spec.system, spec.seed, snr_index, trial_index)
-    frame = _build_trial_frame(spec, snr_index, trial_index)
-    noise = rngmod.substream(spec.seed, snr_index, trial_index, rngmod.NOISE)
-    return chan, frame, channel_transmit(chan, frame.pilots, noise_var, noise), noise
+@lru_cache(maxsize=1)
+def _keep_freed_heap():
+    """Free one untouched 16 MB allocation, once per process.
+
+    glibc maps each allocation above its mmap threshold afresh, raises the
+    threshold to the size of every such mapping freed, and hands a free
+    heap top back to the kernel once it exceeds twice the threshold
+    (mallopt(3), M_MMAP_THRESHOLD).  Every page handed back faults in again
+    in the next block: an 8 x 16 block of 8 packets, whose largest array is
+    1 MB, faulted in about 1.7 MB a block.  After this one free, arrays up
+    to 16 MB come from the heap and a block's freed stacks stay there for
+    the next block; no page of the allocation itself is touched.  Other
+    allocators ignore it.
+    """
+    np.empty(16 << 20, dtype=np.uint8)
 
 
 def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
                    noise_var: float):
-    """Draw the packets of ``block``, train their receivers in one call and
-    draw each packet's data as its receiver's front end sees it.
+    """Draw the packets of ``block`` into stacks, train their receivers in
+    one call and draw each packet's data as its receiver's front end sees it.
 
-    The front end F is the true channel, the estimated one or the trained
-    receive filters.  Returns the frames and the packets' statistics
-    ``(A, y)`` of :func:`matched_transmit`, drawn straight into their
-    stacks: the Gram matrices (P, M, M) and the matched outputs (P, M, T).
-    Nothing of the data is drawn at the N_A antennas.
+    Each packet's 4 + K substreams, keyed on (seed, SNR index, trial
+    index, purpose), are its large-scale, small-scale (one per user),
+    payload, frame and noise generators; every draw function runs once per
+    block and fills each packet's slots of its stacks from that packet's
+    generators, in their order.  The noise generator draws the pilots'
+    noise at the N_A antennas, then the data's.  The front end F is the
+    true channel, the estimated one or the trained receive filters.
+    Returns the block's stacked :class:`SymbolFrame` and the packets'
+    statistics ``(A, y)`` of :func:`matched_transmit`: the Gram matrices
+    (P, M, M) and the matched outputs (P, M, T).  Nothing of the data is
+    drawn at the N_A antennas.
     """
-    chans, frames, rx_pilots, noises = zip(*(_draw_packet(spec, snr_index, t, noise_var)
-                                             for t in block))
-    fronts = chans
-    if spec.estimator != "perfect":
-        fronts = _train(spec, [f.pilots for f in frames], rx_pilots)
-    m, n_sym = frames[0].data_symbols.shape
-    grams = np.empty((len(frames), m, m), dtype=complex)
-    matched = np.empty((len(frames), m, n_sym), dtype=complex)
-    for k, (front, chan, frame, noise) in enumerate(zip(fronts, chans, frames, noises)):
-        matched_transmit(front, chan, frame.data_symbols, noise_var, noise,
-                         out=(grams[k], matched[k]))
-    return frames, grams, matched
+    cfg = spec.system
+    keys = [(spec.seed, snr_index, t) for t in block]
+    gains = draw_large_scale(cfg, [rngmod.substream(*key, rngmod.LARGE_SCALE)
+                                   for key in keys])
+    small = draw_small_scale(cfg, [[rngmod.substream(*key, rngmod.SMALL_SCALE, k)
+                                    for k in range(cfg.n_users)] for key in keys])
+    chans = compose_channel(cfg, small, gains)
+    n_bits = (coded_payload_length(spec.packet_symbols) if spec.coded
+              else 2 * spec.packet_symbols)
+    payload = np.empty((len(keys), cfg.n_streams, n_bits), dtype=np.int8)
+    for key, bits in zip(keys, payload):
+        bits[...] = rngmod.substream(*key, rngmod.PAYLOAD).integers(0, 2, size=bits.shape)
+    frame = assemble_frame(cfg, payload, spec.pilot_len,
+                           [rngmod.substream(*key, rngmod.FRAME) for key in keys],
+                           coded=spec.coded)
+    noises = [rngmod.substream(*key, rngmod.NOISE) for key in keys]
+    rx_pilots = channel_transmit(chans, frame.pilots, noise_var, noises)
+    fronts = (chans if spec.estimator == "perfect"
+              else _train(spec, frame.pilots, rx_pilots))
+    return (frame,) + matched_transmit(fronts, chans, frame.data_symbols, noise_var, noises)
 
 
 def run_trial(spec: ScenarioSpec, snr_db: float, trials):
@@ -499,7 +498,8 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
     ``trials`` is one trial index, which returns its :class:`TrialResult`,
     or a ``range`` of them, simulated as one block, which returns a list.
     Every packet draws its channel, frame and noise from its own
-    substreams and the block's pilots train in one call (:func:`_train`).
+    substreams into the block's stacks, and the block's pilots train in one
+    call (:func:`_train`).
     The block's statistics then go to one receiver call: coded packets
     decode in :func:`idd_receive`, uncoded ones are detected on their
     stacks by :func:`_detect`.  Either decodes a packet exactly as it
@@ -511,18 +511,17 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
     except ValueError:
         raise ConfigError(f"snr_db = {snr_db} is not part of the scenario sweep") from None
     block = trials if isinstance(trials, range) else range(trials, trials + 1)
+    _keep_freed_heap()
     noise_var = trial_noise_variance(spec, snr_db)
-    frames, grams, matched = _receive_block(spec, snr_index, block, noise_var)
+    frame, grams, matched = _receive_block(spec, snr_index, block, noise_var)
+    sent, perms = (frame.info_bits, frame.perms) if spec.coded else (frame.channel_bits, None)
+    # the receivers hold the stacks, not the frame's symbols
+    del frame
     if spec.coded:
-        sent = np.stack([f.info_bits for f in frames], dtype=np.int8)
-        perms = np.stack([f.perms for f in frames])
-        # the decode holds the stacks, not the frames' symbols
-        del frames
         decided = np.stack(idd_receive(grams, matched, noise_var, perms,
                                        symbol_power=spec.system.symbol_power,
                                        n_outer=spec.idd_iterations).per_iteration_bits)
     else:
-        sent = np.stack([f.channel_bits for f in frames], dtype=np.int8)
         # one iteration: the block's decided bits, as channel_bits lays them out
         decided = labels_to_bits(_detect(spec, grams, matched, noise_var)).reshape(
             (1,) + sent.shape)

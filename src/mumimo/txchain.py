@@ -155,13 +155,19 @@ def qpsk_constellation(symbol_power: float = 1.0) -> np.ndarray:
 
 
 def qpsk_map(bits, symbol_power: float = 1.0) -> np.ndarray:
-    """Map pairs of bits onto QPSK symbols (last axis holds the bits)."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """Map pairs of bits onto QPSK symbols (last axis holds the bits).
+
+    The labels are formed in the bits' own integer type (int8 channel
+    bits stay int8); bits of any other type are read as int64."""
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "iu":
+        bits = bits.astype(np.int64)
     if bits.shape[-1] % 2 != 0:
         raise StructuralError("bit count must be even for QPSK")
     pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
-    labels = (pairs[..., 0] << 1) | pairs[..., 1]
-    return qpsk_constellation(symbol_power)[labels]
+    labels = pairs[..., 0] << 1
+    labels |= pairs[..., 1]
+    return qpsk_constellation(symbol_power).take(labels)
 
 
 def qpsk_slice_labels(symbols) -> np.ndarray:
@@ -186,13 +192,13 @@ def labels_to_bits(labels) -> np.ndarray:
 
 @dataclass
 class SymbolFrame:
-    """Everything one trial transmits, per stream.
+    """Everything a block of P packets transmits, per packet and stream.
 
-    ``data_symbols`` has shape (M, P) for M = K * N_U streams; ``pilots``
-    (M, N_p), if any, precede them on the air interface.
-    ``channel_bits`` holds the bits in transmitted symbol order, which for
-    coded frames is the code stream interleaved by ``perms``, one
-    permutation per stream.
+    ``data_symbols`` has shape (P, M, T) for M = K * N_U streams;
+    ``pilots`` (P, M, N_p), if any, precede them on the air interface.
+    ``channel_bits`` (P, M, 2 T) holds the bits in transmitted symbol
+    order, which for coded frames is the code stream interleaved by
+    ``perms``, one permutation per packet and stream.
     """
 
     info_bits: np.ndarray
@@ -202,43 +208,55 @@ class SymbolFrame:
     perms: np.ndarray = None
 
 
-def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int,
-                   rng: np.random.Generator, coded: bool = False,
-                   trellis: TrellisSpec = TrellisSpec()) -> SymbolFrame:
-    """Build the transmit frame for all streams.
+def _check_generators(rngs, packets):
+    if len(rngs) != packets:
+        raise StructuralError(f"{packets} packets need as many generators, got {len(rngs)}")
+
+
+def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
+                   coded: bool = False, trellis: TrellisSpec = TrellisSpec()) -> SymbolFrame:
+    """Build the transmit frames of P packets, every array stacked (P, M, ...).
 
     Parameters
     ----------
-    payload_bits : array (M, n_bits)
+    payload_bits : array (P, M, n_bits)
         For uncoded frames, the channel bits themselves (n_bits even).  For
         coded frames, the information bits of each stream.
     pilot_len : int
         Number of pseudo-random QPSK pilot symbols per stream, drawn from
-        ``rng`` and known at the receiver.
-    rng : Generator
-        Frame randomness: pilots first, then one interleaver permutation
-        per stream (coded frames only).
+        the packet's generator and known at the receiver.
+    rngs : sequence of Generator
+        Frame randomness, one generator per packet: its pilots first, then
+        one interleaver permutation per stream (coded frames only).
     """
-    payload_bits = np.atleast_2d(np.asarray(payload_bits, dtype=np.int8))
+    payload_bits = np.asarray(payload_bits, dtype=np.int8)
     n_streams = cfg.n_streams
-    if payload_bits.shape[0] != n_streams:
-        raise StructuralError(
-            f"payload has {payload_bits.shape[0]} streams, config expects {n_streams}")
+    if payload_bits.ndim != 3 or payload_bits.shape[1] != n_streams:
+        raise StructuralError(f"payload must be (P, {n_streams}, n_bits), one row per "
+                              f"stream, got shape {payload_bits.shape}")
+    _check_generators(rngs, len(payload_bits))
     if pilot_len < 0:
         raise ParameterError("pilot_len must be >= 0")
 
-    pilot_labels = rng.integers(0, 4, size=(n_streams, pilot_len))
-    pilots = qpsk_constellation(cfg.symbol_power)[pilot_labels]
+    pilot_labels = np.empty((len(rngs), n_streams, pilot_len), dtype=np.int64)
+    for rng, labels in zip(rngs, pilot_labels):
+        labels[...] = rng.integers(0, 4, size=labels.shape)
+    pilots = qpsk_constellation(cfg.symbol_power).take(pilot_labels)
 
     if coded:
-        coded_bits = np.stack([conv_encode(row, trellis) for row in payload_bits])
-        n_coded = coded_bits.shape[1]
+        rows = payload_bits.reshape(-1, payload_bits.shape[-1])
+        coded_bits = np.stack([conv_encode(row, trellis) for row in rows]).reshape(
+            payload_bits.shape[:2] + (-1,))
+        n_coded = coded_bits.shape[-1]
         if n_coded % 2 != 0:
             raise StructuralError("coded stream length must be even for QPSK")
-        perms = np.stack([rng.permutation(n_coded) for _ in range(n_streams)])
+        perms = np.empty(coded_bits.shape, dtype=np.int64)
+        for rng, packet in zip(rngs, perms):
+            for perm in packet:
+                perm[...] = rng.permutation(n_coded)
         channel_bits = interleave(coded_bits, perms)
     else:
-        if payload_bits.shape[1] % 2 != 0:
+        if payload_bits.shape[-1] % 2 != 0:
             raise StructuralError("uncoded payload length must be even for QPSK")
         perms = None
         channel_bits = payload_bits
@@ -261,85 +279,103 @@ def coded_payload_length(n_data_symbols: int, trellis: TrellisSpec = TrellisSpec
 
 
 def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Pass stacked stream symbols through the channel and add CN(0, noise_var).
+                     rngs) -> np.ndarray:
+    """Pass P packets' stream symbols through their channels and add
+    CN(0, noise_var).
 
-    ``chan`` is (N_A, M), ``symbols`` (M, n); the result is (N_A, n) and
-    always complex.  The noise is one ``standard_normal((2, N_A, n))``
-    draw, every real part before any imaginary part.  The harness sends a
-    packet's pilots through here, because estimators read them at the
-    antennas; its data is drawn by :func:`matched_transmit`.
+    ``chan`` is (P, N_A, M), ``symbols`` (P, M, n) and ``rngs`` one
+    generator per packet; the result is (P, N_A, n) and always complex.
+    A packet's noise is one ``standard_normal((2, N_A, n))`` draw from its
+    generator, every real part before any imaginary part.  The harness
+    sends a block's pilots through here, because estimators read them at
+    the antennas; its data is drawn by :func:`matched_transmit`.
     """
     chan = np.asarray(chan)
     symbols = np.asarray(symbols)
-    if chan.shape[1] != symbols.shape[0]:
-        raise StructuralError(
-            f"channel has {chan.shape[1]} streams, symbols carry {symbols.shape[0]}")
+    if (chan.ndim != 3 or symbols.ndim != 3 or chan.shape[0] != symbols.shape[0]
+            or chan.shape[2] != symbols.shape[1]):
+        raise StructuralError(f"channels {chan.shape} and symbols {symbols.shape} must be "
+                              "(P, N_A, M) and (P, M, n)")
+    _check_generators(rngs, len(chan))
     if noise_var < 0.0:
         raise ParameterError("noise_var must be >= 0")
     out = (chan @ symbols).astype(complex, copy=False)
     if noise_var == 0.0:
         return out
-    noise = rng.standard_normal((2,) + out.shape)
+    noise = np.empty((len(out), 2) + out.shape[1:])
+    for rng, packet in zip(rngs, noise):
+        rng.standard_normal(out=packet)
     noise *= np.sqrt(noise_var / 2.0)
-    out.real += noise[0]
-    out.imag += noise[1]
+    out.real += noise[:, 0]
+    out.imag += noise[:, 1]
     return out
 
 
 def gram_root(gram: np.ndarray) -> np.ndarray:
-    """A factor L with ``L L^H = gram`` for a Gram matrix ``F^H F``.
+    """A factor L with ``L L^H = gram`` for each Gram matrix ``F^H F`` of a
+    stack (..., M, M).
 
     The Cholesky factor, unless F is rank deficient (LMS trained on fewer
     pilots than streams, say): then the factorization raises, or leaves a
     pivot ``l_ii^2`` within its own backward error ``gamma_{M+1} a_ii``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3),
     a zero that rounding left positive.  Either way the Hermitian square
-    root of :func:`channel.matrix_sqrt` stands in, so two front ends equal
-    to rounding get the same kind of factor.
+    root of :func:`channel.matrix_sqrt` stands in for that item, so two
+    front ends equal to rounding get the same kind of factor.  One stacked
+    factorization is one LAPACK call per item; if any item cannot be
+    factored, the items are factored one by one.
     """
+    gram = np.asarray(gram)
     try:
         root = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        return matrix_sqrt(gram)
-    floor = (len(gram) + 1) * np.finfo(float).eps * np.diagonal(gram).real
-    if np.all(np.diagonal(root).real ** 2 > floor):
-        return root
-    return matrix_sqrt(gram)
+        if gram.ndim == 2:
+            return matrix_sqrt(gram)
+        return np.stack([gram_root(item) for item in gram])
+    floor = ((gram.shape[-1] + 1) * np.finfo(float).eps
+             * np.diagonal(gram, axis1=-2, axis2=-1).real)
+    weak = ~np.all(np.diagonal(root, axis1=-2, axis2=-1).real ** 2 > floor, axis=-1)
+    for item in np.ndindex(weak.shape):
+        if weak[item]:
+            root[item] = matrix_sqrt(gram[item])
+    return root
 
 
 def matched_transmit(front: np.ndarray, chan: np.ndarray, symbols: np.ndarray,
-                     noise_var: float, rng: np.random.Generator, out=None):
-    """Draw a block of data as the front end ``front`` sees it.
+                     noise_var: float, rngs):
+    """Draw P packets' data as their front ends see it.
 
     A receive front end F (N_A, M) reduces ``r = G s + n``, with n white
     CN(0, noise_var) at the N_A antennas, to ``A = F^H F`` and
     ``y = F^H r = F^H G s + F^H n``.  ``F^H n`` is CN(0, noise_var A), so
     it is drawn as ``sqrt(noise_var) L w`` with ``L L^H = A``
     (:func:`gram_root`) and w ~ CN(0, I) of shape (M, T): M x T normals
-    instead of N_A x T, with the statistic's exact distribution.  w takes
-    its real and imaginary parts interleaved from one
-    ``standard_normal((M, 2 T))`` draw, made into y's own memory.  ``chan``
-    is the true G (N_A, M) and ``symbols`` (M, T).  Returns ``(A, y)``; y
-    is always complex.  ``out``, if given, is the pair of arrays, (M, M)
-    and C-contiguous complex (M, T), that receive them.
+    instead of N_A x T, with the statistic's exact distribution.  A
+    packet's w takes its real and imaginary parts interleaved from one
+    ``standard_normal((M, 2 T))`` draw of its generator, made into its
+    slot of y.  ``front`` and ``chan`` (the true G) are (P, N_A, M),
+    ``symbols`` (P, M, T) and ``rngs`` one generator per packet.  Returns
+    the stacks ``(A, y)``, (P, M, M) and (P, M, T); y is always complex.
+    Every product is one BLAS call per packet, so a packet's statistic is
+    what a stack of that packet alone gives it.
     """
     front, chan, symbols = np.asarray(front), np.asarray(chan), np.asarray(symbols)
-    if front.shape != chan.shape or chan.shape[1] != symbols.shape[0]:
+    if (front.ndim != 3 or front.shape != chan.shape or symbols.ndim != 3
+            or chan.shape[0] != symbols.shape[0] or chan.shape[2] != symbols.shape[1]):
         raise StructuralError(
-            f"front end {front.shape} and channel {chan.shape} must match, with "
-            f"one symbol row per stream, got {symbols.shape[0]}")
+            f"front ends {front.shape} and channels {chan.shape} must match, (P, N_A, M), "
+            f"with (P, M, T) symbols, got {symbols.shape}")
+    _check_generators(rngs, len(chan))
     if noise_var < 0.0:
         raise ParameterError("noise_var must be >= 0")
-    gram, matched = (None, None) if out is None else out
-    adjoint = front.conj().T
-    gram = np.matmul(adjoint, front, out=gram)
+    adjoint = np.conj(front).swapaxes(-1, -2)
+    gram = adjoint @ front
     cross = gram if front is chan else adjoint @ chan
-    if matched is None:
-        matched = np.empty((len(gram), symbols.shape[1]), dtype=complex)
+    matched = np.empty(gram.shape[:-1] + symbols.shape[-1:], dtype=complex)
     if noise_var == 0.0:
         return gram, np.matmul(cross, symbols, out=matched)
-    rng.standard_normal(out=matched.view(float))
+    for rng, packet in zip(rngs, matched):
+        rng.standard_normal(out=packet.view(float))
     noise = (np.sqrt(noise_var / 2.0) * gram_root(gram)) @ matched
     np.matmul(cross, symbols, out=matched)
     matched += noise

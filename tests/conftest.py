@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import mumimo as m
 from mumimo import harness
 from mumimo import rng as rngmod
+from mumimo.channel import compose_channel, draw_large_scale, draw_small_scale
 from mumimo.errors import ConfigError
 from mumimo.estimation import DEFAULT_DELTA, _hermitize
-from mumimo.harness import _draw_trial_channel
-from mumimo.txchain import channel_transmit
+from mumimo.txchain import (SymbolFrame, assemble_frame, channel_transmit,
+                            coded_payload_length)
 
 
 def pytest_configure(config):
@@ -41,33 +44,76 @@ def matched(chan, r):
     return adjoint @ chan, adjoint @ r
 
 
+# -- the per-packet draw, the oracle of harness._receive_block's stacked one --
+
+def _draw_trial_channel(cfg, seed, snr_index, trial_index):
+    """One packet's true channel (N_A, M), drawn as a stack of one from its
+    large-scale substream and one small-scale substream per user."""
+    large = draw_large_scale(cfg, [rngmod.substream(
+        seed, snr_index, trial_index, rngmod.LARGE_SCALE)])
+    small = draw_small_scale(cfg, [[rngmod.substream(
+        seed, snr_index, trial_index, rngmod.SMALL_SCALE, k) for k in range(cfg.n_users)]])
+    return compose_channel(cfg, small, large)[0]
+
+
+def _build_trial_frame(spec, snr_index, trial_index):
+    """One packet's frame, a :class:`SymbolFrame` stack of one, from its
+    payload and frame substreams."""
+    cfg = spec.system
+    n_bits = (coded_payload_length(spec.packet_symbols) if spec.coded
+              else 2 * spec.packet_symbols)
+    payload = rngmod.substream(spec.seed, snr_index, trial_index, rngmod.PAYLOAD).integers(
+        0, 2, size=(1, cfg.n_streams, n_bits))
+    frame_rng = rngmod.substream(spec.seed, snr_index, trial_index, rngmod.FRAME)
+    return assemble_frame(cfg, payload, spec.pilot_len, [frame_rng], coded=spec.coded)
+
+
+def _draw_packet(spec, snr_index, trial_index, noise_var):
+    """Draw one packet from its own substreams: its true channel (N_A, M),
+    its frame (a stack of one), its received pilots (N_A, n) and its noise
+    generator, left where the pilots end."""
+    chan = _draw_trial_channel(spec.system, spec.seed, snr_index, trial_index)
+    frame = _build_trial_frame(spec, snr_index, trial_index)
+    noise = rngmod.substream(spec.seed, snr_index, trial_index, rngmod.NOISE)
+    return chan, frame, channel_transmit(chan[None], frame.pilots, noise_var, [noise])[0], noise
+
+
+def stack_frames(frames):
+    """One :class:`SymbolFrame` of the packets of ``frames``, each a stack."""
+    def joined(name):
+        parts = [getattr(f, name) for f in frames]
+        return None if parts[0] is None else np.concatenate(parts)
+    return SymbolFrame(**{f.name: joined(f.name) for f in dataclasses.fields(SymbolFrame)})
+
+
 def antenna_domain_receive_block(spec, snr_index, block, noise_var, seen=None):
     """The draw that ``harness._receive_block`` replaced, kept as its oracle.
 
-    Each packet's whole frame, pilots and data, goes through
-    ``channel_transmit`` at the N_A antennas from the packet's noise
-    substream; the block trains on the received pilots, and each front end
-    F (true channel, estimate or trained filters) reduces the received data
-    r to ``matched(F, r)``.  Returns the frames and the packets' ``(A, y)``
-    stacked, (P, M, M) and (P, M, T), as ``_receive_block`` does; ``seen``,
-    if given, collects each packet's ``(F, r)``.
+    Each packet is drawn alone.  Its whole frame, pilots and data, goes
+    through ``channel_transmit`` at the N_A antennas from the packet's
+    noise substream; the block trains on the received pilots, and each
+    front end F (true channel, estimate or trained filters) reduces the
+    received data r to ``matched(F, r)``.  Returns the block's stacked
+    frame and the packets' ``(A, y)`` stacked, (P, M, M) and (P, M, T), as
+    ``_receive_block`` does; ``seen``, if given, collects each packet's
+    ``(F, r)``.
     """
     chans = [_draw_trial_channel(spec.system, spec.seed, snr_index, t) for t in block]
-    frames = [harness._build_trial_frame(spec, snr_index, t) for t in block]
-    received = [channel_transmit(chan, np.concatenate([f.pilots, f.data_symbols], axis=1),
+    frame = stack_frames([_build_trial_frame(spec, snr_index, t) for t in block])
+    received = [channel_transmit(chan[None], np.concatenate([s, x], axis=-1)[None],
                                  noise_var,
-                                 rngmod.substream(spec.seed, snr_index, t, rngmod.NOISE))
-                for chan, f, t in zip(chans, frames, block)]
+                                 [rngmod.substream(spec.seed, snr_index, t, rngmod.NOISE)])[0]
+                for chan, s, x, t in zip(chans, frame.pilots, frame.data_symbols, block)]
     n_pilots = spec.pilot_len
     fronts = chans
     if spec.estimator != "perfect":
-        fronts = harness._train(spec, [f.pilots for f in frames],
-                                [r[:, :n_pilots] for r in received])
+        fronts = harness._train(spec, frame.pilots,
+                                np.stack([r[:, :n_pilots] for r in received]))
     data = [r[:, n_pilots:] for r in received]
     if seen is not None:
         seen.extend(zip(fronts, data))
     grams, ys = map(np.stack, zip(*(matched(front, r) for front, r in zip(fronts, data))))
-    return frames, grams, ys
+    return frame, grams, ys
 
 
 def reference_encode(bits, generators=(0b111, 0b101), memory=2):
@@ -225,8 +271,8 @@ def filter_training_experiment(cfg, snr_db, method, rank, lam, n_train, checkpoi
     def transmit(n, label_key, noise_key):
         labels = rngmod.substream(seed, 0, 0, *label_key).integers(0, 4, size=(n_streams, n))
         symbols = m.qpsk_constellation(cfg.symbol_power)[labels]
-        received = channel_transmit(chan, symbols, noise_var,
-                                    rngmod.substream(seed, 0, 0, *noise_key))
+        received = channel_transmit(chan[None], symbols[None], noise_var,
+                                    [rngmod.substream(seed, 0, 0, *noise_key)])[0]
         return labels, symbols, received
 
     _, train_syms, train_rx = transmit(n_train, (rngmod.PAYLOAD,), (rngmod.NOISE,))

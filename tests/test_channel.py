@@ -56,7 +56,7 @@ def test_receive_corr_sqrt_is_block_diagonal():
 
 def test_small_scale_unit_power_and_correlation(rng):
     cfg = m.SystemConfig(n_users=1, n_bs=2, rho=0.9)
-    draws = np.stack([m.draw_small_scale(cfg, [rng])[:, 0] for _ in range(20000)])
+    draws = np.stack([m.draw_small_scale(cfg, [[rng]])[0, :, 0] for _ in range(20000)])
     power = np.mean(np.abs(draws) ** 2, axis=0)
     np.testing.assert_allclose(power, 1.0, atol=0.05)
     cross = np.mean(draws[:, 0] * draws[:, 1].conj())
@@ -65,7 +65,7 @@ def test_small_scale_unit_power_and_correlation(rng):
 
 def test_small_scale_uncorrelated_when_rho_zero(rng):
     cfg = m.SystemConfig(n_users=1, n_bs=4, rho=0.0)
-    draws = np.stack([m.draw_small_scale(cfg, [rng])[:, 0] for _ in range(8000)])
+    draws = np.stack([m.draw_small_scale(cfg, [[rng]])[0, :, 0] for _ in range(8000)])
     gram = draws.conj().T @ draws / len(draws)
     np.testing.assert_allclose(gram, np.eye(4), atol=0.06)
 
@@ -123,39 +123,55 @@ SMALL_SCALE_SYSTEMS = {
 @pytest.mark.parametrize("cfg", SMALL_SCALE_SYSTEMS.values(), ids=SMALL_SCALE_SYSTEMS)
 def test_small_scale_equals_per_call_real_root(cfg):
     # the stacked draw regroups the per-user products, so it matches them
-    # to within the rounding bound of the reference, not bit for bit
-    got = [np.random.default_rng(11 + k) for k in range(cfg.n_users)]
-    ref = [np.random.default_rng(11 + k) for k in range(cfg.n_users)]
+    # to within the rounding bound of the reference, not bit for bit; two
+    # packets, each with its own generator per user
+    def generators():
+        return [[np.random.default_rng(11 + 100 * p + k) for k in range(cfg.n_users)]
+                for p in range(2)]
+    got, ref = generators(), generators()
     for _ in range(3):
         h = m.draw_small_scale(cfg, got)
-        assert h.dtype == complex and h.shape == (cfg.n_rx_total, cfg.n_streams)
-        expected, bound = reference_stacked_draw(cfg, ref)
-        assert np.all(np.abs(h.real - expected.real) <= bound)
-        assert np.all(np.abs(h.imag - expected.imag) <= bound)
+        assert h.dtype == complex and h.shape == (2, cfg.n_rx_total, cfg.n_streams)
+        for packet, users in zip(h, ref):
+            expected, bound = reference_stacked_draw(cfg, users)
+            assert np.all(np.abs(packet.real - expected.real) <= bound)
+            assert np.all(np.abs(packet.imag - expected.imag) <= bound)
     # every generator is left where the per-user draws leave it
-    assert [g.random() for g in got] == [g.random() for g in ref]
+    assert ([g.random() for users in got for g in users]
+            == [g.random() for users in ref for g in users])
 
 
 @pytest.mark.parametrize("cfg", [SMALL_SCALE_SYSTEMS["cas-8x16"],
                                  SMALL_SCALE_SYSTEMS["das-4x8x4-nu2"]],
                          ids=["cas-8x16", "das-4x8x4-nu2"])
 def test_small_scale_user_columns_depend_on_own_generator(cfg):
+    # in a stack of two packets, a user's columns of a packet change with
+    # that packet's generator of the user and nothing else changes
     n_u = cfg.antennas_per_user
-    base = m.draw_small_scale(cfg, [np.random.default_rng(k) for k in range(cfg.n_users)])
+
+    def draw(seeds):
+        return m.draw_small_scale(cfg, [[np.random.default_rng(s) for s in packet]
+                                        for packet in seeds])
+
+    seeds = [list(range(cfg.n_users)), list(range(50, 50 + cfg.n_users))]
+    base = draw(seeds)
     for user in range(cfg.n_users):
-        seeds = list(range(cfg.n_users))
-        seeds[user] = 100
-        other = m.draw_small_scale(cfg, [np.random.default_rng(s) for s in seeds])
+        changed = [seeds[0], list(seeds[1])]
+        changed[1][user] = 100
+        other = draw(changed)
         cols = np.zeros(cfg.n_streams, dtype=bool)
         cols[user * n_u:(user + 1) * n_u] = True
-        assert same_bytes(other[:, ~cols], base[:, ~cols]), user
-        assert not np.any(other[:, cols] == base[:, cols]), user
+        assert same_bytes(other[0], base[0]), user
+        assert same_bytes(other[1][:, ~cols], base[1][:, ~cols]), user
+        assert not np.any(other[1][:, cols] == base[1][:, cols]), user
 
 
 def test_small_scale_needs_one_generator_per_user():
     cfg = m.SystemConfig(n_users=3, n_bs=4)
     with pytest.raises(StructuralError):
-        m.draw_small_scale(cfg, [np.random.default_rng(0)] * 2)
+        m.draw_small_scale(cfg, [[np.random.default_rng(0)] * 2])
+    with pytest.raises(StructuralError):
+        m.draw_small_scale(cfg, [[np.random.default_rng(0)] * 3, [np.random.default_rng(0)]])
 
 
 def test_receive_corr_sqrt_is_one_cached_read_only_array():
@@ -182,24 +198,25 @@ def test_large_scale_draw_consistency():
     cfg = m.SystemConfig(n_users=5, n_bs=2, n_heads=3, antennas_per_head=1,
                          path_loss_exp=3.0, shadow_spread_db=2.0,
                          path_gain_range=(0.5, 0.9), distance_range=(0.2, 0.6))
-    gains = m.draw_large_scale(cfg, np.random.default_rng(5))
-    assert gains.shape == (5, 4)
-    # replay the generator: grid index, link gain, shadowing normal
-    replay = np.random.default_rng(5)
-    grid = _distance_grid((0.2, 0.6))
-    d = grid[replay.integers(0, len(grid), size=(5, 4))]
-    link = 0.5 + (0.9 - 0.5) * replay.random(size=(5, 4))
-    v = replay.standard_normal((5, 4))
-    assert np.all((link >= 0.5) & (link <= 0.9))
-    # gamma = sqrt(link / d^tau) * 10^(sigma v / 10)
-    np.testing.assert_allclose(gains, np.sqrt(link / d ** 3.0) * 10.0 ** (2.0 * v / 10.0),
-                               rtol=1e-15)
+    stack = m.draw_large_scale(cfg, [np.random.default_rng(5), np.random.default_rng(6)])
+    assert stack.shape == (2, 5, 4)
+    for gains, seed in zip(stack, (5, 6)):
+        # replay the packet's generator: grid index, link gain, shadowing normal
+        replay = np.random.default_rng(seed)
+        grid = _distance_grid((0.2, 0.6))
+        d = grid[replay.integers(0, len(grid), size=(5, 4))]
+        link = 0.5 + (0.9 - 0.5) * replay.random(size=(5, 4))
+        v = replay.standard_normal((5, 4))
+        assert np.all((link >= 0.5) & (link <= 0.9))
+        # gamma = sqrt(link / d^tau) * 10^(sigma v / 10)
+        np.testing.assert_allclose(gains, np.sqrt(link / d ** 3.0) * 10.0 ** (2.0 * v / 10.0),
+                                   rtol=1e-15)
 
 
 def test_large_scale_degenerate_ranges(rng):
     cfg = m.SystemConfig(n_users=3, n_bs=4, shadow_spread_db=0.0,
                          path_gain_range=(0.5, 0.5), distance_range=(0.5, 0.5))
-    gains = m.draw_large_scale(cfg, rng)
+    gains = m.draw_large_scale(cfg, [rng])
     # sqrt(0.5 / 0.5^2) = sqrt(2), and no shadowing
     np.testing.assert_allclose(gains, np.sqrt(2.0), atol=1e-12)
 
@@ -220,8 +237,7 @@ def test_mean_gamma_sq_matches_independent_factorization(rng):
     for cfg in (m.SystemConfig(n_users=4, n_bs=4, path_gain_range=(0.5, 0.9)),
                 m.SystemConfig(n_users=4, n_bs=2, n_heads=3, antennas_per_head=2,
                                path_loss_exp=3.0, shadow_spread_db=4.0)):
-        samples = np.concatenate([m.draw_large_scale(cfg, rng).ravel() ** 2
-                                  for _ in range(10000)])
+        samples = m.draw_large_scale(cfg, [rng] * 10000).ravel() ** 2
         stderr = np.std(samples, ddof=1) / np.sqrt(samples.size)
         assert abs(np.mean(samples) - m.mean_gamma_sq(cfg)) < 5 * stderr
 
@@ -250,33 +266,41 @@ def test_gain_diagonal_repeats_over_blocks():
 
 def test_compose_channel_scales_columns():
     cfg = m.SystemConfig(n_users=2, n_bs=2, n_heads=1, antennas_per_head=1)
-    gains = np.array([[2.0, 3.0], [4.0, 5.0]])
+    gains = np.array([[[2.0, 3.0], [4.0, 5.0]], [[1.0, 6.0], [7.0, 8.0]]])
     small = np.hstack([np.ones((3, 1), dtype=complex), np.full((3, 1), 1j)])
-    chan = m.compose_channel(cfg, small, gains)
-    np.testing.assert_allclose(chan[:, 0], [2.0, 2.0, 3.0])
-    np.testing.assert_allclose(chan[:, 1], [4j, 4j, 5j])
-    assert chan.shape == (3, 2)
+    chan = m.compose_channel(cfg, np.stack([small, small]), gains)
+    assert chan.shape == (2, 3, 2)
+    np.testing.assert_allclose(chan[0, :, 0], [2.0, 2.0, 3.0])
+    np.testing.assert_allclose(chan[0, :, 1], [4j, 4j, 5j])
+    np.testing.assert_allclose(chan[1, :, 0], [1.0, 1.0, 6.0])
+    np.testing.assert_allclose(chan[1, :, 1], [7j, 7j, 8j])
 
 
 def test_compose_channel_equals_per_user_gain_diagonal(rng):
     # one broadcast scales user k's N_U columns row by row with its gains
     cfg = SMALL_SCALE_SYSTEMS["das-4x8x4-nu2"]
-    gains = m.draw_large_scale(cfg, rng)
-    small = rng.standard_normal((cfg.n_rx_total, cfg.n_streams)) + 1j * rng.standard_normal(
-        (cfg.n_rx_total, cfg.n_streams))
+    gains = m.draw_large_scale(cfg, [rng, rng, rng])
+    shape = (3, cfg.n_rx_total, cfg.n_streams)
+    small = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     n_u = cfg.antennas_per_user
-    per_user = np.hstack([gain_diagonal(cfg, gains, k)[:, None] * small[:, k * n_u:(k + 1) * n_u]
-                          for k in range(cfg.n_users)])
+    per_user = np.stack([np.hstack([gain_diagonal(cfg, g, k)[:, None]
+                                    * h[:, k * n_u:(k + 1) * n_u]
+                                    for k in range(cfg.n_users)])
+                         for g, h in zip(gains, small)])
     assert same_bytes(m.compose_channel(cfg, small, gains), per_user)
 
 
 def test_compose_channel_shape_errors():
     cfg = m.SystemConfig(n_users=2, n_bs=4)
-    gains = m.draw_large_scale(cfg, np.random.default_rng(2))
+    gains = m.draw_large_scale(cfg, [np.random.default_rng(2)])
     with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((4, 1)), gains)
+        m.compose_channel(cfg, np.ones((1, 4, 1)), gains)
     with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((3, 2)), gains)
+        m.compose_channel(cfg, np.ones((1, 3, 2)), gains)
+    with pytest.raises(StructuralError):
+        m.compose_channel(cfg, np.ones((4, 2)), gains)  # no packet axis
+    with pytest.raises(StructuralError):
+        m.compose_channel(cfg, np.ones((2, 4, 2)), gains)  # one packet's gains
 
 
 def test_snr_to_noise_variance_hand_value(monkeypatch):
@@ -313,3 +337,44 @@ def test_config_validation_errors():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ParameterError, match=name):
                 m.SystemConfig(n_users=1, n_bs=4, **{name: bad})
+
+
+@pytest.mark.parametrize("cfg", [SMALL_SCALE_SYSTEMS[name] for name in
+                                 ("cas-8x16", "cas-32x128", "cas-64x256")],
+                         ids=["8x16", "32x128", "64x256"])
+def test_numpy_stacked_draw_operations_equal_per_item_operations(rng, cfg):
+    # the block draw relies on numpy computing each item of a leading-axis
+    # product, a stacked cholesky and the gains' elementwise power and sqrt
+    # as that item alone; a numpy or BLAS that rounds otherwise fails here,
+    # not as a moved golden hash
+    n_pkt, n_rx, n_streams, n_sym, n_pilots = 3, cfg.n_rx_total, cfg.n_streams, 50, 20
+    root = _receive_corr_sqrt(cfg.receive_blocks(), 0.7)
+    tx_roots = {n_u: m.matrix_sqrt(m.correlation_matrix(n_u, 0.7)) for n_u in (1, 2)}
+    white = rng.standard_normal((n_pkt, n_rx, 2 * n_streams))
+    fading = (rng.standard_normal((n_pkt, n_rx * n_streams, 1))
+              + 1j * rng.standard_normal((n_pkt, n_rx * n_streams, 1)))
+    front, chan = (rng.standard_normal((n_pkt, n_rx, n_streams))
+                   + 1j * rng.standard_normal((n_pkt, n_rx, n_streams)) for _ in range(2))
+    pilots = m.qpsk_map(rng.integers(0, 2, (n_pkt, n_streams, 2 * n_pilots)))
+    symbols = m.qpsk_map(rng.integers(0, 2, (n_pkt, n_streams, 2 * n_sym)))
+    w = rng.standard_normal((n_pkt, n_streams, 2 * n_sym)).view(complex)
+    shape = (n_pkt, cfg.n_users, 9)
+    d, link, v = rng.uniform(0.1, 0.95, shape), rng.uniform(0.3, 1.1, shape), rng.standard_normal(shape)
+
+    def ops(white, fading, front, chan, pilots, symbols, w, d, link, v):
+        adjoint = np.swapaxes(front.conj(), -1, -2)
+        gram = adjoint @ front
+        root_l = np.linalg.cholesky(gram)
+        out = {"receive root": root @ white, "transmit root, N_U 1": fading @ tx_roots[1],
+               "transmit root, N_U 2": fading.reshape(fading.shape[:-2] + (-1, 2)) @ tx_roots[2],
+               "G S": chan @ pilots, "F^H F": gram, "F^H G": adjoint @ chan,
+               "cholesky": root_l, "L w": (0.37 * root_l) @ w, "A s": gram @ symbols}
+        for tau in (2.0, 3.0, 3.7):
+            out[f"gains {tau}"] = np.sqrt(link / d ** tau) * 10.0 ** (3.0 * v / 10.0)
+        return out
+
+    args = (white, fading, front, chan, pilots, symbols, w, d, link, v)
+    stacked = ops(*args)
+    for i in range(n_pkt):
+        for name, value in ops(*(a[i] for a in args)).items():
+            assert same_bytes(stacked[name][i], value), (name, i)

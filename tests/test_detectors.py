@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import mumimo as m
-from conftest import antenna_domain_receive_block, matched, random_channel, same_bytes
+from conftest import (_draw_trial_channel, antenna_domain_receive_block, matched,
+                      random_channel, same_bytes)
 from mumimo import detectors, harness
 from mumimo.detectors import ORDERING_CRITERIA
 from mumimo.errors import (CapacityError, ParameterError, SingularMatrixError,
@@ -249,7 +250,7 @@ def test_sinr_ordering_equals_filter_bank_keys(system):
     for snr_db in (0.0, 15.0):
         nv = harness.trial_noise_variance(spec, snr_db)
         for draw in range(4):
-            chan = harness._draw_trial_channel(cfg, 11, 0, draw)
+            chan = _draw_trial_channel(cfg, 11, 0, draw)
             gram, _ = matched(chan, np.zeros((chan.shape[0], 1)))
             for criterion in ORDERING_CRITERIA:
                 ref = reference_ordering(chan, cfg.symbol_power, nv, criterion)
@@ -564,7 +565,7 @@ def sic_trials(cfg, snr_db, n_draws=3, n_sym=200):
     const = m.qpsk_constellation(cfg.symbol_power)
     rng = np.random.default_rng(2024)
     for draw in range(n_draws):
-        chan = harness._draw_trial_channel(cfg, 5, 0, draw)
+        chan = _draw_trial_channel(cfg, 5, 0, draw)
         labels = rng.integers(0, 4, size=(cfg.n_streams, n_sym))
         noise = np.sqrt(noise_var / 2.0) * (
             rng.standard_normal((chan.shape[0], n_sym))
@@ -868,7 +869,8 @@ def test_failed_sic_factorization_marks_its_point(monkeypatch):
     # through the sweep, the named failure is a marked row, not a traceback
     chan, nv = SINGULAR_SIC["factor"]
     chan = np.vstack([chan, np.zeros(3)])  # a silent third antenna: the same A
-    monkeypatch.setattr(harness, "_draw_trial_channel", lambda *args: chan)
+    monkeypatch.setattr(harness, "compose_channel",
+                        lambda cfg, small, gains: np.repeat(chan[None], len(small), axis=0))
     monkeypatch.setattr(harness, "trial_noise_variance", lambda *args: nv)
     spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=3), detector="sic",
                           snr_db=(4.0, 12.0), packets=2, packet_symbols=20).validate()

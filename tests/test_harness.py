@@ -11,7 +11,7 @@ import pytest
 
 import conftest
 import mumimo as m
-from conftest import filter_training_experiment
+from conftest import filter_training_experiment, same_bytes
 from mumimo import cli, detectors, harness, idd
 from mumimo.detectors import ORDERING_CRITERIA
 from mumimo.errors import ConfigError, NumericalError, ParameterWarning
@@ -350,7 +350,7 @@ def test_receivers_see_only_the_matched_domain(monkeypatch):
     transmit = harness.channel_transmit
 
     def pilots_only(chan, symbols, *args):
-        assert np.shape(symbols) == (n_streams, pilot_lens[-1])
+        assert np.shape(symbols)[-2:] == (n_streams, pilot_lens[-1])
         calls["channel_transmit"] += 1
         return transmit(chan, symbols, *args)
 
@@ -377,7 +377,8 @@ def test_receivers_see_only_the_matched_domain(monkeypatch):
         pilot_lens.append(extra.get("pilot_len", 0))
         m.run_sweep(small_spec(system=system, packet_symbols=n_sym, packets=3, branches=2,
                                **extra))
-    assert calls.pop("channel_transmit") == 3 * len(specs)
+    # one block of three packets per sweep
+    assert calls.pop("channel_transmit") == len(specs)
     assert calls.keys() == _RECEIVERS.keys()
 
 
@@ -434,22 +435,24 @@ def test_sweep_csv_matches_per_packet_training(monkeypatch, workers, est):
     real = harness._train
 
     def per_packet(spec, pilots, rx_pilots):
-        return [trained for s, r in zip(pilots, rx_pilots)
-                for trained in real(spec, [s], [r])]
+        return np.concatenate([real(spec, s[None], r[None])
+                               for s, r in zip(pilots, rx_pilots)])
 
     monkeypatch.setattr(harness, "_train", per_packet)
     assert m.format_csv(m.run_sweep(spec, workers=workers)) == m.format_csv(blocked)
 
 
 def test_trial_blocks_cover_the_point_within_the_stream_cap():
-    spec = small_spec(packets=25)  # 2 streams per packet
+    size = harness.MAX_BLOCK_STREAMS // 2  # 2 streams per packet
+    packets = 2 * size + 1
+    spec = small_spec(packets=packets)
     blocks = harness.trial_blocks(spec)
-    assert [t for b in blocks for t in b] == list(range(25))
+    assert [t for b in blocks for t in b] == list(range(packets))
     assert all(len(b) * 2 <= harness.MAX_BLOCK_STREAMS for b in blocks)
-    assert len(blocks[0]) == harness.MAX_BLOCK_STREAMS // 2
+    assert [len(b) for b in blocks] == [size, size, 1]
     wide = dataclasses.replace(spec, system=m.SystemConfig(
         n_users=harness.MAX_BLOCK_STREAMS + 1, n_bs=harness.MAX_BLOCK_STREAMS + 1))
-    assert harness.trial_blocks(wide) == [range(t, t + 1) for t in range(25)]
+    assert harness.trial_blocks(wide) == [range(t, t + 1) for t in range(packets)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -487,14 +490,15 @@ def test_failure_in_one_packet_of_a_block_fails_only_its_point(monkeypatch, work
     spec = small_spec(coded=coded, packet_symbols=100, snr_db=(4.0, 10.0), packets=5)
     assert len(harness.trial_blocks(spec)) == 1  # packet 3 shares its block
     clean = m.run_sweep(spec)
-    real = harness._draw_trial_channel
+    real = harness.rngmod.substream
 
-    def fails_once(cfg, seed, snr_index, trial_index):
-        if (snr_index, trial_index) == (0, 3):
+    def fails_once(seed, snr_index, trial_index, *purpose):
+        # the block fails while it draws packet 3's large-scale gains
+        if (snr_index, trial_index) + purpose == (0, 3, harness.rngmod.LARGE_SCALE):
             raise error
-        return real(cfg, seed, snr_index, trial_index)
+        return real(seed, snr_index, trial_index, *purpose)
 
-    monkeypatch.setattr(harness, "_draw_trial_channel", fails_once)
+    monkeypatch.setattr(harness.rngmod, "substream", fails_once)
     result = m.run_sweep(spec, workers=workers)
     assert result.failures == {4.0: f"{type(error).__name__}: {error}"}
     assert result.rows[0].failed and np.isnan(result.rows[0].ber)
@@ -505,7 +509,7 @@ def _failing_packets(monkeypatch, spec, chosen):
     # the mmse filter raises on a block that holds a chosen (snr index,
     # trial index) packet, which it recognises by the Gram matrix of its
     # true channel
-    chans = [harness._draw_trial_channel(spec.system, spec.seed, *key) for key in chosen]
+    chans = [conftest._draw_trial_channel(spec.system, spec.seed, *key) for key in chosen]
     grams = {(chan.conj().T @ chan).tobytes() for chan in chans}
     real = harness.compute_receive_filter
 
@@ -519,13 +523,14 @@ def _failing_packets(monkeypatch, spec, chosen):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_counts_failed_blocks(monkeypatch, workers):
-    # eight streams a packet: blocks of three packets, (0-2) (3-5) (6-7)
+    # eight streams a packet: two full blocks and one of two packets
+    size = harness.MAX_BLOCK_STREAMS // 8
     spec = small_spec(system=m.SystemConfig(n_users=8, n_bs=16),
-                      snr_db=(2.0, 6.0, 10.0), packets=8)
-    assert [len(b) for b in harness.trial_blocks(spec)] == [3, 3, 2]
+                      snr_db=(2.0, 6.0, 10.0), packets=2 * size + 2)
+    assert [len(b) for b in harness.trial_blocks(spec)] == [size, size, 2]
     clean = m.run_sweep(spec)
     assert [row.failed_blocks for row in clean.rows] == [0, 0, 0]
-    _failing_packets(monkeypatch, spec, [(0, 1), (0, 2), (0, 7), (2, 4)])
+    _failing_packets(monkeypatch, spec, [(0, 1), (0, 2), (0, 2 * size + 1), (2, size)])
     result = m.run_sweep(spec, workers=workers)
     assert [row.failed_blocks for row in result.rows] == [2, 0, 1]
     assert result.failures == {2.0: "NumericalError: synthetic failure",
@@ -537,15 +542,17 @@ def test_sweep_counts_failed_blocks(monkeypatch, workers):
 def test_cli_prints_failed_block_count(tmp_path, monkeypatch, capsys):
     out = tmp_path / "res.csv"
     cfg = write_config(tmp_path, f"out = {out}\n")
-    spec = dataclasses.replace(m.parse_config(cfg.read_text()), packets=25)
-    assert [len(b) for b in harness.trial_blocks(spec)] == [12, 12, 1]
-    _failing_packets(monkeypatch, spec, [(0, 0), (0, 2), (0, 24)])
-    assert cli.main(["--config", str(cfg), "--packets", "25"]) == cli.EXIT_NUMERICAL
+    size = harness.MAX_BLOCK_STREAMS // 2  # 2 streams per packet
+    packets = 2 * size + 1
+    spec = dataclasses.replace(m.parse_config(cfg.read_text()), packets=packets)
+    assert [len(b) for b in harness.trial_blocks(spec)] == [size, size, 1]
+    _failing_packets(monkeypatch, spec, [(0, 0), (0, 2), (0, 2 * size)])
+    assert cli.main(["--config", str(cfg), "--packets", str(packets)]) == cli.EXIT_NUMERICAL
     assert capsys.readouterr().out.splitlines()[0] == (
         "snr 8 dB: FAILED in 2 blocks (first: NumericalError: synthetic failure)")
     monkeypatch.undo()
     _failing_packets(monkeypatch, spec, [(0, 3)])
-    assert cli.main(["--config", str(cfg), "--packets", "25"]) == cli.EXIT_NUMERICAL
+    assert cli.main(["--config", str(cfg), "--packets", str(packets)]) == cli.EXIT_NUMERICAL
     assert "FAILED in 1 block (" in capsys.readouterr().out
 
 
@@ -753,13 +760,13 @@ def test_filter_training_channel_matches_trial_draw(monkeypatch):
     monkeypatch.setattr(conftest, "channel_transmit", recording_transmit)
     filter_training_experiment(cfg, 10.0, "rls", 2, 1.0, 20, (20,), 10, seed=9)
     from mumimo import rng as rmod
-    large = m.draw_large_scale(cfg, rmod.substream(9, 0, 0, rmod.LARGE_SCALE))
-    small = m.draw_small_scale(cfg, [rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k)
-                                     for k in range(3)])
+    large = m.draw_large_scale(cfg, [rmod.substream(9, 0, 0, rmod.LARGE_SCALE)])
+    small = m.draw_small_scale(cfg, [[rmod.substream(9, 0, 0, rmod.SMALL_SCALE, k)
+                                      for k in range(3)]])
     expected = m.compose_channel(cfg, small, large)
     assert len(seen) == 2
     for chan in seen:
-        assert chan.tobytes() == expected.tobytes()
+        assert same_bytes(chan, expected)
 
 
 def test_filter_training_experiment_contract():

@@ -749,18 +749,18 @@ def _coded_setup(rng, snr_scale, n_sym=60):
     and permutations (1, M, 2T)."""
     cfg = m.SystemConfig(n_users=3, n_bs=6)
     k_info = m.coded_payload_length(n_sym)
-    payload = rng.integers(0, 2, size=(3, k_info))
-    frame = m.assemble_frame(cfg, payload, 0, rng, coded=True)
+    payload = rng.integers(0, 2, size=(1, 3, k_info))
+    frame = m.assemble_frame(cfg, payload, 0, [rng], coded=True)
     chan = random_channel(rng, 6, 3)
     nv = snr_scale
-    gram, y = matched(chan, m.channel_transmit(chan, frame.data_symbols, nv, rng))
-    return frame, gram[None], y[None], nv, frame.perms[None]
+    gram, y = matched(chan, m.channel_transmit(chan[None], frame.data_symbols, nv, [rng])[0])
+    return frame, gram[None], y[None], nv, frame.perms
 
 
 def test_idd_receive_decodes_at_high_snr(rng):
     frame, gram, y, nv, perms = _coded_setup(rng, 1e-3)
     out = m.idd_receive(gram, y, nv, perms)
-    np.testing.assert_array_equal(out.info_bits[0], frame.info_bits)
+    np.testing.assert_array_equal(out.info_bits, frame.info_bits)
     assert len(out.per_iteration_bits) == 4
     assert out.v_hat.shape == (1, 3)
 
@@ -770,15 +770,15 @@ def test_idd_receive_iterations_help_on_average(rng):
     for _ in range(12):
         frame, gram, y, nv, perms = _coded_setup(rng, 0.35)
         out = m.idd_receive(gram, y, nv, perms, n_outer=4)
-        total_first += np.sum(out.per_iteration_bits[0][0] != frame.info_bits)
-        total_last += np.sum(out.per_iteration_bits[-1][0] != frame.info_bits)
+        total_first += np.sum(out.per_iteration_bits[0] != frame.info_bits)
+        total_last += np.sum(out.per_iteration_bits[-1] != frame.info_bits)
     assert total_last <= total_first
 
 
 def test_idd_receive_model_stats_fallback(rng):
     frame, gram, y, nv, perms = _coded_setup(rng, 1e-3)
     out = m.idd_receive(gram, y, nv, perms)
-    np.testing.assert_array_equal(out.info_bits[0], frame.info_bits)
+    np.testing.assert_array_equal(out.info_bits, frame.info_bits)
     # the scalar model is the packet average of the detector's statistics,
     # here for the first iteration, which starts from zero priors
     first = m.idd_receive(gram, y, nv, perms, n_outer=1)
@@ -793,8 +793,8 @@ def _received_block(estimator, n_pkt):
                           estimator=estimator, pilot_len=12, packet_symbols=80,
                           snr_db=(6.0,), packets=n_pkt, seed=7).validate()
     nv = harness.trial_noise_variance(spec, 6.0)
-    frames, grams, ys = harness._receive_block(spec, 0, range(n_pkt), nv)
-    return grams, ys, nv, np.stack([f.perms for f in frames])
+    frame, grams, ys = harness._receive_block(spec, 0, range(n_pkt), nv)
+    return grams, ys, nv, frame.perms
 
 
 @pytest.mark.parametrize("estimator", ["perfect", "lms"])

@@ -120,6 +120,21 @@ def test_qpsk_map_bit_convention():
     np.testing.assert_allclose(sym, [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], atol=1e-15)
 
 
+def reference_qpsk_map(bits, symbol_power=1.0):
+    # the int64 round trip: every bit array read as int64 and the points
+    # indexed by int64 labels
+    pairs = np.asarray(bits, dtype=np.int64).reshape(np.shape(bits)[:-1] + (-1, 2))
+    return m.qpsk_constellation(symbol_power)[(pairs[..., 0] << 1) | pairs[..., 1]]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, bool])
+def test_qpsk_map_in_the_bits_own_type_equals_the_int64_mapping(rng, dtype):
+    bits = rng.integers(0, 2, size=(3, 8, 1000)).astype(dtype)
+    for power in (1.0, 2.0):
+        assert same_bytes(m.qpsk_map(bits, power), reference_qpsk_map(bits, power))
+    assert same_bytes(m.qpsk_map(bits.tolist()), reference_qpsk_map(bits))
+
+
 def test_qpsk_slice_roundtrip(rng):
     bits = rng.integers(0, 2, size=(5, 24))
     sym = m.qpsk_map(bits)
@@ -141,10 +156,11 @@ def test_labels_to_bits_inverts_mapping():
 
 def test_assemble_frame_uncoded(rng):
     cfg = m.SystemConfig(n_users=3, n_bs=4)
-    payload = rng.integers(0, 2, size=(3, 20))
-    frame = m.assemble_frame(cfg, payload, pilot_len=7, rng=rng)
-    assert frame.pilots.shape == (3, 7)
-    assert frame.data_symbols.shape == (3, 10)
+    payload = rng.integers(0, 2, size=(2, 3, 20))
+    frame = m.assemble_frame(cfg, payload, pilot_len=7, rngs=[rng, rng])
+    assert frame.pilots.shape == (2, 3, 7)
+    assert frame.data_symbols.shape == (2, 3, 10)
+    assert frame.channel_bits.dtype == np.int8
     np.testing.assert_array_equal(frame.channel_bits, payload)
     np.testing.assert_allclose(frame.data_symbols, m.qpsk_map(payload))
     np.testing.assert_allclose(np.abs(frame.pilots) ** 2, cfg.symbol_power)
@@ -153,13 +169,14 @@ def test_assemble_frame_uncoded(rng):
 def test_assemble_frame_coded_consistency(rng):
     cfg = m.SystemConfig(n_users=2, n_bs=4)
     k_info = m.coded_payload_length(30)
-    payload = rng.integers(0, 2, size=(2, k_info))
-    frame = m.assemble_frame(cfg, payload, pilot_len=0, rng=rng, coded=True)
-    assert frame.data_symbols.shape == (2, 30)
-    for s in range(2):
-        code = m.conv_encode(payload[s])
-        np.testing.assert_array_equal(
-            m.deinterleave(frame.channel_bits[s], frame.perms[s]), code)
+    payload = rng.integers(0, 2, size=(3, 2, k_info))
+    frame = m.assemble_frame(cfg, payload, pilot_len=0, rngs=[rng] * 3, coded=True)
+    assert frame.data_symbols.shape == (3, 2, 30)
+    for p in range(3):
+        for s in range(2):
+            code = m.conv_encode(payload[p, s])
+            np.testing.assert_array_equal(
+                m.deinterleave(frame.channel_bits[p, s], frame.perms[p, s]), code)
     np.testing.assert_allclose(frame.data_symbols, m.qpsk_map(frame.channel_bits))
     np.testing.assert_array_equal(frame.info_bits, payload)
 
@@ -167,16 +184,26 @@ def test_assemble_frame_coded_consistency(rng):
 def test_assemble_frame_stream_count_mismatch(rng):
     cfg = m.SystemConfig(n_users=3, n_bs=4)
     with pytest.raises(StructuralError):
-        m.assemble_frame(cfg, np.zeros((2, 10), dtype=int), 0, rng)
+        m.assemble_frame(cfg, np.zeros((1, 2, 10), dtype=int), 0, [rng])
+    with pytest.raises(StructuralError):
+        m.assemble_frame(cfg, np.zeros((3, 10), dtype=int), 0, [rng])  # no packet axis
+    with pytest.raises(StructuralError):
+        m.assemble_frame(cfg, np.zeros((2, 3, 10), dtype=int), 0, [rng])
 
 
 def test_assemble_frame_pilots_drawn_before_perms():
+    # each packet's generator draws its pilots, then one permutation per
+    # stream
     cfg = m.SystemConfig(n_users=2, n_bs=4)
-    payload = np.zeros((2, m.coded_payload_length(10)), dtype=int)
-    f1 = m.assemble_frame(cfg, payload, 5, np.random.default_rng(3), coded=True)
-    f2 = m.assemble_frame(cfg, payload, 5, np.random.default_rng(3), coded=True)
-    np.testing.assert_array_equal(f1.pilots, f2.pilots)
-    np.testing.assert_array_equal(f1.perms, f2.perms)
+    payload = np.zeros((2, 2, m.coded_payload_length(10)), dtype=int)
+    frame = m.assemble_frame(cfg, payload, 5, [np.random.default_rng(3),
+                                               np.random.default_rng(4)], coded=True)
+    for p, seed in enumerate((3, 4)):
+        replay = np.random.default_rng(seed)
+        labels = replay.integers(0, 4, size=(2, 5))
+        assert same_bytes(frame.pilots[p], m.qpsk_constellation()[labels])
+        perms = [replay.permutation(20) for _ in range(2)]
+        assert same_bytes(frame.perms[p], np.stack(perms))
 
 
 def test_coded_payload_length_hand_value():
@@ -189,14 +216,14 @@ def test_coded_payload_length_hand_value():
 def test_channel_transmit_noiseless_exact(rng):
     chan = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     sym = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
-    out = m.channel_transmit(chan, sym, 0.0, rng)
-    np.testing.assert_array_equal(out, chan @ sym)
+    out = m.channel_transmit(chan[None], sym[None], 0.0, [rng])
+    np.testing.assert_array_equal(out, (chan @ sym)[None])
 
 
 def test_channel_transmit_noise_statistics(rng):
     chan = np.zeros((2, 1), dtype=complex)
     sym = np.zeros((1, 200000), dtype=complex)
-    out = m.channel_transmit(chan, sym, 4.0, rng)
+    out = m.channel_transmit(chan[None], sym[None], 4.0, [rng])
     assert np.mean(np.abs(out) ** 2) == pytest.approx(4.0, rel=0.02)
     assert np.mean(out.real ** 2) == pytest.approx(2.0, rel=0.03)
 
@@ -227,27 +254,36 @@ def test_channel_transmit_equals_out_of_place_noise(kind, n_rx, n_streams, n):
     else:
         chan = chan + 1j * draw.standard_normal((n_rx, n_streams))
     noise_var = 0.0 if kind.endswith("noiseless") else 0.37
-    got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = m.channel_transmit(chan, sym, noise_var, got_rng)
-    ref = reference_channel_transmit(chan, sym, noise_var, ref_rng)
-    assert got.dtype == np.complex128 and got.shape == (n_rx, n)
-    assert np.array_equal(got, ref)
-    # the generator is left where the two-draw version leaves it
-    assert got_rng.standard_normal() == ref_rng.standard_normal()
+    # a stack of two packets: the second's channel and symbols reversed
+    chans, syms = np.stack([chan, chan[::-1]]), np.stack([sym, sym[::-1]])
+    got_rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+    ref_rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+    got = m.channel_transmit(chans, syms, noise_var, got_rngs)
+    assert got.dtype == np.complex128 and got.shape == (2, n_rx, n)
+    for packet, c, x, ref_rng in zip(got, chans, syms, ref_rngs):
+        assert np.array_equal(packet, reference_channel_transmit(c, x, noise_var, ref_rng))
+    # every generator is left where the two-draw version leaves it
+    assert ([g.standard_normal() for g in got_rngs]
+            == [g.standard_normal() for g in ref_rngs])
 
 
 def test_channel_transmit_validates(rng):
     with pytest.raises(StructuralError):
-        m.channel_transmit(np.zeros((2, 3)), np.zeros((2, 5)), 1.0, rng)
+        m.channel_transmit(np.zeros((1, 2, 3)), np.zeros((1, 2, 5)), 1.0, [rng])
+    with pytest.raises(StructuralError):
+        m.channel_transmit(np.zeros((2, 2)), np.zeros((2, 5)), 1.0, [rng])
+    with pytest.raises(StructuralError):
+        m.channel_transmit(np.zeros((2, 2, 2)), np.zeros((2, 2, 5)), 1.0, [rng])
     with pytest.raises(ParameterError):
-        m.channel_transmit(np.zeros((2, 2)), np.zeros((2, 5)), -1.0, rng)
+        m.channel_transmit(np.zeros((1, 2, 2)), np.zeros((1, 2, 5)), -1.0, [rng])
 
 
 def _matched_case(rng, n_rx=16, n_streams=4, n=40):
+    """A stack of one packet's front end, channel and symbols."""
     chan = random_channel(rng, n_rx, n_streams)
     front = chan + 0.3 * random_channel(rng, n_rx, n_streams)  # an estimate of it
     sym = m.qpsk_map(rng.integers(0, 2, (n_streams, 2 * n)))
-    return front, chan, sym
+    return front[None], chan[None], sym[None]
 
 
 @pytest.mark.parametrize("is_chan", [False, True], ids=["estimate", "perfect"])
@@ -256,22 +292,23 @@ def test_matched_transmit_noiseless_is_the_clean_statistic(rng, is_chan):
     if is_chan:
         front = chan
     state = rng.bit_generator.state
-    gram, y = m.matched_transmit(front, chan, sym, 0.0, rng)
-    adjoint = front.conj().T
-    assert same_bytes(gram, adjoint @ front)
-    assert same_bytes(y, (adjoint @ chan) @ sym)
+    gram, y = m.matched_transmit(front, chan, sym, 0.0, [rng])
+    adjoint = front[0].conj().T
+    assert same_bytes(gram[0], adjoint @ front[0])
+    assert same_bytes(y[0], (adjoint @ chan[0]) @ sym[0])
     assert rng.bit_generator.state == state  # nothing drawn
 
 
 def test_matched_transmit_draws_root_times_white_noise():
     front, chan, sym = _matched_case(np.random.default_rng(3))
     got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    gram, y = m.matched_transmit(front, chan, sym, 0.37, got_rng)
+    gram, y = m.matched_transmit(front, chan, sym, 0.37, [got_rng])
     # w ~ CN(0, I): real and imaginary parts interleaved in one (M, 2T) draw
     normals = ref_rng.standard_normal((4, 80))
     white = (normals[:, 0::2] + 1j * normals[:, 1::2]) / np.sqrt(2.0)
-    noise = np.sqrt(0.37) * np.linalg.cholesky(gram) @ white
-    clean = front.conj().T @ chan @ sym
+    noise = np.sqrt(0.37) * np.linalg.cholesky(gram[0]) @ white
+    clean = front[0].conj().T @ chan[0] @ sym[0]
+    y = y[0]
     np.testing.assert_allclose(y - clean, noise, rtol=0, atol=1e-13)
     assert got_rng.standard_normal() == ref_rng.standard_normal()
 
@@ -283,7 +320,8 @@ def test_matched_transmit_noise_covariance_is_noise_var_times_gram():
     rng = np.random.default_rng(11)
     front, chan, _ = _matched_case(rng, n_rx=6, n_streams=3)
     n = 200_000
-    gram, y = m.matched_transmit(front, chan, np.zeros((3, n)), 2.5, rng)
+    gram, y = m.matched_transmit(front, chan, np.zeros((1, 3, n)), 2.5, [rng])
+    gram, y = gram[0], y[0]
     sample = y @ y.conj().T / n
     scale = 2.5 * np.sqrt(np.outer(np.diag(gram).real, np.diag(gram).real))
     assert np.max(np.abs(sample - 2.5 * gram) / scale) < 6.0 / np.sqrt(n)
@@ -302,11 +340,33 @@ def test_gram_root_falls_back_to_the_hermitian_root_when_rank_deficient(rng):
                                atol=1e-12 * np.max(np.abs(gram)))
 
 
+def test_gram_root_falls_back_per_item_of_a_stack(rng):
+    # a deficient item takes the Hermitian root, the others their Cholesky
+    # factors as they would alone, whether or not the stacked
+    # factorization raises
+    fronts = [random_channel(rng, 8, 3) for _ in range(3)]
+    fronts[1] = fronts[1][:, [0, 1, 0]]
+    grams = np.stack([f.conj().T @ f for f in fronts])
+    for stack in (grams, grams[::-1], grams[[0, 2]], grams[None]):
+        roots = gram_root(stack)
+        assert roots.shape == stack.shape
+        for root, gram in zip(roots.reshape(-1, 3, 3), stack.reshape(-1, 3, 3)):
+            assert same_bytes(root, gram_root(gram))
+    # an exactly singular item makes the stacked factorization raise
+    grams[1] = 0.0
+    assert same_bytes(gram_root(grams)[1], m.matrix_sqrt(grams[1]))
+    assert same_bytes(gram_root(grams)[0], np.linalg.cholesky(grams[0]))
+
+
 def test_matched_transmit_validates(rng):
     front, chan, sym = _matched_case(rng)
     with pytest.raises(StructuralError):
-        m.matched_transmit(front[:, :3], chan, sym, 1.0, rng)
+        m.matched_transmit(front[..., :3], chan, sym, 1.0, [rng])
     with pytest.raises(StructuralError):
-        m.matched_transmit(front, chan, sym[:3], 1.0, rng)
+        m.matched_transmit(front, chan, sym[:, :3], 1.0, [rng])
+    with pytest.raises(StructuralError):
+        m.matched_transmit(front[0], chan[0], sym[0], 1.0, [rng])  # no packet axis
+    with pytest.raises(StructuralError):
+        m.matched_transmit(front, chan, sym, 1.0, [rng, rng])
     with pytest.raises(ParameterError):
-        m.matched_transmit(front, chan, sym, -1.0, rng)
+        m.matched_transmit(front, chan, sym, -1.0, [rng])
