@@ -129,6 +129,11 @@ class ScenarioSpec:
             raise ConfigError(f"snr_db points must be finite, got {self.snr_db}")
         if len(set(self.snr_db)) != len(self.snr_db):
             raise ConfigError("snr_db points must be distinct")
+        for snr in self.snr_db:
+            with contextlib.suppress(OverflowError, ZeroDivisionError):
+                if 0.0 < trial_noise_variance(self, snr) < math.inf:
+                    continue
+            raise ConfigError(f"snr_db = {snr:g} dB has no finite, positive noise variance")
         if not self.out:
             raise ConfigError("out must name the output file")
         if (self.out != self.out.strip() or len(self.out.splitlines()) > 1

@@ -56,47 +56,48 @@ def soft_mmse_sic_detect(gram: np.ndarray, matched: np.ndarray,
     For each stream j the soft means of all other streams are subtracted
     and an MMSE filter built against the residual covariance
     ``sum_{m != j} v_m g_m g_m^H + noise_var I`` is applied (Wang and Poor,
-    1999).  The block reaches it in the matched-filter domain, as ``A =
+    1999).  A packet reaches it in the matched-filter domain, as ``A =
     G^H G`` (M, M) and ``y = G^H r`` (M, T): the push-through identity
     ``G^H C_t^-1 = (A V_t + noise_var I)^-1 G^H`` turns each symbol's
     covariance ``C_t = G V_t G^H + noise_var I`` into one M x M solve
-    against ``[A | y_t - A means_t]``; no N_A x N_A matrix is formed.  When
-    every symbol has the same prior variances (zero priors) the systems
-    coincide and one solve serves them all.  Returns the filter outputs
-    ``z`` (M, T) and the model-implied effective amplitude and residual
+    against ``[A | y_t - A means_t]``; no N_A x N_A matrix is formed.  A
+    block's packets stack on leading axes.  When every stream of every
+    packet has one prior variance at all its symbols (zero priors, or priors
+    saturated at the clip), a packet's systems are one, and one solve gives
+    the bytes of the per-symbol solves.  Returns the filter outputs ``z``
+    (..., M, T) and the model-implied effective amplitude and residual
     variance per (stream, symbol) of the scalar model ``z = V s + xi``.
     """
     means = np.asarray(means, dtype=complex)
     variances = np.asarray(variances, dtype=float)
     m = _check_matched(gram, matched)
-    if means.shape != variances.shape or means.shape != matched.shape:
-        raise StructuralError("soft statistics must be (M, T) matching the matched outputs")
+    if means.shape != variances.shape or means.shape != np.shape(matched):
+        raise StructuralError("soft statistics must be (..., M, T) matching the matched outputs")
     if noise_var <= 0.0:
         raise ParameterError("soft MMSE detection requires noise_var > 0")
     if np.any(variances < 0):
         raise ParameterError("prior variances must be non-negative")
 
-    residual = matched - gram @ means  # G^H (r - G means), (M, T)
+    residual = matched - gram @ means  # G^H (r - G means), (..., M, T)
     try:
-        if np.all(variances == variances[:, :1]):
-            # equal priors for every symbol (the zero-prior first IDD pass):
-            # all T systems are one, so one solve takes every right-hand side
-            system = gram * variances[:, 0] + noise_var * np.eye(m)
-            x = np.linalg.solve(system, np.concatenate([gram, residual], axis=1))
-            q = np.broadcast_to(np.diagonal(x).real[:, None], means.shape)
-            u = x[:, m:] + means * q
+        if np.all(variances == variances[..., :1]):
+            # each item's T systems are one: one solve takes every right-hand side
+            system = gram * variances[..., None, :, 0] + noise_var * np.eye(m)
+            x = np.linalg.solve(system, np.concatenate([gram, residual], axis=-1))
+            q = np.diagonal(x, axis1=-2, axis2=-1).real[..., None]  # g^H C^-1 g
+            u = x[..., m:] + means * q
         else:
-            q = np.empty(means.shape)  # g^H C^-1 g, (M, T)
+            q = np.empty(means.shape)  # g^H C^-1 g, (..., M, T)
             u = np.empty_like(means)
-            for t0 in range(0, means.shape[1], _CHUNK):
-                span = slice(t0, t0 + _CHUNK)
-                system = gram * variances.T[span, None, :]  # A V_t, (chunk, M, M)
-                system += noise_var * np.eye(m)
-                rhs = np.concatenate([np.broadcast_to(gram, system.shape),
-                                      residual.T[span, :, None]], axis=2)
-                x = np.linalg.solve(system, rhs)  # (chunk, M, M + 1)
-                q[:, span] = np.diagonal(x, axis1=1, axis2=2).real.T
-                u[:, span] = x[:, :, m].T + means[:, span] * q[:, span]
+            for t0 in range(0, means.shape[-1], _CHUNK):
+                span = np.s_[..., t0:t0 + _CHUNK]
+                system = gram[..., None, :, :] * variances[span].swapaxes(-1, -2)[..., None, :]
+                system += noise_var * np.eye(m)  # A V_t + noise_var I, (..., chunk, M, M)
+                rhs = np.concatenate([np.broadcast_to(gram[..., None, :, :], system.shape),
+                                      residual[span].swapaxes(-1, -2)[..., None]], axis=-1)
+                x = np.linalg.solve(system, rhs)  # (..., chunk, M, M + 1)
+                q[span] = np.diagonal(x, axis1=-2, axis2=-1).real.swapaxes(-1, -2)
+                u[span] = x[..., m].swapaxes(-1, -2) + means[span] * q[span]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"soft detection system is singular: {exc}") from None
 
@@ -208,33 +209,32 @@ def bcjr_decode(channel_llrs: np.ndarray,
                 trellis: TrellisSpec = TrellisSpec()) -> BcjrResult:
     """Scaled probability-domain BCJR for a zero-tail terminated convolutional code.
 
-    ``channel_llrs`` holds one LLR per coded bit, shape (n_coded,) or
-    (streams, n_coded) with ``n_coded = n_out * (k_info + memory)``.  It is
-    clipped to ``+/- LLR_CLIP`` first, as the receiver's demapper already
-    does, so no branch weight is below ``exp(-n_out * LLR_CLIP)`` and the
-    state probabilities, rescaled every step, stay in range.  Both endpoint
-    states are pinned at zero (tail termination).  Extrinsic LLRs are the
-    coded-bit posteriors minus the clipped inputs; information-bit LLRs
-    exclude the tail.  The joint weights ``alpha w beta`` are summed over
-    each bit's branches a chunk of steps at a time, with one ``log(S0/S1)``
-    per bit: the log-MAP posteriors (Robertson, Villebrun and Hoeher, 1995)
-    up to rounding.  Every stream decodes as its own call would.
+    ``channel_llrs`` (..., n_coded) holds one row of LLRs per stream, with
+    ``n_coded = n_out * (k_info + memory)``; the results keep its leading
+    axes.  It is clipped to ``+/- LLR_CLIP`` first, as the receiver's
+    demapper already does, so no branch weight is below ``exp(-n_out *
+    LLR_CLIP)`` and the state probabilities, rescaled every step, stay in
+    range.  Both endpoint states are pinned at zero (tail termination).
+    Extrinsic LLRs are the coded-bit posteriors minus the clipped inputs;
+    information-bit LLRs exclude the tail.  The joint weights ``alpha w
+    beta`` are summed over each bit's branches a chunk of steps at a time,
+    with one ``log(S0/S1)`` per bit: the log-MAP posteriors (Robertson,
+    Villebrun and Hoeher, 1995) up to rounding.  Every stream decodes as
+    its own call would.
     """
     lam = np.clip(np.asarray(channel_llrs, dtype=float), -LLR_CLIP, LLR_CLIP)
-    squeeze = lam.ndim == 1
-    lam = np.atleast_2d(lam)
     n_out = trellis.n_out
-    if lam.shape[1] % n_out != 0:
+    if lam.ndim == 0 or lam.shape[-1] % n_out != 0:
         raise StructuralError(
-            f"coded length {lam.shape[1]} is not a multiple of {n_out}")
-    n_steps = lam.shape[1] // n_out
+            f"coded LLRs of shape {lam.shape} do not end in a multiple of {n_out}")
+    n_steps = lam.shape[-1] // n_out
     if n_steps <= trellis.memory:
         raise StructuralError("coded block is shorter than the code tail")
-    batch = lam.shape[0]
     k_info = n_steps - trellis.memory
     next_state, out_bits = trellis_tables(trellis)
-    # lam, our clipped copy, turns into the extrinsics a chunk at a time
-    ext = lam.reshape(batch, n_steps, n_out)
+    # the clipped copy turns into the extrinsics a chunk at a time
+    ext = lam.reshape(-1, n_steps, n_out)
+    batch = len(ext)
     lam_t = ext.transpose(1, 2, 0)  # (t, n_out, batch)
 
     states = _state_recursions(lam_t, trellis)
@@ -259,10 +259,9 @@ def bcjr_decode(channel_llrs: np.ndarray,
         n_info = max(0, min(t1, k_info) - t0)
         info[:, t0:t0 + n_info] = np.log(sums[:n_info, -2] / sums[:n_info, -1]).T
 
+    info = info.reshape(lam.shape[:-1] + (k_info,))
     bits = (info < 0).astype(np.int8)  # ties resolve toward bit 0
-    if squeeze:
-        return BcjrResult(lam[0], info[0], bits[0])
-    return BcjrResult(lam, info, bits)
+    return BcjrResult(ext.reshape(lam.shape), info, bits)
 
 
 # -- full receiver ----------------------------------------------------------
@@ -292,10 +291,10 @@ def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
     Frame k arrives in the matched-filter domain of its channel G_k: the
     Gram matrix ``grams[k] = G_k^H G_k`` of the stack (P, M, M), the
     matched outputs ``matched[k] = G_k^H r_k`` of the stack (P, M, T), and
-    its interleavers ``perms[k]`` (M, 2T).  The soft detector runs per
-    frame, while the soft statistics, demapping, (de)interleaving and BCJR
-    decoding run once on all P * M streams.  Every frame of a block decodes
-    exactly as it would alone, and the results keep the leading axis.
+    its interleavers ``perms[k]`` (M, 2T).  Soft detection, demapping,
+    (de)interleaving and BCJR decoding each run once per iteration on the
+    whole block.  Every frame of a block decodes exactly as it would alone,
+    and the results keep the leading axis.
     """
     if n_outer < 1:
         raise ParameterError("n_outer must be >= 1")
@@ -305,29 +304,21 @@ def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
             or perms.shape != shape[:2] + (2 * shape[2],)):
         raise StructuralError("a block of P frames needs Gram matrices (P, M, M), "
                               "matched outputs (P, M, T) and permutations (P, M, 2T)")
-    n_pkt, m, n_sym = shape
-    perms = perms.reshape(n_pkt * m, -1)
 
-    priors = np.zeros((n_pkt, m, n_sym, 2))
-    z = np.empty((n_pkt, m, n_sym), dtype=complex)
-    v_hat = np.empty((n_pkt, m))
-    xi_var = np.empty((n_pkt, m))
+    priors = np.zeros(shape + (2,))
     per_iter = []
     for _ in range(n_outer):
         means, variances = soft_symbol_stats(priors, symbol_power=symbol_power)
-        for k in range(n_pkt):
-            z[k], v_model, xi_model = soft_mmse_sic_detect(
-                grams[k], matched[k], means[k], variances[k], noise_var, symbol_power)
-            v_hat[k] = v_model.mean(axis=1)
-            xi_var[k] = xi_model.mean(axis=1)
+        z, v_model, xi_model = soft_mmse_sic_detect(grams, matched, means, variances,
+                                                    noise_var, symbol_power)
+        v_hat, xi_var = v_model.mean(axis=-1), xi_model.mean(axis=-1)
         lam1 = extrinsic_llr(z, v_hat[..., None], xi_var[..., None],
-                             symbol_power=symbol_power).reshape(n_pkt * m, -1)
-        lam1 = deinterleave(lam1, perms)
-        decoded = bcjr_decode(lam1, trellis)
+                             symbol_power=symbol_power).reshape(perms.shape)
+        decoded = bcjr_decode(deinterleave(lam1, perms), trellis)
         feedback = np.clip(decoded.extrinsic, -LLR_CLIP, LLR_CLIP, out=decoded.extrinsic)
         priors = interleave(feedback, perms).reshape(priors.shape)
-        per_iter.append(decoded.info_bits.reshape(n_pkt, m, -1))
+        per_iter.append(decoded.info_bits)
         # the next pass's working set starts from the priors and bits alone
-        del means, variances, lam1, decoded, feedback
+        del means, variances, z, v_model, xi_model, lam1, decoded, feedback
     return IddResult(info_bits=per_iter[-1], per_iteration_bits=per_iter,
                      v_hat=v_hat, xi_var=xi_var)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import matrix_sqrt
 from .config import SystemConfig
@@ -92,21 +93,24 @@ def trellis_predecessors(trellis: TrellisSpec):
 
 
 def conv_encode(bits, trellis: TrellisSpec = TrellisSpec()) -> np.ndarray:
-    """Encode a bit vector, appending zero tail bits to flush the register.
+    """Encode bit rows (..., n) with zero tail bits that flush the register,
+    into int8 code rows (..., n_out * (n + memory)).
 
-    Output length is ``n_out * (len(bits) + memory)``; an empty input still
-    produces the tail.  Each generator's output is the input convolved
-    with its taps, modulo 2.
+    An empty row still produces the tail.  Each generator's output is the
+    XOR of the register bits its taps select: the input convolved with the
+    taps, modulo 2.
     """
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    if bits.size and not np.isin(bits, (0, 1)).all():
-        raise ParameterError("input bits must be 0/1")
-    seq = np.concatenate([bits, np.zeros(trellis.memory, dtype=np.int64)])
-    shifts = np.arange(trellis.constraint_length - 1, -1, -1)
-    out = np.empty((seq.size, trellis.n_out), dtype=np.int8)
-    for gi, gen in enumerate(trellis.generators):
-        out[:, gi] = np.convolve(seq, (gen >> shifts) & 1)[:seq.size] & 1
-    return out.ravel()
+    bits = np.asarray(bits)
+    if bits.ndim == 0 or not np.isin(bits, (0, 1)).all():
+        raise ParameterError("input bits must be rows of 0/1")
+    k, memory = trellis.constraint_length, trellis.memory
+    # memory zeros (the register's start), the input, then the tail
+    seq = np.zeros(bits.shape[:-1] + (bits.shape[-1] + 2 * memory,), dtype=np.int8)
+    seq[..., memory:seq.shape[-1] - memory] = bits
+    regs = sliding_window_view(seq, k, axis=-1)  # (..., n + memory, K), oldest bit first
+    taps = (np.array(trellis.generators)[:, None] >> np.arange(k) & 1).astype(np.int8)
+    out = np.bitwise_xor.reduce(regs[..., None, :] & taps, axis=-1)  # (..., n + memory, n_out)
+    return out.reshape(bits.shape[:-1] + (-1,))
 
 
 def _row_perms(x, perm):
@@ -229,7 +233,7 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
         Frame randomness, one generator per packet: its pilots first, then
         one interleaver permutation per stream (coded frames only).
     """
-    payload_bits = np.asarray(payload_bits, dtype=np.int8)
+    payload_bits = np.asarray(payload_bits)
     n_streams = cfg.n_streams
     if payload_bits.ndim != 3 or payload_bits.shape[1] != n_streams:
         raise StructuralError(f"payload must be (P, {n_streams}, n_bits), one row per "
@@ -243,10 +247,9 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
         labels[...] = rng.integers(0, 4, size=labels.shape)
     pilots = qpsk_constellation(cfg.symbol_power).take(pilot_labels)
 
+    info_bits = payload_bits.astype(np.int8, copy=False)
     if coded:
-        rows = payload_bits.reshape(-1, payload_bits.shape[-1])
-        coded_bits = np.stack([conv_encode(row, trellis) for row in rows]).reshape(
-            payload_bits.shape[:2] + (-1,))
+        coded_bits = conv_encode(payload_bits, trellis)
         n_coded = coded_bits.shape[-1]
         if n_coded % 2 != 0:
             raise StructuralError("coded stream length must be even for QPSK")
@@ -259,17 +262,16 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
         if payload_bits.shape[-1] % 2 != 0:
             raise StructuralError("uncoded payload length must be even for QPSK")
         perms = None
-        channel_bits = payload_bits
+        channel_bits = info_bits
 
     data_symbols = qpsk_map(channel_bits, cfg.symbol_power)
-    return SymbolFrame(info_bits=payload_bits, channel_bits=channel_bits,
-                       pilots=pilots, data_symbols=data_symbols, perms=perms)
+    return SymbolFrame(info_bits=info_bits, channel_bits=channel_bits, pilots=pilots,
+                       data_symbols=data_symbols, perms=perms)
 
 
-def coded_payload_length(n_data_symbols: int, trellis: TrellisSpec = TrellisSpec(),
-                         bits_per_symbol: int = 2) -> int:
-    """Information bits per stream that fill ``n_data_symbols`` exactly."""
-    total = n_data_symbols * bits_per_symbol
+def coded_payload_length(n_data_symbols: int, trellis: TrellisSpec = TrellisSpec()) -> int:
+    """Information bits per stream that fill ``n_data_symbols`` QPSK symbols."""
+    total = 2 * n_data_symbols
     if total % trellis.n_out != 0:
         raise ParameterError("symbol budget does not fit a whole code block")
     k_info = total // trellis.n_out - trellis.memory

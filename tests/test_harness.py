@@ -141,6 +141,18 @@ def test_snr_range_point_count_is_capped(tmp_path, capsys):
     assert "more than" in capsys.readouterr().err
 
 
+# 10^(SNR/10) overflows, sigma^2 underflows to 0, sigma^2 is inf, 10^(SNR/10) is 0
+@pytest.mark.parametrize("snr", [4000, 3083, 3082, -3100, -3240])
+def test_snr_without_a_noise_variance_is_a_config_error(tmp_path, capsys, snr):
+    with pytest.raises(ConfigError, match=f"snr_db = {snr} dB has no finite"):
+        m.parse_config(f"n_users = 2\nn_bs = 4\nsnr_db = 10,{snr}\n")
+    cfg = write_config(tmp_path)
+    assert cli.main(["--config", str(cfg), f"--snr={snr}"]) == cli.EXIT_CONFIG
+    assert f"snr_db = {snr} dB" in capsys.readouterr().err
+    # points whose noise variance stays finite and positive are accepted
+    assert m.parse_config("n_users = 2\nn_bs = 4\nsnr_db = -3000,3070\n")
+
+
 def test_parse_n_rx_total_cross_check():
     ok = "n_users = 2\nn_bs = 4\nn_rx_total = 4\nsnr_db = 10\n"
     assert m.parse_config(ok).system.n_rx_total == 4

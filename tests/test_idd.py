@@ -300,6 +300,31 @@ def test_soft_mmse_equal_priors_take_one_solve(rng, n_streams, n_rx):
     assert np.array_equal(z, x[:, :, n_streams].T / (1.0 + (1.0 - variances) * q))
 
 
+@pytest.mark.parametrize("prior", [0.0, LLR_CLIP], ids=["zero", "saturated"])
+@pytest.mark.parametrize("n_pkt", [1, 3])
+@pytest.mark.parametrize("n_streams, n_rx", [(8, 16), (32, 128)])
+def test_soft_mmse_equal_prior_solve_equals_per_symbol_solves_on_stacks(
+        rng, n_streams, n_rx, n_pkt, prior):
+    # a stack whose every item has equal prior variances takes one solve per
+    # item; with one more item of unequal priors the same items are solved
+    # per symbol.  Both give the same bytes, so a packet decodes alike
+    # whether or not the other packets of its block qualify.  A LAPACK whose
+    # many-column solve rounds otherwise fails here, not as a moved CSV
+    n_sym = 150
+    stats = [matched(random_channel(rng, n_rx, n_streams),
+                     rng.standard_normal((n_rx, n_sym))
+                     + 1j * rng.standard_normal((n_rx, n_sym))) for _ in range(n_pkt + 1)]
+    grams, ys = (np.stack(stat) for stat in zip(*stats))
+    priors = prior * rng.choice([-1.0, 1.0], size=(n_pkt + 1, n_streams, n_sym, 2))
+    priors[-1] = rng.normal(0.0, 2.0, size=priors.shape[1:])
+    means, variances = m.soft_symbol_stats(priors)
+    assert np.all(variances[:-1] == variances[:-1, :, :1])
+    one_solve = m.soft_mmse_sic_detect(grams[:-1], ys[:-1], means[:-1], variances[:-1], 0.3)
+    per_symbol = m.soft_mmse_sic_detect(grams, ys, means, variances, 0.3)
+    for got, want in zip(one_solve, per_symbol, strict=True):
+        assert same_bytes(got, want[:-1])
+
+
 def test_coded_sweep_csv_matches_covariance_inversion_oracle(monkeypatch):
     spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=6), coded=True,
                           idd_iterations=3, packet_symbols=80,
@@ -312,11 +337,16 @@ def test_coded_sweep_csv_matches_covariance_inversion_oracle(monkeypatch):
     fast = m.run_sweep(spec)
     assert sum(row.errors for row in fast.rows) > 0
 
-    def in_antenna_domain(gram, y, *args):
+    def oracle(gram, y, means, variances, *args):
         chan, r = next((chan, r) for chan, r in packets
                        if same_bytes(matched(chan, r)[0], gram))
         assert same_bytes(matched(chan, r)[1], y)
-        return reference_soft_mmse_sic_detect(r, chan, *args)
+        return reference_soft_mmse_sic_detect(r, chan, means, variances, *args)
+
+    def in_antenna_domain(grams, ys, means, variances, *args):
+        # the block's stack, each item through the per-packet oracle
+        items = [oracle(*item, *args) for item in zip(grams, ys, means, variances)]
+        return tuple(np.stack(outputs) for outputs in zip(*items))
 
     monkeypatch.setattr(idd, "soft_mmse_sic_detect", in_antenna_domain)
     assert m.format_csv(m.run_sweep(spec)) == m.format_csv(fast)
@@ -498,22 +528,21 @@ def test_bcjr_matches_exhaustive_app(rng):
 def reference_bcjr_decode(channel_llrs: np.ndarray,
                           trellis: TrellisSpec = TrellisSpec()) -> BcjrResult:
     """Per-step log-domain BCJR: one forward loop, then one backward loop
-    that forms the branch posteriors of each time step as it goes."""
+    that forms the branch posteriors of each time step as it goes.  The
+    streams are the rows of ``channel_llrs`` (..., n_coded)."""
     lam = np.asarray(channel_llrs, dtype=float)
-    squeeze = lam.ndim == 1
-    lam = np.atleast_2d(lam)
     n_out = trellis.n_out
-    if lam.shape[1] % n_out != 0:
+    if lam.shape[-1] % n_out != 0:
         raise StructuralError(
-            f"coded length {lam.shape[1]} is not a multiple of {n_out}")
-    n_steps = lam.shape[1] // n_out
+            f"coded length {lam.shape[-1]} is not a multiple of {n_out}")
+    n_steps = lam.shape[-1] // n_out
     if n_steps <= trellis.memory:
         raise StructuralError("coded block is shorter than the code tail")
-    batch = lam.shape[0]
     n_states = trellis.n_states
     next_state, out_bits = trellis_tables(trellis)
     sign = (1.0 - 2.0 * out_bits).astype(float)  # (S, 2, n_out), bit 0 -> +1
-    lam_steps = lam.reshape(batch, n_steps, n_out)
+    lam_steps = lam.reshape(-1, n_steps, n_out)
+    batch = len(lam_steps)
 
     # branch metrics gamma[t] for all (state, input) pairs at once
     gammas = 0.5 * np.einsum('btc,suc->btsu', lam_steps, sign)
@@ -558,12 +587,9 @@ def reference_bcjr_decode(channel_llrs: np.ndarray,
         beta = step - step.max(axis=1, keepdims=True)
 
     k_info = n_steps - trellis.memory
-    info = info_llrs[:, :k_info]
+    info = info_llrs[:, :k_info].reshape(lam.shape[:-1] + (k_info,))
     bits = (info < 0).astype(np.int8)  # ties resolve toward bit 0
-    ext = extrinsic.reshape(batch, -1)
-    if squeeze:
-        return BcjrResult(ext[0], info[0], bits[0])
-    return BcjrResult(ext, info, bits)
+    return BcjrResult(extrinsic.reshape(lam.shape), info, bits)
 
 
 def assert_bcjr_llrs_close(got, ref):
@@ -690,6 +716,20 @@ def test_bcjr_batched_matches_per_stream(rng):
             assert same_bytes(getattr(batched, name)[s], getattr(single, name)), name
 
 
+@pytest.mark.parametrize("trellis", [TrellisSpec(), TrellisSpec(4, (0o15, 0o17))],
+                         ids=["K3", "K4"])
+def test_bcjr_stack_equals_per_row_calls(rng, trellis):
+    # the (P, M, n) stack idd_receive passes keeps its leading axes
+    lam = np.clip(rng.normal(0.0, 4.0, size=(3, 4, 2 * 300)), -LLR_CLIP, LLR_CLIP)
+    stacked = m.bcjr_decode(lam, trellis)
+    assert stacked.extrinsic.shape == lam.shape
+    assert stacked.info_bits.shape == (3, 4, 300 - trellis.memory)
+    for row in np.ndindex(3, 4):
+        alone = m.bcjr_decode(lam[row], trellis)
+        for name in ("extrinsic", "info_llrs", "info_bits"):
+            assert same_bytes(getattr(stacked, name)[row], getattr(alone, name)), name
+
+
 @pytest.mark.parametrize("n", [1, 3, 8, 13, 64, 500])
 @pytest.mark.parametrize("offset", [0, 1, 5])
 def test_numpy_stacked_elementwise_equals_per_row(rng, n, offset):
@@ -739,6 +779,8 @@ def test_bcjr_rejects_bad_lengths():
         m.bcjr_decode(np.zeros(7))
     with pytest.raises(StructuralError):
         m.bcjr_decode(np.zeros(4))  # only tail steps, no information
+    with pytest.raises(StructuralError):
+        m.bcjr_decode(0.0)  # not a row of LLRs
 
 
 # -- full receiver loop -------------------------------------------------------
@@ -788,11 +830,11 @@ def test_idd_receive_model_stats_fallback(rng):
     np.testing.assert_array_equal(first.xi_var[0], xi_model.mean(axis=1))
 
 
-def _received_block(estimator, n_pkt):
+def _received_block(estimator, n_pkt, snr_db=6.0):
     spec = m.ScenarioSpec(system=m.SystemConfig(n_users=3, n_bs=6), coded=True,
                           estimator=estimator, pilot_len=12, packet_symbols=80,
-                          snr_db=(6.0,), packets=n_pkt, seed=7).validate()
-    nv = harness.trial_noise_variance(spec, 6.0)
+                          snr_db=(snr_db,), packets=n_pkt, seed=7).validate()
+    nv = harness.trial_noise_variance(spec, snr_db)
     frame, grams, ys = harness._receive_block(spec, 0, range(n_pkt), nv)
     return grams, ys, nv, frame.perms
 
@@ -800,7 +842,29 @@ def _received_block(estimator, n_pkt):
 @pytest.mark.parametrize("estimator", ["perfect", "lms"])
 @pytest.mark.parametrize("n_pkt", [1, 3])
 def test_stacked_idd_equals_per_packet_calls(estimator, n_pkt):
-    grams, y, nv, perms = _received_block(estimator, n_pkt)
+    assert_block_decodes_as_packets_alone(*_received_block(estimator, n_pkt))
+
+
+def test_stacked_idd_decodes_a_mixed_block_as_its_packets_alone(monkeypatch):
+    # at 20 dB the second packet's priors all saturate at the clip after the
+    # first pass, so alone it takes the soft detector's equal-prior solve on
+    # every later pass; the first packet's do not, so the block's later
+    # passes solve per symbol for both
+    equal = []
+    detect = idd.soft_mmse_sic_detect
+
+    def spy(gram, y, means, variances, *args):
+        equal.append(np.all(variances == variances[..., :1], axis=(-2, -1)).tolist())
+        return detect(gram, y, means, variances, *args)
+
+    monkeypatch.setattr(idd, "soft_mmse_sic_detect", spy)
+    grams, y, nv, perms = _received_block("perfect", 2, snr_db=20.0)
+    assert_block_decodes_as_packets_alone(grams, y, nv, perms)
+    assert equal[:3] == [[True, True], [False, True], [False, True]]
+
+
+def assert_block_decodes_as_packets_alone(grams, y, nv, perms):
+    n_pkt = len(grams)
     block = m.idd_receive(grams, y, nv, perms, n_outer=3)
     assert block.info_bits.shape == (n_pkt, 3, m.coded_payload_length(80))
     for k in range(n_pkt):

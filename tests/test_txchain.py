@@ -45,9 +45,28 @@ def test_encoder_is_linear(rng):
     np.testing.assert_array_equal(lhs, rhs)
 
 
-def test_encoder_rejects_non_bits():
+def test_encoder_rejects_non_bits(rng):
     with pytest.raises(ParameterError):
         m.conv_encode([0, 2, 1])
+    with pytest.raises(ParameterError):
+        m.conv_encode(1)  # not a row of bits
+    # checked before any narrowing cast, which would wrap 256 to 0
+    with pytest.raises(ParameterError):
+        m.conv_encode(np.array([[0, 256, 1]], dtype=np.int64))
+    payload = np.zeros((1, 2, m.coded_payload_length(10)), dtype=np.int64)
+    payload[0, 1, 3] = 256
+    with pytest.raises(ParameterError):
+        m.assemble_frame(m.SystemConfig(n_users=2, n_bs=4), payload, 0, [rng], coded=True)
+
+
+@pytest.mark.parametrize("trellis", [m.TrellisSpec(), m.TrellisSpec(4, (0o15, 0o17))],
+                         ids=["K3", "K4"])
+def test_encoder_stack_equals_per_row_calls(rng, trellis):
+    bits = rng.integers(0, 2, size=(3, 4, 57))
+    stacked = m.conv_encode(bits, trellis)
+    assert stacked.shape == (3, 4, trellis.n_out * (57 + trellis.memory))
+    for row in np.ndindex(3, 4):
+        assert same_bytes(stacked[row], m.conv_encode(bits[row], trellis))
 
 
 @pytest.mark.parametrize("constraint_length,generators", [
