@@ -26,7 +26,7 @@ from .idd import (BcjrResult, IddResult, bcjr_decode, extrinsic_llr,
 from .estimation import (JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, RlsChannelEstimator,
                          build_projection)
-from .harness import (ScenarioSpec, SweepResult, SweepRow, TrialResult,
+from .harness import (ScenarioSpec, SweepResult, SweepRow, TrialRecord,
                       confidence_interval, format_csv, mean_gamma_sq,
                       parse_config, parse_snr_spec, run_sweep, run_trial,
                       serialize_config, trial_noise_variance, write_csv)
@@ -49,7 +49,7 @@ __all__ = [
     "soft_mmse_sic_detect", "soft_symbol_stats",
     "JioFilterBank", "LmsChannelEstimator", "ReducedRankFilterBank",
     "RlsChannelEstimator", "build_projection",
-    "ScenarioSpec", "SweepResult", "SweepRow", "TrialResult",
+    "ScenarioSpec", "SweepResult", "SweepRow", "TrialRecord",
     "confidence_interval", "format_csv", "mean_gamma_sq", "parse_config",
     "parse_snr_spec", "run_sweep", "run_trial", "serialize_config",
     "trial_noise_variance", "write_csv",

@@ -45,12 +45,9 @@ _Z95 = 1.959963984540054
 MAX_SNR_POINTS = 1000
 
 #: most streams (packets x streams per packet) one trial block draws, trains
-#: and decodes together: a whole 8 x 16 point of up to 8 packets.  A block's
-#: draw and detection are per-block calls on its stacks, so wider blocks
-#: make fewer calls; what grows with the width is the block's (P, M, T)
-#: stacks (its symbols, statistics and decode workspace) and, at the N_A
-#: antennas, its (P, N_A, M) channels and front ends and the pilot blocks
-#: its training reads
+#: and decodes together: a whole 8 x 16 point of up to 8 packets.  Wider
+#: blocks make fewer per-block calls and hold larger (P, M, T) and, at the
+#: N_A antennas, (P, N_A, M) stacks
 MAX_BLOCK_STREAMS = 64
 
 #: a comment starts a line or follows whitespace
@@ -84,10 +81,12 @@ class ScenarioSpec:
     out: str = "results.csv"
 
     def validate(self):
-        for name, low in _MINIMA.items():
-            if getattr(self, name) < low:
-                raise ConfigError(f"{_RENAMED.get(name, name)} must be >= {low}, "
-                                  f"got {getattr(self, name)}")
+        for f in fields(self):
+            key, value = _RENAMED.get(f.name, f.name), getattr(self, f.name)
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if f.name in _MINIMA and value < _MINIMA[f.name]:
+                raise ConfigError(f"{key} must be >= {_MINIMA[f.name]}, got {value}")
         if self.detector not in DETECTORS:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.estimator not in ESTIMATORS:
@@ -175,11 +174,17 @@ class ScenarioSpec:
                    f"rank-{self.rank} filter")
 
 
-@dataclass
-class TrialResult:
-    bits: int
-    errors: int
-    per_iteration_errors: tuple = None
+@dataclass(frozen=True, eq=False)
+class TrialRecord:
+    """A trial block's bit errors, ``packet_errors`` (iterations, packets)
+    with one iteration when uncoded, and the ``packet_bits`` of each packet;
+    ``errors`` sums the last iteration over the packets."""
+
+    packet_errors: np.ndarray
+    packet_bits: int
+    errors = property(lambda self: int(self.packet_errors[-1].sum()))
+    bits = property(lambda self: self.packet_bits * self.packet_errors.shape[-1])
+    per_iteration_errors = property(lambda self: tuple(self.packet_errors.sum(-1).tolist()))
 
 
 @dataclass
@@ -198,10 +203,34 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """A sweep's bit errors per packet, from which its rows are read.
+
+    ``errors`` is (points, packets, iterations), points in ascending SNR
+    as the rows are.  ``failed`` lists each point's failed blocks as (trial
+    range, message) pairs in block order; their packets read 0 in ``errors``.
+    """
+
     scenario: ScenarioSpec
-    rows: list
+    errors: np.ndarray
+    failed: list
     scenario_hash: str
     wall_time_s: float = 0.0
+
+    @property
+    def rows(self):
+        """One :class:`SweepRow` per point, in ascending SNR."""
+        spec, nan = self.scenario, float("nan")
+        bits = spec.packets * spec.system.n_streams * _stream_bits(spec)
+        rows = []
+        for snr, errors, fails in zip(sorted(spec.snr_db), self.errors, self.failed):
+            if fails:
+                rows.append(SweepRow(snr, 0, 0, nan, nan, nan, True, fails[0][1], len(fails)))
+                continue
+            per_iter = errors.sum(axis=0).tolist()
+            rows.append(SweepRow(snr, bits, per_iter[-1], per_iter[-1] / bits,
+                                 *confidence_interval(per_iter[-1], bits),
+                                 per_iteration_errors=tuple(per_iter) if spec.coded else ()))
+        return rows
 
     @property
     def failures(self):
@@ -390,6 +419,11 @@ def trial_noise_variance(spec: ScenarioSpec, snr_db: float) -> float:
     return signal / (rate * 2 * 10.0 ** (snr_db / 10.0))
 
 
+def _stream_bits(spec: ScenarioSpec) -> int:
+    """Bits one stream of a packet carries: its information bits if coded."""
+    return coded_payload_length(spec.packet_symbols) if spec.coded else 2 * spec.packet_symbols
+
+
 def _train(spec: ScenarioSpec, s: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Train the receivers of a block on its packets' pilots.
 
@@ -445,14 +479,12 @@ def _detect(spec: ScenarioSpec, gram, matched, noise_var):
 def _keep_freed_heap():
     """Free one untouched 16 MB allocation, once per process.
 
-    glibc maps each allocation above its mmap threshold afresh, raises the
-    threshold to the size of every such mapping freed, and hands a free
-    heap top back to the kernel once it exceeds twice the threshold
-    (mallopt(3), M_MMAP_THRESHOLD).  Every page handed back faults in again
-    in the next block: an 8 x 16 block of 8 packets, whose largest array is
-    1 MB, faulted in about 1.7 MB a block.  After this one free, arrays up
-    to 16 MB come from the heap and a block's freed stacks stay there for
-    the next block; no page of the allocation itself is touched.  Other
+    glibc raises its mmap threshold to the size of each mapping freed and
+    hands a free heap top above twice the threshold back to the kernel
+    (mallopt(3), M_MMAP_THRESHOLD), whose pages then fault in again in the
+    next block: about 1.7 MB a block at 8 x 16 and 8 packets.  After this
+    one free, arrays up to 16 MB come from the heap and a block's freed
+    stacks stay there; no page of the allocation itself is touched.  Other
     allocators ignore it.
     """
     np.empty(16 << 20, dtype=np.uint8)
@@ -470,10 +502,9 @@ def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
     generators, in their order.  The noise generator draws the pilots'
     noise at the N_A antennas, then the data's.  The front end F is the
     true channel, the estimated one or the trained receive filters.
-    Returns the block's stacked :class:`SymbolFrame` and the packets'
-    statistics ``(A, y)`` of :func:`matched_transmit`: the Gram matrices
-    (P, M, M) and the matched outputs (P, M, T).  Nothing of the data is
-    drawn at the N_A antennas.
+    Returns the block's stacked :class:`SymbolFrame` and its statistics
+    ``(A, y)`` (P, M, M) and (P, M, T) of :func:`matched_transmit`; no
+    data is drawn at the N_A antennas.
     """
     cfg = spec.system
     keys = [(spec.seed, snr_index, t) for t in block]
@@ -482,9 +513,7 @@ def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
     small = draw_small_scale(cfg, [[rngmod.substream(*key, rngmod.SMALL_SCALE, k)
                                     for k in range(cfg.n_users)] for key in keys])
     chans = compose_channel(cfg, small, gains)
-    n_bits = (coded_payload_length(spec.packet_symbols) if spec.coded
-              else 2 * spec.packet_symbols)
-    payload = np.empty((len(keys), cfg.n_streams, n_bits), dtype=np.int8)
+    payload = np.empty((len(keys), cfg.n_streams, _stream_bits(spec)), dtype=np.int8)
     for key, bits in zip(keys, payload):
         bits[...] = rngmod.substream(*key, rngmod.PAYLOAD).integers(0, 2, size=bits.shape)
     frame = assemble_frame(cfg, payload, spec.pilot_len,
@@ -492,24 +521,20 @@ def _receive_block(spec: ScenarioSpec, snr_index: int, block: range,
                            coded=spec.coded)
     noises = [rngmod.substream(*key, rngmod.NOISE) for key in keys]
     rx_pilots = channel_transmit(chans, frame.pilots, noise_var, noises)
-    fronts = (chans if spec.estimator == "perfect"
-              else _train(spec, frame.pilots, rx_pilots))
+    fronts = chans if spec.estimator == "perfect" else _train(spec, frame.pilots, rx_pilots)
     return (frame,) + matched_transmit(fronts, chans, frame.data_symbols, noise_var, noises)
 
 
-def run_trial(spec: ScenarioSpec, snr_db: float, trials):
+def run_trial(spec: ScenarioSpec, snr_db: float, trials) -> TrialRecord:
     """Simulate packets of one SNR point; pure in (spec, snr, trial index).
 
-    ``trials`` is one trial index, which returns its :class:`TrialResult`,
-    or a ``range`` of them, simulated as one block, which returns a list.
-    Every packet draws its channel, frame and noise from its own
-    substreams into the block's stacks, and the block's pilots train in one
-    call (:func:`_train`).
-    The block's statistics then go to one receiver call: coded packets
-    decode in :func:`idd_receive`, uncoded ones are detected on their
-    stacks by :func:`_detect`.  Either decodes a packet exactly as it
-    would alone, so a packet's result does not depend on the block it ran
-    in.  One tally then counts every packet's errors after each iteration.
+    ``trials`` is one trial index, a block of one, or a ``range`` of them
+    simulated as one block; either returns the block's :class:`TrialRecord`.
+    :func:`_receive_block` draws and trains the block, whose statistics go
+    to one receiver call: :func:`idd_receive` when coded, :func:`_detect`
+    otherwise.  Either decodes a packet exactly as it would alone, so a
+    packet's errors do not depend on its block.  One tally then counts
+    every packet's errors after each iteration.
     """
     try:
         snr_index = spec.snr_db.index(float(snr_db))
@@ -530,12 +555,8 @@ def run_trial(spec: ScenarioSpec, snr_db: float, trials):
         # one iteration: the block's decided bits, as channel_bits lays them out
         decided = labels_to_bits(_detect(spec, grams, matched, noise_var)).reshape(
             (1,) + sent.shape)
-    errors = np.count_nonzero(decided != sent, axis=(-2, -1)).tolist()  # (iterations, P)
-    results = [TrialResult(bits=sent[k].size, errors=errors[-1][k],
-                           per_iteration_errors=(tuple(it[k] for it in errors)
-                                                 if spec.coded else None))
-               for k in range(len(sent))]
-    return results if isinstance(trials, range) else results[0]
+    return TrialRecord(packet_errors=np.count_nonzero(decided != sent, axis=(-2, -1)),
+                       packet_bits=sent[0].size)
 
 
 def confidence_interval(errors: int, bits: int, z: float = _Z95):
@@ -560,57 +581,43 @@ def trial_blocks(spec: ScenarioSpec) -> list:
 
 
 def _trial_task(args):
-    spec, snr_db, block = args
+    spec, point, snr_db, block = args
     try:
-        return snr_db, run_trial(spec, snr_db, block), None
+        return point, block, run_trial(spec, snr_db, block)
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        return snr_db, None, f"{type(exc).__name__}: {exc}"
+        return point, block, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
-    """Run every (SNR, packet) trial and aggregate order-independently.
+    """Run every (SNR, packet) trial into one per-packet error array.
 
-    The packets of each SNR point run in blocks (:func:`trial_blocks`),
-    one task each.  A numerical failure in any packet (a
-    :class:`NumericalError` or a raw ``LinAlgError`` from numpy) fails its
-    block and marks that SNR point failed, with the first message and the
-    count of failed blocks, and the sweep moves on.  Results are identical
-    for any worker count.
+    Each SNR point runs in blocks (:func:`trial_blocks`), one task each,
+    whose :class:`TrialRecord` fills its packets of ``SweepResult.errors``.
+    A numerical failure in a packet (a :class:`NumericalError` or numpy's
+    ``LinAlgError``) fails its block, which the result keeps with its
+    message, and the sweep moves on.  Results are identical for any
+    worker count.
     """
     spec.validate()
     start = time.perf_counter()
-    tasks = [(spec, snr, block) for snr in spec.snr_db for block in trial_blocks(spec)]
+    tasks = [(spec, point, snr, block) for point, snr in enumerate(sorted(spec.snr_db))
+             for block in trial_blocks(spec)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_trial_task, tasks))
     else:
         outcomes = [_trial_task(t) for t in tasks]
 
-    by_point = {snr: [] for snr in spec.snr_db}
-    failures = {snr: [] for snr in spec.snr_db}
-    for snr_db, results, err in outcomes:
-        if err is not None:
-            failures[snr_db].append(err)
+    errors = np.zeros((len(spec.snr_db), spec.packets,
+                       spec.idd_iterations if spec.coded else 1), dtype=np.int64)
+    failed = [[] for _ in spec.snr_db]
+    for point, block, outcome in outcomes:
+        if isinstance(outcome, str):
+            failed[point].append((block, outcome))
         else:
-            by_point[snr_db].extend(results)
-    rows = []
-    for snr in sorted(spec.snr_db):
-        if failures[snr]:
-            rows.append(SweepRow(snr_db=snr, bits=0, errors=0, ber=float("nan"),
-                                 ci_low=float("nan"), ci_high=float("nan"),
-                                 failed=True, message=failures[snr][0],
-                                 failed_blocks=len(failures[snr])))
-            continue
-        bits = sum(r.bits for r in by_point[snr])
-        errors = sum(r.errors for r in by_point[snr])
-        lo, hi = confidence_interval(errors, bits)
-        per_iter = (tuple(map(sum, zip(*(r.per_iteration_errors for r in by_point[snr]))))
-                    if spec.coded else ())
-        rows.append(SweepRow(snr_db=snr, bits=bits, errors=errors,
-                             ber=errors / bits, ci_low=lo, ci_high=hi,
-                             per_iteration_errors=per_iter))
-    return SweepResult(scenario=spec, rows=rows, scenario_hash=scenario_hash(spec),
-                       wall_time_s=time.perf_counter() - start)
+            errors[point, block.start:block.stop] = outcome.packet_errors.T
+    return SweepResult(spec, errors, failed, scenario_hash(spec),
+                       time.perf_counter() - start)
 
 
 def format_csv(result: SweepResult) -> str:
@@ -618,17 +625,10 @@ def format_csv(result: SweepResult) -> str:
     spec = result.scenario
     lines = [",".join(CSV_COLUMNS)]
     for row in result.rows:
-        lines.append(",".join([
-            format(row.snr_db, ".10g"),
-            str(row.bits),
-            str(row.errors),
-            format(row.ber, ".10g"),
-            format(row.ci_low, ".10g"),
-            format(row.ci_high, ".10g"),
-            spec.detector,
-            spec.estimator,
-            str(spec.seed),
-        ]))
+        snr, ber, lo, hi = (format(v, ".10g") for v in (row.snr_db, row.ber, row.ci_low,
+                                                         row.ci_high))
+        lines.append(",".join([snr, str(row.bits), str(row.errors), ber, lo, hi,
+                               spec.detector, spec.estimator, str(spec.seed)]))
     return "\n".join(lines) + "\n"
 
 

@@ -42,6 +42,18 @@ ALL_KEYS = m.ScenarioSpec(
     snr_db=(-2.5, 0.0, 7.25), packets=9, seed=11, out="x.csv")
 
 
+def same_record(a, b):
+    """Two trial records hold the same errors, byte for byte, and bits."""
+    return a.packet_bits == b.packet_bits and same_bytes(a.packet_errors, b.packet_errors)
+
+
+def joined(records):
+    """The records of packets run alone, as one record of their block."""
+    records = list(records)
+    return m.TrialRecord(np.concatenate([r.packet_errors for r in records], axis=-1),
+                         records[0].packet_bits)
+
+
 def small_spec(**overrides):
     base = dict(system=m.SystemConfig(n_users=2, n_bs=4), packet_symbols=64,
                 snr_db=(8.0,), packets=2, seed=3)
@@ -236,6 +248,39 @@ def test_validate_is_the_gate_before_a_sweep(overrides):
         m.run_sweep(spec)
 
 
+#: every int field of a scenario and its config key
+INT_KEYS = {"branches": "branches", "idd_iterations": "idd.iterations", "rank": "rank",
+            "pilot_len": "pilot_len", "packet_symbols": "packet_symbols",
+            "packets": "packets", "seed": "seed"}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "True", "str"])
+@pytest.mark.parametrize("field", INT_KEYS)
+def test_validate_rejects_non_integer_int_fields(field, value):
+    # seed = 1.5 would run as seed 1 but write 1.5; packets = 2.5 would die
+    # in range(); packets = True would run one packet
+    spec = dataclasses.replace(small_spec(), **{field: value})
+    message = f"{INT_KEYS[field]} must be an integer, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        spec.validate()
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        m.run_sweep(spec)
+    # nor would its text parse back to it
+    try:
+        again = m.parse_config(m.serialize_config(spec))
+    except ConfigError:
+        again = None
+    assert again != spec
+
+
+def test_int_fields_round_trip_as_ints():
+    again = m.parse_config(m.serialize_config(ALL_KEYS.validate()))
+    for field in INT_KEYS:
+        assert type(getattr(again, field)) is int
+        assert getattr(again, field) == getattr(ALL_KEYS, field) != getattr(m.ScenarioSpec,
+                                                                            field)
+
+
 def test_equal_specs_hash_equally():
     ints = m.ScenarioSpec(system=m.SystemConfig(n_users=2, n_bs=4, rho=0),
                           forgetting=1, snr_db=(8,))
@@ -305,17 +350,81 @@ def test_coded_sweep_keeps_per_iteration_errors():
     spec = small_spec(coded=True, packet_symbols=100, idd_iterations=3,
                       snr_db=(2.0, 8.0), packets=3)
     result = m.run_sweep(spec)
+    assert result.errors.shape == (2, spec.packets, 3)
     for row in result.rows:
         trials = [m.run_trial(spec, row.snr_db, t) for t in range(spec.packets)]
         assert row.per_iteration_errors == tuple(
             sum(t.per_iteration_errors[i] for t in trials) for i in range(3))
         assert row.per_iteration_errors[-1] == row.errors
     assert any(row.per_iteration_errors[0] > 0 for row in result.rows)
-    # the CSV does not carry them
-    bare = dataclasses.replace(result, rows=[dataclasses.replace(
-        row, per_iteration_errors=()) for row in result.rows])
+    # the CSV does not carry them: the errors of earlier iterations do not
+    # reach it
+    early = result.errors.copy()
+    early[..., :-1] = 0
+    bare = dataclasses.replace(result, errors=early)
+    assert [row.per_iteration_errors[:-1] for row in bare.rows] == [(0, 0)] * 2
     assert m.format_csv(bare) == m.format_csv(result)
     assert m.run_sweep(small_spec()).rows[0].per_iteration_errors == ()
+
+
+_RECORDED = {"uncoded": dict(snr_db=(2.0, 8.0), packets=5),
+             "coded": dict(coded=True, packet_symbols=100, idd_iterations=3,
+                           snr_db=(2.0, 8.0), packets=5),
+             "coded-1-iteration": dict(coded=True, packet_symbols=100, idd_iterations=1,
+                                       snr_db=(2.0, 8.0), packets=5)}
+
+
+@pytest.mark.parametrize("extra", _RECORDED.values(), ids=_RECORDED)
+def test_one_packet_records_sum_to_their_row(extra):
+    # the contract that a benchmark summing run_trial(spec, snr, t) over a
+    # point's packets relies on: .errors and .bits are ints, and their sums
+    # are the point's row
+    spec = small_spec(**extra)
+    result = m.run_sweep(spec)
+    for point, row in enumerate(result.rows):
+        trials = [m.run_trial(spec, row.snr_db, t) for t in range(spec.packets)]
+        assert all(type(t.errors) is int and type(t.bits) is int for t in trials)
+        assert (sum(t.errors for t in trials), sum(t.bits for t in trials)) == (
+            row.errors, row.bits)
+        assert row.errors > 0
+        # each packet's slot of the sweep's errors holds its record
+        assert same_bytes(result.errors[point].T, np.concatenate(
+            [t.packet_errors for t in trials], axis=-1))
+    iterations = spec.idd_iterations if spec.coded else 1
+    assert result.errors.shape == (2, spec.packets, iterations)
+
+
+def test_rows_and_csv_are_a_function_of_the_errors_and_failed_blocks(monkeypatch):
+    # two blocks a point; the first point loses its second block
+    size = harness.MAX_BLOCK_STREAMS // 8
+    spec = small_spec(system=m.SystemConfig(n_users=8, n_bs=16), snr_db=(10.0, 2.0, 6.0),
+                      packets=size + 2)
+    _failing_packets(monkeypatch, spec, [(1, size + 1)])
+    result = m.run_sweep(spec)
+    assert [r.snr_db for r in result.rows] == [2.0, 6.0, 10.0]
+    assert result.failed == [[(range(size, size + 2),
+                               "NumericalError: synthetic failure")], [], []]
+    # built from the arrays alone, a result reads the same rows (a failed
+    # row's NaNs compare by their repr) and CSV
+    again = m.SweepResult(spec, result.errors.copy(), result.failed, "")
+    assert repr(again.rows) == repr(result.rows)
+    assert m.format_csv(again) == m.format_csv(result)
+    bits = spec.packets * 8 * 2 * spec.packet_symbols
+    for row, errors in zip(result.rows[1:], result.errors[1:]):
+        assert (row.bits, row.errors) == (bits, int(errors[:, -1].sum()))
+        assert row.ci_low <= row.ber == row.errors / bits <= row.ci_high
+    failed = result.rows[0]
+    assert (failed.failed, failed.failed_blocks, failed.bits, failed.errors) == (True, 1, 0, 0)
+    assert np.isnan(failed.ber) and result.failures == {2.0: failed.message}
+    # a failed point's packets, and the failure's message, are all its row reads
+    noise = result.errors.copy()
+    noise[0] += 7
+    assert repr(m.SweepResult(spec, noise, result.failed, "").rows) == repr(result.rows)
+    moved = [[(range(size, size + 2), "LinAlgError: elsewhere")], [], []]
+    assert m.SweepResult(spec, noise, moved, "").rows[0].message == "LinAlgError: elsewhere"
+    noise[1, 0, 0] += 1
+    assert m.format_csv(m.SweepResult(spec, noise, result.failed, "")).split("\n")[2] != (
+        m.format_csv(result).split("\n")[2])
 
 
 def test_sweep_parallel_matches_serial():
@@ -413,9 +522,10 @@ def test_run_trial_is_the_one_packet_view_of_its_block(extra):
     # what it gives alone, in blocks of one, two and three packets
     spec = small_spec(packets=5, **extra)
     block = m.run_trial(spec, 8.0, range(5))
-    assert block == [m.run_trial(spec, 8.0, t) for t in range(5)]
+    assert same_record(block, joined(m.run_trial(spec, 8.0, t) for t in range(5)))
     for n_pkt in (1, 2, 3):
-        assert m.run_trial(spec, 8.0, range(2, 2 + n_pkt)) == block[2:2 + n_pkt]
+        part = m.run_trial(spec, 8.0, range(2, 2 + n_pkt))
+        assert same_bytes(part.packet_errors, block.packet_errors[:, 2:2 + n_pkt])
 
 
 _DAS = m.SystemConfig(n_users=2, n_bs=2, n_heads=2, antennas_per_head=1)
@@ -433,8 +543,8 @@ _TRAINED["coded-lms"] = dict(coded=True, packet_symbols=100, estimator="lms",
 def test_trained_block_equals_its_packets_alone(extra, n_pkt):
     # a block trains its packets together; each result is the packet's own
     spec = small_spec(packets=3, **extra)
-    assert m.run_trial(spec, 8.0, range(n_pkt)) == [m.run_trial(spec, 8.0, t)
-                                                    for t in range(n_pkt)]
+    assert same_record(m.run_trial(spec, 8.0, range(n_pkt)),
+                       joined(m.run_trial(spec, 8.0, t) for t in range(n_pkt)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -650,8 +760,8 @@ def test_failed_csv_write_leaves_existing_file_untouched(tmp_path):
     spec = small_spec(out=str(path))
     good = m.write_csv(m.run_sweep(spec), path)
     # a non-ASCII detector name makes the write itself fail mid-way
-    bad = m.SweepResult(scenario=dataclasses.replace(spec, detector="mms\u00e9"),
-                        rows=m.run_sweep(spec).rows, scenario_hash="")
+    bad = dataclasses.replace(m.run_sweep(spec),
+                              scenario=dataclasses.replace(spec, detector="mms\u00e9"))
     with pytest.raises(UnicodeEncodeError):
         m.write_csv(bad, path)
     assert path.read_text() == good
@@ -734,7 +844,7 @@ def test_rls_trial_uses_the_recursion_solution(monkeypatch):
             return np.stack([tracker.estimate for tracker in self.trackers])
 
     monkeypatch.setattr(harness, "RlsChannelEstimator", Recursion)
-    assert m.run_trial(spec, 8.0, 0) == fast
+    assert same_record(m.run_trial(spec, 8.0, 0), fast)
     assert fast.bits == 256
 
 
@@ -753,7 +863,7 @@ def test_filter_bank_block_training_matches_per_sample(monkeypatch, est):
         return self
 
     monkeypatch.setattr(trainer, "update", per_sample)
-    assert m.run_trial(spec, 8.0, 0) == blocked
+    assert same_record(m.run_trial(spec, 8.0, 0), blocked)
 
 
 # -- criterion 6's training-curve experiment (conftest) ----------------------

@@ -11,6 +11,7 @@ statistical gate over the acceptance scenarios.
 """
 
 import functools
+import itertools
 import math
 import statistics
 
@@ -202,10 +203,17 @@ GATE = _gate_cases()
 GATE_Z = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(GATE)))
 
 
+def block_records(spec):
+    return [m.run_trial(spec, spec.snr_db[0], block) for block in harness.trial_blocks(spec)]
+
+
+def packet_errors(spec):
+    """Each packet's errors after the last iteration, from the sweep's blocks."""
+    return np.concatenate([r.packet_errors[-1] for r in block_records(spec)])
+
+
 def packet_bers(spec):
-    results = [r for block in harness.trial_blocks(spec)
-               for r in m.run_trial(spec, spec.snr_db[0], block)]
-    return np.array([r.errors / r.bits for r in results])
+    return np.concatenate([r.packet_errors[-1] / r.packet_bits for r in block_records(spec)])
 
 
 @pytest.mark.parametrize("label", GATE)
@@ -260,6 +268,13 @@ ZF_Z = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(ZF_CASES)))
 ZF_SYMBOLS = 500
 
 
+def packet_grams(spec):
+    """Each packet's Gram matrix A, from the draw its sweep runs."""
+    noise_var = harness.trial_noise_variance(spec, spec.snr_db[0])
+    return np.concatenate([harness._receive_block(spec, 0, block, noise_var)[1]
+                           for block in harness.trial_blocks(spec)])
+
+
 @functools.lru_cache(maxsize=None)
 def zf_case(label):
     """Each packet's counted errors under perfect-CSI ZF, from the sweep's
@@ -267,12 +282,7 @@ def zf_case(label):
     system, snr = ZF_CASES[label]
     spec = m.ScenarioSpec(system=system, detector="zf", packet_symbols=ZF_SYMBOLS,
                           snr_db=(snr,), packets=600, seed=29).validate()
-    noise_var = harness.trial_noise_variance(spec, snr)
-    blocks = harness.trial_blocks(spec)
-    counted = np.array([r.errors for block in blocks for r in m.run_trial(spec, snr, block)])
-    grams = np.concatenate([harness._receive_block(spec, 0, block, noise_var)[1]
-                            for block in blocks])
-    return counted, grams
+    return packet_errors(spec), packet_grams(spec)
 
 
 def zf_z(label, scale=1.0):
@@ -305,3 +315,136 @@ def test_zf_oracle_sees_a_tenth_of_a_db_in_the_snr_map():
     print(", ".join(f"{label} {z:+.2f}" for label, z in zs.items()),
           f"combined {combined:+.2f}")
     assert abs(combined) >= 7.7
+
+
+# -- the exact conditional BER of perfect-CSI MMSE and RMF ---------------------
+
+def q_function(x):
+    """Q(x) = erfc(x / sqrt 2) / 2 on arrays, by the Chebyshev fit of erfc
+    in Press et al., *Numerical Recipes* (2nd ed., sec. 6.2), whose
+    fractional error is below 1.2e-7 everywhere."""
+    z = np.abs(x) / math.sqrt(2.0)
+    t = 1.0 / (1.0 + 0.5 * z)
+    fit = -z * z - 1.26551223 + t * (1.00002368 + t * (0.37409196 + t * (0.09678418 + t * (
+        -0.18628806 + t * (0.27886807 + t * (-1.13520398 + t * (1.48851587 + t * (
+            -0.82215223 + t * 0.17087277))))))))
+    upper = 0.5 * t * np.exp(fit)
+    return np.where(x >= 0, upper, 1.0 - upper)
+
+
+def linear_expected_errors(grams, design, symbol_power, noise_var, filter_var, n_sym):
+    """Each packet's expected bit errors under a perfect-CSI linear filter
+    given its A.
+
+    The filter's outputs are ``z = B s + P^H n`` with ``B = P^H A`` and noise
+    ``CN(0, sigma^2 P^H A P)``: P is ``(A + (sigma_f^2 / E_s) I)^-1`` for
+    mmse, with ``sigma_f^2 = filter_var`` the variance the filter is built
+    with, and I for rmf.  Stream k's self gain ``B_kk`` is real and
+    positive, so its real bit, sent as ``a = +sqrt(E_s / 2)``, errs with
+    probability ``Q((B_kk a + Re I) / s)`` given the other streams'
+    interference I, and its imaginary bit with ``Q((B_kk a + Im I) / s)``,
+    where ``s^2 = sigma^2 (P^H A P)_kk / 2``.  Both are averaged over the
+    4^(M-1) equally likely symbols of the other streams; the sent sign does
+    not matter, since the patterns are symmetric."""
+    n = grams.shape[-1]
+    amp = math.sqrt(symbol_power / 2.0)
+    if design == "mmse":
+        inv = np.linalg.inv(grams + (filter_var / symbol_power) * np.eye(n))
+        filt = np.conj(np.swapaxes(inv, -1, -2))
+    else:
+        filt = np.broadcast_to(np.eye(n), grams.shape)
+    response = filt @ grams
+    noise_gain = np.einsum("pkj,pji,pki->pk", filt, grams, filt.conj()).real
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=2 * (n - 1))))
+    patterns = amp * (signs[:, 0::2] + 1j * signs[:, 1::2])  # (4^(M-1), M-1)
+    expected = np.zeros(len(grams))
+    for k in range(n):
+        interference = response[:, k, np.arange(n) != k] @ patterns.T
+        signal = amp * response[:, k, k].real[:, None]
+        spread = np.sqrt(noise_var * noise_gain[:, k] / 2.0)[:, None]
+        for part in (interference.real, interference.imag):
+            expected += q_function((signal + part) / spread).mean(axis=-1)
+    return n_sym * expected
+
+
+LINEAR_SYMBOLS = 500
+LINEAR_SYSTEMS = (("cas-6x16", m.SystemConfig(n_users=6, n_bs=16)),
+                  ("das-6x16", m.SystemConfig(n_users=6, n_bs=8, n_heads=4,
+                                              antennas_per_head=2)))
+#: label -> (system, design, SNR, seed); each case draws its own packets,
+#: so that the cases' z are independent and their Stouffer sum is N(0, 1)
+LINEAR_CASES = {f"{name}-{design}@{snr:g}": (system, design, snr, 101 + i)
+                for i, ((name, system), design, snr) in enumerate(itertools.product(
+                    LINEAR_SYSTEMS, ("mmse", "rmf"), (4.0, 12.0)))}
+LINEAR_Z = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(LINEAR_CASES)))
+
+
+@functools.lru_cache(maxsize=None)
+def linear_case(label):
+    """Each packet's counted errors, read from its block's trial record,
+    and its Gram matrix A, from the same draw."""
+    system, design, snr, seed = LINEAR_CASES[label]
+    spec = m.ScenarioSpec(system=system, detector=design, packet_symbols=LINEAR_SYMBOLS,
+                          snr_db=(snr,), packets=400, seed=seed).validate()
+    return packet_errors(spec), packet_grams(spec)
+
+
+def linear_z(label, scale=1.0):
+    """z of the mean of counted minus expected errors per packet, with the
+    noise at ``scale`` times the independent noise variance and the mmse
+    filter built with the independent variance itself."""
+    system, design, snr, _ = LINEAR_CASES[label]
+    counted, grams = linear_case(label)
+    noise_var = independent_noise_variance(system, snr)
+    diff = counted - linear_expected_errors(grams, design, system.symbol_power,
+                                            scale * noise_var, noise_var, LINEAR_SYMBOLS)
+    return diff.mean() / (diff.std(ddof=1) / np.sqrt(len(diff)))
+
+
+def test_linear_oracle_is_exact_on_a_two_stream_packet():
+    # with no noise to speak of, each bit errs exactly when the filter's
+    # interference outweighs its signal: count those patterns by hand
+    # (E_s = 2, so stream k sends 1 + 1j; mmse is built for a noise
+    # variance of 1 or 6, that is A + I / 2 or A + 3 I)
+    gram = np.array([[[1.0, 1.2 + 0.6j], [1.2 - 0.6j, 4.0]]])
+    for design, filter_var, wrong in (("mmse", 1.0, 0), ("mmse", 6.0, 2), ("rmf", 1.0, 2)):
+        filt = (np.linalg.inv(gram[0] + filter_var / 2.0 * np.eye(2)).conj().T
+                if design == "mmse" else np.eye(2))
+        response = filt @ gram[0]
+        counted = 0
+        for k in range(2):
+            for s in (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
+                out = response[k, k] * (1 + 1j) + response[k, 1 - k] * s
+                counted += (out.real < 0) + (out.imag < 0)
+        assert counted == wrong, (design, filter_var)
+        got = linear_expected_errors(gram, design, 2.0, 1e-12, filter_var, 1)
+        assert got[0] == pytest.approx(wrong / 4, abs=1e-9), (design, filter_var)
+    # one stream alone: Q(sqrt(E_s |g|^2 / sigma^2)) a bit, both designs
+    lone = np.array([[[2.5 + 0j]]])
+    want = 2 * 0.5 * math.erfc(math.sqrt(1.0 * 2.5 / 0.3) / math.sqrt(2.0))
+    for design in ("mmse", "rmf"):
+        assert linear_expected_errors(lone, design, 1.0, 0.3, 0.3, 1)[0] == pytest.approx(
+            want, rel=1e-6)
+
+
+@pytest.mark.parametrize("label", LINEAR_CASES)
+def test_linear_errors_agree_with_their_exact_conditional_expectation(label):
+    # counted minus expected errors per packet has mean zero within the
+    # family-wise z
+    z = linear_z(label)
+    print(f"{label}: z {z:+.2f} (gate {LINEAR_Z:.2f})")
+    assert abs(z) <= LINEAR_Z, label
+
+
+def test_linear_oracle_cases_agree_together_and_see_a_tenth_of_a_db():
+    # the combined (Stouffer) z over the cases stays within its two-sided
+    # 1e-3 gate, and fails clearly when the noise is 0.1 dB off the map;
+    # rmf at 12 dB is interference-limited and alone cannot tell
+    n = len(LINEAR_CASES)
+    combined = sum(linear_z(label) for label in LINEAR_CASES) / np.sqrt(n)
+    off = {label: linear_z(label, 10.0 ** 0.01) for label in LINEAR_CASES}
+    shifted = sum(off.values()) / np.sqrt(n)
+    print(f"combined {combined:+.2f};", ", ".join(f"{k} {z:+.2f}" for k, z in off.items()),
+          f"combined at +0.1 dB {shifted:+.2f}")
+    assert abs(combined) <= statistics.NormalDist().inv_cdf(1.0 - 1e-3 / 2)
+    assert abs(shifted) >= 7.7
