@@ -13,11 +13,10 @@ from .errors import (CapacityError, ConfigError, NumericalError,
                      SingularMatrixError, StructuralError)
 from .channel import (compose_channel, correlation_matrix, draw_large_scale,
                       draw_small_scale, matrix_sqrt)
-from .txchain import (SymbolFrame, TrellisSpec, assemble_frame,
-                      channel_transmit, coded_payload_length, conv_encode,
-                      deinterleave, interleave, labels_to_bits,
-                      matched_transmit, qpsk_constellation, qpsk_map, qpsk_slice_labels,
-                      trellis_tables)
+from .txchain import (SymbolFrame, assemble_frame, channel_transmit,
+                      coded_payload_length, conv_encode, deinterleave, interleave,
+                      labels_to_bits, matched_transmit, qpsk_constellation, qpsk_map,
+                      qpsk_slice_labels)
 from .detectors import (compute_ordering, compute_receive_filter, df_detect,
                         linear_detect, mb_sic_detect, ml_detect_oracle,
                         sic_detect)
@@ -39,10 +38,9 @@ __all__ = [
     "ParameterWarning", "RankError", "SingularMatrixError", "StructuralError",
     "compose_channel", "correlation_matrix", "draw_large_scale",
     "draw_small_scale", "matrix_sqrt",
-    "SymbolFrame", "TrellisSpec", "assemble_frame", "channel_transmit",
+    "SymbolFrame", "assemble_frame", "channel_transmit",
     "coded_payload_length", "conv_encode", "deinterleave", "interleave",
     "labels_to_bits", "matched_transmit", "qpsk_constellation", "qpsk_map", "qpsk_slice_labels",
-    "trellis_tables",
     "compute_ordering", "compute_receive_filter", "df_detect",
     "linear_detect", "mb_sic_detect", "ml_detect_oracle", "sic_detect",
     "BcjrResult", "IddResult", "bcjr_decode", "extrinsic_llr", "idd_receive",

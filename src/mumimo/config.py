@@ -7,7 +7,7 @@ derived quantities can be cached against it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError
 
@@ -17,6 +17,20 @@ DISTANCE_GRID_STEP = 0.05
 
 #: lower bounds of the integer fields of a system
 _MINIMA = {"n_users": 1, "n_bs": 1, "n_heads": 0, "antennas_per_user": 1}
+
+
+def check_int_fields(obj, minima: dict, error: type, keys: dict = None):
+    """Raise ``error`` unless every ``int`` field of the dataclass ``obj``
+    holds an int, not a bool, of at least its bound in ``minima``, if any.
+    Messages name a field by its entry in ``keys``, or else by its name."""
+    for f in fields(obj):
+        if f.type is not int:
+            continue
+        key, value = (keys or {}).get(f.name, f.name), getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise error(f"{key} must be an integer, got {value!r}")
+        if value < minima.get(f.name, value):
+            raise error(f"{key} must be >= {minima[f.name]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +81,7 @@ class SystemConfig:
     symbol_power: float = 1.0
 
     def __post_init__(self):
-        for name, low in _MINIMA.items():
-            if getattr(self, name) < low:
-                raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_int_fields(self, _MINIMA, ParameterError)
         if self.n_heads > 0 and self.antennas_per_head < 1:
             raise ParameterError("antennas_per_head must be >= 1 when heads are present")
         if not 0.0 <= self.rho <= 1.0:

@@ -23,7 +23,7 @@ import numpy as np
 from . import rng as rngmod
 from .channel import (_distance_grid, compose_channel, draw_large_scale,
                       draw_small_scale)
-from .config import SystemConfig
+from .config import SystemConfig, check_int_fields
 from .detectors import (LINEAR_DESIGNS, ML_CANDIDATE_GUARD, ORDERING_CRITERIA,
                         compute_receive_filter, df_detect, linear_detect, mb_sic_detect,
                         ml_detect_oracle, sic_detect)
@@ -31,8 +31,8 @@ from .errors import ConfigError, NumericalError, ParameterWarning
 from .estimation import (DEFAULT_DELTA, JioFilterBank, LmsChannelEstimator,
                          ReducedRankFilterBank, RlsChannelEstimator)
 from .idd import idd_receive
-from .txchain import (TrellisSpec, assemble_frame, channel_transmit,
-                      coded_payload_length, labels_to_bits, matched_transmit)
+from .txchain import (RATE, assemble_frame, channel_transmit, coded_payload_length,
+                      labels_to_bits, matched_transmit)
 
 DETECTORS = ("rmf", "zf", "mmse", "sic", "mb-sic", "df-s", "df-p", "ml")
 ESTIMATORS = ("perfect", "ls", "rls", "lms", "rr-pc", "rr-krylov", "rr-jio")
@@ -81,12 +81,7 @@ class ScenarioSpec:
     out: str = "results.csv"
 
     def validate(self):
-        for f in fields(self):
-            key, value = _RENAMED.get(f.name, f.name), getattr(self, f.name)
-            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            if f.name in _MINIMA and value < _MINIMA[f.name]:
-                raise ConfigError(f"{key} must be >= {_MINIMA[f.name]}, got {value}")
+        check_int_fields(self, _MINIMA, ConfigError, _RENAMED)
         if self.detector not in DETECTORS:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.estimator not in ESTIMATORS:
@@ -414,7 +409,7 @@ def trial_noise_variance(spec: ScenarioSpec, snr_db: float) -> float:
     ``sigma_n^2 = K N_U sigma_s^2 E[gamma^2] / (R C 10^(SNR/10))``, with
     C = 2 bits per QPSK symbol and R the code rate (1 uncoded)."""
     cfg = spec.system
-    rate = TrellisSpec().rate if spec.coded else 1.0
+    rate = RATE if spec.coded else 1.0
     signal = cfg.n_streams * cfg.symbol_power * mean_gamma_sq(cfg)
     return signal / (rate * 2 * 10.0 ** (snr_db / 10.0))
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .detectors import _check_matched
 from .errors import NumericalError, ParameterError, StructuralError
-from .txchain import (LLR_CLIP, TrellisSpec, deinterleave, interleave,
-                      trellis_predecessors, trellis_tables)
+from .txchain import (GENERATORS, LLR_CLIP, MEMORY, NEXT_STATE, OUT_BITS, deinterleave,
+                      interleave)
 
 _VAR_FLOOR = 1e-30
 
@@ -165,7 +165,7 @@ def _branch_weights(lam_t: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _state_recursions(lam_t: np.ndarray, trellis: TrellisSpec) -> np.ndarray:
+def _state_recursions(lam_t: np.ndarray) -> np.ndarray:
     """Forward and backward state probabilities from step LLRs (t, n_out,
     batch), in one loop over a stacked ``(n_states, 2 * batch)`` slice: alpha
     columns gather their predecessor states and beta columns their successor
@@ -175,18 +175,21 @@ def _state_recursions(lam_t: np.ndarray, trellis: TrellisSpec) -> np.ndarray:
     """
     n_steps, _, batch = lam_t.shape
     width = 2 * batch
-    next_state, out_bits = trellis_tables(trellis)
-    pred_state, pred_input = trellis_predecessors(trellis)
+    # the trellis read backwards: state s is entered from pred_state[s, k]
+    # under input pred_input[s, k], the two branches in increasing (state,
+    # input) order
+    pred_state, pred_input = np.divmod(
+        np.argsort(NEXT_STATE.ravel(), kind="stable").reshape(-1, 2), 2)
     cols = np.arange(width)
     fwd = cols < batch  # the alpha columns
     # the two candidate branches k of every state s lead the arrays, so each
     # is a contiguous (n_states, 2 * batch) block: alpha's enters s from
     # pred_state[s, k], beta's leaves s under input k
-    gather = width * np.where(fwd, pred_state.T[..., None], next_state.T[..., None]) + cols
-    bits = np.where(fwd[:, None], out_bits[pred_state.T, pred_input.T][:, :, None],
-                    out_bits.swapaxes(0, 1)[:, :, None])  # (2, S, width, n_out)
+    gather = width * np.where(fwd, pred_state.T[..., None], NEXT_STATE.T[..., None]) + cols
+    bits = np.where(fwd[:, None], OUT_BITS[pred_state.T, pred_input.T][:, :, None],
+                    OUT_BITS.swapaxes(0, 1)[:, :, None])  # (2, S, width, n_out)
 
-    states = np.zeros((n_steps, trellis.n_states, width))
+    states = np.zeros((n_steps, len(NEXT_STATE), width))
     states[0, 0] = 1.0
     cand, scale = np.empty((2,) + states.shape[1:]), np.empty(width)
     # alpha at n_steps and beta at 0 are never read, so one step is skipped
@@ -205,12 +208,12 @@ def _state_recursions(lam_t: np.ndarray, trellis: TrellisSpec) -> np.ndarray:
     return states
 
 
-def bcjr_decode(channel_llrs: np.ndarray,
-                trellis: TrellisSpec = TrellisSpec()) -> BcjrResult:
-    """Scaled probability-domain BCJR for a zero-tail terminated convolutional code.
+def bcjr_decode(channel_llrs: np.ndarray) -> BcjrResult:
+    """Scaled probability-domain BCJR for the zero-tail terminated code of
+    :mod:`txchain`.
 
     ``channel_llrs`` (..., n_coded) holds one row of LLRs per stream, with
-    ``n_coded = n_out * (k_info + memory)``; the results keep its leading
+    ``n_coded = n_out * (k_info + MEMORY)``; the results keep its leading
     axes.  It is clipped to ``+/- LLR_CLIP`` first, as the receiver's
     demapper already does, so no branch weight is below ``exp(-n_out *
     LLR_CLIP)`` and the state probabilities, rescaled every step, stay in
@@ -223,30 +226,29 @@ def bcjr_decode(channel_llrs: np.ndarray,
     its own call would.
     """
     lam = np.clip(np.asarray(channel_llrs, dtype=float), -LLR_CLIP, LLR_CLIP)
-    n_out = trellis.n_out
+    n_out = len(GENERATORS)
     if lam.ndim == 0 or lam.shape[-1] % n_out != 0:
         raise StructuralError(
             f"coded LLRs of shape {lam.shape} do not end in a multiple of {n_out}")
     n_steps = lam.shape[-1] // n_out
-    if n_steps <= trellis.memory:
+    if n_steps <= MEMORY:
         raise StructuralError("coded block is shorter than the code tail")
-    k_info = n_steps - trellis.memory
-    next_state, out_bits = trellis_tables(trellis)
+    k_info = n_steps - MEMORY
     # the clipped copy turns into the extrinsics a chunk at a time
     ext = lam.reshape(-1, n_steps, n_out)
     batch = len(ext)
     lam_t = ext.transpose(1, 2, 0)  # (t, n_out, batch)
 
-    states = _state_recursions(lam_t, trellis)
+    states = _state_recursions(lam_t)
     # members[i, 2 g + v]: the i-th branch whose bit g (coded bits, then input) is v
-    labels = np.column_stack([out_bits.reshape(-1, n_out), np.tile([0, 1], len(out_bits))])
+    labels = np.column_stack([OUT_BITS.reshape(-1, n_out), np.tile([0, 1], len(OUT_BITS))])
     members = np.stack([np.flatnonzero(bit == v) for bit in labels.T for v in (0, 1)], 1)
     info = np.empty((batch, k_info))
     for t0 in range(0, n_steps, _CHUNK):
         t1 = min(t0 + _CHUNK, n_steps)
-        joint = _branch_weights(lam_t[t0:t1], out_bits[:, :, None])  # (t, S, 2, batch)
+        joint = _branch_weights(lam_t[t0:t1], OUT_BITS[:, :, None])  # (t, S, 2, batch)
         joint *= states[t0:t1, :, None, :batch]  # alpha at time t
-        joint *= states[::-1][t0:t1, next_state, batch:]  # beta at time t + 1
+        joint *= states[::-1][t0:t1, NEXT_STATE, batch:]  # beta at time t + 1
         joint = joint.reshape(t1 - t0, -1, batch)
         # a left fold over the members, so every stream sums its branches alike
         sums = joint[:, members[0]]
@@ -277,8 +279,8 @@ class IddResult:
 
 
 def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
-                perms: np.ndarray, trellis: TrellisSpec = TrellisSpec(),
-                symbol_power: float = 1.0, n_outer: int = 4) -> IddResult:
+                perms: np.ndarray, symbol_power: float = 1.0,
+                n_outer: int = 4) -> IddResult:
     """Iterative detection and decoding of a block of P coded frames.
 
     Each outer iteration forms soft symbols from the decoders' extrinsic
@@ -314,7 +316,7 @@ def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
         v_hat, xi_var = v_model.mean(axis=-1), xi_model.mean(axis=-1)
         lam1 = extrinsic_llr(z, v_hat[..., None], xi_var[..., None],
                              symbol_power=symbol_power).reshape(perms.shape)
-        decoded = bcjr_decode(deinterleave(lam1, perms), trellis)
+        decoded = bcjr_decode(deinterleave(lam1, perms))
         feedback = np.clip(decoded.extrinsic, -LLR_CLIP, LLR_CLIP, out=decoded.extrinsic)
         priors = interleave(feedback, perms).reshape(priors.shape)
         per_iter.append(decoded.info_bits)

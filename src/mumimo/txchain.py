@@ -1,7 +1,8 @@
 """Per-user transmit chain: convolutional coding, interleaving, QPSK framing.
 
-Coded streams use a rate-1/2 feedforward convolutional code (generators 7
-and 5 octal, constraint length 3) terminated with zero tail bits, a random
+Coded streams use the simulator's one code, a rate-1/2 feedforward
+convolutional code (generators 7 and 5 octal, constraint length 3, kept as
+module constants) terminated with zero tail bits, a random
 per-stream bit interleaver and Gray-mapped QPSK.  Uncoded streams map raw
 bits straight onto symbols.
 """
@@ -19,82 +20,36 @@ from .errors import ParameterError, StructuralError
 LLR_CLIP = 50.0  # feedback log-likelihood ratios are clipped to +/- this
 
 
-@dataclass(frozen=True)
-class TrellisSpec:
-    """Feedforward convolutional code description (octal generators)."""
+#: the one code: rate 1/2, constraint length MEMORY + 1 = 3, generators 7
+#: and 5 octal
+GENERATORS = (0o7, 0o5)
+MEMORY = 2
+RATE = 1 / len(GENERATORS)
 
-    constraint_length: int = 3
-    generators: tuple = (0o7, 0o5)
-
-    def __post_init__(self):
-        # a generator taps the input and the memory: constraint_length bits
-        k = self.constraint_length
-        if k < 1 or not self.generators or not all(0 < g < 1 << k for g in self.generators):
-            raise ParameterError(
-                f"constraint length {k} with generators {self.generators}: a code needs "
-                f"K >= 1 and at least one generator, each in [1, 2**K)")
-
-    @property
-    def memory(self) -> int:
-        return self.constraint_length - 1
-
-    @property
-    def n_states(self) -> int:
-        return 1 << self.memory
-
-    @property
-    def n_out(self) -> int:
-        return len(self.generators)
-
-    @property
-    def rate(self) -> float:
-        return 1.0 / self.n_out
+#: TAPS[g, i] = 1 where generator g taps register bit i, the oldest bit first
+TAPS = (np.array(GENERATORS)[:, None] >> np.arange(MEMORY + 1) & 1).astype(np.int8)
 
 
-@lru_cache(maxsize=8)
-def trellis_tables(trellis: TrellisSpec):
-    """(next_state, out_bits) tables indexed by [state, input].
-
-    ``out_bits`` has shape (n_states, 2, n_out).  State bits hold the most
-    recent input in the least significant position.
-    """
-    m = trellis.memory
-    n_states = trellis.n_states
-    next_state = np.zeros((n_states, 2), dtype=np.int64)
-    out_bits = np.zeros((n_states, 2, trellis.n_out), dtype=np.int8)
-    for s in range(n_states):
-        reg_state = [(s >> t) & 1 for t in range(m)]  # [b(i-1), ..., b(i-m)]
-        for u in (0, 1):
-            reg = [u] + reg_state
-            for gi, gen in enumerate(trellis.generators):
-                acc = 0
-                for t in range(trellis.constraint_length):
-                    if (gen >> (trellis.constraint_length - 1 - t)) & 1:
-                        acc ^= reg[t]
-                out_bits[s, u, gi] = acc
-            next_state[s, u] = (u + (s << 1)) & (n_states - 1)
-    return next_state, out_bits
+def _code_bits(registers) -> np.ndarray:
+    """Code bits (..., len(GENERATORS)) of register contents (..., MEMORY + 1),
+    oldest bit first: each generator's XOR of the bits its taps select."""
+    return np.bitwise_xor.reduce(registers[..., None, :] & TAPS, axis=-1)
 
 
-@lru_cache(maxsize=8)
-def trellis_predecessors(trellis: TrellisSpec):
-    """(pred_state, pred_input) tables indexed by [state, branch].
-
-    State ``s'`` is entered from ``pred_state[s', k]`` under input
-    ``pred_input[s', k]``; the two branches are listed in increasing
-    (state, input) order.  The cached arrays are shared, so read-only.
-    """
-    next_state, _ = trellis_tables(trellis)
-    branches = np.argsort(next_state.ravel(), kind="stable").reshape(-1, 2)
-    tables = branches >> 1, branches & 1
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+#: the trellis, indexed by [state, input].  A state holds the last MEMORY
+#: inputs, the most recent in the least significant bit, so state s under
+#: input u holds the register 2 s + u and moves to (2 s + u) mod 2**MEMORY
+_REGISTERS = np.arange(2 << MEMORY)
+NEXT_STATE = (_REGISTERS % (1 << MEMORY)).reshape(-1, 2)
+OUT_BITS = _code_bits(_REGISTERS[:, None] >> np.arange(MEMORY, -1, -1) & 1).astype(
+    np.int8).reshape(-1, 2, len(GENERATORS))
+for _table in (TAPS, NEXT_STATE, OUT_BITS):
+    _table.flags.writeable = False
 
 
-def conv_encode(bits, trellis: TrellisSpec = TrellisSpec()) -> np.ndarray:
+def conv_encode(bits) -> np.ndarray:
     """Encode bit rows (..., n) with zero tail bits that flush the register,
-    into int8 code rows (..., n_out * (n + memory)).
+    into int8 code rows (..., 2 (n + MEMORY)).
 
     An empty row still produces the tail.  Each generator's output is the
     XOR of the register bits its taps select: the input convolved with the
@@ -103,14 +58,11 @@ def conv_encode(bits, trellis: TrellisSpec = TrellisSpec()) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim == 0 or not np.isin(bits, (0, 1)).all():
         raise ParameterError("input bits must be rows of 0/1")
-    k, memory = trellis.constraint_length, trellis.memory
-    # memory zeros (the register's start), the input, then the tail
-    seq = np.zeros(bits.shape[:-1] + (bits.shape[-1] + 2 * memory,), dtype=np.int8)
-    seq[..., memory:seq.shape[-1] - memory] = bits
-    regs = sliding_window_view(seq, k, axis=-1)  # (..., n + memory, K), oldest bit first
-    taps = (np.array(trellis.generators)[:, None] >> np.arange(k) & 1).astype(np.int8)
-    out = np.bitwise_xor.reduce(regs[..., None, :] & taps, axis=-1)  # (..., n + memory, n_out)
-    return out.reshape(bits.shape[:-1] + (-1,))
+    # MEMORY zeros (the register's start), the input, then the tail
+    seq = np.zeros(bits.shape[:-1] + (bits.shape[-1] + 2 * MEMORY,), dtype=np.int8)
+    seq[..., MEMORY:seq.shape[-1] - MEMORY] = bits
+    regs = sliding_window_view(seq, MEMORY + 1, axis=-1)  # (..., n + MEMORY, MEMORY + 1)
+    return _code_bits(regs).reshape(bits.shape[:-1] + (-1,))
 
 
 def _row_perms(x, perm):
@@ -218,7 +170,7 @@ def _check_generators(rngs, packets):
 
 
 def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
-                   coded: bool = False, trellis: TrellisSpec = TrellisSpec()) -> SymbolFrame:
+                   coded: bool = False) -> SymbolFrame:
     """Build the transmit frames of P packets, every array stacked (P, M, ...).
 
     Parameters
@@ -249,10 +201,8 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
 
     info_bits = payload_bits.astype(np.int8, copy=False)
     if coded:
-        coded_bits = conv_encode(payload_bits, trellis)
+        coded_bits = conv_encode(payload_bits)
         n_coded = coded_bits.shape[-1]
-        if n_coded % 2 != 0:
-            raise StructuralError("coded stream length must be even for QPSK")
         perms = np.empty(coded_bits.shape, dtype=np.int64)
         for rng, packet in zip(rngs, perms):
             for perm in packet:
@@ -269,12 +219,11 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
                        data_symbols=data_symbols, perms=perms)
 
 
-def coded_payload_length(n_data_symbols: int, trellis: TrellisSpec = TrellisSpec()) -> int:
-    """Information bits per stream that fill ``n_data_symbols`` QPSK symbols."""
-    total = 2 * n_data_symbols
-    if total % trellis.n_out != 0:
-        raise ParameterError("symbol budget does not fit a whole code block")
-    k_info = total // trellis.n_out - trellis.memory
+def coded_payload_length(n_data_symbols: int) -> int:
+    """Information bits per stream that fill ``n_data_symbols`` QPSK symbols:
+    a symbol carries the two code bits of one trellis step, and the last
+    MEMORY steps are the tail."""
+    k_info = n_data_symbols - MEMORY
     if k_info < 1:
         raise ParameterError(f"packet of {n_data_symbols} symbols is too short to code")
     return k_info
@@ -302,8 +251,6 @@ def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
     if noise_var < 0.0:
         raise ParameterError("noise_var must be >= 0")
     out = (chan @ symbols).astype(complex, copy=False)
-    if noise_var == 0.0:
-        return out
     noise = np.empty((len(out), 2) + out.shape[1:])
     for rng, packet in zip(rngs, noise):
         rng.standard_normal(out=packet)
@@ -374,8 +321,6 @@ def matched_transmit(front: np.ndarray, chan: np.ndarray, symbols: np.ndarray,
     gram = adjoint @ front
     cross = gram if front is chan else adjoint @ chan
     matched = np.empty(gram.shape[:-1] + symbols.shape[-1:], dtype=complex)
-    if noise_var == 0.0:
-        return gram, np.matmul(cross, symbols, out=matched)
     for rng, packet in zip(rngs, matched):
         rng.standard_normal(out=packet.view(float))
     noise = (np.sqrt(noise_var / 2.0) * gram_root(gram)) @ matched

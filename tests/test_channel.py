@@ -5,7 +5,7 @@ import pytest
 
 import mumimo as m
 from conftest import same_bytes
-from mumimo import harness
+from mumimo import harness, txchain
 from mumimo.channel import _distance_grid, _receive_corr_sqrt
 from mumimo.errors import NumericalError, ParameterError, StructuralError
 
@@ -315,7 +315,7 @@ def test_snr_to_noise_variance_coded_rate_scales():
     cfg = m.SystemConfig(n_users=2, n_bs=4)
     full = m.trial_noise_variance(m.ScenarioSpec(cfg), 10.0)
     half = m.trial_noise_variance(m.ScenarioSpec(cfg, coded=True), 10.0)
-    assert m.TrellisSpec().rate == 0.5
+    assert txchain.RATE == 0.5
     assert half == pytest.approx(2.0 * full, rel=1e-12)
 
 

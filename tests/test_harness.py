@@ -14,7 +14,7 @@ import mumimo as m
 from conftest import filter_training_experiment, same_bytes
 from mumimo import cli, detectors, harness, idd
 from mumimo.detectors import ORDERING_CRITERIA
-from mumimo.errors import ConfigError, NumericalError, ParameterWarning
+from mumimo.errors import ConfigError, NumericalError, ParameterError, ParameterWarning
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -271,6 +271,24 @@ def test_validate_rejects_non_integer_int_fields(field, value):
     except ConfigError:
         again = None
     assert again != spec
+
+
+#: a DAS system whose every int field is 2
+SYSTEM_TWOS = dict(n_users=2, n_bs=2, n_heads=2, antennas_per_head=2, antennas_per_user=2)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "True", "str"])
+@pytest.mark.parametrize("field", SYSTEM_TWOS)
+def test_system_rejects_non_integer_int_fields(field, value):
+    # n_users = 2.0 would pass validation, die in run_sweep with a raw
+    # TypeError and write a text that parse_config rejects
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        m.SystemConfig(**{**SYSTEM_TWOS, field: value})
+    # what the system accepts writes a text that parses back to it, ints as ints
+    system = m.SystemConfig(**SYSTEM_TWOS)
+    again = m.parse_config(m.serialize_config(small_spec(system=system))).system
+    assert again == system and type(getattr(again, field)) is int
 
 
 def test_int_fields_round_trip_as_ints():

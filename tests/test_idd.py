@@ -13,7 +13,7 @@ from conftest import (antenna_domain_receive_block, matched, random_channel,
 from mumimo import harness, idd
 from mumimo.errors import NumericalError, ParameterError, StructuralError
 from mumimo.idd import BcjrResult
-from mumimo.txchain import LLR_CLIP, TrellisSpec, trellis_tables
+from mumimo.txchain import LLR_CLIP, MEMORY, NEXT_STATE, OUT_BITS
 
 
 def sigmoid(x):
@@ -525,21 +525,19 @@ def test_bcjr_matches_exhaustive_app(rng):
     np.testing.assert_array_equal(result.info_bits, (info_ref < 0).astype(int))
 
 
-def reference_bcjr_decode(channel_llrs: np.ndarray,
-                          trellis: TrellisSpec = TrellisSpec()) -> BcjrResult:
+def reference_bcjr_decode(channel_llrs: np.ndarray) -> BcjrResult:
     """Per-step log-domain BCJR: one forward loop, then one backward loop
     that forms the branch posteriors of each time step as it goes.  The
     streams are the rows of ``channel_llrs`` (..., n_coded)."""
     lam = np.asarray(channel_llrs, dtype=float)
-    n_out = trellis.n_out
+    next_state, out_bits = NEXT_STATE, OUT_BITS
+    n_states, _, n_out = out_bits.shape
     if lam.shape[-1] % n_out != 0:
         raise StructuralError(
             f"coded length {lam.shape[-1]} is not a multiple of {n_out}")
     n_steps = lam.shape[-1] // n_out
-    if n_steps <= trellis.memory:
+    if n_steps <= MEMORY:
         raise StructuralError("coded block is shorter than the code tail")
-    n_states = trellis.n_states
-    next_state, out_bits = trellis_tables(trellis)
     sign = (1.0 - 2.0 * out_bits).astype(float)  # (S, 2, n_out), bit 0 -> +1
     lam_steps = lam.reshape(-1, n_steps, n_out)
     batch = len(lam_steps)
@@ -586,7 +584,7 @@ def reference_bcjr_decode(channel_llrs: np.ndarray,
         step = np.logaddexp(cand[..., 0], cand[..., 1])
         beta = step - step.max(axis=1, keepdims=True)
 
-    k_info = n_steps - trellis.memory
+    k_info = n_steps - MEMORY
     info = info_llrs[:, :k_info].reshape(lam.shape[:-1] + (k_info,))
     bits = (info < 0).astype(np.int8)  # ties resolve toward bit 0
     return BcjrResult(extrinsic.reshape(lam.shape), info, bits)
@@ -624,13 +622,6 @@ def test_bcjr_matches_log_domain_oracle_single_stream(rng):
     assert_bcjr_matches(got, reference_bcjr_decode(lam))
 
 
-def test_bcjr_matches_log_domain_oracle_other_trellis(rng):
-    trellis = TrellisSpec(4, (0o15, 0o17))
-    lam = rng.normal(0.0, 3.0, size=(3, 2 * 150))
-    assert_bcjr_matches(m.bcjr_decode(lam, trellis),
-                        reference_bcjr_decode(lam, trellis))
-
-
 @pytest.mark.parametrize("n_steps", [3, 63, 64, 65, 66, 129, 130])
 def test_bcjr_matches_log_domain_oracle_across_block_lengths(rng, n_steps):
     # blocks ending on either side of a 64-step chunk, a last chunk of tail
@@ -642,26 +633,21 @@ def test_bcjr_matches_log_domain_oracle_across_block_lengths(rng, n_steps):
     assert np.isinf(got.extrinsic).any() == (n_steps == 3)
 
 
-SATURATING_TRELLISES = {"K3": TrellisSpec(), "K4": TrellisSpec(4, (0o15, 0o17)),
-                        "K7": TrellisSpec(7, (0o171, 0o133))}
-
-
-@pytest.mark.parametrize("trellis", SATURATING_TRELLISES.values(),
-                         ids=SATURATING_TRELLISES)
-def test_bcjr_stays_in_range_on_saturated_input(rng, trellis):
+@pytest.mark.parametrize("memory", [MEMORY], ids=["K3"])
+def test_bcjr_stays_in_range_on_saturated_input(rng, memory):
     # every LLR at +/- LLR_CLIP puts branch weights down to exp(-sum |lambda|);
     # the last rows switch between two codewords every constraint length,
     # so the forward and backward recursions disagree about every state
-    n_steps, n_out = 200, trellis.n_out
-    lam = LLR_CLIP * rng.choice([-1.0, 1.0], size=(8, n_out * n_steps))
-    words = [1.0 - 2.0 * m.conv_encode(rng.integers(0, 2, size=n_steps - trellis.memory),
-                                       trellis) for _ in range(8)]
-    switch = np.arange(n_out * n_steps) // (n_out * trellis.constraint_length) % 2 == 1
+    n_steps = 200
+    lam = LLR_CLIP * rng.choice([-1.0, 1.0], size=(8, 2 * n_steps))
+    words = [1.0 - 2.0 * m.conv_encode(rng.integers(0, 2, size=n_steps - memory))
+             for _ in range(8)]
+    switch = np.arange(2 * n_steps) // (2 * (memory + 1)) % 2 == 1
     lam[4:] = LLR_CLIP * np.where(switch, words[4:], words[:4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = m.bcjr_decode(lam, trellis)
-    ref = reference_bcjr_decode(lam, trellis)
+        got = m.bcjr_decode(lam)
+    ref = reference_bcjr_decode(lam)
     assert np.isfinite(got.extrinsic).all() and np.isfinite(got.info_llrs).all()
     assert_bcjr_llrs_close(got, ref)
     # saturated inputs tie some posteriors exactly; rounding breaks those
@@ -716,16 +702,15 @@ def test_bcjr_batched_matches_per_stream(rng):
             assert same_bytes(getattr(batched, name)[s], getattr(single, name)), name
 
 
-@pytest.mark.parametrize("trellis", [TrellisSpec(), TrellisSpec(4, (0o15, 0o17))],
-                         ids=["K3", "K4"])
-def test_bcjr_stack_equals_per_row_calls(rng, trellis):
+@pytest.mark.parametrize("memory", [MEMORY], ids=["K3"])
+def test_bcjr_stack_equals_per_row_calls(rng, memory):
     # the (P, M, n) stack idd_receive passes keeps its leading axes
     lam = np.clip(rng.normal(0.0, 4.0, size=(3, 4, 2 * 300)), -LLR_CLIP, LLR_CLIP)
-    stacked = m.bcjr_decode(lam, trellis)
+    stacked = m.bcjr_decode(lam)
     assert stacked.extrinsic.shape == lam.shape
-    assert stacked.info_bits.shape == (3, 4, 300 - trellis.memory)
+    assert stacked.info_bits.shape == (3, 4, 300 - memory)
     for row in np.ndindex(3, 4):
-        alone = m.bcjr_decode(lam[row], trellis)
+        alone = m.bcjr_decode(lam[row])
         for name in ("extrinsic", "info_llrs", "info_bits"):
             assert same_bytes(getattr(stacked, name)[row], getattr(alone, name)), name
 

@@ -1,12 +1,14 @@
 """Transmit chain tests: code trellis, interleaving, QPSK mapping, framing."""
 
+import copy
+
 import numpy as np
 import pytest
 
 import mumimo as m
 from conftest import random_channel, reference_encode, same_bytes
 from mumimo.errors import ParameterError, StructuralError
-from mumimo.txchain import gram_root
+from mumimo.txchain import MEMORY, NEXT_STATE, OUT_BITS, gram_root
 
 
 def test_encoder_impulse_response():
@@ -24,16 +26,11 @@ def test_encoder_all_zero():
 
 
 def test_encoder_matches_reference_on_random_blocks(rng):
-    for trellis in (m.TrellisSpec(), m.TrellisSpec(4, (0o15, 0o17))):
-        for _ in range(20):
-            bits = rng.integers(0, 2, size=rng.integers(1, 60))
-            np.testing.assert_array_equal(
-                m.conv_encode(bits, trellis),
-                reference_encode(bits, trellis.generators, trellis.memory))
-        # an empty block still emits the tail
-        np.testing.assert_array_equal(
-            m.conv_encode([], trellis),
-            np.zeros(trellis.n_out * trellis.memory, dtype=np.int8))
+    for _ in range(20):
+        bits = rng.integers(0, 2, size=rng.integers(1, 60))
+        np.testing.assert_array_equal(m.conv_encode(bits), reference_encode(bits))
+    # an empty block still emits the tail
+    np.testing.assert_array_equal(m.conv_encode([]), np.zeros(2 * MEMORY, dtype=np.int8))
 
 
 def test_encoder_is_linear(rng):
@@ -59,45 +56,35 @@ def test_encoder_rejects_non_bits(rng):
         m.assemble_frame(m.SystemConfig(n_users=2, n_bs=4), payload, 0, [rng], coded=True)
 
 
-@pytest.mark.parametrize("trellis", [m.TrellisSpec(), m.TrellisSpec(4, (0o15, 0o17))],
-                         ids=["K3", "K4"])
-def test_encoder_stack_equals_per_row_calls(rng, trellis):
+@pytest.mark.parametrize("memory", [MEMORY], ids=["K3"])
+def test_encoder_stack_equals_per_row_calls(rng, memory):
     bits = rng.integers(0, 2, size=(3, 4, 57))
-    stacked = m.conv_encode(bits, trellis)
-    assert stacked.shape == (3, 4, trellis.n_out * (57 + trellis.memory))
+    stacked = m.conv_encode(bits)
+    assert stacked.shape == (3, 4, 2 * (57 + memory))
     for row in np.ndindex(3, 4):
-        assert same_bytes(stacked[row], m.conv_encode(bits[row], trellis))
-
-
-@pytest.mark.parametrize("constraint_length,generators", [
-    (3, (0o7, 0)),       # a generator with no taps
-    (3, (0o7, 0o17)),    # a tap beyond the constraint length
-    (3, (0o7, -0o5)),
-    (3, ()),
-    (0, (0o1,)),
-])
-def test_trellis_spec_rejects_codes_it_cannot_describe(constraint_length, generators):
-    with pytest.raises(ParameterError):
-        m.TrellisSpec(constraint_length, generators)
-
-
-def test_trellis_spec_accepts_valid_codes():
-    assert m.TrellisSpec() == m.TrellisSpec(3, (0o7, 0o5))
-    assert m.TrellisSpec(1, (0o1,)).n_states == 1
-    assert m.TrellisSpec(7, (0o171, 0o133)).n_out == 2
+        assert same_bytes(stacked[row], m.conv_encode(bits[row]))
 
 
 def test_trellis_tables_shapes_and_termination():
-    trellis = m.TrellisSpec()
-    next_state, out_bits = m.trellis_tables(trellis)
-    assert next_state.shape == (4, 2)
-    assert out_bits.shape == (4, 2, 2)
-    # feeding zeros from any state reaches state 0 within `memory` steps
+    assert NEXT_STATE.shape == (4, 2)
+    assert OUT_BITS.shape == (4, 2, 2)
+    # feeding zeros from any state reaches state 0 within MEMORY steps
     for s in range(4):
         state = s
-        for _ in range(trellis.memory):
-            state = next_state[state, 0]
+        for _ in range(MEMORY):
+            state = NEXT_STATE[state, 0]
         assert state == 0
+
+
+def test_trellis_tables_are_the_encoder_on_every_register():
+    # state s holds the last MEMORY inputs, the most recent in its least
+    # significant bit; the encoder fed those inputs, then u, then v emits
+    # OUT_BITS[s, u] for u and OUT_BITS[NEXT_STATE[s, u], v] for v
+    for s, u, v in np.ndindex(4, 2, 2):
+        held = [s >> (MEMORY - 1 - i) & 1 for i in range(MEMORY)]
+        steps = m.conv_encode(held + [u, v]).reshape(-1, 2)
+        assert same_bytes(steps[MEMORY], OUT_BITS[s, u]), (s, u)
+        assert same_bytes(steps[MEMORY + 1], OUT_BITS[NEXT_STATE[s, u], v]), (s, u, v)
 
 
 def test_interleave_roundtrip(rng):
@@ -250,8 +237,6 @@ def test_channel_transmit_noise_statistics(rng):
 def reference_channel_transmit(chan, symbols, noise_var, rng):
     # noise formed as a complex sum of two draws and added out of place
     clean = chan @ symbols
-    if noise_var == 0.0:
-        return clean
     scale = np.sqrt(noise_var / 2.0)
     noise = scale * (rng.standard_normal(clean.shape)
                      + 1j * rng.standard_normal(clean.shape))
@@ -310,12 +295,13 @@ def test_matched_transmit_noiseless_is_the_clean_statistic(rng, is_chan):
     front, chan, sym = _matched_case(rng)
     if is_chan:
         front = chan
-    state = rng.bit_generator.state
+    twin = copy.deepcopy(rng)
     gram, y = m.matched_transmit(front, chan, sym, 0.0, [rng])
     adjoint = front[0].conj().T
     assert same_bytes(gram[0], adjoint @ front[0])
     assert same_bytes(y[0], (adjoint @ chan[0]) @ sym[0])
-    assert rng.bit_generator.state == state  # nothing drawn
+    twin.standard_normal((4, 80))  # the noise draw, scaled to zero
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_matched_transmit_draws_root_times_white_noise():
