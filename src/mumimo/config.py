@@ -7,6 +7,7 @@ derived quantities can be cached against it.
 """
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
@@ -21,16 +22,23 @@ _MINIMA = {"n_users": 1, "n_bs": 1, "n_heads": 0, "antennas_per_user": 1}
 
 def check_int_fields(obj, minima: dict, error: type, keys: dict = None):
     """Raise ``error`` unless every ``int`` field of the dataclass ``obj``
-    holds an int, not a bool, of at least its bound in ``minima``, if any.
-    Messages name a field by its entry in ``keys``, or else by its name."""
+    holds an integer (any type ``operator.index`` takes, numpy's too, but
+    not a bool) of at least its bound in ``minima``, if any, and store it
+    as an int.  Messages name a field by its entry in ``keys``, or else by
+    its name."""
     for f in fields(obj):
         if f.type is not int:
             continue
         key, value = (keys or {}).get(f.name, f.name), getattr(obj, f.name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise error(f"{key} must be an integer, got {value!r}")
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise error(f"{key} must be an integer, got {value!r}") from None
         if value < minima.get(f.name, value):
             raise error(f"{key} must be >= {minima[f.name]}, got {value}")
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)

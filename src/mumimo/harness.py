@@ -8,6 +8,7 @@ byte-identically regardless of execution order or worker count.
 
 import concurrent.futures
 import contextlib
+import ctypes
 import hashlib
 import math
 import os
@@ -124,7 +125,8 @@ class ScenarioSpec:
         if len(set(self.snr_db)) != len(self.snr_db):
             raise ConfigError("snr_db points must be distinct")
         for snr in self.snr_db:
-            with contextlib.suppress(OverflowError, ZeroDivisionError):
+            with (contextlib.suppress(OverflowError, ZeroDivisionError, FloatingPointError),
+                  np.errstate(over="raise", invalid="raise", divide="raise")):
                 if 0.0 < trial_noise_variance(self, snr) < math.inf:
                     continue
             raise ConfigError(f"snr_db = {snr:g} dB has no finite, positive noise variance")
@@ -576,11 +578,47 @@ def trial_blocks(spec: ScenarioSpec) -> list:
 
 
 def _trial_task(args):
+    # an overflow, invalid operation or division by zero fails the block, so
+    # no row is counted from non-finite numbers
     spec, point, snr_db, block = args
     try:
-        return point, block, run_trial(spec, snr_db, block)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return point, block, run_trial(spec, snr_db, block)
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         return point, block, f"{type(exc).__name__}: {exc}"
+
+
+#: thread-count setters of the BLAS builds numpy ships with or links to
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads",
+                       "mkl_set_num_threads")
+
+
+def blas_thread_setter():
+    """The first of ``BLAS_THREAD_SETTERS`` that a BLAS or MKL library
+    loaded in this process exports, as (library, name), or None.  The
+    libraries are read from the process's own memory map (Linux); loading
+    one that is already mapped only takes another reference to it."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if re.search(r"(blas|mkl)[^/]*\.so", line)})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                return lib, name
+    return None
+
+
+def _one_blas_thread():
+    """Pool initializer: a worker runs its BLAS on one thread, as the
+    workers between them hold the cores; without a known setter it runs as
+    the parent does."""
+    found = blas_thread_setter()
+    if found is not None:
+        getattr(found[0], found[1])(1)
 
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
@@ -588,17 +626,19 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1) -> SweepResult:
 
     Each SNR point runs in blocks (:func:`trial_blocks`), one task each,
     whose :class:`TrialRecord` fills its packets of ``SweepResult.errors``.
-    A numerical failure in a packet (a :class:`NumericalError` or numpy's
-    ``LinAlgError``) fails its block, which the result keeps with its
-    message, and the sweep moves on.  Results are identical for any
-    worker count.
+    A numerical failure in a packet (a :class:`NumericalError`, numpy's
+    ``LinAlgError`` or a ``FloatingPointError`` from an overflow, invalid
+    operation or division by zero) fails its block, which the result keeps
+    with its message, and the sweep moves on.  Results are identical for
+    any worker count; each pool worker runs its BLAS on one thread.
     """
     spec.validate()
     start = time.perf_counter()
     tasks = [(spec, point, snr, block) for point, snr in enumerate(sorted(spec.snr_db))
              for block in trial_blocks(spec)]
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(_trial_task, tasks))
     else:
         outcomes = [_trial_task(t) for t in tasks]

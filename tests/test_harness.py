@@ -1,6 +1,7 @@
 """Harness tests: config parsing, trial/sweep determinism, CSV, CLI, README."""
 
 import collections
+import concurrent.futures
 import dataclasses
 import re
 import warnings
@@ -289,6 +290,13 @@ def test_system_rejects_non_integer_int_fields(field, value):
     system = m.SystemConfig(**SYSTEM_TWOS)
     again = m.parse_config(m.serialize_config(small_spec(system=system))).system
     assert again == system and type(getattr(again, field)) is int
+    # a numpy integer is an integer: accepted and stored as an int, in the
+    # system and in the scenario's packets
+    numpy_two = m.SystemConfig(**{**SYSTEM_TWOS, field: np.int64(2)})
+    assert numpy_two == system and type(getattr(numpy_two, field)) is int
+    spec = small_spec(system=numpy_two, packets=np.int64(2)).validate()
+    assert type(spec.packets) is int and spec == small_spec(system=system, packets=2)
+    assert m.parse_config(m.serialize_config(spec)) == spec
 
 
 def test_int_fields_round_trip_as_ints():
@@ -659,6 +667,45 @@ def _failing_packets(monkeypatch, spec, chosen):
         return real(gram, *args)
 
     monkeypatch.setattr(harness, "compute_receive_filter", raising)
+
+
+def test_non_finite_trial_is_a_failed_block():
+    # LMS at mu = 10 on a 1 x 2 ml link diverges and overflows in the
+    # matched statistic; without the floating-point errors raised, both
+    # rows printed as ordinary BERs (125/240 and 132/240)
+    spec = m.ScenarioSpec(m.SystemConfig(1, 2), detector="ml", estimator="lms",
+                          step_size=10.0, pilot_len=250, packet_symbols=40, packets=3,
+                          seed=111, snr_db=(0.0, 10.0))
+    with pytest.warns(ParameterWarning, match="LMS step size"):
+        serial = m.run_sweep(spec)
+    for row in serial.rows:
+        assert row.failed and row.message.startswith("FloatingPointError: "), row
+    with pytest.warns(ParameterWarning, match="LMS step size"):
+        pooled = m.run_sweep(spec, workers=2)
+    assert m.format_csv(pooled) == m.format_csv(serial)
+    assert pooled.failed == serial.failed
+
+
+BLAS_THREAD_GETTERS = {"scipy_openblas_set_num_threads64_": "scipy_openblas_get_num_threads64_",
+                       "openblas_set_num_threads": "openblas_get_num_threads",
+                       "mkl_set_num_threads": "mkl_get_max_threads"}
+
+
+def _blas_threads(_):
+    found = harness.blas_thread_setter()
+    if found is None:
+        return None
+    lib, name = found
+    return getattr(lib, BLAS_THREAD_GETTERS[name])()
+
+
+def test_pool_workers_run_one_blas_thread():
+    found = harness.blas_thread_setter()
+    assert found is None or found[1] in harness.BLAS_THREAD_SETTERS
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=2, initializer=harness._one_blas_thread) as pool:
+        threads = list(pool.map(_blas_threads, range(2)))
+    assert threads == [None if found is None else 1] * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
