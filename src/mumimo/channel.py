@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DISTANCE_GRID_STEP, SystemConfig
-from .errors import NumericalError, ParameterError, StructuralError
+from .errors import NumericalError
 
 _PSD_TOL = 1e-10
 
@@ -21,12 +21,9 @@ def correlation_matrix(n: int, rho: float) -> np.ndarray:
     """Antenna correlation matrix with entries rho ** (i - j)^2.
 
     ``rho = 0`` gives the identity and ``rho = 1`` the all-ones matrix; any
-    rho in [0, 1] yields a symmetric positive semidefinite matrix.
+    rho in [0, 1] yields a symmetric positive semidefinite matrix.  ``n`` >= 1
+    and rho in [0, 1], as ``SystemConfig`` guarantees.
     """
-    if n < 1:
-        raise ParameterError(f"correlation matrix size must be >= 1, got {n}")
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterError(f"rho must lie in [0, 1], got {rho}")
     idx = np.arange(n)
     expo = (idx[:, None] - idx[None, :]) ** 2
     # 0**0 == 1 keeps the diagonal at unity for rho = 0
@@ -36,12 +33,10 @@ def correlation_matrix(n: int, rho: float) -> np.ndarray:
 def matrix_sqrt(mat: np.ndarray) -> np.ndarray:
     """Hermitian square root S of a PSD matrix, with S @ S.conj().T == mat.
 
-    Eigenvalues within a small negative tolerance of zero are clipped;
-    anything more negative raises :class:`NumericalError`.
+    ``mat`` is square.  Eigenvalues within a small negative tolerance of zero
+    are clipped; anything more negative raises :class:`NumericalError`.
     """
     mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise StructuralError(f"matrix_sqrt expects a square matrix, got shape {mat.shape}")
     w, v = np.linalg.eigh(mat)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if np.min(w) < -_PSD_TOL * scale:
@@ -86,12 +81,10 @@ def draw_small_scale(cfg: SystemConfig, rngs) -> np.ndarray:
     real product with the (block-diagonal) correlation root, and each
     user's on the transmit side by the per-user antenna correlation root;
     both products run over the packet axis, one BLAS call per packet, so a
-    packet's fading is what a stack of that packet alone gives it.
+    packet's fading is what a stack of that packet alone gives it.  Each
+    packet has ``cfg.n_users`` generators, as ``_receive_block`` draws them.
     """
     n_rx, n_u = cfg.n_rx_total, cfg.antennas_per_user
-    if any(len(users) != cfg.n_users for users in rngs):
-        raise StructuralError(f"expected {cfg.n_users} generators per packet, one per "
-                              f"user, got {[len(users) for users in rngs]}")
     normals = np.empty((len(rngs), cfg.n_users, 2, n_rx, n_u))
     for users, packet in zip(rngs, normals):
         for rng, user in zip(users, packet):
@@ -148,11 +141,7 @@ def compose_channel(cfg: SystemConfig, small: np.ndarray, gains: np.ndarray) -> 
     and ``gains`` the (P, K, L + 1) draw of :func:`draw_large_scale`; row n
     of user k's columns is scaled by the gain of user k's link to the
     receive block that holds antenna n, every packet and user in one
-    broadcast.
+    broadcast.  Both stacks hold the same P packets of ``cfg``.
     """
-    small = np.asarray(small)
-    shape = (len(gains), cfg.n_rx_total, cfg.n_streams)
-    if small.shape != shape:
-        raise StructuralError(f"expected stacked fading of shape {shape}, got {small.shape}")
     gains = np.repeat(gains, cfg.receive_blocks(), axis=-1)  # (P, K, N_A)
     return np.repeat(gains.swapaxes(-1, -2), cfg.antennas_per_user, axis=-1) * small

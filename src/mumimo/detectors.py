@@ -59,12 +59,11 @@ def compute_receive_filter(gram: np.ndarray, symbol_power: float, noise_var: flo
     (numpy's ``matrix_rank`` tolerance).  The eigenvalues of A are the
     squared singular values of G, so a channel passes while its condition
     number stays below about ``1 / sqrt(M eps)``, 3.4e7 at M = 4.  On a
-    stack, one singular item fails the call.
+    stack, one singular item fails the call.  ``symbol_power`` > 0 and
+    ``noise_var`` > 0, as ``SystemConfig`` and ``validate`` guarantee.
     """
     if design not in LINEAR_DESIGNS:
         raise ParameterError(f"unknown filter design {design!r}")
-    if symbol_power <= 0.0:
-        raise ParameterError("symbol_power must be > 0")
     m = _stream_count(gram)
     if design == "rmf":
         return None
@@ -72,8 +71,6 @@ def compute_receive_filter(gram: np.ndarray, symbol_power: float, noise_var: flo
         if np.any(np.linalg.matrix_rank(gram, hermitian=True) < m):
             raise SingularMatrixError("zf filter: channel is rank deficient")
         return np.linalg.inv(gram)
-    if noise_var <= 0.0:
-        raise ParameterError("mmse filter requires noise_var > 0")
     try:
         return np.linalg.inv(gram + (noise_var / symbol_power) * np.eye(m))
     except np.linalg.LinAlgError:
@@ -101,7 +98,7 @@ def compute_ordering(gram: np.ndarray, symbol_power: float, noise_var: float,
     in the matched domain: their responses ``W^H G`` are ``P A`` and their
     noise gains ``diag(W^H W)`` are ``diag(P A P)``.  ``mmse_inv`` is that
     P when the caller has it at hand, so the sinr keys cost no second
-    inversion."""
+    inversion.  ``noise_var`` > 0, as ``validate`` guarantees."""
     if criterion not in ORDERING_CRITERIA:
         raise ParameterError(f"unknown ordering criterion {criterion!r}")
     _stream_count(gram)
@@ -116,8 +113,6 @@ def compute_ordering(gram: np.ndarray, symbol_power: float, noise_var: float,
     else:
         keys = np.diagonal(gram, axis1=-2, axis2=-1).real
         if criterion == "snr":
-            if noise_var <= 0.0:
-                raise ParameterError("snr ordering requires noise_var > 0")
             keys = symbol_power * keys / noise_var
     return np.argsort(-keys, axis=-1, kind="stable")
 
@@ -247,11 +242,9 @@ def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
     order: the branches run in turn, each as one SIC over the stack in one
     reused (2, ..., M, T) workspace, and the nearest points so far are
     kept as they go, so the workspace does not grow with the branch count.
+    ``n_branches`` lies in [1, M], as ``validate`` guarantees.
     """
-    m = _check_matched(gram, matched)
-    if not 1 <= n_branches <= m:
-        raise ParameterError(
-            f"branch count must lie in [1, {m}] for circularly shifted orderings, got {n_branches}")
+    _check_matched(gram, matched)
     constellation = qpsk_constellation(symbol_power)
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     base = compute_ordering(gram, symbol_power, noise_var, base_criterion,

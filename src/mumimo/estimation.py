@@ -29,6 +29,10 @@ block of that packet alone would give.
 ``delta`` starts the correlation at ``delta * I`` (``P[0] = I / delta`` for
 the recursions).  The default ``delta = 1e-6`` keeps the solutions within
 1e-6 of unregularized least squares once the history has full rank.
+
+The trainers take their parameters as ``ScenarioSpec.validate`` leaves
+them: a forgetting factor in (0, 1], a step size > 0, a rank in [1, N_A],
+``delta`` > 0 (>= 0 for the channel estimator) and ``packets`` >= 1.
 """
 import numpy as np
 
@@ -47,23 +51,6 @@ _BLOCK = 16
 # 250 pilots, and within 3.6x of the recursion's one-ulp sensitivity over 300
 # seeds of the oracle test
 _LMS_RUN = 32
-
-
-def _check_forgetting(lam):
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError(f"forgetting factor must lie in (0, 1], got {lam}")
-
-
-def _check_delta(delta):
-    if delta <= 0.0:
-        raise ParameterError("delta must be > 0")
-
-
-def _check_packets(packets):
-    # the length of the leading packet axis of a tracker's or bank's arrays
-    if packets < 1:
-        raise ParameterError(f"packets must be >= 1, got {packets}")
-    return int(packets)
 
 
 def _weights(n, lam):
@@ -112,12 +99,8 @@ class RlsChannelEstimator:
 
     def __init__(self, n_streams: int, n_rx: int, lam: float = 1.0,
                  delta: float = DEFAULT_DELTA, *, packets: int = 1):
-        _check_forgetting(lam)
-        if delta < 0.0:
-            raise ParameterError("delta must be >= 0")
         self.lam = lam
         self.delta = delta
-        packets = _check_packets(packets)
         self.corr = np.broadcast_to(np.eye(n_streams, dtype=complex) * delta,
                                     (packets, n_streams, n_streams)).copy()
         self.cross = np.zeros((packets, n_rx, n_streams), dtype=complex)
@@ -165,11 +148,8 @@ class LmsChannelEstimator:
     """
 
     def __init__(self, n_streams: int, n_rx: int, mu: float = 0.05, *, packets: int = 1):
-        if mu <= 0.0:
-            raise ParameterError("step size must be > 0")
         self.mu = mu
-        self.estimate = np.zeros((_check_packets(packets), n_rx, n_streams),
-                                 dtype=complex)
+        self.estimate = np.zeros((packets, n_rx, n_streams), dtype=complex)
 
     def update(self, pilots: np.ndarray, received: np.ndarray):
         """Run the recursion over a block: pilots (P, M, n), received (P, N_A, n),
@@ -199,14 +179,9 @@ def build_projection(method: str, corr: np.ndarray, cross=None,
     ``pc`` keeps the top-D eigenvectors of ``corr``; ``krylov``
     orthonormalizes ``[t, R t, ..., R^{D-1} t]`` with ``t`` the normalized
     cross-correlation ``cross``.  A Krylov ladder that collapses returns
-    fewer than D columns.
+    fewer than D columns.  ``corr`` is square and D in [1, N_A].
     """
     corr = np.asarray(corr, dtype=complex)
-    n = corr.shape[0]
-    if corr.ndim != 2 or corr.shape[1] != n:
-        raise StructuralError("correlation matrix must be square")
-    if not 1 <= rank <= n:
-        raise ParameterError(f"rank must lie in [1, {n}], got {rank}")
     if method == "pc":
         evals, evecs = np.linalg.eigh(corr)
         return evecs[:, np.argsort(evals)[::-1][:rank]]
@@ -273,14 +248,9 @@ class ReducedRankFilterBank:
                  packets: int = 1):
         if method not in ("pc", "krylov"):
             raise ParameterError(f"unknown reduced-rank method {method!r}")
-        if not 1 <= rank <= n_dim:
-            raise ParameterError(f"rank must lie in [1, {n_dim}], got {rank}")
-        _check_forgetting(lam)
-        _check_delta(delta)
         self.method = method
         self.rank = rank
         self.lam = lam
-        packets = _check_packets(packets)
         self.corr = np.broadcast_to(np.eye(n_dim, dtype=complex) * delta,
                                     (packets, n_dim, n_dim)).copy()
         self.cross = np.zeros((packets, n_dim, n_streams), dtype=complex)
@@ -424,13 +394,8 @@ class JioFilterBank:
 
     def __init__(self, n_dim: int, n_streams: int, rank: int = 5,
                  lam: float = 1.0, delta: float = DEFAULT_DELTA, packets: int = 1):
-        if not 1 <= rank <= n_dim:
-            raise ParameterError(f"rank must lie in [1, {n_dim}], got {rank}")
-        _check_forgetting(lam)
-        _check_delta(delta)
         self.lam = lam
         self.rank = rank
-        packets = _check_packets(packets)
         # stream k's basis is columns k*D..(k+1)*D - 1
         self._columns = np.broadcast_to(np.tile(np.eye(n_dim, rank, dtype=complex),
                                                 n_streams),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import _check_matched
-from .errors import NumericalError, ParameterError, StructuralError
+from .errors import NumericalError, StructuralError
 from .txchain import (GENERATORS, LLR_CLIP, MEMORY, NEXT_STATE, OUT_BITS, deinterleave,
                       interleave)
 
@@ -33,12 +33,9 @@ def soft_symbol_stats(priors: np.ndarray, symbol_power: float = 1.0):
     (sech^2(lambda_0 / 2) + sech^2(lambda_1 / 2))``, which keeps its
     relative accuracy for confident priors where ``E_s - |mean|^2``
     cancels.  Zero LLRs give mean 0 and variance ``2 a^2`` for every symbol.
+    ``symbol_power`` > 0, as ``SystemConfig`` guarantees.
     """
     priors = np.asarray(priors, dtype=float)
-    if priors.shape[-1] != 2:
-        raise StructuralError("QPSK priors need a trailing axis of 2 bit LLRs")
-    if symbol_power <= 0.0:
-        raise ParameterError("symbol_power must be > 0")
     amp = np.sqrt(symbol_power / 2.0)
     half = 0.5 * np.clip(priors, -LLR_CLIP, LLR_CLIP)
     soft = amp * np.tanh(half)
@@ -67,16 +64,13 @@ def soft_mmse_sic_detect(gram: np.ndarray, matched: np.ndarray,
     the bytes of the per-symbol solves.  Returns the filter outputs ``z``
     (..., M, T) and the model-implied effective amplitude and residual
     variance per (stream, symbol) of the scalar model ``z = V s + xi``.
+    ``means`` and ``variances`` have the shape of ``matched``, the variances
+    are those of :func:`soft_symbol_stats` (non-negative), and ``noise_var``
+    > 0, as ``validate`` guarantees.
     """
     means = np.asarray(means, dtype=complex)
     variances = np.asarray(variances, dtype=float)
     m = _check_matched(gram, matched)
-    if means.shape != variances.shape or means.shape != np.shape(matched):
-        raise StructuralError("soft statistics must be (..., M, T) matching the matched outputs")
-    if noise_var <= 0.0:
-        raise ParameterError("soft MMSE detection requires noise_var > 0")
-    if np.any(variances < 0):
-        raise ParameterError("prior variances must be non-negative")
 
     residual = matched - gram @ means  # G^H (r - G means), (..., M, T)
     try:
@@ -119,15 +113,12 @@ def extrinsic_llr(z: np.ndarray, v_hat, xi_var, symbol_power: float = 1.0,
     so the log-sum-exp over each bit's subsets (and its max-log
     approximation) is exactly ``2 a V (Re z, Im z) / sigma_xi^2``, and the
     other bit's prior cancels, so the value needs no priors.  Output is
-    clipped to ``+/- clip``.
+    clipped to ``+/- clip``.  ``symbol_power`` > 0, as ``SystemConfig``
+    guarantees, and ``xi_var`` >= 0, as :func:`soft_mmse_sic_detect` floors it.
     """
     z = np.asarray(z, dtype=complex)
-    if symbol_power <= 0.0:
-        raise ParameterError("symbol_power must be > 0")
     amp = np.sqrt(symbol_power / 2.0)
     xi_var = np.asarray(xi_var, dtype=float)
-    if np.any(xi_var < 0):
-        raise ParameterError("residual variance must be non-negative")
     gain = 2.0 * amp * np.asarray(v_hat, dtype=float) / np.maximum(xi_var, _VAR_FLOOR)
     out = np.empty(z.shape + (2,))
     out[..., 0] = gain * z.real
@@ -213,7 +204,8 @@ def bcjr_decode(channel_llrs: np.ndarray) -> BcjrResult:
     :mod:`txchain`.
 
     ``channel_llrs`` (..., n_coded) holds one row of LLRs per stream, with
-    ``n_coded = n_out * (k_info + MEMORY)``; the results keep its leading
+    ``n_coded = n_out * (k_info + MEMORY)`` and ``k_info`` >= 1, as
+    ``validate``'s packet length check guarantees; the results keep its leading
     axes.  It is clipped to ``+/- LLR_CLIP`` first, as the receiver's
     demapper already does, so no branch weight is below ``exp(-n_out *
     LLR_CLIP)`` and the state probabilities, rescaled every step, stay in
@@ -231,8 +223,6 @@ def bcjr_decode(channel_llrs: np.ndarray) -> BcjrResult:
         raise StructuralError(
             f"coded LLRs of shape {lam.shape} do not end in a multiple of {n_out}")
     n_steps = lam.shape[-1] // n_out
-    if n_steps <= MEMORY:
-        raise StructuralError("coded block is shorter than the code tail")
     k_info = n_steps - MEMORY
     # the clipped copy turns into the extrinsics a chunk at a time
     ext = lam.reshape(-1, n_steps, n_out)
@@ -296,16 +286,12 @@ def idd_receive(grams: np.ndarray, matched: np.ndarray, noise_var: float,
     its interleavers ``perms[k]`` (M, 2T).  Soft detection, demapping,
     (de)interleaving and BCJR decoding each run once per iteration on the
     whole block.  Every frame of a block decodes exactly as it would alone,
-    and the results keep the leading axis.
+    and the results keep the leading axis.  The stacks are the block's, as
+    ``harness.run_trial`` passes them, and ``n_outer`` >= 1, as ``validate``
+    guarantees.
     """
-    if n_outer < 1:
-        raise ParameterError("n_outer must be >= 1")
     perms = np.asarray(perms)
     shape = np.shape(matched)  # (P, M, T)
-    if (len(shape) != 3 or np.shape(grams) != shape[:2] + shape[1:2]
-            or perms.shape != shape[:2] + (2 * shape[2],)):
-        raise StructuralError("a block of P frames needs Gram matrices (P, M, M), "
-                              "matched outputs (P, M, T) and permutations (P, M, 2T)")
 
     priors = np.zeros(shape + (2,))
     per_iter = []

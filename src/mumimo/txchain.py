@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import matrix_sqrt
 from .config import SystemConfig
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError
 
 LLR_CLIP = 50.0  # feedback log-likelihood ratios are clipped to +/- this
 
@@ -53,11 +53,9 @@ def conv_encode(bits) -> np.ndarray:
 
     An empty row still produces the tail.  Each generator's output is the
     XOR of the register bits its taps select: the input convolved with the
-    taps, modulo 2.
+    taps, modulo 2.  ``bits`` are rows of 0/1, as the payload draw gives.
     """
     bits = np.asarray(bits)
-    if bits.ndim == 0 or not np.isin(bits, (0, 1)).all():
-        raise ParameterError("input bits must be rows of 0/1")
     # MEMORY zeros (the register's start), the input, then the tail
     seq = np.zeros(bits.shape[:-1] + (bits.shape[-1] + 2 * MEMORY,), dtype=np.int8)
     seq[..., MEMORY:seq.shape[-1] - MEMORY] = bits
@@ -65,27 +63,21 @@ def conv_encode(bits) -> np.ndarray:
     return _code_bits(regs).reshape(bits.shape[:-1] + (-1,))
 
 
-def _row_perms(x, perm):
-    if x.shape[-1] != perm.shape[-1]:
-        raise StructuralError(
-            f"length mismatch: data {x.shape[-1]} vs permutation {perm.shape[-1]}")
-    return np.broadcast_to(perm, x.shape)
-
-
 def interleave(x, perm) -> np.ndarray:
     """Reorder the last axis of ``x`` by ``perm``: out[..., i] = x[..., perm[..., i]].
 
-    ``perm`` is one permutation for every row, or one per row of ``x``.
+    ``perm`` is one permutation for every row, or one per row of ``x``, of
+    the rows' length.
     """
     x = np.asarray(x)
-    return np.take_along_axis(x, _row_perms(x, np.asarray(perm)), axis=-1)
+    return np.take_along_axis(x, np.broadcast_to(perm, x.shape), axis=-1)
 
 
 def deinterleave(x, perm) -> np.ndarray:
     """Invert :func:`interleave` for the same permutation(s)."""
     x = np.asarray(x)
     out = np.empty_like(x)
-    np.put_along_axis(out, _row_perms(x, np.asarray(perm)), x, axis=-1)
+    np.put_along_axis(out, np.broadcast_to(perm, x.shape), x, axis=-1)
     return out
 
 
@@ -98,9 +90,8 @@ def qpsk_constellation(symbol_power: float = 1.0) -> np.ndarray:
     b0 selects the real sign, b1 the imaginary sign; bit 0 maps to +.
     Every point has energy ``symbol_power``.  The array is cached per
     symbol power and shared by every caller, so it is read-only.
+    ``symbol_power`` > 0, as ``SystemConfig`` guarantees.
     """
-    if symbol_power <= 0.0:
-        raise ParameterError("symbol_power must be > 0")
     amp = np.sqrt(symbol_power / 2.0)
     labels = np.arange(4)
     re = 1.0 - 2.0 * (labels >> 1)
@@ -114,12 +105,11 @@ def qpsk_map(bits, symbol_power: float = 1.0) -> np.ndarray:
     """Map pairs of bits onto QPSK symbols (last axis holds the bits).
 
     The labels are formed in the bits' own integer type (int8 channel
-    bits stay int8); bits of any other type are read as int64."""
+    bits stay int8); bits of any other type are read as int64.  The bit
+    count is even: two per symbol, as a frame lays them out."""
     bits = np.asarray(bits)
     if bits.dtype.kind not in "iu":
         bits = bits.astype(np.int64)
-    if bits.shape[-1] % 2 != 0:
-        raise StructuralError("bit count must be even for QPSK")
     pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
     labels = pairs[..., 0] << 1
     labels |= pairs[..., 1]
@@ -164,11 +154,6 @@ class SymbolFrame:
     perms: np.ndarray = None
 
 
-def _check_generators(rngs, packets):
-    if len(rngs) != packets:
-        raise StructuralError(f"{packets} packets need as many generators, got {len(rngs)}")
-
-
 def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
                    coded: bool = False) -> SymbolFrame:
     """Build the transmit frames of P packets, every array stacked (P, M, ...).
@@ -177,23 +162,18 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
     ----------
     payload_bits : array (P, M, n_bits)
         For uncoded frames, the channel bits themselves (n_bits even).  For
-        coded frames, the information bits of each stream.
+        coded frames, the information bits of each stream.  M is
+        ``cfg.n_streams``, as ``harness._receive_block`` draws them.
     pilot_len : int
-        Number of pseudo-random QPSK pilot symbols per stream, drawn from
-        the packet's generator and known at the receiver.
+        Number of pseudo-random QPSK pilot symbols per stream (>= 0, as
+        ``validate`` guarantees), drawn from the packet's generator and
+        known at the receiver.
     rngs : sequence of Generator
         Frame randomness, one generator per packet: its pilots first, then
         one interleaver permutation per stream (coded frames only).
     """
     payload_bits = np.asarray(payload_bits)
     n_streams = cfg.n_streams
-    if payload_bits.ndim != 3 or payload_bits.shape[1] != n_streams:
-        raise StructuralError(f"payload must be (P, {n_streams}, n_bits), one row per "
-                              f"stream, got shape {payload_bits.shape}")
-    _check_generators(rngs, len(payload_bits))
-    if pilot_len < 0:
-        raise ParameterError("pilot_len must be >= 0")
-
     pilot_labels = np.empty((len(rngs), n_streams, pilot_len), dtype=np.int64)
     for rng, labels in zip(rngs, pilot_labels):
         labels[...] = rng.integers(0, 4, size=labels.shape)
@@ -209,8 +189,6 @@ def assemble_frame(cfg: SystemConfig, payload_bits, pilot_len: int, rngs,
                 perm[...] = rng.permutation(n_coded)
         channel_bits = interleave(coded_bits, perms)
     else:
-        if payload_bits.shape[-1] % 2 != 0:
-            raise StructuralError("uncoded payload length must be even for QPSK")
         perms = None
         channel_bits = info_bits
 
@@ -240,16 +218,10 @@ def channel_transmit(chan: np.ndarray, symbols: np.ndarray, noise_var: float,
     generator, every real part before any imaginary part.  The harness
     sends a block's pilots through here, because estimators read them at
     the antennas; its data is drawn by :func:`matched_transmit`.
+    ``noise_var`` > 0, as ``validate`` guarantees.
     """
     chan = np.asarray(chan)
     symbols = np.asarray(symbols)
-    if (chan.ndim != 3 or symbols.ndim != 3 or chan.shape[0] != symbols.shape[0]
-            or chan.shape[2] != symbols.shape[1]):
-        raise StructuralError(f"channels {chan.shape} and symbols {symbols.shape} must be "
-                              "(P, N_A, M) and (P, M, n)")
-    _check_generators(rngs, len(chan))
-    if noise_var < 0.0:
-        raise ParameterError("noise_var must be >= 0")
     out = (chan @ symbols).astype(complex, copy=False)
     noise = np.empty((len(out), 2) + out.shape[1:])
     for rng, packet in zip(rngs, noise):
@@ -306,17 +278,10 @@ def matched_transmit(front: np.ndarray, chan: np.ndarray, symbols: np.ndarray,
     ``symbols`` (P, M, T) and ``rngs`` one generator per packet.  Returns
     the stacks ``(A, y)``, (P, M, M) and (P, M, T); y is always complex.
     Every product is one BLAS call per packet, so a packet's statistic is
-    what a stack of that packet alone gives it.
+    what a stack of that packet alone gives it.  ``noise_var`` > 0, as
+    ``validate`` guarantees.
     """
     front, chan, symbols = np.asarray(front), np.asarray(chan), np.asarray(symbols)
-    if (front.ndim != 3 or front.shape != chan.shape or symbols.ndim != 3
-            or chan.shape[0] != symbols.shape[0] or chan.shape[2] != symbols.shape[1]):
-        raise StructuralError(
-            f"front ends {front.shape} and channels {chan.shape} must match, (P, N_A, M), "
-            f"with (P, M, T) symbols, got {symbols.shape}")
-    _check_generators(rngs, len(chan))
-    if noise_var < 0.0:
-        raise ParameterError("noise_var must be >= 0")
     adjoint = np.conj(front).swapaxes(-1, -2)
     gram = adjoint @ front
     cross = gram if front is chan else adjoint @ chan

@@ -7,7 +7,7 @@ import mumimo as m
 from conftest import same_bytes
 from mumimo import harness, txchain
 from mumimo.channel import _distance_grid, _receive_corr_sqrt
-from mumimo.errors import NumericalError, ParameterError, StructuralError
+from mumimo.errors import NumericalError, ParameterError
 
 
 def test_correlation_matrix_hand_values():
@@ -166,14 +166,6 @@ def test_small_scale_user_columns_depend_on_own_generator(cfg):
         assert not np.any(other[1][:, cols] == base[1][:, cols]), user
 
 
-def test_small_scale_needs_one_generator_per_user():
-    cfg = m.SystemConfig(n_users=3, n_bs=4)
-    with pytest.raises(StructuralError):
-        m.draw_small_scale(cfg, [[np.random.default_rng(0)] * 2])
-    with pytest.raises(StructuralError):
-        m.draw_small_scale(cfg, [[np.random.default_rng(0)] * 3, [np.random.default_rng(0)]])
-
-
 def test_receive_corr_sqrt_is_one_cached_read_only_array():
     cfg = m.SystemConfig(n_users=2, n_bs=4, n_heads=2, antennas_per_head=3, rho=0.7)
     root = _receive_corr_sqrt(cfg.receive_blocks(), cfg.rho)
@@ -288,19 +280,6 @@ def test_compose_channel_equals_per_user_gain_diagonal(rng):
                                     for k in range(cfg.n_users)])
                          for g, h in zip(gains, small)])
     assert same_bytes(m.compose_channel(cfg, small, gains), per_user)
-
-
-def test_compose_channel_shape_errors():
-    cfg = m.SystemConfig(n_users=2, n_bs=4)
-    gains = m.draw_large_scale(cfg, [np.random.default_rng(2)])
-    with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((1, 4, 1)), gains)
-    with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((1, 3, 2)), gains)
-    with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((4, 2)), gains)  # no packet axis
-    with pytest.raises(StructuralError):
-        m.compose_channel(cfg, np.ones((2, 4, 2)), gains)  # one packet's gains
 
 
 def test_snr_to_noise_variance_hand_value(monkeypatch):

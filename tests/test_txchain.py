@@ -7,7 +7,7 @@ import pytest
 
 import mumimo as m
 from conftest import random_channel, reference_encode, same_bytes
-from mumimo.errors import ParameterError, StructuralError
+from mumimo.errors import ParameterError
 from mumimo.txchain import MEMORY, NEXT_STATE, OUT_BITS, gram_root
 
 
@@ -40,20 +40,6 @@ def test_encoder_is_linear(rng):
     lhs = m.conv_encode((a + b) % 2)
     rhs = (m.conv_encode(a) + m.conv_encode(b)) % 2
     np.testing.assert_array_equal(lhs, rhs)
-
-
-def test_encoder_rejects_non_bits(rng):
-    with pytest.raises(ParameterError):
-        m.conv_encode([0, 2, 1])
-    with pytest.raises(ParameterError):
-        m.conv_encode(1)  # not a row of bits
-    # checked before any narrowing cast, which would wrap 256 to 0
-    with pytest.raises(ParameterError):
-        m.conv_encode(np.array([[0, 256, 1]], dtype=np.int64))
-    payload = np.zeros((1, 2, m.coded_payload_length(10)), dtype=np.int64)
-    payload[0, 1, 3] = 256
-    with pytest.raises(ParameterError):
-        m.assemble_frame(m.SystemConfig(n_users=2, n_bs=4), payload, 0, [rng], coded=True)
 
 
 @pytest.mark.parametrize("memory", [MEMORY], ids=["K3"])
@@ -107,11 +93,6 @@ def test_interleave_one_permutation_per_row(rng):
         for j in range(4):
             np.testing.assert_array_equal(mixed[i, j], m.interleave(x[i, j], perms[i, j]))
     np.testing.assert_array_equal(m.deinterleave(mixed, perms), x)
-
-
-def test_interleave_length_mismatch():
-    with pytest.raises(StructuralError):
-        m.interleave([1, 2, 3], [0, 1])
 
 
 def test_qpsk_constellation_hand_values():
@@ -187,16 +168,6 @@ def test_assemble_frame_coded_consistency(rng):
     np.testing.assert_array_equal(frame.info_bits, payload)
 
 
-def test_assemble_frame_stream_count_mismatch(rng):
-    cfg = m.SystemConfig(n_users=3, n_bs=4)
-    with pytest.raises(StructuralError):
-        m.assemble_frame(cfg, np.zeros((1, 2, 10), dtype=int), 0, [rng])
-    with pytest.raises(StructuralError):
-        m.assemble_frame(cfg, np.zeros((3, 10), dtype=int), 0, [rng])  # no packet axis
-    with pytest.raises(StructuralError):
-        m.assemble_frame(cfg, np.zeros((2, 3, 10), dtype=int), 0, [rng])
-
-
 def test_assemble_frame_pilots_drawn_before_perms():
     # each packet's generator draws its pilots, then one permutation per
     # stream
@@ -269,17 +240,6 @@ def test_channel_transmit_equals_out_of_place_noise(kind, n_rx, n_streams, n):
     # every generator is left where the two-draw version leaves it
     assert ([g.standard_normal() for g in got_rngs]
             == [g.standard_normal() for g in ref_rngs])
-
-
-def test_channel_transmit_validates(rng):
-    with pytest.raises(StructuralError):
-        m.channel_transmit(np.zeros((1, 2, 3)), np.zeros((1, 2, 5)), 1.0, [rng])
-    with pytest.raises(StructuralError):
-        m.channel_transmit(np.zeros((2, 2)), np.zeros((2, 5)), 1.0, [rng])
-    with pytest.raises(StructuralError):
-        m.channel_transmit(np.zeros((2, 2, 2)), np.zeros((2, 2, 5)), 1.0, [rng])
-    with pytest.raises(ParameterError):
-        m.channel_transmit(np.zeros((1, 2, 2)), np.zeros((1, 2, 5)), -1.0, [rng])
 
 
 def _matched_case(rng, n_rx=16, n_streams=4, n=40):
@@ -363,15 +323,3 @@ def test_gram_root_falls_back_per_item_of_a_stack(rng):
     assert same_bytes(gram_root(grams)[0], np.linalg.cholesky(grams[0]))
 
 
-def test_matched_transmit_validates(rng):
-    front, chan, sym = _matched_case(rng)
-    with pytest.raises(StructuralError):
-        m.matched_transmit(front[..., :3], chan, sym, 1.0, [rng])
-    with pytest.raises(StructuralError):
-        m.matched_transmit(front, chan, sym[:, :3], 1.0, [rng])
-    with pytest.raises(StructuralError):
-        m.matched_transmit(front[0], chan[0], sym[0], 1.0, [rng])  # no packet axis
-    with pytest.raises(StructuralError):
-        m.matched_transmit(front, chan, sym, 1.0, [rng, rng])
-    with pytest.raises(ParameterError):
-        m.matched_transmit(front, chan, sym, -1.0, [rng])
