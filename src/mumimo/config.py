@@ -7,8 +7,12 @@ derived quantities can be cached against it.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -20,25 +24,85 @@ DISTANCE_GRID_STEP = 0.05
 _MINIMA = {"n_users": 1, "n_bs": 1, "n_heads": 0, "antennas_per_user": 1}
 
 
-def check_int_fields(obj, minima: dict, error: type, keys: dict = None):
-    """Raise ``error`` unless every ``int`` field of the dataclass ``obj``
-    holds an integer (any type ``operator.index`` takes, numpy's too, but
-    not a bool) of at least its bound in ``minima``, if any, and store it
-    as an int.  Messages name a field by its entry in ``keys``, or else by
-    its name."""
-    for f in fields(obj):
-        if f.type is not int:
-            continue
-        key, value = (keys or {}).get(f.name, f.name), getattr(obj, f.name)
+def _integer(value):
+    if isinstance(value, bool):
+        raise TypeError
+    return operator.index(value)
+
+
+def _real(value):
+    if type(value) is float:  # the common case, ahead of the slower ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError
+    return float(value)
+
+
+def _flag(value):
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError
+    return bool(value)
+
+
+def _reals(value):
+    if isinstance(value, str):
+        raise TypeError
+    return tuple(map(_real, value))
+
+
+def _pair(value):
+    value = _reals(value)
+    if len(value) != 2:
+        raise TypeError
+    return value
+
+
+def _instance(cls):
+    def read(value):
+        if not isinstance(value, cls):
+            raise TypeError
+        return value
+    return read
+
+
+#: what a value of each declared field type must be, and the reader that
+#: returns it as stored or raises TypeError; another class takes its instances
+_KINDS = {int: ("an integer", _integer), float: ("a real number", _real),
+          bool: ("True or False", _flag), str: ("a string", _instance(str)),
+          tuple[float, float]: ("two real numbers", _pair),
+          tuple[float, ...]: ("a sequence of real numbers", _reals)}
+
+
+@lru_cache(maxsize=None)
+def _readers(cls):
+    # (name, what it must be, reader) per field of the dataclass cls
+    return tuple((f.name, *(_KINDS.get(f.type) or (f"a {f.type.__name__}",
+                                                   _instance(f.type))))
+                 for f in fields(cls))
+
+
+def check_fields(obj, minima: dict, error: type, keys: dict = None):
+    """Raise ``error`` unless every field of the dataclass ``obj`` holds a
+    value of its declared type, and store it as that type.
+
+    An ``int`` field takes an integer (any type ``operator.index`` takes,
+    numpy's too, but not a bool) of at least its bound in ``minima``, if
+    any; a ``float`` field a real number that is not a bool; a ``bool``
+    field True or False, numpy's too; ``tuple[float, float]`` two real
+    numbers and ``tuple[float, ...]`` a sequence of them, stored as a
+    tuple of floats; any other type, ``str`` included, an instance of it.
+    Messages name a field by its entry in ``keys``, or else by its name."""
+    for name, kind, read in _readers(type(obj)):
+        value = getattr(obj, name)
         try:
-            if isinstance(value, bool):
-                raise TypeError
-            value = operator.index(value)
+            value = read(value)
         except TypeError:
-            raise error(f"{key} must be an integer, got {value!r}") from None
-        if value < minima.get(f.name, value):
-            raise error(f"{key} must be >= {minima[f.name]}, got {value}")
-        object.__setattr__(obj, f.name, value)
+            raise error(f"{(keys or {}).get(name, name)} must be {kind}, "
+                        f"got {value!r}") from None
+        if name in minima and value < minima[name]:
+            raise error(f"{(keys or {}).get(name, name)} must be >= {minima[name]}, "
+                        f"got {value}")
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -84,12 +148,12 @@ class SystemConfig:
     rho: float = 0.2
     path_loss_exp: float = 2.0
     shadow_spread_db: float = 3.0
-    path_gain_range: tuple = (0.7, 0.7)
-    distance_range: tuple = (0.1, 0.95)
+    path_gain_range: tuple[float, float] = (0.7, 0.7)
+    distance_range: tuple[float, float] = (0.1, 0.95)
     symbol_power: float = 1.0
 
     def __post_init__(self):
-        check_int_fields(self, _MINIMA, ParameterError)
+        check_fields(self, _MINIMA, ParameterError)
         if self.n_heads > 0 and self.antennas_per_head < 1:
             raise ParameterError("antennas_per_head must be >= 1 when heads are present")
         if not 0.0 <= self.rho <= 1.0:

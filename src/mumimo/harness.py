@@ -24,7 +24,7 @@ import numpy as np
 from . import rng as rngmod
 from .channel import (_distance_grid, compose_channel, draw_large_scale,
                       draw_small_scale)
-from .config import SystemConfig, check_int_fields
+from .config import SystemConfig, check_fields
 from .detectors import (LINEAR_DESIGNS, ML_CANDIDATE_GUARD, ORDERING_CRITERIA,
                         compute_receive_filter, df_detect, linear_detect, mb_sic_detect,
                         ml_detect_oracle, sic_detect)
@@ -76,13 +76,13 @@ class ScenarioSpec:
     rank: int = 5
     pilot_len: int = 0
     packet_symbols: int = 1500
-    snr_db: tuple = (0.0, 5.0, 10.0, 15.0)
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0)
     packets: int = 100
     seed: int = 1
     out: str = "results.csv"
 
     def validate(self):
-        check_int_fields(self, _MINIMA, ConfigError, _RENAMED)
+        check_fields(self, _MINIMA, ConfigError, _RENAMED)
         if self.detector not in DETECTORS:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.estimator not in ESTIMATORS:

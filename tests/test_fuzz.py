@@ -95,6 +95,38 @@ def draw_config(rng):
 CONFIGS = [draw_config(rng) for rng in [np.random.default_rng(FUZZ_SEED)]
            for _ in range(FUZZ_CONFIGS)]
 
+WRONG_TYPED_CONFIGS = 60
+
+#: per field kind, its fields and a wrong-typed value made from the drawn
+#: one: a numeric string in a float field, an int or a string in a bool
+#: field, a non-str in a str field, a range as a list, a string SNR point
+_WRONG_TYPES = (
+    (("rho", "path_loss_exp", "shadow_spread_db", "symbol_power", "forgetting",
+      "step_size"), lambda rng, v: str(v)),
+    (("coded",), lambda rng, v: _pick(rng, (int(v), str(v), "yes"))),
+    (("detector", "ordering", "filter_design", "estimator", "out"),
+     lambda rng, v: _pick(rng, (5, None, v.encode(), [v]))),
+    (("path_gain_range", "distance_range"), lambda rng, v: list(v)),
+    (("snr_db",), lambda rng, v: (str(v[0]),) + v[1:] if v else ("4",)),
+)
+
+
+def wrong_typed(rng, system, spec):
+    """A copy of a drawn config with one field of a random kind replaced by
+    a wrong-typed value."""
+    system, spec = dict(system), dict(spec)
+    names, make = _WRONG_TYPES[rng.integers(len(_WRONG_TYPES))]
+    name = _pick(rng, names)
+    owner = system if name in system else spec
+    owner[name] = make(rng, owner[name])
+    return system, spec
+
+
+#: drawn configs with one wrong-typed field, from a second generator
+WRONG_TYPED = [wrong_typed(rng, *CONFIGS[rng.integers(FUZZ_CONFIGS)])
+               for rng in [np.random.default_rng(FUZZ_SEED + 1)]
+               for _ in range(WRONG_TYPED_CONFIGS)]
+
 
 def run_config(system, spec, workers=1):
     """The spec and its sweep, or the boundary's exception."""
@@ -130,10 +162,14 @@ def _config_text(system, spec, out):
     return "\n".join(lines) + "\n"
 
 
-def test_fuzzed_configs_are_rejected_or_run_to_valid_rows():
+def check_outcomes(configs):
+    """Run each config: it is rejected at the boundary, or its rows hold
+    0 <= ci_low <= ber <= ci_high <= 1 (or are marked failed) and its spec
+    round-trips through its text with its hash.  Returns the verdict
+    counts and the configs that ran, with their results."""
     counts = {"rejected": 0, "ran": 0, "marked": 0}
     ran = []
-    for system, spec in CONFIGS:
+    for system, spec in configs:
         scenario, outcome = run_config(system, spec)
         if scenario is None:
             counts["rejected"] += 1
@@ -150,12 +186,29 @@ def test_fuzzed_configs_are_rejected_or_run_to_valid_rows():
             again = m.parse_config(m.serialize_config(scenario))
         assert again == scenario
         assert harness.scenario_hash(again) == outcome.scenario_hash
+    return counts, ran
+
+
+def test_fuzzed_configs_are_rejected_or_run_to_valid_rows():
+    counts, ran = check_outcomes(CONFIGS)
     print(f"fuzz verdicts: {counts}")
     assert counts["ran"] >= FUZZ_CONFIGS // 5 and counts["rejected"] >= FUZZ_CONFIGS // 5
     # a handful pooled: the same bytes as serial
     for system, spec, serial in ran[:3]:
         pooled = run_config(system, spec, workers=2)[1]
         assert m.format_csv(pooled) == m.format_csv(serial)
+
+
+def test_wrong_typed_fields_are_rejected_or_stored_as_their_type():
+    # a wrong type ends in ParameterError or ConfigError, never another
+    # exception; a list range or SNR list runs as its tuple
+    counts, ran = check_outcomes(WRONG_TYPED)
+    print(f"wrong-typed verdicts: {counts}")
+    assert counts["rejected"] >= WRONG_TYPED_CONFIGS // 2 and counts["ran"] >= 1
+    for system, spec, result in ran:
+        assert all(type(v) is tuple for v in (result.scenario.system.path_gain_range,
+                                               result.scenario.system.distance_range,
+                                               result.scenario.snr_db))
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 5])

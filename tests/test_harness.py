@@ -299,6 +299,56 @@ def test_system_rejects_non_integer_int_fields(field, value):
     assert m.parse_config(m.serialize_config(spec)) == spec
 
 
+#: a wrong-typed value of a field of each other kind, and what the field
+#: must be
+WRONG_TYPES = [("coded", "no", "True or False"), ("coded", 1, "True or False"),
+               ("forgetting", "0.9", "a real number"), ("out", 5, "a string"),
+               ("detector", 5, "a string"), ("snr_db", ("4",), "a sequence of real numbers"),
+               ("system", None, "a SystemConfig")]
+
+
+@pytest.mark.parametrize("field, value, kind", WRONG_TYPES,
+                         ids=[f"{f}={v!r}" for f, v, _ in WRONG_TYPES])
+def test_validate_rejects_wrong_typed_fields(field, value, kind):
+    # coded = "no" ran coded and wrote a text that parsed back as False;
+    # most others raised a raw TypeError or AttributeError
+    spec = dataclasses.replace(small_spec(), **{field: value})
+    message = f"{harness._RENAMED.get(field, field)} must be {kind}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        spec.validate()
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        m.run_sweep(spec)
+
+
+SYSTEM_WRONG_TYPES = [("rho", "0.2", "a real number"), ("symbol_power", "1", "a real number"),
+                      ("path_gain_range", (0.5,), "two real numbers"),
+                      ("distance_range", ("0.2", "0.8"), "two real numbers")]
+
+
+@pytest.mark.parametrize("field, value, kind", SYSTEM_WRONG_TYPES,
+                         ids=[f"{f}={v!r}" for f, v, _ in SYSTEM_WRONG_TYPES])
+def test_system_rejects_wrong_typed_fields(field, value, kind):
+    message = f"{field} must be {kind}, got {value!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        m.SystemConfig(**{**SYSTEM_TWOS, field: value})
+
+
+def test_list_ranges_and_snr_points_are_stored_as_tuples():
+    # a list range died in validate with a raw "unhashable type: 'list'"
+    lists = small_spec(system=m.SystemConfig(n_users=2, n_bs=4, path_gain_range=[0.5, 0.9],
+                                             distance_range=[0.2, 0.8]), snr_db=[4, 8.5])
+    tuples = small_spec(system=m.SystemConfig(n_users=2, n_bs=4, path_gain_range=(0.5, 0.9),
+                                              distance_range=(0.2, 0.8)), snr_db=(4.0, 8.5))
+    for value in (lists.system.path_gain_range, lists.system.distance_range, lists.snr_db):
+        assert type(value) is tuple and all(type(v) is float for v in value)
+    assert lists == tuples
+    again = m.parse_config(m.serialize_config(lists))
+    assert again == lists
+    assert harness.scenario_hash(again) == harness.scenario_hash(lists) == harness.scenario_hash(
+        tuples)
+    assert m.format_csv(m.run_sweep(lists)) == m.format_csv(m.run_sweep(tuples))
+
+
 def test_int_fields_round_trip_as_ints():
     again = m.parse_config(m.serialize_config(ALL_KEYS.validate()))
     for field in INT_KEYS:
