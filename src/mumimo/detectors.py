@@ -14,6 +14,10 @@ Every detector also takes a stack of blocks, ``(..., M, M)`` and
 call would, byte for byte: the stacked ``inv``, ``cholesky`` and
 leading-axis products are one LAPACK or BLAS call per item, the same call
 the item alone makes.  A 2-D call is the stack with no leading axis.
+
+The detectors take the stacks as ``harness._receive_block`` builds them:
+Gram matrices ``(..., M, M)`` and matched outputs ``(..., M, T)`` with the
+same leading axes, and read M as the Gram matrices' last axis.
 """
 
 import numpy as np
@@ -25,24 +29,6 @@ from .txchain import qpsk_constellation, qpsk_slice_labels
 LINEAR_DESIGNS = ("rmf", "zf", "mmse")
 ORDERING_CRITERIA = ("norm", "snr", "sinr")
 ML_CANDIDATE_GUARD = 10 ** 6
-
-
-def _stream_count(gram):
-    """Stream count M of a stack of Gram matrices, which must be (..., M, M)."""
-    shape = np.shape(gram)
-    if len(shape) < 2 or shape[-1] != shape[-2]:
-        raise StructuralError(f"Gram matrix must be (..., M, M), got shape {shape}")
-    return shape[-1]
-
-
-def _check_matched(gram, matched):
-    """Stream count M of Gram matrices (..., M, M) and matched outputs
-    (..., M, T) with the same leading axes."""
-    m = _stream_count(gram)
-    if np.ndim(matched) != np.ndim(gram) or np.shape(matched)[:-1] != np.shape(gram)[:-1]:
-        raise StructuralError(f"matched outputs must be {np.shape(gram)[:-1]} x T, got "
-                              f"shape {np.shape(matched)}")
-    return m
 
 
 def compute_receive_filter(gram: np.ndarray, symbol_power: float, noise_var: float,
@@ -64,7 +50,7 @@ def compute_receive_filter(gram: np.ndarray, symbol_power: float, noise_var: flo
     """
     if design not in LINEAR_DESIGNS:
         raise ParameterError(f"unknown filter design {design!r}")
-    m = _stream_count(gram)
+    m = gram.shape[-1]
     if design == "rmf":
         return None
     if design == "zf":
@@ -84,7 +70,6 @@ def linear_detect(inv, matched: np.ndarray) -> np.ndarray:
     ``matched`` are the filter outputs themselves, such as a trained bank's
     ``W^H r``."""
     if inv is not None:
-        _check_matched(inv, matched)
         matched = _adjoint(inv) @ matched
     return qpsk_slice_labels(matched)
 
@@ -101,7 +86,6 @@ def compute_ordering(gram: np.ndarray, symbol_power: float, noise_var: float,
     inversion.  ``noise_var`` > 0, as ``validate`` guarantees."""
     if criterion not in ORDERING_CRITERIA:
         raise ParameterError(f"unknown ordering criterion {criterion!r}")
-    _stream_count(gram)
     if criterion == "sinr":
         if mmse_inv is None:
             mmse_inv = compute_receive_filter(gram, symbol_power, noise_var, "mmse")
@@ -202,9 +186,9 @@ def sic_detect(gram: np.ndarray, matched: np.ndarray, ordering,
     all rather than one per stage.  A factor that does not exist raises
     :class:`SingularMatrixError`.
     """
-    m = _check_matched(gram, matched)
     named = isinstance(ordering, str)
     if not named:
+        m = gram.shape[-1]
         perm = np.asarray(ordering, dtype=np.int64)
         if (perm.ndim == 0 or perm.shape[-1] != m
                 or np.any(np.sort(perm, axis=-1) != np.arange(m))):
@@ -244,7 +228,6 @@ def mb_sic_detect(gram: np.ndarray, matched: np.ndarray, n_branches: int = 4,
     kept as they go, so the workspace does not grow with the branch count.
     ``n_branches`` lies in [1, M], as ``validate`` guarantees.
     """
-    _check_matched(gram, matched)
     constellation = qpsk_constellation(symbol_power)
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     base = compute_ordering(gram, symbol_power, noise_var, base_criterion,
@@ -277,7 +260,7 @@ def df_detect(gram: np.ndarray, matched: np.ndarray, mode: str = "s-df",
     """
     if mode not in ("s-df", "p-df"):
         raise ParameterError(f"unknown decision-feedback mode {mode!r}")
-    m = _check_matched(gram, matched)
+    m = gram.shape[-1]
     inv = compute_receive_filter(gram, symbol_power, noise_var, filter_design)
     soft, feedback = matched, gram
     if inv is not None:
@@ -299,7 +282,7 @@ def ml_detect_oracle(gram: np.ndarray, matched: np.ndarray, symbol_power: float 
     ``ML_CANDIDATE_GUARD`` candidates.  The scores of ``chunk`` vectors are
     held at a time, so a stack is scored one item after another.
     """
-    m = _check_matched(gram, matched)
+    m = gram.shape[-1]
     constellation = qpsk_constellation(symbol_power)
     n_cand = len(constellation) ** m
     if n_cand > ML_CANDIDATE_GUARD:

@@ -33,10 +33,12 @@ the recursions).  The default ``delta = 1e-6`` keeps the solutions within
 The trainers take their parameters as ``ScenarioSpec.validate`` leaves
 them: a forgetting factor in (0, 1], a step size > 0, a rank in [1, N_A],
 ``delta`` > 0 (>= 0 for the channel estimator) and ``packets`` >= 1.
+``update`` takes its two blocks as ``harness._train`` passes them: complex
+``(P, rows, n)`` stacks of the trainer's P packets and rows, with equal n.
 """
 import numpy as np
 
-from .errors import NumericalError, ParameterError, RankError, StructuralError
+from .errors import NumericalError, ParameterError, RankError
 
 DEFAULT_DELTA = 1e-6
 KRYLOV_BREAKDOWN_TOL = 1e-12
@@ -108,15 +110,12 @@ class RlsChannelEstimator:
 
     def update(self, pilots: np.ndarray, received: np.ndarray):
         """Fold in a block: pilots (P, M, n), received (P, N_A, n)."""
-        packets, n_rx, m = self.cross.shape
-        s, r = _snapshots((pilots, received), packets, (m, n_rx),
-                          ("pilots", "received vectors"))
-        n = s.shape[-1]
+        n = pilots.shape[-1]
         decay = self.lam ** n
         w = _weights(n, self.lam)
-        s_h = _adjoint(s)
-        self.corr = decay * self.corr + (s * w) @ s_h
-        self.cross = decay * self.cross + (r * w) @ s_h
+        s_h = _adjoint(pilots)
+        self.corr = decay * self.corr + (pilots * w) @ s_h
+        self.cross = decay * self.cross + (received * w) @ s_h
         self.n_updates += n
         return self
 
@@ -154,11 +153,8 @@ class LmsChannelEstimator:
     def update(self, pilots: np.ndarray, received: np.ndarray):
         """Run the recursion over a block: pilots (P, M, n), received (P, N_A, n),
         in runs of ``_LMS_RUN`` pilots from the first."""
-        packets, n_rx, m = self.estimate.shape
-        s, r = _snapshots((pilots, received), packets, (m, n_rx),
-                          ("pilots", "received vectors"))
-        for lo in range(0, s.shape[-1], _LMS_RUN):
-            run_s, run_r = s[..., lo:lo + _LMS_RUN], r[..., lo:lo + _LMS_RUN]
+        for lo in range(0, pilots.shape[-1], _LMS_RUN):
+            run_s, run_r = pilots[..., lo:lo + _LMS_RUN], received[..., lo:lo + _LMS_RUN]
             s_h = _adjoint(run_s)
             coupling = np.triu(s_h @ run_s, 1)
             coupling *= self.mu
@@ -216,21 +212,6 @@ def _projected_solve(corr, basis, cross):
 
 # -- receive-filter banks (shared statistics) --------------------------------
 
-def _snapshots(blocks, packets, rows, names=("received vectors", "desired vectors")):
-    # two (P, rows, n) blocks read together, a snapshot (column) of each at
-    # a time
-    out = []
-    for block, n in zip(blocks, rows):
-        block = np.asarray(block, dtype=complex)
-        if block.ndim != 3 or block.shape[:2] != (packets, n):
-            raise StructuralError(f"expected ({packets}, {n}, n) snapshots, "
-                                  f"got {block.shape}")
-        out.append(block)
-    if out[0].shape[-1] != out[1].shape[-1]:
-        raise StructuralError(f"{out[0].shape[-1]} {names[0]} but {out[1].shape[-1]} {names[1]}")
-    return out
-
-
 class ReducedRankFilterBank:
     """Per-stream receive filters solved from block-folded training statistics.
 
@@ -258,13 +239,11 @@ class ReducedRankFilterBank:
 
     def update(self, received: np.ndarray, desired: np.ndarray):
         """Fold in a block: received (P, N_A, n), desired (P, M, n)."""
-        packets, *rows = self.cross.shape
-        r, d = _snapshots((received, desired), packets, rows)
-        n = r.shape[-1]
+        n = received.shape[-1]
         decay = self.lam ** n
-        rw = r * _weights(n, self.lam)
-        self.corr = decay * self.corr + rw @ _adjoint(r)
-        self.cross = decay * self.cross + rw @ _adjoint(d)
+        rw = received * _weights(n, self.lam)
+        self.corr = decay * self.corr + rw @ _adjoint(received)
+        self.cross = decay * self.cross + rw @ _adjoint(desired)
         self.n_updates += n
 
     @property
@@ -413,11 +392,10 @@ class JioFilterBank:
 
     def update(self, received: np.ndarray, desired: np.ndarray):
         """Fold in a block: received (P, N_A, n), desired (P, M, n)."""
-        packets, n_streams, n_dim, _ = self.basis.shape
-        r, d = _snapshots((received, desired), packets, (n_dim, n_streams))
+        n_dim = self.p_full.shape[-1]
         width = min(_BLOCK, n_dim)
-        for lo in range(0, r.shape[-1], width):
-            r_blk, d_blk = r[..., lo:lo + width], d[..., lo:lo + width]
+        for lo in range(0, received.shape[-1], width):
+            r_blk, d_blk = received[..., lo:lo + width], desired[..., lo:lo + width]
             try:
                 self._block = _RlsBlock(self.p_full, r_blk, d_blk, self.lam, self._columns)
             except np.linalg.LinAlgError:

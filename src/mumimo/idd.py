@@ -4,13 +4,15 @@ The receiver loops a soft-input soft-output MMSE detector with parallel
 soft interference cancellation against per-stream BCJR decoders.  LLRs
 follow the convention ``lambda = log P(b = 0) / P(b = 1)`` (bit 0 is the
 positive amplitude), so ``P(b = 0) = 1 / (1 + exp(-lambda))``.
+
+The soft detector takes the detectors' stacks: Gram matrices ``(..., M, M)``
+and matched outputs ``(..., M, T)`` with the same leading axes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import _check_matched
 from .errors import NumericalError, StructuralError
 from .txchain import (GENERATORS, LLR_CLIP, MEMORY, NEXT_STATE, OUT_BITS, deinterleave,
                       interleave)
@@ -70,7 +72,7 @@ def soft_mmse_sic_detect(gram: np.ndarray, matched: np.ndarray,
     """
     means = np.asarray(means, dtype=complex)
     variances = np.asarray(variances, dtype=float)
-    m = _check_matched(gram, matched)
+    m = gram.shape[-1]
 
     residual = matched - gram @ means  # G^H (r - G means), (..., M, T)
     try:

@@ -197,13 +197,6 @@ def test_soft_mmse_perfect_priors_cancel_interference(rng):
     np.testing.assert_allclose(z / v, syms, atol=0.2)
 
 
-def test_soft_mmse_validates(rng):
-    r = np.zeros((4, 2), dtype=complex)
-    gram, y = matched(random_channel(rng, 4, 2), r)
-    with pytest.raises(StructuralError):  # the antenna-domain block
-        m.soft_mmse_sic_detect(gram, r, np.zeros((2, 2)), np.ones((2, 2)), 0.1)
-
-
 def test_soft_mmse_singular_system_is_numerical_error():
     # equal columns make A = G^H G singular, and a noise variance below the
     # roundoff of A leaves A V + noise_var I exactly singular in floating point
