@@ -10,7 +10,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,28 +56,13 @@ def _pair(value):
     return value
 
 
-def _instance(cls):
-    def read(value):
-        if not isinstance(value, cls):
-            raise TypeError
-        return value
-    return read
-
-
 #: what a value of each declared field type must be, and the reader that
-#: returns it as stored or raises TypeError; another class takes its instances
+#: returns it as stored or raises TypeError; a type without a reader takes
+#: its instances as they are
 _KINDS = {int: ("an integer", _integer), float: ("a real number", _real),
-          bool: ("True or False", _flag), str: ("a string", _instance(str)),
+          bool: ("True or False", _flag), str: ("a string", None),
           tuple[float, float]: ("two real numbers", _pair),
           tuple[float, ...]: ("a sequence of real numbers", _reals)}
-
-
-@lru_cache(maxsize=None)
-def _readers(cls):
-    # (name, what it must be, reader) per field of the dataclass cls
-    return tuple((f.name, *(_KINDS.get(f.type) or (f"a {f.type.__name__}",
-                                                   _instance(f.type))))
-                 for f in fields(cls))
 
 
 def check_fields(obj, minima: dict, error: type, keys: dict = None):
@@ -92,17 +76,21 @@ def check_fields(obj, minima: dict, error: type, keys: dict = None):
     numbers and ``tuple[float, ...]`` a sequence of them, stored as a
     tuple of floats; any other type, ``str`` included, an instance of it.
     Messages name a field by its entry in ``keys``, or else by its name."""
-    for name, kind, read in _readers(type(obj)):
-        value = getattr(obj, name)
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind, read = _KINDS.get(f.type) or (f"a {f.type.__name__}", None)
         try:
-            value = read(value)
+            if read is not None:
+                value = read(value)
+            elif not isinstance(value, f.type):
+                raise TypeError
         except TypeError:
-            raise error(f"{(keys or {}).get(name, name)} must be {kind}, "
+            raise error(f"{(keys or {}).get(f.name, f.name)} must be {kind}, "
                         f"got {value!r}") from None
-        if name in minima and value < minima[name]:
-            raise error(f"{(keys or {}).get(name, name)} must be >= {minima[name]}, "
+        if f.name in minima and value < minima[f.name]:
+            raise error(f"{(keys or {}).get(f.name, f.name)} must be >= {minima[f.name]}, "
                         f"got {value}")
-        object.__setattr__(obj, name, value)
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -130,10 +118,10 @@ class SystemConfig:
         Path-loss exponent tau, nominally in [2, 4].
     shadow_spread_db : float
         Log-normal shadowing spread sigma in dB.
-    path_gain_range : tuple
+    path_gain_range : tuple[float, float]
         Interval for the link path gain; a degenerate (a, a) interval makes
         the gain deterministic.
-    distance_range : tuple
+    distance_range : tuple[float, float]
         Interval in (0, 1] for the normalized user-array distance, sampled
         on a discrete grid of step ``DISTANCE_GRID_STEP``.
     symbol_power : float

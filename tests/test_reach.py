@@ -149,11 +149,7 @@ def _run_everything(tmp_path):
     _clear_caches()
     for spec in test_golden_csv.SPECS.values():
         m.format_csv(m.run_sweep(spec))
-    for system, spec in test_fuzz.CONFIGS + test_fuzz.WRONG_TYPED:
-        scenario, outcome = test_fuzz.run_config(system, spec)
-        if scenario is not None:
-            outcome.rows
-            m.parse_config(m.serialize_config(scenario))
+    test_fuzz.check_outcomes(test_fuzz.CONFIGS + test_fuzz.WRONG_TYPED)
     codes = [
         _cli(tmp_path, "commented",
              "# two users on four antennas\nn_users = 2   # K\nn_bs = 4\n"
