@@ -44,7 +44,7 @@ def _flag(value):
 
 
 def _reals(value):
-    if isinstance(value, str):
+    if isinstance(value, (str, bytes)):  # sequences, but of characters or bytes
         raise TypeError
     return tuple(map(_real, value))
 

@@ -201,7 +201,7 @@ def test_fuzzed_configs_are_rejected_or_run_to_valid_rows():
 
 def test_wrong_typed_fields_are_rejected_or_stored_as_their_type():
     # a wrong type ends in ParameterError or ConfigError, never another
-    # exception; a list range or SNR list runs as its tuple
+    # exception; a list range runs as its tuple
     counts, ran = check_outcomes(WRONG_TYPED)
     print(f"wrong-typed verdicts: {counts}")
     assert counts["rejected"] >= WRONG_TYPED_CONFIGS // 2 and counts["ran"] >= 1

@@ -304,6 +304,7 @@ def test_system_rejects_non_integer_int_fields(field, value):
 WRONG_TYPES = [("coded", "no", "True or False"), ("coded", 1, "True or False"),
                ("forgetting", "0.9", "a real number"), ("out", 5, "a string"),
                ("detector", 5, "a string"), ("snr_db", ("4",), "a sequence of real numbers"),
+               ("snr_db", b"45", "a sequence of real numbers"),
                ("system", None, "a SystemConfig")]
 
 
